@@ -5,22 +5,20 @@ mixtures of an approximating set, and provides the closed-form distances
 and two-sided bounds known for structured families (covariant targets,
 Pauli sets, damping channels, two parallel copies).
 
-The simplex optimizer combines two certified routes.  A joint
-interior-point solve of  max t  s.t.  t <= Tr[Delta_i W]  over the
-diamond-norm feasible set returns globally optimal mixture weights
-together with a certified two-sided bracket (by duality its optimum
-equals min_p ||sum_i p_i Delta_i||_diamond).  A Frank-Wolfe loop on the
-simplex (barycenter start, subgradients g_i = -Tr[R_i W*] read off the
-inner SDP witness, golden-section line search, duality-gap stop at 1e-5
-or 500 iterations) runs whenever the joint certificate does not already
-place the measured incumbent within the inner tolerance of the optimum.
-The best measured candidate is returned; ties within 1e-9 keep the
-earlier candidate, so results are deterministic.
+Every simplex problem takes one certified route.  A joint interior-point
+solve of  max t  s.t.  t <= Tr[Delta_i W]  over the diamond-norm feasible
+set returns the optimal mixture weights with a certified lower bound on
+the optimum (by duality its optimum equals
+min_p ||sum_i p_i Delta_i||_diamond).  The joint weights are re-certified
+by a fixed-objective solve and compared with the certified simplex
+vertices; the best measured candidate is returned, and ties within 1e-9
+keep the joint weights, so results are deterministic.  A candidate more
+than 1e-4 above the joint lower bound raises ``NoConvergenceError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,11 +38,7 @@ from .errors import DimMismatchError, NoConvergenceError, RangeError
 from .linalg import trace_norm
 
 _MAX_SET = 8
-_FW_GAP_TOL = 1e-5
-_FW_MAX_ITER = 500
-_LINE_TOL = 1e-6
 _OPT_SLACK = 1e-4
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -57,8 +51,9 @@ class ApproxResult:
     (a mixture can only do better); ``lower_bound_choi`` is the
     simplex-minimized Choi trace-distance lower bound; ``witness`` holds
     the input state and measurement operator certifying ``distance``;
-    ``iterations`` counts optimizer iterations across the certified
-    solves that produced the weights.
+    ``iterations`` counts the interior-point iterations of the joint
+    minimax solve that produced the weights (0 when the target is a
+    member of the set).
     """
 
     weights: np.ndarray
@@ -69,115 +64,33 @@ class ApproxResult:
     iterations: int
 
 
-class _MixtureObjective:
-    """Cached certified evaluations of p -> diamond(target, mix(set, p))."""
-
-    def __init__(self, delta_stack: np.ndarray, ref_dim: int, tol: float):
-        self.delta_stack = delta_stack
-        self.ref_dim = ref_dim
-        self.tol = tol
-        self.cache: dict[tuple, DiamondResult] = {}
-
-    def __call__(self, p: np.ndarray) -> DiamondResult:
-        key = tuple(np.rint(np.asarray(p, dtype=float) / 1e-9).astype(np.int64))
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        delta = np.tensordot(np.asarray(p, dtype=float), self.delta_stack, axes=(0, 0))
-        res = _diamond_of_delta(delta, self.ref_dim, self.tol)
-        self.cache[key] = res
-        return res
-
-
-def _line_search(objective, p, vertex, res_at_p):
-    """Golden-section minimization along the segment p -> vertex to 1e-6."""
-    seen: dict[float, DiamondResult] = {0.0: res_at_p}
-
-    def at(lam: float) -> DiamondResult:
-        res = seen.get(lam)
-        if res is None:
-            res = objective((1.0 - lam) * p + lam * vertex)
-            seen[lam] = res
-        return res
-
-    lo, hi = 0.0, 1.0
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    at(1.0)
-    fc, fd = at(c).value, at(d).value
-    while hi - lo > _LINE_TOL:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = at(c).value
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = at(d).value
-    lam = min(seen, key=lambda t: seen[t].value)
-    return lam, seen[lam]
-
-
-def _frank_wolfe(objective, member_chois, incumbent_value, certified_upper, inner_tol):
-    """Frank-Wolfe descent from the barycenter.
-
-    Declares convergence when the Frank-Wolfe duality gap drops to 1e-5,
-    when any measured value reaches the certified optimum bracket, or
-    after 500 iterations; a 12-iteration no-progress window stops early
-    so a zigzagging boundary optimum cannot stall the caller (the caller
-    re-certifies the final choice).
-    """
-    k = len(member_chois)
-    p = np.full(k, 1.0 / k)
-    res = objective(p)
-    best_p, best_res = p, res
-    history: list[float] = []
-    iterations = 0
-    for iterations in range(1, _FW_MAX_ITER + 1):
-        if min(best_res.value, incumbent_value) <= certified_upper + inner_tol:
-            break
-        w = res.witness_operator
-        g = np.array(
-            [-float(np.einsum("ab,ba->", rc, w).real) for rc in member_chois]
-        )
-        if float(g @ p) - float(g.min()) <= _FW_GAP_TOL:
-            break
-        vertex = np.zeros(k)
-        vertex[int(np.argmin(g))] = 1.0
-        lam, line_res = _line_search(objective, p, vertex, res)
-        p = (1.0 - lam) * p + lam * vertex
-        res = line_res
-        if res.value < best_res.value:
-            best_p, best_res = p, res
-        history.append(best_res.value)
-        if len(history) >= 13 and history[-13] - best_res.value < 1e-10:
-            break
-    return best_p, best_res, iterations
+def _inner_tol(tol: float) -> float:
+    """Check a mixture-optimization tolerance; return its inner-solve tolerance."""
+    if not 1e-6 <= tol < np.inf:
+        raise RangeError(f"tolerance {tol:g} must be finite and at least 1e-6")
+    return max(1e-9, min(1e-7, 0.1 * tol))
 
 
 def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
     """Closest convex mixture of ``set`` to ``target`` in diamond norm.
 
-    Requires matching dimensions, 1..8 set members, and tol >= 1e-6.  The
-    returned weights are certified within 1e-4 of the simplex optimum by
-    the joint interior-point bracket; the embedded witness certifies the
-    reported distance at those weights.
+    Requires matching dimensions, 1..8 set members, and a finite
+    tol >= 1e-6.  The returned weights are certified within 1e-4 of the
+    simplex optimum by the joint interior-point lower bound; the embedded
+    witness certifies the reported distance at those weights.
     """
     members = list(set)
     if not 1 <= len(members) <= _MAX_SET:
         raise RangeError(
             f"approximating set must have 1..{_MAX_SET} members, got {len(members)}"
         )
-    if tol < 1e-6:
-        raise RangeError(f"tolerance {tol:g} below the supported minimum 1e-6")
+    inner_tol = _inner_tol(tol)
     d = target.dim
     if any(ch.dim != d for ch in members):
         raise DimMismatchError("approximating set dimension differs from target")
     k = len(members)
     target_choi = choi(target)
-    member_chois = [choi(ch) for ch in members]
-    delta_stack = np.stack([target_choi - rc for rc in member_chois])
-    inner_tol = max(1e-9, min(1e-7, 0.1 * tol))
+    delta_stack = np.stack([target_choi - choi(ch) for ch in members])
 
     # Exact membership: all weight on the matching member, distance zero.
     for i in range(k):
@@ -194,14 +107,11 @@ def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
                 iterations=0,
             )
 
-    objective = _MixtureObjective(delta_stack, d, inner_tol)
+    def certify(p: np.ndarray) -> DiamondResult:
+        return _diamond_of_delta(np.tensordot(p, delta_stack, axes=(0, 0)), d, inner_tol)
 
-    candidates: list[tuple[np.ndarray, DiamondResult]] = []
-    for i in range(k):
-        vertex = np.zeros(k)
-        vertex[i] = 1.0
-        candidates.append((vertex, objective(vertex)))
-    upper_bound_single = min(res.value for _, res in candidates)
+    vertices = [(p, certify(p)) for p in np.eye(k)]
+    upper_bound_single = min(res.value for _, res in vertices)
 
     deltas = [delta_stack[i] for i in range(k)]
     joint = sdp._solve_ipm(
@@ -212,28 +122,21 @@ def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
     )
     lower_bound_choi = max(0.0, trace_joint.primal / d)
 
+    candidates = []
     if joint.weights is not None:
         jw = np.clip(np.asarray(joint.weights, dtype=float), 0.0, None)
         total = jw.sum()
         if total > 0.0:
             jw /= total
-            candidates.insert(0, (jw, objective(jw)))
-    incumbent_value = min(res.value for _, res in candidates)
-
-    iterations = joint.iterations
-    if not incumbent_value <= joint.dual + inner_tol:
-        fw_p, fw_res, fw_iters = _frank_wolfe(
-            objective, member_chois, incumbent_value, joint.dual, inner_tol
-        )
-        candidates.insert(0, (fw_p, fw_res))
-        iterations += fw_iters
+            candidates.append((jw, certify(jw)))
+    candidates += vertices
 
     best_w, best_res = candidates[0]
     for w, res in candidates[1:]:
         if res.value < best_res.value - 1e-9:
             best_w, best_res = w, res
 
-    if np.isfinite(joint.primal) and best_res.value > joint.primal + _OPT_SLACK:
+    if not best_res.value <= joint.primal + _OPT_SLACK:
         raise NoConvergenceError(
             f"optimizer reached {best_res.value:.9f} but the certified optimum "
             f"is at least {joint.primal:.9f}"
@@ -244,7 +147,7 @@ def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
         upper_bound_single=upper_bound_single,
         lower_bound_choi=min(lower_bound_choi, best_res.value),
         witness=best_res,
-        iterations=iterations,
+        iterations=joint.iterations,
     )
 
 
@@ -332,18 +235,14 @@ def pauli_distance_special(kind: str, angle: float) -> tuple[float, np.ndarray]:
 # Damping channel: closed-form bounds and the Pauli-set optimum.
 
 
-def _damping_radicand(q: float, gamma: float, validated: bool = True) -> float:
-    # The middle coefficient must cancel 8(1-gamma) as gamma -> 0, where
-    # the damping channel and its closest Pauli channel both collapse to
-    # the identity; (2-gamma) does. The alternative coefficient (2-q)
-    # leaves a spurious 2*sqrt(q) in that limit and disagrees with the
-    # SDP oracle on interior points, so it is kept only behind this flag
-    # for auditability.
-    coeff = (2.0 - gamma) if validated else (2.0 - q)
+def _damping_radicand(q: float, gamma: float) -> float:
+    # The middle coefficient (2-gamma) cancels 8(1-gamma) as gamma -> 0,
+    # where the damping channel and its closest Pauli channel both collapse
+    # to the identity.
     root = float(np.sqrt(1.0 - gamma))
     return (
         8.0 * (1.0 - gamma)
-        - 4.0 * coeff * root
+        - 4.0 * (2.0 - gamma) * root
         + gamma * gamma * (2.0 - 4.0 * q * (1.0 - q))
     )
 
@@ -368,9 +267,13 @@ def pauli_distance_damping(q: float, gamma: float, tol: float = 1e-6) -> ApproxR
     The returned weights always take the form (1-2p, p, p, 0): the X and
     Y conjugations are weighted equally (preserving the damping channel's
     covariance under z-axis rotations) and the Z conjugation is unused.
-    The optimum over that family is a certified one-dimensional convex
-    search, so the structure holds exactly and the distance stays between
-    ``damping_bounds`` by construction.
+    That family is the convex hull of the identity and the equal X/Y
+    mixture with weights (0, 1/2, 1/2, 0), so the optimum is the
+    two-member ``optimal_convex_approx`` over those endpoints, and its
+    weights (w0, w1) map back to (w0, w1/2, w1/2, 0).  The structure
+    therefore holds exactly and the distance stays between
+    ``damping_bounds``.  ``upper_bound_single`` and ``lower_bound_choi``
+    refer to the two endpoints, not to the four Pauli conjugations.
 
     Note the restriction is not always free: the unrestricted four-weight
     optimum (``optimal_convex_approx`` with the four Pauli conjugations)
@@ -383,53 +286,11 @@ def pauli_distance_damping(q: float, gamma: float, tol: float = 1e-6) -> ApproxR
     s = sqrt(1-gamma), and the unrestricted distance is zero -- while
     this family keeps a strictly positive distance.
     """
-    q = _check_range("q", q, 0.0, 1.0)
-    gamma = _check_range("gamma", gamma, 0.0, 1.0)
-    if tol < 1e-6:
-        raise RangeError(f"tolerance {tol:g} below the supported minimum 1e-6")
-    target = damping(q, gamma)
-    members = list(pauli_unitaries())
-    target_choi = choi(target)
-    delta_stack = np.stack([target_choi - choi(ch) for ch in members])
-    inner_tol = max(1e-9, min(1e-7, 0.1 * tol))
-
-    if trace_norm(delta_stack[0]) <= 2e-12:
-        # gamma = 0: the damping channel is the identity map.
-        weights = np.array([1.0, 0.0, 0.0, 0.0])
-        witness = _diamond_of_delta(delta_stack[0], 2, inner_tol)
-        return ApproxResult(
-            weights=weights,
-            distance=0.0,
-            upper_bound_single=witness.value,
-            lower_bound_choi=0.0,
-            witness=witness,
-            iterations=0,
-        )
-
-    objective = _MixtureObjective(delta_stack, 2, inner_tol)
-    upper_bound_single = np.inf
-    for i in range(4):
-        vertex = np.zeros(4)
-        vertex[i] = 1.0
-        upper_bound_single = min(upper_bound_single, objective(vertex).value)
-    trace_joint = sdp._solve_ipm(
-        sdp._Program([delta_stack[i] for i in range(4)], None, minimax=True),
-        1e-8,
-        require_gap=False,
-    )
-    origin = np.array([1.0, 0.0, 0.0, 0.0])
-    endpoint = np.array([0.0, 0.5, 0.5, 0.0])
-    lam, line_res = _line_search(objective, origin, endpoint, objective(origin))
-    weights = (1.0 - lam) * origin + lam * endpoint
-    lower_bound_choi = max(0.0, min(trace_joint.primal / 2.0, line_res.value))
-    return ApproxResult(
-        weights=prob_vector(weights),
-        distance=line_res.value,
-        upper_bound_single=upper_bound_single,
-        lower_bound_choi=lower_bound_choi,
-        witness=line_res,
-        iterations=len(objective.cache),
-    )
+    paulis = pauli_unitaries()
+    endpoints = (paulis[0], mix(paulis[1:3], [0.5, 0.5]))
+    res = optimal_convex_approx(damping(q, gamma), endpoints, tol)
+    w0, w1 = res.weights
+    return replace(res, weights=prob_vector([w0, 0.5 * w1, 0.5 * w1, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +331,10 @@ def multi_copy_approx(target: Channel, single_set, copies: int, tol: float) -> M
     """
     if copies != 2:
         raise RangeError(f"copies={copies} unsupported; only copies=2 is implemented")
-    if tol < 1e-6:
-        raise RangeError(f"tolerance {tol:g} below the supported minimum 1e-6")
+    inner_tol = _inner_tol(tol)
     members = list(single_set)
     if target.dim != 2 or any(ch.dim != 2 for ch in members):
         raise DimMismatchError("two-copy approximation requires qubit channels")
-    inner_tol = max(1e-9, min(1e-7, 0.1 * tol))
 
     single = optimal_convex_approx(target, members, tol)
     pair_target = tensor(target, target)

@@ -99,8 +99,8 @@ class SweepAxis:
 class SweepConfig:
     """Validated configuration for a figure-data sweep.
 
-    Invariant: ``tolerance >= 1e-9`` (the certification floor of the
-    fixed-pair solver).
+    Invariant: ``tolerance`` is finite and ``>= 1e-9`` (the certification
+    floor of the fixed-pair solver).
     """
 
     axes: tuple[SweepAxis, ...]
@@ -108,9 +108,9 @@ class SweepConfig:
     workers: int
 
     def __post_init__(self) -> None:
-        if self.tolerance < 1e-9:
+        if not 1e-9 <= self.tolerance < np.inf:
             raise SpecParseError(
-                f"tolerance must be at least 1e-9, got {self.tolerance}"
+                f"tolerance must be finite and at least 1e-9, got {self.tolerance}"
             )
         if self.workers < 1:
             raise SpecParseError(f"workers must be positive, got {self.workers}")

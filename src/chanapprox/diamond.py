@@ -171,8 +171,8 @@ def diamond_sdp(a: Channel, b: Channel, tol: float = 1e-7) -> DiamondResult:
         raise DimTooLargeError(
             f"dimension {a.dim} exceeds the supported maximum {_MAX_DIM}"
         )
-    if tol < 1e-9:
-        raise RangeError(f"tolerance {tol:g} below the supported minimum 1e-9")
+    if not 1e-9 <= tol < np.inf:
+        raise RangeError(f"tolerance {tol:g} must be finite and at least 1e-9")
     return _diamond_of_delta(choi(a) - choi(b), a.dim, tol)
 
 

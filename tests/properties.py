@@ -59,7 +59,7 @@ def check_bound_ordering(seed: int = 12, instances: int = 30) -> float:
     for _ in range(instances):
         target = helpers.random_channel(2, 2, gen)
         members = [
-            helpers.random_channel(2, 2, gen) for _ in range(int(gen.integers(2, 5)))
+            helpers.random_channel(2, 2, gen) for _ in range(int(gen.integers(2, 9)))
         ]
         res = optimal_convex_approx(target, members, tol=tol)
         assert res.lower_bound_choi <= res.distance + tol, (

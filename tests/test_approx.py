@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -29,8 +30,9 @@ from chanapprox import (
     unitary_channel,
     unitary_qubit,
 )
+from chanapprox import sdp
 from chanapprox.channels import PAULI
-from chanapprox.errors import DimMismatchError, RangeError
+from chanapprox.errors import DimMismatchError, NoConvergenceError, RangeError
 
 import helpers
 import properties
@@ -131,10 +133,32 @@ def test_approx_input_validation() -> None:
         optimal_convex_approx(identity(2), [], tol=1e-6)
     with pytest.raises(RangeError):
         optimal_convex_approx(identity(2), [identity(2)] * 9, tol=1e-6)
-    with pytest.raises(RangeError):
-        optimal_convex_approx(identity(2), [identity(2)], tol=1e-7)
+    for bad_tol in (1e-7, float("nan"), float("inf")):
+        with pytest.raises(RangeError):
+            optimal_convex_approx(identity(2), [identity(2)], tol=bad_tol)
+        with pytest.raises(RangeError):
+            pauli_distance_damping(0.5, 0.5, tol=bad_tol)
+        with pytest.raises(RangeError):
+            multi_copy_approx(identity(2), [identity(2)], copies=2, tol=bad_tol)
     with pytest.raises(DimMismatchError):
         optimal_convex_approx(identity(2), [identity(3)], tol=1e-6)
+
+
+def test_missing_joint_weights_raise_instead_of_returning_a_vertex(monkeypatch) -> None:
+    # Without joint weights only the vertices remain, and none of them is
+    # within the optimality slack of a target inside the members' hull.
+    solve = sdp._solve_ipm
+
+    def without_weights(prog, *args, **kwargs):
+        sol = solve(prog, *args, **kwargs)
+        if isinstance(prog, sdp._Program) and prog.minimax:
+            sol = dataclasses.replace(sol, weights=None)
+        return sol
+
+    monkeypatch.setattr(sdp, "_solve_ipm", without_weights)
+    target = pauli_channel([0.3, 0.3, 0.2, 0.2])
+    with pytest.raises(NoConvergenceError):
+        optimal_convex_approx(target, pauli_unitaries(), tol=1e-6)
 
 
 def test_bound_ordering_properties() -> None:
@@ -307,6 +331,7 @@ def test_damping_approx_symmetry_and_bracket() -> None:
         assert abs(res.distance - mirror.distance) <= 2e-4
         lower, upper = damping_bounds(q, gamma)
         assert lower - tol <= res.distance <= upper + tol
+        assert res.lower_bound_choi <= res.distance <= res.upper_bound_single + tol
 
 
 def test_damping_approx_weight_structure() -> None:

@@ -110,6 +110,7 @@ def test_exit_code_parse_errors(capsys) -> None:
     assert cli.main(["fig1", "--grid", "1"]) == cli.EXIT_PARSE
     assert cli.main(["fig3", "--grid", "5"]) == cli.EXIT_PARSE
     assert cli.main(["fig1", "--grid", "3", "--parallel", "0"]) == cli.EXIT_PARSE
+    assert cli.main(["fig4", "--grid", "3", "--tol", "nan"]) == cli.EXIT_PARSE
     mismatched = '{"kind": "covariant", "p": 0.1, "d": 3}'
     assert cli.main(["diamond", IDENTITY, mismatched]) == cli.EXIT_PARSE
 

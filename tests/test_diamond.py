@@ -327,8 +327,9 @@ def test_diamond_sdp_rejects_large_dims() -> None:
 
 
 def test_diamond_sdp_rejects_tiny_tolerance() -> None:
-    with pytest.raises(RangeError):
-        diamond_sdp(identity(2), identity(2), tol=1e-10)
+    for bad_tol in (1e-10, float("nan"), float("inf")):
+        with pytest.raises(RangeError):
+            diamond_sdp(identity(2), identity(2), tol=bad_tol)
 
 
 def test_diamond_sdp_unitary_invariance() -> None:
