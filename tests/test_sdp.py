@@ -150,3 +150,87 @@ def test_solution_value_and_gap_definitions() -> None:
     )
     npt.assert_allclose(sol.value, 1.1)
     npt.assert_allclose(sol.gap, 0.2)
+
+
+# --- operator consistency of every program shape ----------------------------
+
+
+def _program_shapes():
+    gen = helpers.rng(35)
+
+    def delta(d: int) -> np.ndarray:
+        a = helpers.random_channel(d, 2, gen)
+        b = helpers.random_channel(d, 3, gen)
+        return choi(a) - choi(b)
+
+    d2, d4 = delta(2), delta(4)
+    family = [delta(2) for _ in range(3)]
+    return {
+        "fixed-ref2": sdp._Program([d2], 2, minimax=False),
+        "fixed-ref4": sdp._Program([d4], 4, minimax=False),
+        "minimax-ref2": sdp._Program(family, 2, minimax=True),
+        "trace-minimax": sdp._Program(family, None, minimax=True),
+        "dual-ref2": sdp._DualProgram(d2, 2),
+        "dual-ref4": sdp._DualProgram(d4, 4),
+    }
+
+
+def _random_pd(size: int, gen: np.random.Generator) -> np.ndarray:
+    g = gen.normal(size=(size, size)) + 1j * gen.normal(size=(size, size))
+    return g @ g.conj().T / size + 0.1 * np.eye(size)
+
+
+def _assert_rel(actual, expected, scale: float) -> None:
+    err = float(np.linalg.norm(np.asarray(actual) - np.asarray(expected)))
+    assert err <= 1e-12 * scale, (err, scale)
+
+
+def _norm(a) -> float:
+    return float(np.linalg.norm(a))
+
+
+def test_program_operators_are_consistent_for_every_shape() -> None:
+    """slack = C - A^T(y), <A^T(y), X> = y . A(X), and schur matches brute force."""
+    gen = helpers.rng(36)
+    for name, prog in _program_shapes().items():
+        zero_mats, zero_scal = prog.slack_blocks(np.zeros(prog.m))
+        sizes = [blk.shape[0] for blk in zero_mats]
+        k = None if zero_scal is None else zero_scal.size
+        y = gen.normal(size=prog.m)
+        x_mats = [_random_pd(s, gen) for s in sizes]
+        z_mats = [_random_pd(s, gen) for s in sizes]
+        x_scal = None if k is None else gen.uniform(0.5, 2.0, size=k)
+        z_scal = None if k is None else gen.uniform(0.5, 2.0, size=k)
+
+        # S(y) = S(0) - A^T(y)
+        s_mats, s_scal = prog.slack_blocks(y)
+        a_mats, a_scal = prog.adjoint_blocks(y)
+        for s, s0, a in zip(s_mats, zero_mats, a_mats):
+            _assert_rel(s, s0 - a, _norm(s0) + _norm(a))
+        if k is not None:
+            _assert_rel(s_scal, zero_scal - a_scal, _norm(zero_scal) + _norm(a_scal))
+
+        # apply is the adjoint of adjoint_blocks
+        applied = prog.apply(x_mats, x_scal)
+        assert applied.dtype == np.float64 and applied.shape == (prog.m,), name
+        terms = [float(np.einsum("ab,ba->", a, x).real) for a, x in zip(a_mats, x_mats)]
+        if k is not None:
+            terms.extend(a_scal * x_scal)
+        scale = sum(abs(t) for t in terms) + _norm(y) * _norm(applied)
+        _assert_rel(sum(terms), float(y @ applied), scale)
+
+        # schur against the dense brute force over unit vectors
+        units = [prog.adjoint_blocks(e) for e in np.eye(prog.m)]
+        brute = np.zeros((prog.m, prog.m))
+        for b, (x, z) in enumerate(zip(x_mats, z_mats)):
+            gens = np.stack([u[0][b] for u in units])
+            t = np.matmul(np.matmul(x, gens), z)
+            flat = gens.reshape(prog.m, -1)
+            brute += (flat @ t.transpose(0, 2, 1).reshape(prog.m, -1).T).real
+        if k is not None:
+            rows = np.stack([u[1] for u in units])
+            brute += rows @ ((x_scal * z_scal)[:, None] * rows.T)
+        brute = 0.5 * (brute + brute.T)
+        xz = None if k is None else x_scal * z_scal
+        fast = prog.schur(x_mats, z_mats, xz)
+        _assert_rel(fast, brute, _norm(brute))
