@@ -113,22 +113,13 @@ def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
     vertices = [(p, certify(p)) for p in np.eye(k)]
     upper_bound_single = min(res.value for _, res in vertices)
 
-    deltas = [delta_stack[i] for i in range(k)]
-    joint = sdp._solve_ipm(
-        sdp._Program(deltas, d, minimax=True), 1e-8, require_gap=False
-    )
-    trace_joint = sdp._solve_ipm(
-        sdp._Program(deltas, None, minimax=True), 1e-8, require_gap=False
-    )
+    joint = sdp.solve_minimax(delta_stack, d, 1e-8)
+    trace_joint = sdp.solve_minimax_trace(delta_stack, 1e-8)
     lower_bound_choi = max(0.0, trace_joint.primal / d)
 
     candidates = []
     if joint.weights is not None:
-        jw = np.clip(np.asarray(joint.weights, dtype=float), 0.0, None)
-        total = jw.sum()
-        if total > 0.0:
-            jw /= total
-            candidates.append((jw, certify(jw)))
+        candidates.append((joint.weights, certify(joint.weights)))
     candidates += vertices
 
     best_w, best_res = candidates[0]
@@ -355,16 +346,10 @@ def multi_copy_approx(target: Channel, single_set, copies: int, tol: float) -> M
             deltas = [pair_choi - choi(tensor(ch, fixed_other)) for ch in members]
         else:
             deltas = [pair_choi - choi(tensor(fixed_other, ch)) for ch in members]
-        sol = sdp._solve_ipm(
-            sdp._Program(deltas, 4, minimax=True), 1e-8, require_gap=False
-        )
+        sol = sdp.solve_minimax(deltas, 4, 1e-8)
         if sol.weights is None:
             return None, np.inf
-        w = np.clip(np.asarray(sol.weights, dtype=float), 0.0, None)
-        total = w.sum()
-        if total <= 0.0:
-            return None, np.inf
-        return w / total, sol.dual
+        return sol.weights, sol.dual
 
     q_left = single.weights.copy()
     q_right = single.weights.copy()

@@ -1,24 +1,34 @@
 """Dense primal-dual interior-point solver for the package's block SDPs.
 
-Three closely related programs share one engine. In all of them the free
-variables are real coordinates of Hermitian matrices and the constraints are
-positive-semidefinite blocks plus optional nonnegative scalars.
+Every program has one shape: maximize b.y over a real vector y subject to
+positive-semidefinite block slacks and k >= 0 nonnegative scalar slacks,
+
+    S_b(y) = C_b - A_b(y) >= 0,        s(y) = -G y >= 0,
+    A_b(y) = sign_b H(y) + sum_l y[off_b + l] F_{b,l},
+
+where H(y) is the Hermitian n x n matrix whose coordinates in an
+orthonormal basis are y[:n^2], sign_b is +1 or -1 on n x n blocks (0 on
+the others) and F_b is a dense generator stack for the other coordinates.
+``_BlockProgram`` implements the slacks, A^T(y), its adjoint A(X) and the
+Schur matrix once from the data (C_b, sign_b, F_b, G); each program adds
+only its starting point, its witness and its dual projection.
 
 1. Fixed objective (diamond norm of a fixed Hermitian Delta on a doubled
-   space, reference dimension d):
-
-       maximize    Tr[Delta W]
-       subject to  I (x) rho - W >= 0,  I (x) rho + W >= 0,  rho >= 0
-                   Tr rho = 1   (rho parametrized as I/d + traceless part)
-
-2. Minimax over a finite family {Delta_i} (same feasible set, extra scalar
-   slacks): maximize t subject to Tr[Delta_i W] >= t. The nonnegative dual
-   scalars of the slack constraints, normalized, are the optimal mixture
-   weights of the underlying min-over-simplex problem.
-
-3. Trace-norm minimax: maximize t subject to Tr[Delta_i W] >= t with
-   -I <= W <= I; the optimum is min over the simplex of the trace norm of
-   the mixed Delta.
+   space, reference dimension d): maximize Tr[Delta W] subject to
+   I (x) rho -+ W >= 0 and rho >= 0 with Tr rho = 1. y = (W, traceless
+   part of rho); C = (I/d, I/d, I/d); signs +1, -1, 0; generators
+   -I (x) F_l, -I (x) F_l, -F_l over an orthonormal traceless basis F_l.
+2. Minimax over a family {Delta_i}: maximize t subject to
+   Tr[Delta_i W] >= t on the same set. y gains t last, and G has one row
+   (-coords(Delta_i), 0, 1) per member. The nonnegative scalar duals,
+   normalized, are the optimal mixture weights of min over the simplex.
+3. Trace-norm minimax: as 2 with -I <= W <= I, so C = (I, I), signs +1,
+   -1 and no generators; the optimum is min over the simplex of the trace
+   norm of the mixed Delta.
+4. The dual of 1 (Watrous, arXiv:1207.5726): minimize t subject to
+   V >= 0, Delta + V >= 0 and t I - Tr_1[Delta + 2 V] >= 0. y = (V, -t);
+   C = (0, Delta, -Tr_1[Delta]); signs -1, -1, 0; the reference block's
+   generators are 2 Tr_1[E_j] over the basis matrices E_j, then I.
 
 The engine follows the standard path-following scheme with the HKM search
 direction and a Mehrotra predictor-corrector step. The y-iterate is kept
@@ -30,12 +40,7 @@ randomization.
 The projected upper bound carries a small numerical floor (the dual iterate
 picks up roundoff infeasibility that scales like eps over the barrier
 parameter). When a fixed-objective solve needs a tighter certificate than
-that floor, the upper bound is recomputed by running the same engine on the
-equivalent dual program
-
-    minimize    t
-    subject to  V >= 0,  Delta + V >= 0,  t I - Tr_1[Delta + 2 V] >= 0
-
+that floor, ``solve_fixed`` recomputes the upper bound with program 4,
 whose objective is again evaluated at an exactly feasible point, so both
 sides of the final certificate are exact.
 """
@@ -50,6 +55,7 @@ import numpy as np
 from .errors import NoConvergenceError
 
 _SQRT2 = np.sqrt(2.0)
+_MAX_ITER = 100
 
 
 # ---------------------------------------------------------------------------
@@ -62,26 +68,32 @@ def _pair_indices(n: int):
     return iu, ju
 
 
+@lru_cache(maxsize=None)
+def _coord_gather(n: int):
+    """Float offsets (a, b), signs and divisors: coordinate = (a + sign*b)/div."""
+    iu, ju = _pair_indices(n)
+    r = np.arange(n)
+    re_ij, re_ji, re_rr = 2 * (iu * n + ju), 2 * (ju * n + iu), 2 * (r * n + r)
+    a = np.concatenate([re_rr, re_ij, re_ij + 1])
+    b = np.concatenate([re_rr, re_ji, re_ji + 1])
+    sign = np.concatenate([np.ones(n + iu.size), -np.ones(iu.size)])
+    div = np.concatenate([np.full(n, 2.0), np.full(2 * iu.size, _SQRT2)])
+    return a, b, sign, div
+
+
 def extract_coords(t: np.ndarray) -> np.ndarray:
     """Coordinates Re Tr[E_k t] in the orthonormal Hermitian basis.
 
     Basis order: the n diagonal units e_ii, then (e_ij + e_ji)/sqrt2 and
     i(e_ij - e_ji)/sqrt2 over the upper triangle. For Hermitian t this is
-    the isometric real vectorization (inverse of expand_coords).
+    the isometric real vectorization (inverse of expand_coords). A stack
+    of matrices gives one coordinate vector per matrix.
     """
-    return extract_coords_batch(t[None, :, :])[0]
-
-
-def extract_coords_batch(t: np.ndarray) -> np.ndarray:
     n = t.shape[-1]
-    iu, ju = _pair_indices(n)
-    r = np.arange(n)
-    diag = t[..., r, r].real
-    a = t[..., iu, ju]
-    b = t[..., ju, iu]
-    plus = (a.real + b.real) / _SQRT2
-    minus = (a.imag - b.imag) / _SQRT2
-    return np.concatenate([diag, plus, minus], axis=-1)
+    a, b, sign, div = _coord_gather(n)
+    flat = np.ascontiguousarray(t, dtype=complex).reshape(t.shape[:-2] + (n * n,))
+    parts = flat.view(np.float64)  # real and imaginary parts interleaved
+    return (parts[..., a] + sign * parts[..., b]) / div
 
 
 def expand_coords(w: np.ndarray, n: int) -> np.ndarray:
@@ -132,12 +144,94 @@ def _herm(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
+def _trace_out(a: np.ndarray, out: int) -> np.ndarray:
+    """Partial trace over the first (output) factor of (out x ref) matrices."""
+    ref = a.shape[-1] // out
+    return np.trace(a.reshape(a.shape[:-2] + (out, ref, out, ref)), axis1=-4, axis2=-2)
+
+
 # ---------------------------------------------------------------------------
 # Program description.
 
 
-class _Program:
-    """Structured data of one program instance (see module docstring)."""
+class _BlockProgram:
+    """Linear maps shared by every program, driven by its data.
+
+    A program sets ``n``, ``nw`` (= n^2), ``m``, ``b`` and:
+
+    ``blocks``: one ``(C, sign, off, gens)`` per PSD block, so that
+        A_b(y) = sign * H(y[:nw]) + sum_l y[off + l] gens[l] and
+        S_b(y) = C - A_b(y); sign is 0 on blocks that are not n x n, and
+        gens on a block with nonzero sign act only on coordinates >= nw;
+    ``g_rows``: the (k, m) scalar row matrix G with s(y) = -G y (k may be 0).
+    """
+
+    def _set_data(self, blocks, g_rows):
+        # rows[l] @ X.ravel() = Tr[gens[l] X]
+        self.blocks = [
+            (c, sign, off, gens, gens.transpose(0, 2, 1).reshape(len(gens), c.size))
+            for c, sign, off, gens in blocks
+        ]
+        self.g_rows = g_rows
+        self.block_trace = sum(c.shape[0] for c, *_ in blocks) + len(g_rows)
+        self.basis = _herm_basis_stack(self.n)
+
+    def _start_at(self, y):
+        """Starting point: y with identity matrix duals and unit scalar duals."""
+        mats = [np.eye(c.shape[0], dtype=complex) for c, *_ in self.blocks]
+        return y, mats, np.ones(len(self.g_rows))
+
+    def slack_blocks(self, y):
+        adj_mats, adj_scal = self.adjoint_blocks(y)
+        return [c - a for (c, *_), a in zip(self.blocks, adj_mats)], -adj_scal
+
+    def adjoint_blocks(self, y):
+        """Linear map A^T(y); slack_blocks(y) = slack_blocks(0) - adjoint_blocks(y)."""
+        h = expand_coords(y[: self.nw], self.n)
+        mats = []
+        for c, sign, off, gens, _ in self.blocks:
+            a = sign * h if sign else 0.0
+            if len(gens):
+                span = y[off : off + len(gens)] @ gens.reshape(len(gens), c.size)
+                a = a + span.reshape(c.shape)
+            mats.append(a)
+        return mats, self.g_rows @ y
+
+    def apply(self, mats, scal):
+        """Adjoint of adjoint_blocks: A(X) as a vector in y-space."""
+        out = self.g_rows.T @ scal
+        h = 0.0
+        for mat, (_, sign, off, gens, rows) in zip(mats, self.blocks):
+            if sign:
+                h = h + sign * mat
+            if len(gens):
+                out[off : off + len(gens)] += (rows @ mat.ravel()).real
+        out[: self.nw] += extract_coords(h)
+        return out
+
+    def schur(self, x_mats, z_mats, xz_scal):
+        """M[i,j] = sum over blocks of Re Tr[A_i X A_j Z] plus sum_k G_ki xz_k G_kj."""
+        nw = self.nw
+        m = self.g_rows.T @ (xz_scal[:, None] * self.g_rows)
+        tl = 0.0
+        for x, z, (_, sign, off, gens, rows) in zip(x_mats, z_mats, self.blocks):
+            if sign:
+                tl = tl + np.matmul(np.matmul(x, self.basis), z)
+            if not len(gens):
+                continue
+            l = len(gens)
+            t = np.matmul(np.matmul(x, gens), z)
+            m[off : off + l, off : off + l] += (rows @ t.reshape(l, -1).T).real
+            if sign:
+                cross = sign * extract_coords(t)
+                m[off : off + l, :nw] += cross
+                m[:nw, off : off + l] += cross.T
+        m[:nw, :nw] += extract_coords(tl).T
+        return 0.5 * (m + m.T)
+
+
+class _Program(_BlockProgram):
+    """Fixed, minimax and trace-minimax programs (see module docstring)."""
 
     def __init__(self, deltas, ref_dim: int | None, minimax: bool):
         self.deltas = np.stack([np.asarray(d, dtype=complex) for d in deltas])
@@ -147,122 +241,47 @@ class _Program:
         self.minimax = minimax
         if not minimax and self.k != 1:
             raise ValueError("fixed-objective mode takes exactly one matrix")
-        self.nw = n * n
-        self.nu = ref_dim * ref_dim - 1 if ref_dim else 0
-        self.nt = 1 if minimax else 0
-        self.m = self.nw + self.nu + self.nt
-        self.coef = extract_coords_batch(self.deltas)  # (k, nw)
-        self.basis = _herm_basis_stack(n)
+        self.nw = nw = n * n
+        nu = ref_dim * ref_dim - 1 if ref_dim else 0
+        self.m = nw + nu + (1 if minimax else 0)
+        coef = extract_coords(self.deltas)  # (k, nw)
         if ref_dim:
             if n % ref_dim:
                 raise ValueError("matrix dim not divisible by reference dim")
             self.out = n // ref_dim
-            self.fbasis = _traceless_stack(ref_dim)
-            eye_out = np.eye(self.out)
-            self.ifbasis = np.stack([np.kron(eye_out, fj) for fj in self.fbasis])
-        b = np.zeros(self.m)
-        if minimax:
-            b[-1] = 1.0
+            fbasis = _traceless_stack(ref_dim)
+            lifted = -np.stack([np.kron(np.eye(self.out), f) for f in fbasis])
+            c_big = np.eye(n, dtype=complex) / ref_dim
+            c_ref = np.eye(ref_dim, dtype=complex) / ref_dim
+            blocks = [
+                (c_big, 1.0, nw, lifted),
+                (c_big, -1.0, nw, lifted),
+                (c_ref, 0.0, nw, -fbasis),
+            ]
         else:
-            b[: self.nw] = self.coef[0]
-        self.b = b
-        self.block_trace = 2 * n + (ref_dim or 0) + (self.k if minimax else 0)
-
-    # -- points ------------------------------------------------------------
+            none = np.zeros((0, n, n), dtype=complex)
+            eye = np.eye(n, dtype=complex)
+            blocks = [(eye, 1.0, nw, none), (eye, -1.0, nw, none)]
+        g_rows = np.zeros((self.k if minimax else 0, self.m))
+        g_rows[:, :nw] = -coef
+        g_rows[:, -1] = 1.0
+        self.b = np.zeros(self.m)
+        if minimax:
+            self.b[-1] = 1.0
+        else:
+            self.b[:nw] = coef[0]
+        self._set_data(blocks, g_rows)
 
     def start(self):
         y = np.zeros(self.m)
         if self.minimax:
             y[-1] = -1.0
-        mats = [np.eye(self.n, dtype=complex), np.eye(self.n, dtype=complex)]
-        if self.ref:
-            mats.append(np.eye(self.ref, dtype=complex))
-        scal = np.ones(self.k) if self.minimax else None
-        return y, mats, scal
+        return self._start_at(y)
 
     def witness(self, y):
-        w = expand_coords(y[: self.nw], self.n)
-        rho = None
-        if self.ref:
-            dev = np.einsum("k,kij->ij", y[self.nw : self.nw + self.nu], self.fbasis)
-            rho = np.eye(self.ref, dtype=complex) / self.ref + dev
-        return w, rho
-
-    def slack_blocks(self, y):
-        w, rho = self.witness(y)
-        if self.ref:
-            p = np.kron(np.eye(self.out), rho)
-            mats = [p - w, p + w, rho]
-        else:
-            eye = np.eye(self.n, dtype=complex)
-            mats = [eye - w, eye + w]
-        scal = self.coef @ y[: self.nw] - y[-1] if self.minimax else None
-        return mats, scal
-
-    def adjoint_blocks(self, y):
-        """Linear map A^T(y); slack_blocks(y) = slack_blocks(0) - adjoint_blocks(y)."""
-        w = expand_coords(y[: self.nw], self.n)
-        if self.ref:
-            dev = np.einsum("k,kij->ij", y[self.nw : self.nw + self.nu], self.fbasis)
-            p = np.kron(np.eye(self.out), dev)
-            mats = [w - p, -w - p, -dev]
-        else:
-            mats = [w, -w]
-        scal = -(self.coef @ y[: self.nw]) + y[-1] if self.minimax else None
-        return mats, scal
-
-    def apply(self, mats, scal):
-        """Adjoint of adjoint_blocks: A(X) as a vector in y-space."""
-        out = np.empty(self.m)
-        ow = extract_coords(mats[0] - mats[1])
-        if self.minimax:
-            ow = ow - self.coef.T @ scal
-        out[: self.nw] = ow
-        if self.ref:
-            s12 = mats[0] + mats[1]
-            ou = np.einsum("kab,ba->k", self.ifbasis, s12).real
-            ou += np.einsum("kab,ba->k", self.fbasis, mats[2]).real
-            out[self.nw : self.nw + self.nu] = -ou
-        if self.minimax:
-            out[-1] = scal.sum()
-        return out
-
-    def schur(self, x_mats, z_mats, xz_scal):
-        """M[i,j] = sum over blocks of Re Tr[A_i X A_j Z] (plus scalar terms)."""
-        x1, x2 = x_mats[0], x_mats[1]
-        z1, z2 = z_mats[0], z_mats[1]
-        e = self.basis
-        tl = np.matmul(np.matmul(x1, e), z1) + np.matmul(np.matmul(x2, e), z2)
-        m_ww = extract_coords_batch(tl).T
-        if self.minimax:
-            m_ww = m_ww + self.coef.T @ (xz_scal[:, None] * self.coef)
-        blocks = [[m_ww]]
-        if self.ref:
-            if_ = self.ifbasis
-            ta = np.matmul(np.matmul(x1, if_), z1)
-            tb = np.matmul(np.matmul(x2, if_), z2)
-            m_wu = extract_coords_batch(tb - ta).T
-            m_uu = np.einsum("jab,lba->jl", if_, ta + tb).real
-            t3 = np.matmul(np.matmul(x_mats[2], self.fbasis), z_mats[2])
-            m_uu += np.einsum("jab,lba->jl", self.fbasis, t3).real
-            blocks[0].append(m_wu)
-            blocks.append([m_wu.T, m_uu])
-        if self.minimax:
-            m_wt = -(self.coef.T @ xz_scal)
-            col = [m_wt[:, None]]
-            if self.ref:
-                col.append(np.zeros((self.nu, 1)))
-            for row, piece in zip(blocks, col):
-                row.append(piece)
-            last = [m_wt[None, :]]
-            if self.ref:
-                last.append(np.zeros((1, self.nu)))
-            last.append(np.array([[xz_scal.sum()]]))
-            blocks.append(last)
-        m = np.block(blocks)
-        return 0.5 * (m + m.T)
-
-    # -- certification -----------------------------------------------------
+        """(W, rho); rho is the reference block's slack I/d + traceless part."""
+        rho = self.slack_blocks(y)[0][2] if self.ref else None
+        return expand_coords(y[: self.nw], self.n), rho
 
     def project_dual(self, mats, scal):
         """Exact-feasibility projection of the dual iterate.
@@ -291,15 +310,14 @@ class _Program:
             x2 = x2 + bump * np.eye(self.n)
         q = x1 + x2
         if self.ref:
-            qr = q.reshape(self.out, self.ref, self.out, self.ref)
-            qref = np.trace(qr, axis1=0, axis2=2)
+            qref = _trace_out(q, self.out)
             value = float(np.linalg.eigvalsh(_herm(qref))[-1])
         else:
             value = float(np.trace(q).real)
         return value, x
 
 
-class _DualProgram:
+class _DualProgram(_BlockProgram):
     """Dual form of the fixed-objective program (see module docstring).
 
     Free variables are the n^2 real coordinates of V plus the scalar t; the
@@ -314,31 +332,24 @@ class _DualProgram:
         if n % ref_dim:
             raise ValueError("matrix dim not divisible by reference dim")
         self.out = n // ref_dim
-        self.nw = n * n
-        self.m = self.nw + 1
-        self.basis = _herm_basis_stack(n)
-        # 2 Tr_1[E_j] for every basis matrix, stacked
-        self.gbasis = 2.0 * np.trace(
-            self.basis.reshape(self.nw, self.out, ref_dim, self.out, ref_dim),
-            axis1=1,
-            axis2=3,
+        self.nw = nw = n * n
+        self.m = nw + 1
+        # 2 Tr_1[E_j] for every basis matrix, then I for the stored -t
+        gens = np.concatenate(
+            [2.0 * _trace_out(_herm_basis_stack(n), self.out), np.eye(ref_dim)[None]]
         )
-        self.tr1_delta = np.trace(
-            self.delta.reshape(self.out, ref_dim, self.out, ref_dim),
-            axis1=0,
-            axis2=2,
-        )
-        b = np.zeros(self.m)
-        b[-1] = 1.0  # t is stored negated, so max b.y = max(-t)
-        self.b = b
-        self.block_trace = 2 * n + ref_dim
+        self.tr1_delta = _trace_out(self.delta, self.out)
+        none = np.zeros((0, n, n), dtype=complex)
+        blocks = [
+            (np.zeros((n, n), dtype=complex), -1.0, nw, none),
+            (self.delta, -1.0, nw, none),
+            (-self.tr1_delta, 0.0, 0, gens),
+        ]
+        self.b = np.zeros(self.m)
+        self.b[-1] = 1.0  # t is stored negated, so max b.y = max(-t)
+        self._set_data(blocks, np.zeros((0, self.m)))
         # best projected primal point of the original program: (bound, W, rho)
         self.best_pair = (-np.inf, None, None)
-
-    def _tr1(self, v):
-        return np.trace(
-            v.reshape(self.out, self.ref, self.out, self.ref), axis1=0, axis2=2
-        )
 
     def start(self):
         lmin = float(np.linalg.eigvalsh(_herm(self.delta))[0])
@@ -347,48 +358,10 @@ class _DualProgram:
         y[: self.n] = c
         t0 = float(np.linalg.eigvalsh(_herm(self.tr1_delta))[-1]) + 2 * c * self.out + 1.0
         y[-1] = -t0  # objective is max -t, so store t with its sign flipped
-        mats = [
-            np.eye(self.n, dtype=complex),
-            np.eye(self.n, dtype=complex),
-            np.eye(self.ref, dtype=complex),
-        ]
-        return y, mats, None
+        return self._start_at(y)
 
     def witness(self, y):
         return expand_coords(y[: self.nw], self.n), None
-
-    def slack_blocks(self, y):
-        v = expand_coords(y[: self.nw], self.n)
-        t = -y[-1]
-        bmat = t * np.eye(self.ref) - self.tr1_delta - 2.0 * self._tr1(v)
-        return [v, self.delta + v, bmat], None
-
-    def adjoint_blocks(self, y):
-        """Linear map A^T(y); slack_blocks(y) = slack_blocks(0) - adjoint_blocks(y)."""
-        v = expand_coords(y[: self.nw], self.n)
-        t = -y[-1]
-        return [-v, -v, 2.0 * self._tr1(v) - t * np.eye(self.ref)], None
-
-    def apply(self, mats, scal):
-        """Adjoint of adjoint_blocks: A(X) as a vector in y-space."""
-        out = np.empty(self.m)
-        lift = np.kron(np.eye(self.out), mats[2])
-        out[: self.nw] = extract_coords(2.0 * lift - mats[0] - mats[1])
-        out[-1] = float(np.trace(mats[2]).real)
-        return out
-
-    def schur(self, x_mats, z_mats, xz_scal):
-        e = self.basis
-        tl = np.matmul(np.matmul(x_mats[0], e), z_mats[0])
-        tl += np.matmul(np.matmul(x_mats[1], e), z_mats[1])
-        m_vv = extract_coords_batch(tl).T
-        tb = np.matmul(np.matmul(x_mats[2], self.gbasis), z_mats[2])
-        m_vv = m_vv + np.einsum("jab,lba->jl", self.gbasis, tb).real
-        xbzb = x_mats[2] @ z_mats[2]
-        m_vt = np.einsum("jab,ba->j", self.gbasis, xbzb).real
-        m_tt = float(np.trace(xbzb).real)
-        m = np.block([[m_vv, m_vt[:, None]], [m_vt[None, :], np.array([[m_tt]])]])
-        return 0.5 * (m + m.T)
 
     def project_dual(self, mats, scal):
         """Exact-feasibility projection of the dual iterate.
@@ -462,9 +435,7 @@ def _block_ip(a_mats, a_scal, b_mats, b_scal):
     tot = 0.0
     for am, bm in zip(a_mats, b_mats):
         tot += float(np.einsum("ab,ba->", am, bm).real)
-    if a_scal is not None:
-        tot += float(a_scal @ b_scal)
-    return tot
+    return tot + float(a_scal @ b_scal)
 
 
 def _max_step(mats, scal, d_mats, d_scal):
@@ -486,10 +457,9 @@ def _max_step(mats, scal, d_mats, d_scal):
         lmin = float(np.linalg.eigvalsh(_herm(g))[0])
         if lmin < 0.0:
             alpha = min(alpha, -1.0 / lmin)
-    if scal is not None:
-        neg = d_scal < 0.0
-        if np.any(neg):
-            alpha = min(alpha, float(np.min(-scal[neg] / d_scal[neg])))
+    neg = d_scal < 0.0
+    if np.any(neg):
+        alpha = min(alpha, float(np.min(-scal[neg] / d_scal[neg])))
     return alpha
 
 
@@ -505,9 +475,8 @@ def _lin_solve(m, rhs):
     return x
 
 
-def _solve_ipm(
-    prog, gap_tol: float, max_iter: int = 100, require_gap: bool = True
-) -> SdpSolution:
+def _solve_ipm(prog, gap_tol: float) -> SdpSolution:
+    """Best certified bracket of one program; never raises on a wide gap."""
     y, x_mats, x_scal = prog.start()
     best_primal = -np.inf
     best_y = y.copy()
@@ -520,7 +489,7 @@ def _solve_ipm(
     prev_gap = np.inf
     prev_mu = np.inf
     prev_best_primal = -np.inf
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         s_mats, s_scal = prog.slack_blocks(y)
         s_mats = [_herm(sb) for sb in s_mats]
         primal = float(prog.b @ y)
@@ -558,7 +527,7 @@ def _solve_ipm(
         except np.linalg.LinAlgError:
             break
         z_mats = [_herm(zb) for zb in z_mats]
-        z_scal = 1.0 / s_scal if s_scal is not None else None
+        z_scal = 1.0 / s_scal
         mu = _block_ip(x_mats, x_scal, s_mats, s_scal) / prog.block_trace
         if mu < 5e-14:
             break
@@ -569,8 +538,7 @@ def _solve_ipm(
         else:
             mu_stall = 0
         prev_mu = mu
-        xz = x_scal * z_scal if x_scal is not None else None
-        m = prog.schur(x_mats, z_mats, xz)
+        m = prog.schur(x_mats, z_mats, x_scal * z_scal)
         m[np.diag_indices_from(m)] += 1e-13 * (np.trace(m) / prog.m + 1.0)
         az = prog.apply(z_mats, z_scal)
 
@@ -581,27 +549,23 @@ def _solve_ipm(
             break
         adj_mats, adj_scal = prog.adjoint_blocks(dy_a)
         ds_a_mats = [-ab for ab in adj_mats]
-        ds_a_scal = -adj_scal if adj_scal is not None else None
+        ds_a_scal = -adj_scal
         dx_a_mats = [
             _herm(-xb + xb @ ab @ zb) for xb, ab, zb in zip(x_mats, adj_mats, z_mats)
         ]
-        dx_a_scal = (
-            -x_scal + x_scal * adj_scal * z_scal if x_scal is not None else None
-        )
+        dx_a_scal = -x_scal + x_scal * adj_scal * z_scal
         ap = min(1.0, 0.99 * _max_step(x_mats, x_scal, dx_a_mats, dx_a_scal))
         ad = min(1.0, 0.99 * _max_step(s_mats, s_scal, ds_a_mats, ds_a_scal))
         xa_mats = [xb + ap * db for xb, db in zip(x_mats, dx_a_mats)]
-        xa_scal = x_scal + ap * dx_a_scal if x_scal is not None else None
+        xa_scal = x_scal + ap * dx_a_scal
         sa_mats = [sb + ad * db for sb, db in zip(s_mats, ds_a_mats)]
-        sa_scal = s_scal + ad * ds_a_scal if s_scal is not None else None
+        sa_scal = s_scal + ad * ds_a_scal
         mu_aff = max(0.0, _block_ip(xa_mats, xa_scal, sa_mats, sa_scal)) / prog.block_trace
         sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10))
 
         # corrector
         corr_mats = [da @ ds @ zb for da, ds, zb in zip(dx_a_mats, ds_a_mats, z_mats)]
-        corr_scal = (
-            dx_a_scal * ds_a_scal * z_scal if x_scal is not None else None
-        )
+        corr_scal = dx_a_scal * ds_a_scal * z_scal
         rhs = prog.b - sigma * mu * az + prog.apply(corr_mats, corr_scal)
         try:
             dy = _lin_solve(m, rhs)
@@ -609,28 +573,18 @@ def _solve_ipm(
             break
         adj_mats, adj_scal = prog.adjoint_blocks(dy)
         ds_mats = [-ab for ab in adj_mats]
-        ds_scal = -adj_scal if adj_scal is not None else None
+        ds_scal = -adj_scal
         dx_mats = [
             _herm(sigma * mu * zb - xb - cb + xb @ ab @ zb)
             for xb, ab, zb, cb in zip(x_mats, adj_mats, z_mats, corr_mats)
         ]
-        dx_scal = (
-            sigma * mu * z_scal - x_scal - corr_scal + x_scal * adj_scal * z_scal
-            if x_scal is not None
-            else None
-        )
+        dx_scal = sigma * mu * z_scal - x_scal - corr_scal + x_scal * adj_scal * z_scal
         ap = min(1.0, tau * _max_step(x_mats, x_scal, dx_mats, dx_scal))
         ad = min(1.0, tau * _max_step(s_mats, s_scal, ds_mats, ds_scal))
         x_mats = [_herm(xb + ap * db) for xb, db in zip(x_mats, dx_mats)]
-        if x_scal is not None:
-            x_scal = np.maximum(x_scal + ap * dx_scal, 1e-300)
+        x_scal = np.maximum(x_scal + ap * dx_scal, 1e-300)
         y = y + ad * dy
 
-    if require_gap and best_dual - best_primal > gap_tol:
-        raise NoConvergenceError(
-            f"interior-point gap {best_dual - best_primal:.3e} above tolerance "
-            f"{gap_tol:.3e} after {iterations} iterations"
-        )
     w, rho = prog.witness(best_y)
     return SdpSolution(
         primal=best_primal,
@@ -647,8 +601,13 @@ def _solve_ipm(
 
 
 def solve_fixed(delta: np.ndarray, ref_dim: int, tol: float) -> SdpSolution:
-    """max Tr[delta W] over -I(x)rho <= W <= I(x)rho, rho a density matrix."""
-    sol = _solve_ipm(_Program([delta], ref_dim, minimax=False), tol, require_gap=False)
+    """max Tr[delta W] over -I(x)rho <= W <= I(x)rho, rho a density matrix.
+
+    Returns a bracket with gap <= tol, falling back to the dual program when
+    the first solve stops short; raises NoConvergenceError if the combined
+    bracket is still wider than tol.
+    """
+    sol = _solve_ipm(_Program([delta], ref_dim, minimax=False), tol)
     if sol.gap <= tol:
         return sol
     # The projected upper bound has hit its numerical floor; recompute both
@@ -656,7 +615,7 @@ def solve_fixed(delta: np.ndarray, ref_dim: int, tol: float) -> SdpSolution:
     # bound and whose dual iterate projects to a second lower bound with its
     # own witness pair.
     dual_prog = _DualProgram(delta, ref_dim)
-    dual_sol = _solve_ipm(dual_prog, tol, require_gap=False)
+    dual_sol = _solve_ipm(dual_prog, tol)
     lower = sol.primal
     witness_w, witness_rho = sol.witness_w, sol.witness_rho
     pair_bound, pair_w, pair_rho = dual_prog.best_pair
@@ -683,11 +642,17 @@ def solve_minimax(deltas, ref_dim: int, tol: float) -> SdpSolution:
     """max_t { t <= Tr[delta_i W] } over the same feasible set as solve_fixed.
 
     The optimum equals min over the simplex of the fixed-objective value of
-    the mixed delta; SdpSolution.weights are the optimal mixture weights.
+    the mixed delta; SdpSolution.weights are the optimal mixture weights,
+    normalized (None if no dual iterate gave a finite bound). Returns the
+    best certified bracket found and never raises: a gap above tol is left
+    for the caller to judge.
     """
     return _solve_ipm(_Program(list(deltas), ref_dim, minimax=True), tol)
 
 
 def solve_minimax_trace(deltas, tol: float) -> SdpSolution:
-    """min over the simplex of the trace norm of the mixed delta."""
+    """min over the simplex of the trace norm of the mixed delta.
+
+    Like solve_minimax, returns the best certified bracket and never raises.
+    """
     return _solve_ipm(_Program(list(deltas), None, minimax=True), tol)
