@@ -293,18 +293,27 @@ class MultiCopyResult:
     """Two-copy approximation distances at three correlation levels.
 
     ``correlated`` is the full simplex optimum over the tensor-product
-    set (first-factor-major order); ``product_value``/``product_weights``
-    give the best independent per-copy mixtures; ``tensored_value`` uses
-    the single-copy optimal mixture on both copies; ``single`` is that
-    single-copy result.  The three distances satisfy
-    correlated <= product <= tensored (within certification slack).
+    set (first-factor-major order); ``product_weights`` are the best
+    independent per-copy mixtures and ``product_witness`` certifies their
+    distance; ``tensored_witness`` certifies the single-copy optimal
+    mixture used on both copies; ``single`` is that single-copy result.
+    The three distances satisfy correlated <= product <= tensored (within
+    certification slack).
     """
 
     correlated: ApproxResult
-    product_value: float
+    product_witness: DiamondResult
     product_weights: tuple[np.ndarray, np.ndarray]
-    tensored_value: float
+    tensored_witness: DiamondResult
     single: ApproxResult
+
+    @property
+    def product_value(self) -> float:
+        return self.product_witness.value
+
+    @property
+    def tensored_value(self) -> float:
+        return self.tensored_witness.value
 
     @property
     def values(self) -> tuple[float, float, float]:
@@ -378,8 +387,8 @@ def multi_copy_approx(target: Channel, single_set, copies: int, tol: float) -> M
         )
     return MultiCopyResult(
         correlated=correlated,
-        product_value=product_res.value,
+        product_witness=product_res,
         product_weights=(prob_vector(q_left), prob_vector(q_right)),
-        tensored_value=tensored_res.value,
+        tensored_witness=tensored_res,
         single=single,
     )

@@ -63,15 +63,16 @@ def prob_vector(weights, tol: float = 1e-10) -> np.ndarray:
     """Validate weights as a point on the probability simplex.
 
     Entries may undershoot zero by at most 1e-12 (clamped); the sum must be
-    1 within tol. Returns a fresh float array.
+    1 within tol. NaN and infinite entries are rejected. Returns a fresh
+    float array.
     """
     p = np.asarray(weights, dtype=float).copy()
     if p.ndim != 1 or p.size == 0:
         raise SimplexError("weights must be a nonempty 1-D sequence")
-    if np.any(p < -1e-12):
-        raise SimplexError(f"negative weight {p.min()}")
+    if not np.all(p >= -1e-12):
+        raise SimplexError(f"weights must be finite and nonnegative, got {p.tolist()}")
     p[p < 0] = 0.0
-    if abs(p.sum() - 1.0) > tol:
+    if not abs(p.sum() - 1.0) <= tol:
         raise SimplexError(f"weights sum to {p.sum()}, expected 1")
     return p
 
@@ -98,6 +99,8 @@ class Channel:
             k = np.asarray(k, dtype=complex)
             if k.ndim != 2 or k.shape[0] != k.shape[1]:
                 raise KrausError(f"Kraus operator has shape {k.shape}, expected square")
+            if not np.all(np.isfinite(k)):
+                raise KrausError("Kraus operator has NaN or infinite entries")
             if d is None:
                 d = k.shape[0]
             elif k.shape[0] != d:
@@ -106,7 +109,7 @@ class Channel:
             k.setflags(write=False)
             mats.append(k)
         total = sum(dagger(k) @ k for k in mats)
-        if np.linalg.norm(total - np.eye(d)) > _COMPLETENESS_TOL * max(1.0, float(d)):
+        if not np.linalg.norm(total - np.eye(d)) <= _COMPLETENESS_TOL * max(1.0, float(d)):
             raise KrausError("Kraus operators are not trace preserving (sum K^dag K != I)")
         object.__setattr__(self, "kraus", tuple(mats))
 
@@ -155,6 +158,8 @@ def unitary_channel(u: np.ndarray) -> Channel:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise NotUnitaryError(f"expected a square matrix, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise NotUnitaryError("matrix has NaN or infinite entries")
     if np.linalg.norm(dagger(u) @ u - np.eye(u.shape[0])) > 1e-9 * max(1.0, u.shape[0]):
         raise NotUnitaryError("matrix is not unitary within 1e-9")
     return Channel((u,))

@@ -337,39 +337,26 @@ def cmd_twocopy(args) -> int:
     elapsed = time.perf_counter() - start
     corr = mc.correlated
     if args.format == "json":
+        corr_bounds = {
+            "upper_bound_single": corr.upper_bound_single,
+            "lower_bound_choi": corr.lower_bound_choi,
+        }
+        rows = (
+            ("correlated", corr.witness, corr.weights, corr_bounds),
+            ("product", mc.product_witness, np.concatenate(mc.product_weights), {}),
+            ("tensored", mc.tensored_witness, mc.single.weights, {}),
+        )
         records = [
             ResultRecord(
-                label="twocopy-correlated",
+                label=f"twocopy-{name}",
                 inputs={"copies": 2, "tol": tol},
-                distance=corr.distance,
-                weights=tuple(float(w) for w in corr.weights),
-                bounds={
-                    "upper_bound_single": corr.upper_bound_single,
-                    "lower_bound_choi": corr.lower_bound_choi,
-                },
-                gap=corr.witness.gap,
+                distance=res.value,
+                weights=tuple(float(w) for w in weights),
+                bounds={**extra, "primal": res.primal, "dual": res.dual},
+                gap=res.gap,
                 wall_time=elapsed,
-            ).to_json(),
-            ResultRecord(
-                label="twocopy-product",
-                inputs={"copies": 2, "tol": tol},
-                distance=mc.product_value,
-                weights=tuple(
-                    float(w) for w in np.concatenate(mc.product_weights)
-                ),
-                bounds={},
-                gap=corr.witness.gap,
-                wall_time=elapsed,
-            ).to_json(),
-            ResultRecord(
-                label="twocopy-tensored",
-                inputs={"copies": 2, "tol": tol},
-                distance=mc.tensored_value,
-                weights=tuple(float(w) for w in mc.single.weights),
-                bounds={},
-                gap=mc.single.witness.gap,
-                wall_time=elapsed,
-            ).to_json(),
+            ).to_json()
+            for name, res, weights, extra in rows
         ]
         _emit(_json_text(records), args.out)
     else:

@@ -88,6 +88,8 @@ def diamond_unitary(v: np.ndarray, z: np.ndarray) -> float:
     for name, u in (("first", v), ("second", z)):
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise NotUnitaryError(f"{name} argument is not square")
+        if not np.all(np.isfinite(u)):
+            raise NotUnitaryError(f"{name} argument has NaN or infinite entries")
         if np.abs(dagger(u) @ u - np.eye(u.shape[0])).max() > 1e-9:
             raise NotUnitaryError(f"{name} argument is not unitary within 1e-9")
     u = dagger(z) @ v

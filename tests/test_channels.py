@@ -61,6 +61,9 @@ def test_channel_rejects_mixed_dims() -> None:
 def test_channel_rejects_incomplete_kraus() -> None:
     with pytest.raises(KrausError):
         Channel((0.5 * np.eye(2),))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(KrausError):
+            Channel((np.diag([1.0, bad]),))
 
 
 def test_channel_dim_and_call() -> None:
@@ -156,6 +159,11 @@ def test_pauli_channel_rejects_bad_weights() -> None:
         pauli_channel([0.5, 0.5, 0.5, -0.5])
     with pytest.raises(SimplexError):
         pauli_channel([0.5, 0.1, 0.1, 0.1])
+    for bad in ([np.nan, 0, 0, 1], [np.inf, 0, 0, 1], [-np.inf, 0, 0, 1]):
+        with pytest.raises(SimplexError):
+            pauli_channel(bad)
+    with pytest.raises(SimplexError):
+        prob_vector([np.nan, 1.0])
 
 
 def test_pauli_unitaries_are_the_paulis() -> None:
@@ -256,6 +264,8 @@ def test_qubit_unitary_matrix_range_checks() -> None:
 def test_unitary_channel_rejects_non_unitary() -> None:
     with pytest.raises(NotUnitaryError):
         unitary_channel(np.array([[1.0, 0.0], [0.0, 0.5]]))
+    with pytest.raises(NotUnitaryError):
+        unitary_channel(np.full((2, 2), np.nan))
 
 
 def test_unitary_qubit_matches_matrix() -> None:
@@ -282,6 +292,9 @@ def test_mix_skips_zero_weights() -> None:
 def test_mix_rejects_bad_weights() -> None:
     with pytest.raises(SimplexError):
         mix(pauli_unitaries(), [0.5, 0.5, 0.5, -0.5])
+    for bad in ([np.nan, 1, 0, 0], [np.inf, 1, 0, 0]):
+        with pytest.raises(SimplexError):
+            mix(pauli_unitaries(), bad)
 
 
 def test_mix_rejects_dim_mismatch() -> None:

@@ -11,7 +11,13 @@ import sys
 import numpy as np
 import pytest
 
-from chanapprox import cli, damping_bounds
+from chanapprox import (
+    ApproxResult,
+    DiamondResult,
+    MultiCopyResult,
+    cli,
+    damping_bounds,
+)
 from chanapprox.errors import NoConvergenceError
 
 IDENTITY = '{"kind": "unitary", "alpha": 0, "beta": 0, "delta": 0}'
@@ -100,6 +106,31 @@ def test_approx_phase_unitary_over_identity_and_z(capsys) -> None:
     assert doc["distance"] <= doc["bounds"]["upper_bound_single"] + 1e-6
 
 
+def test_approx_text_output_lists_every_field(capsys) -> None:
+    z_spec = '{"kind": "pauli", "p": [0, 0, 0, 1]}'
+    assert cli.main(["approx", PHASE_U, IDENTITY, z_spec]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    lines = dict(line.split(": ", 1) for line in out.strip().splitlines())
+    assert list(lines) == [
+        "distance",
+        "weights",
+        "upper bound (best single member)",
+        "lower bound (joint trace program)",
+        "certificate gap",
+        "iterations",
+    ]
+    distance = float(lines["distance"])
+    assert abs(distance - np.sqrt(3.0) / 2) <= 1e-4
+    weights = [float(w) for w in lines["weights"].split()]
+    assert len(weights) == 2 and abs(weights[0] - 0.75) <= 1e-3
+    assert abs(sum(weights) - 1.0) <= 1e-9
+    lower = float(lines["lower bound (joint trace program)"])
+    upper = float(lines["upper bound (best single member)"])
+    assert lower <= distance <= upper + 1e-6
+    assert 0.0 <= float(lines["certificate gap"]) <= 1e-6
+    assert int(lines["iterations"]) > 0
+
+
 # --- exit codes ------------------------------------------------------------
 
 
@@ -113,6 +144,10 @@ def test_exit_code_parse_errors(capsys) -> None:
     assert cli.main(["fig4", "--grid", "3", "--tol", "nan"]) == cli.EXIT_PARSE
     mismatched = '{"kind": "covariant", "p": 0.1, "d": 3}'
     assert cli.main(["diamond", IDENTITY, mismatched]) == cli.EXIT_PARSE
+    capsys.readouterr()
+    nan_pauli = '{"kind": "pauli", "p": [NaN, 0, 0, 1]}'
+    assert cli.main(["diamond", nan_pauli, PAULI_ID]) == cli.EXIT_PARSE
+    assert "invalid 'pauli' spec" in capsys.readouterr().err
 
 
 def test_exit_code_no_convergence(monkeypatch, capsys) -> None:
@@ -221,6 +256,20 @@ def test_fig4_bracket_and_width_growth(tmp_path) -> None:
         assert b >= a - 1e-9
 
 
+def test_fig1_json_rows_match_csv(tmp_path, capsys) -> None:
+    out = tmp_path / "fig1.csv"
+    assert cli.main(["fig1", "--grid", "3", "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["fig1", "--grid", "3", "--format", "json"]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    header, rows = _read_csv(out)
+    assert doc["columns"] == header
+    assert doc["convention"]
+    assert len(doc["rows"]) == len(rows)
+    for rec, row in zip(doc["rows"], rows):
+        assert list(rec) == header
+        assert [float(format(rec[c], ".12g")) for c in header] == row
+
+
 def test_fig_csv_uses_twelve_significant_digits(tmp_path) -> None:
     out = tmp_path / "fig1.csv"
     assert cli.main(["fig1", "--grid", "3", "--out", str(out)]) == cli.EXIT_OK
@@ -245,6 +294,66 @@ def test_twocopy_json_matches_reference_values(capsys) -> None:
     assert abs(weights[3]) <= 0.01
     for rec in records.values():
         assert rec["convention"]
+        # every record carries its own certificate
+        primal, dual = rec["bounds"]["primal"], rec["bounds"]["dual"]
+        assert rec["gap"] == dual - primal <= rec["inputs"]["tol"]
+        assert primal <= rec["distance"] <= dual
+
+
+def _fixed_witness(value: float, gap: float) -> DiamondResult:
+    return DiamondResult(
+        value=value,
+        witness_state=np.eye(2) / 2,
+        witness_operator=np.zeros((4, 4)),
+        primal=value - gap / 2,
+        dual=value + gap / 2,
+    )
+
+
+def test_twocopy_text_output(monkeypatch, capsys) -> None:
+    single = ApproxResult(
+        weights=np.array([0.75, 0.25]),
+        distance=1.0,
+        upper_bound_single=1.0,
+        lower_bound_choi=0.5,
+        witness=_fixed_witness(1.0, 1e-9),
+        iterations=7,
+    )
+    correlated = ApproxResult(
+        weights=np.array([0.6, 0.2, 0.2, 0.0]),
+        distance=1.25,
+        upper_bound_single=1.5,
+        lower_bound_choi=1.0,
+        witness=_fixed_witness(1.25, 1e-9),
+        iterations=9,
+    )
+    fixed = MultiCopyResult(
+        correlated=correlated,
+        product_witness=_fixed_witness(1.3, 2e-9),
+        product_weights=(np.array([0.7, 0.3]), np.array([0.625, 0.375])),
+        tensored_witness=_fixed_witness(1.375, 3e-9),
+        single=single,
+    )
+    calls = []
+
+    def fake(target, members, copies, tol):
+        calls.append((len(members), copies, tol))
+        return fixed
+
+    monkeypatch.setattr(cli, "multi_copy_approx", fake)
+    assert cli.main(["twocopy"]) == cli.EXIT_OK
+    assert calls == [(2, 2, 1e-6)]
+    out = capsys.readouterr().out
+    lines = dict(line.strip().split(": ", 1) for line in out.strip().splitlines())
+    assert lines == {
+        "correlated mixture distance": "1.25",
+        "weights (II IZ ZI ZZ)": "0.6 0.2 0.2 0",
+        "product mixture distance": "1.3",
+        "copy-1 weights": "0.7 0.3",
+        "copy-2 weights": "0.625 0.375",
+        "tensored single-copy distance": "1.375",
+        "single-copy weights": "0.75 0.25",
+    }
 
 
 def test_module_entry_point_runs_in_subprocess(tmp_path) -> None:

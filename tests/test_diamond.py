@@ -77,6 +77,11 @@ def test_diamond_unitary_qutrit_origin_enclosed() -> None:
 def test_diamond_unitary_rejects_non_unitary() -> None:
     with pytest.raises(NotUnitaryError):
         diamond_unitary(np.diag([1.0, 0.5]), np.eye(2))
+    for bad in (np.full((2, 2), np.nan), np.diag([1.0, np.inf])):
+        with pytest.raises(NotUnitaryError):
+            diamond_unitary(bad, np.eye(2))
+        with pytest.raises(NotUnitaryError):
+            diamond_unitary(np.eye(2), bad)
 
 
 # --- polygon_radius ----------------------------------------------------
