@@ -213,10 +213,11 @@ class _BlockProgram:
         """M[i,j] = sum over blocks of Re Tr[A_i X A_j Z] plus sum_k G_ki xz_k G_kj."""
         nw = self.nw
         m = self.g_rows.T @ (xz_scal[:, None] * self.g_rows)
-        tl = 0.0
+        tl = None
         for x, z, (_, sign, off, gens, rows) in zip(x_mats, z_mats, self.blocks):
             if sign:
-                tl = tl + np.matmul(np.matmul(x, self.basis), z)
+                term = np.matmul(np.matmul(x, self.basis), z)
+                tl = term if tl is None else tl + term
             if not len(gens):
                 continue
             l = len(gens)
