@@ -68,19 +68,6 @@ def _pair_indices(n: int):
     return iu, ju
 
 
-@lru_cache(maxsize=None)
-def _coord_gather(n: int):
-    """Float offsets (a, b), signs and divisors: coordinate = (a + sign*b)/div."""
-    iu, ju = _pair_indices(n)
-    r = np.arange(n)
-    re_ij, re_ji, re_rr = 2 * (iu * n + ju), 2 * (ju * n + iu), 2 * (r * n + r)
-    a = np.concatenate([re_rr, re_ij, re_ij + 1])
-    b = np.concatenate([re_rr, re_ji, re_ji + 1])
-    sign = np.concatenate([np.ones(n + iu.size), -np.ones(iu.size)])
-    div = np.concatenate([np.full(n, 2.0), np.full(2 * iu.size, _SQRT2)])
-    return a, b, sign, div
-
-
 def extract_coords(t: np.ndarray) -> np.ndarray:
     """Coordinates Re Tr[E_k t] in the orthonormal Hermitian basis.
 
@@ -90,10 +77,14 @@ def extract_coords(t: np.ndarray) -> np.ndarray:
     of matrices gives one coordinate vector per matrix.
     """
     n = t.shape[-1]
-    a, b, sign, div = _coord_gather(n)
-    flat = np.ascontiguousarray(t, dtype=complex).reshape(t.shape[:-2] + (n * n,))
-    parts = flat.view(np.float64)  # real and imaginary parts interleaved
-    return (parts[..., a] + sign * parts[..., b]) / div
+    iu, ju = _pair_indices(n)
+    r = np.arange(n)
+    diag = t[..., r, r].real
+    a = t[..., iu, ju]
+    b = t[..., ju, iu]
+    plus = (a.real + b.real) / _SQRT2
+    minus = (a.imag - b.imag) / _SQRT2
+    return np.concatenate([diag, plus, minus], axis=-1)
 
 
 def expand_coords(w: np.ndarray, n: int) -> np.ndarray:
@@ -212,22 +203,27 @@ class _BlockProgram:
     def schur(self, x_mats, z_mats, xz_scal):
         """M[i,j] = sum over blocks of Re Tr[A_i X A_j Z] plus sum_k G_ki xz_k G_kj."""
         nw = self.nw
-        m = self.g_rows.T @ (xz_scal[:, None] * self.g_rows)
-        tl = None
-        for x, z, (_, sign, off, gens, rows) in zip(x_mats, z_mats, self.blocks):
+        tl = 0.0
+        for x, z, (_, sign, *_) in zip(x_mats, z_mats, self.blocks):
             if sign:
-                term = np.matmul(np.matmul(x, self.basis), z)
-                tl = term if tl is None else tl + term
-            if not len(gens):
-                continue
+                tl += np.matmul(np.matmul(x, self.basis), z)
+        m = np.zeros((self.m, self.m))
+        m[:nw, :nw] = extract_coords(tl).T
+        if len(xz_scal):
+            m += self.g_rows.T @ (xz_scal[:, None] * self.g_rows)
+        cross = {}  # sign * X F Z summed over the blocks that share a span
+        for x, z, (_, sign, off, gens, rows) in zip(x_mats, z_mats, self.blocks):
             l = len(gens)
+            if not l:
+                continue
             t = np.matmul(np.matmul(x, gens), z)
             m[off : off + l, off : off + l] += (rows @ t.reshape(l, -1).T).real
             if sign:
-                cross = sign * extract_coords(t)
-                m[off : off + l, :nw] += cross
-                m[:nw, off : off + l] += cross.T
-        m[:nw, :nw] += extract_coords(tl).T
+                cross[off, l] = sign * t + cross.get((off, l), 0.0)
+        for (off, l), t in cross.items():
+            c = extract_coords(t)
+            m[off : off + l, :nw] += c
+            m[:nw, off : off + l] += c.T
         return 0.5 * (m + m.T)
 
 
@@ -260,9 +256,9 @@ class _Program(_BlockProgram):
                 (c_ref, 0.0, nw, -fbasis),
             ]
         else:
-            none = np.zeros((0, n, n), dtype=complex)
+            no_gens = np.zeros((0, n, n), dtype=complex)
             eye = np.eye(n, dtype=complex)
-            blocks = [(eye, 1.0, nw, none), (eye, -1.0, nw, none)]
+            blocks = [(eye, 1.0, nw, no_gens), (eye, -1.0, nw, no_gens)]
         g_rows = np.zeros((self.k if minimax else 0, self.m))
         g_rows[:, :nw] = -coef
         g_rows[:, -1] = 1.0
@@ -340,10 +336,10 @@ class _DualProgram(_BlockProgram):
             [2.0 * _trace_out(_herm_basis_stack(n), self.out), np.eye(ref_dim)[None]]
         )
         self.tr1_delta = _trace_out(self.delta, self.out)
-        none = np.zeros((0, n, n), dtype=complex)
+        no_gens = np.zeros((0, n, n), dtype=complex)
         blocks = [
-            (np.zeros((n, n), dtype=complex), -1.0, nw, none),
-            (self.delta, -1.0, nw, none),
+            (np.zeros((n, n), dtype=complex), -1.0, nw, no_gens),
+            (self.delta, -1.0, nw, no_gens),
             (-self.tr1_delta, 0.0, 0, gens),
         ]
         self.b = np.zeros(self.m)
