@@ -148,7 +148,8 @@ def _trace_out(a: np.ndarray, out: int) -> np.ndarray:
 class _BlockProgram:
     """Linear maps shared by every program, driven by its data.
 
-    A program sets ``n``, ``nw`` (= n^2), ``m``, ``b`` and:
+    A program sets ``n``, ``nw`` (= n^2), ``m`` and ``b``, then passes
+    ``_set_data`` its data:
 
     ``blocks``: one ``(C, sign, off, gens)`` per PSD block, so that
         A_b(y) = sign * H(y[:nw]) + sum_l y[off + l] gens[l] and
