@@ -15,13 +15,15 @@ gap exceeds the requested tolerance, or that violates a bound the sweep
 promises (for example a distance outside its analytic bracket), aborts
 the run with exit code 4 rather than writing unreliable data.
 
-Exit codes: 0 success; 2 argument or channel-spec parse error; 3 solver
-non-convergence; 4 invariant violation during a sweep.
+Exit codes: 0 success; 2 argument or channel-spec parse error, or an
+``--out`` path that cannot be written; 3 solver non-convergence; 4
+invariant violation during a sweep.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -69,54 +71,6 @@ class SweepInvariantError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SweepAxis:
-    """One linearly spaced sweep axis.
-
-    Invariants: ``count >= 2`` and ``start <= stop``; violations are
-    reported as argument errors.
-    """
-
-    name: str
-    start: float
-    stop: float
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count < 2:
-            raise SpecParseError(
-                f"axis {self.name}: count must be at least 2, got {self.count}"
-            )
-        if not self.start <= self.stop:
-            raise SpecParseError(
-                f"axis {self.name}: start {self.start} exceeds stop {self.stop}"
-            )
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Validated configuration for a figure-data sweep.
-
-    Invariant: ``tolerance`` is finite and ``>= 1e-9`` (the certification
-    floor of the fixed-pair solver).
-    """
-
-    axes: tuple[SweepAxis, ...]
-    tolerance: float
-    workers: int
-
-    def __post_init__(self) -> None:
-        if not 1e-9 <= self.tolerance < np.inf:
-            raise SpecParseError(
-                f"tolerance must be finite and at least 1e-9, got {self.tolerance}"
-            )
-        if self.workers < 1:
-            raise SpecParseError(f"workers must be positive, got {self.workers}")
-
-
-@dataclass(frozen=True)
 class ResultRecord:
     """One computed distance with its inputs, certificate, and timing."""
 
@@ -148,9 +102,12 @@ def _fmt(x) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SpecParseError(f"cannot write {out!r}: {exc}") from exc
 
 
 def _csv_text(header: tuple[str, ...], rows) -> str:
@@ -163,13 +120,6 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _check_row_gap(gap: float, tol: float, context: str) -> None:
-    if gap > tol:
-        raise SweepInvariantError(
-            f"{context}: certificate gap {gap:.3e} exceeds tolerance {tol:.3e}"
-        )
-
-
 def _map_rows(worker, items, workers: int) -> list:
     """Evaluate ``worker`` over ``items`` preserving order.
 
@@ -177,7 +127,6 @@ def _map_rows(worker, items, workers: int) -> list:
     ``ProcessPoolExecutor.map`` preserves input order, so parallel and
     serial runs emit byte-identical output.
     """
-    items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [worker(item) for item in items]
     chunk = max(1, len(items) // (workers * 4))
@@ -244,6 +193,21 @@ def _fig4_row(item) -> tuple:
     res = pauli_distance_damping(q, gamma, tol)
     lower, upper = damping_bounds(q, gamma)
     return (gamma, res.distance, lower, upper, res.witness.gap)
+
+
+def _fig1_check(row, tol: float) -> str | None:
+    """The analytic and certified SDP distances of a fig1 row must agree."""
+    if abs(row[1] - row[3]) > tol + 1e-5:
+        return f"analytic value {_fmt(row[1])} and SDP value {_fmt(row[3])} disagree"
+    return None
+
+
+def _fig4_check(row, tol: float) -> str | None:
+    """A fig4 distance must lie inside its closed-form bracket."""
+    gamma, dist, lower, upper, gap = row
+    if dist < lower - tol or dist > upper + tol:
+        return f"distance {_fmt(dist)} outside bracket [{_fmt(lower)}, {_fmt(upper)}]"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -384,27 +348,17 @@ def cmd_fig1(args) -> int:
     certified SDP distance at that weight, and the certificate gap, for
     x on a uniform grid over [0, 2].
     """
-    (count,) = _parse_grid(args.grid, 1, default=(201,))
-    config = SweepConfig(
-        axes=(SweepAxis("x", 0.0, 2.0, count),),
-        tolerance=args.tol,
-        workers=_worker_count(args.parallel),
+    return _run_sweep(
+        args,
+        _fig1_row,
+        axes=(("x", 0.0, 2.0),),
+        header=("x", "distance_analytic", "p_opt", "distance_sdp", "gap"),
+        tol=args.tol,
+        # Solve tighter than the row threshold so endpoint rows are exact to
+        # well below the sweep tolerance.
+        item=lambda point, tol: (*point, max(1e-9, 0.01 * tol)),
+        check=_fig1_check,
     )
-    # Solve tighter than the row threshold so endpoint rows are exact to
-    # well below the sweep tolerance.
-    sdp_tol = max(1e-9, 0.01 * config.tolerance)
-    items = [(float(x), sdp_tol) for x in config.axes[0].grid()]
-    rows = _map_rows(_fig1_row, items, config.workers)
-    for row in rows:
-        _check_row_gap(row[4], config.tolerance, f"fig1 x={_fmt(row[0])}")
-        if abs(row[1] - row[3]) > config.tolerance + 1e-5:
-            raise SweepInvariantError(
-                f"fig1 x={_fmt(row[0])}: analytic value {_fmt(row[1])} and "
-                f"SDP value {_fmt(row[3])} disagree"
-            )
-    header = ("x", "distance_analytic", "p_opt", "distance_sdp", "gap")
-    _emit_sweep(header, rows, args)
-    return EXIT_OK
 
 
 def cmd_fig2(args) -> int:
@@ -414,30 +368,14 @@ def cmd_fig2(args) -> int:
     third angle delta (default pi/8) and emits the optimal mixture
     distance with its certificate gap.
     """
-    na, nb = _parse_grid(args.grid, 2, default=(41, 41))
-    config = SweepConfig(
-        axes=(
-            SweepAxis("alpha", 0.0, np.pi / 2.0, na),
-            SweepAxis("beta", 0.0, np.pi / 2.0, nb),
-        ),
-        tolerance=max(args.tol, _APPROX_TOL_FLOOR),
-        workers=_worker_count(args.parallel),
+    return _run_sweep(
+        args,
+        _fig2_row,
+        axes=(("alpha", 0.0, np.pi / 2.0), ("beta", 0.0, np.pi / 2.0)),
+        header=("alpha", "beta", "distance", "gap"),
+        tol=max(args.tol, _APPROX_TOL_FLOOR),
+        item=lambda point, tol: (*point, args.delta, tol),
     )
-    items = [
-        (float(a), float(b), args.delta, config.tolerance)
-        for a in config.axes[0].grid()
-        for b in config.axes[1].grid()
-    ]
-    rows = _map_rows(_fig2_row, items, config.workers)
-    for row in rows:
-        _check_row_gap(
-            row[3],
-            config.tolerance,
-            f"fig2 alpha={_fmt(row[0])} beta={_fmt(row[1])}",
-        )
-    header = ("alpha", "beta", "distance", "gap")
-    _emit_sweep(header, rows, args)
-    return EXIT_OK
 
 
 def cmd_fig3(args) -> int:
@@ -446,28 +384,14 @@ def cmd_fig3(args) -> int:
     Sweeps q, gamma over [0, 1] and emits the distance of the closest
     Pauli channel with weights (1-2p, p, p, 0), with certificate gaps.
     """
-    nq, ng = _parse_grid(args.grid, 2, default=(33, 33))
-    config = SweepConfig(
-        axes=(
-            SweepAxis("q", 0.0, 1.0, nq),
-            SweepAxis("gamma", 0.0, 1.0, ng),
-        ),
-        tolerance=max(args.tol, _APPROX_TOL_FLOOR),
-        workers=_worker_count(args.parallel),
+    return _run_sweep(
+        args,
+        _fig3_row,
+        axes=(("q", 0.0, 1.0), ("gamma", 0.0, 1.0)),
+        header=("q", "gamma", "distance", "gap"),
+        tol=max(args.tol, _APPROX_TOL_FLOOR),
+        item=lambda point, tol: (*point, tol),
     )
-    items = [
-        (float(q), float(g), config.tolerance)
-        for q in config.axes[0].grid()
-        for g in config.axes[1].grid()
-    ]
-    rows = _map_rows(_fig3_row, items, config.workers)
-    for row in rows:
-        _check_row_gap(
-            row[3], config.tolerance, f"fig3 q={_fmt(row[0])} gamma={_fmt(row[1])}"
-        )
-    header = ("q", "gamma", "distance", "gap")
-    _emit_sweep(header, rows, args)
-    return EXIT_OK
 
 
 def cmd_fig4(args) -> int:
@@ -477,40 +401,57 @@ def cmd_fig4(args) -> int:
     upper bounds, and the certificate gap.  Every row must satisfy
     lower <= distance <= upper; a violation aborts the sweep.
     """
-    (count,) = _parse_grid(args.grid, 1, default=(101,))
-    config = SweepConfig(
-        axes=(SweepAxis("gamma", 0.0, 1.0, count),),
-        tolerance=max(args.tol, _APPROX_TOL_FLOOR),
-        workers=_worker_count(args.parallel),
+    return _run_sweep(
+        args,
+        _fig4_row,
+        axes=(("gamma", 0.0, 1.0),),
+        header=("gamma", "distance", "lower", "upper", "gap"),
+        tol=max(args.tol, _APPROX_TOL_FLOOR),
+        item=lambda point, tol: (args.q, *point, tol),
+        check=_fig4_check,
     )
-    items = [(args.q, float(g), config.tolerance) for g in config.axes[0].grid()]
-    rows = _map_rows(_fig4_row, items, config.workers)
+
+
+def _run_sweep(args, worker, axes, header, tol, item, check=None) -> int:
+    """Compute one figure's rows over the ``--grid``, check them, then emit.
+
+    ``axes`` holds ``(name, start, stop)`` for each linearly spaced axis;
+    each axis needs at least 2 points.  ``item(point, tol)`` turns one
+    grid point into the argument of the row worker ``worker``, whose rows
+    start with the point and end with the certificate gap.  ``tol`` must
+    be finite and ``>= 1e-9`` (the certification floor of the fixed-pair
+    solver).  A gap above ``tol``, or a violation named by ``check(row,
+    tol)``, aborts the sweep before anything is written.
+    """
+    counts = _parse_grid(args.grid, len(axes))
+    for (name, *_), count in zip(axes, counts):
+        if count < 2:
+            raise SpecParseError(f"axis {name}: count must be at least 2, got {count}")
+    workers = _worker_count(args.parallel)
+    if not 1e-9 <= tol < np.inf:
+        raise SpecParseError(f"tolerance must be finite and at least 1e-9, got {tol}")
+    grids = [np.linspace(lo, hi, n).tolist() for (_, lo, hi), n in zip(axes, counts)]
+    items = [item(point, tol) for point in itertools.product(*grids)]
+    rows = _map_rows(worker, items, workers)
     for row in rows:
-        gamma, dist, lower, upper, gap = row
-        _check_row_gap(gap, config.tolerance, f"fig4 gamma={_fmt(gamma)}")
-        if dist < lower - config.tolerance or dist > upper + config.tolerance:
-            raise SweepInvariantError(
-                f"fig4 gamma={_fmt(gamma)}: distance {_fmt(dist)} outside "
-                f"bracket [{_fmt(lower)}, {_fmt(upper)}]"
-            )
-    header = ("gamma", "distance", "lower", "upper", "gap")
-    _emit_sweep(header, rows, args)
-    return EXIT_OK
-
-
-def _emit_sweep(header: tuple[str, ...], rows, args) -> None:
+        if row[-1] > tol:
+            violation = f"certificate gap {row[-1]:.3e} exceeds tolerance {tol:.3e}"
+        else:
+            violation = None if check is None else check(row, tol)
+        if violation:
+            point = " ".join(f"{name}={_fmt(v)}" for (name, *_), v in zip(axes, row))
+            raise SweepInvariantError(f"{args.command} {point}: {violation}")
     if args.format == "json":
         payload = [dict(zip(header, map(float, row))) for row in rows]
         doc = {"columns": list(header), "rows": payload, "convention": _CONVENTION}
         _emit(_json_text(doc), args.out)
     else:
         _emit(_csv_text(header, rows), args.out)
+    return EXIT_OK
 
 
-def _parse_grid(value: str | None, dims: int, default: tuple[int, ...]):
+def _parse_grid(value: str, dims: int):
     """Parse --grid: ``N`` for one axis, ``NxM`` for two."""
-    if value is None:
-        return default
     parts = value.lower().split("x")
     if len(parts) != dims:
         raise SpecParseError(
@@ -563,11 +504,12 @@ def _add_output_flags(sub, formats: tuple[str, ...], default_format: str) -> Non
     )
 
 
-def _add_sweep_flags(sub) -> None:
+def _add_sweep_flags(sub, grid: str) -> None:
+    _add_output_flags(sub, ("csv", "json"), "csv")
     sub.add_argument(
         "--grid",
-        default=None,
-        help="grid size: N for one sweep axis, NxM for two",
+        default=grid,
+        help=f"grid size: N for one sweep axis, NxM for two (default {grid})",
     )
     sub.add_argument(
         "--parallel",
@@ -621,8 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fig1",
         help="covariant-approximation curve: analytic vs certified SDP",
     )
-    _add_output_flags(p, ("csv", "json"), "csv")
-    _add_sweep_flags(p)
+    _add_sweep_flags(p, "201")
     p.set_defaults(func=cmd_fig1)
 
     p = sub.add_parser(
@@ -634,16 +575,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=np.pi / 8.0,
         help="fixed third rotation angle (default pi/8)",
     )
-    _add_output_flags(p, ("csv", "json"), "csv")
-    _add_sweep_flags(p)
+    _add_sweep_flags(p, "41x41")
     p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser(
         "fig3",
         help="structured Pauli distance over the damping parameter square",
     )
-    _add_output_flags(p, ("csv", "json"), "csv")
-    _add_sweep_flags(p)
+    _add_sweep_flags(p, "33x33")
     p.set_defaults(func=cmd_fig3)
 
     p = sub.add_parser(
@@ -655,8 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.7,
         help="fixed rotation parameter of the damping channel (default 0.7)",
     )
-    _add_output_flags(p, ("csv", "json"), "csv")
-    _add_sweep_flags(p)
+    _add_sweep_flags(p, "101")
     p.set_defaults(func=cmd_fig4)
 
     return parser

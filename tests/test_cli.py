@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,13 +136,18 @@ def test_approx_text_output_lists_every_field(capsys) -> None:
 # --- exit codes ------------------------------------------------------------
 
 
-def test_exit_code_parse_errors(capsys) -> None:
+def test_exit_code_parse_errors(tmp_path, capsys) -> None:
     assert cli.main(["diamond", "{bad json", IDENTITY]) == cli.EXIT_PARSE
     assert "error:" in capsys.readouterr().err
     assert cli.main(["diamond", IDENTITY, '{"kind": "warp"}']) == cli.EXIT_PARSE
+    missing = str(tmp_path / "missing.json")
+    assert cli.main(["diamond", IDENTITY, missing]) == cli.EXIT_PARSE
+    assert "cannot read" in capsys.readouterr().err
     assert cli.main(["fig1", "--grid", "1"]) == cli.EXIT_PARSE
     assert cli.main(["fig3", "--grid", "5"]) == cli.EXIT_PARSE
+    assert cli.main(["fig3", "--grid", "2xa"]) == cli.EXIT_PARSE
     assert cli.main(["fig1", "--grid", "3", "--parallel", "0"]) == cli.EXIT_PARSE
+    assert cli.main(["fig1", "--grid", "3", "--parallel", "abc"]) == cli.EXIT_PARSE
     assert cli.main(["fig4", "--grid", "3", "--tol", "nan"]) == cli.EXIT_PARSE
     mismatched = '{"kind": "covariant", "p": 0.1, "d": 3}'
     assert cli.main(["diamond", IDENTITY, mismatched]) == cli.EXIT_PARSE
@@ -159,14 +166,42 @@ def test_exit_code_no_convergence(monkeypatch, capsys) -> None:
     assert "error:" in capsys.readouterr().err
 
 
-def test_exit_code_invariant_violation(monkeypatch, capsys) -> None:
+def test_exit_code_invariant_violation(tmp_path, monkeypatch, capsys) -> None:
     def bad_row(item):
         q, gamma, tol = item
         return (gamma, 9.9, 0.0, 1.0, 0.0)
 
+    def wide_gap_row(item):
+        alpha, beta, delta, tol = item
+        return (alpha, beta, 0.5, 10.0 * tol)
+
+    def disagreeing_row(item):
+        x, sdp_tol = item
+        return (x, 0.0, 0.5, 0.25, 0.0)
+
     monkeypatch.setattr(cli, "_fig4_row", bad_row)
-    assert cli.main(["fig4", "--grid", "3"]) == cli.EXIT_INVARIANT
-    assert "bracket" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "_fig2_row", wide_gap_row)
+    monkeypatch.setattr(cli, "_fig1_row", disagreeing_row)
+    out = tmp_path / "previous.csv"
+    out.write_text("previous contents\n")
+    cases = (
+        (["fig4", "--grid", "3"], "bracket"),
+        (["fig2", "--grid", "2x2"], "certificate gap"),
+        (["fig1", "--grid", "3"], "disagree"),
+    )
+    for argv, message in cases:
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_INVARIANT
+        assert message in capsys.readouterr().err
+        # nothing is written unless every row passes its checks
+        assert out.read_text() == "previous contents\n"
+
+
+def test_unwritable_out_path_is_a_parse_error(tmp_path, capsys) -> None:
+    target = str(tmp_path / "no-such-dir" / "out.txt")
+    assert cli.main(["fig1", "--grid", "3", "--out", target]) == cli.EXIT_PARSE
+    assert f"error: cannot write {target!r}: " in capsys.readouterr().err
+    assert cli.main(["diamond", IDENTITY, PAULI_ID, "--out", target]) == cli.EXIT_PARSE
+    assert f"error: cannot write {target!r}: " in capsys.readouterr().err
 
 
 # --- sweep outputs ---------------------------------------------------------
@@ -191,6 +226,7 @@ def test_fig1_endpoints_and_schema(tmp_path) -> None:
 def test_fig1_parallel_output_is_byte_identical(tmp_path) -> None:
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
+    auto = tmp_path / "auto.csv"
     assert cli.main(["fig1", "--grid", "11", "--out", str(serial)]) == cli.EXIT_OK
     assert (
         cli.main(
@@ -198,7 +234,12 @@ def test_fig1_parallel_output_is_byte_identical(tmp_path) -> None:
         )
         == cli.EXIT_OK
     )
-    assert serial.read_bytes() == parallel.read_bytes()
+    # a bare --parallel uses one worker per CPU
+    assert (
+        cli.main(["fig1", "--grid", "11", "--out", str(auto), "--parallel"])
+        == cli.EXIT_OK
+    )
+    assert serial.read_bytes() == parallel.read_bytes() == auto.read_bytes()
 
 
 def test_fig2_center_value_and_symmetry(tmp_path) -> None:
@@ -343,6 +384,7 @@ def test_twocopy_text_output(monkeypatch, capsys) -> None:
     monkeypatch.setattr(cli, "multi_copy_approx", fake)
     assert cli.main(["twocopy"]) == cli.EXIT_OK
     assert calls == [(2, 2, 1e-6)]
+    assert fixed.values == (1.25, 1.3, 1.375)
     out = capsys.readouterr().out
     lines = dict(line.strip().split(": ", 1) for line in out.strip().splitlines())
     assert lines == {
@@ -366,3 +408,29 @@ def test_module_entry_point_runs_in_subprocess(tmp_path) -> None:
     assert proc.returncode == 0, proc.stderr
     header, rows = _read_csv(out)
     assert len(rows) == 3
+
+
+# --- benchmark tracer --------------------------------------------------------
+
+
+def _load_tracing():
+    """``perfbench/tracing.py``, loaded by path: perfbench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_wraps_every_name_it_lists(capsys) -> None:
+    tracing = _load_tracing()
+    originals = [getattr(module, attr) for module, attr, _ in tracing.WRAPPED]
+    with tracing.Tracer() as tracer:
+        assert cli.main(["fig1", "--grid", "2"]) == cli.EXIT_OK
+    capsys.readouterr()
+    for (module, attr, _), original in zip(tracing.WRAPPED, originals):
+        assert getattr(module, attr) is original, attr
+    names = [span[tracing.NAME] for span in tracer.spans]
+    assert names[0] == "main"
+    # the sweep looks its row worker up when it runs, so the wrapper sees every row
+    assert names.count("_fig1_row") == 2

@@ -195,27 +195,25 @@ def test_program_operators_are_consistent_for_every_shape() -> None:
     for name, prog in _program_shapes().items():
         zero_mats, zero_scal = prog.slack_blocks(np.zeros(prog.m))
         sizes = [blk.shape[0] for blk in zero_mats]
-        k = None if zero_scal is None else zero_scal.size
+        k = zero_scal.size
         y = gen.normal(size=prog.m)
         x_mats = [_random_pd(s, gen) for s in sizes]
         z_mats = [_random_pd(s, gen) for s in sizes]
-        x_scal = None if k is None else gen.uniform(0.5, 2.0, size=k)
-        z_scal = None if k is None else gen.uniform(0.5, 2.0, size=k)
+        x_scal = gen.uniform(0.5, 2.0, size=k)
+        z_scal = gen.uniform(0.5, 2.0, size=k)
 
         # S(y) = S(0) - A^T(y)
         s_mats, s_scal = prog.slack_blocks(y)
         a_mats, a_scal = prog.adjoint_blocks(y)
         for s, s0, a in zip(s_mats, zero_mats, a_mats):
             _assert_rel(s, s0 - a, _norm(s0) + _norm(a))
-        if k is not None:
-            _assert_rel(s_scal, zero_scal - a_scal, _norm(zero_scal) + _norm(a_scal))
+        _assert_rel(s_scal, zero_scal - a_scal, _norm(zero_scal) + _norm(a_scal))
 
         # apply is the adjoint of adjoint_blocks
         applied = prog.apply(x_mats, x_scal)
         assert applied.dtype == np.float64 and applied.shape == (prog.m,), name
         terms = [float(np.einsum("ab,ba->", a, x).real) for a, x in zip(a_mats, x_mats)]
-        if k is not None:
-            terms.extend(a_scal * x_scal)
+        terms.extend(a_scal * x_scal)
         scale = sum(abs(t) for t in terms) + _norm(y) * _norm(applied)
         _assert_rel(sum(terms), float(y @ applied), scale)
 
@@ -227,10 +225,8 @@ def test_program_operators_are_consistent_for_every_shape() -> None:
             t = np.matmul(np.matmul(x, gens), z)
             flat = gens.reshape(prog.m, -1)
             brute += (flat @ t.transpose(0, 2, 1).reshape(prog.m, -1).T).real
-        if k is not None:
-            rows = np.stack([u[1] for u in units])
-            brute += rows @ ((x_scal * z_scal)[:, None] * rows.T)
+        rows = np.stack([u[1] for u in units])
+        brute += rows @ ((x_scal * z_scal)[:, None] * rows.T)
         brute = 0.5 * (brute + brute.T)
-        xz = None if k is None else x_scal * z_scal
-        fast = prog.schur(x_mats, z_mats, xz)
+        fast = prog.schur(x_mats, z_mats, x_scal * z_scal)
         _assert_rel(fast, brute, _norm(brute))
