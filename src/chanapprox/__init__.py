@@ -20,6 +20,7 @@ with every reported distance carrying a primal/dual certificate:
 from .approx import (
     ApproxResult,
     MultiCopyResult,
+    approx_bounds,
     covariance_distance,
     covariance_distance_x,
     covariant_objective,
@@ -103,6 +104,7 @@ __all__ = [
     "SpecParseError",
     "alternating_lower_bound",
     "apply_channel",
+    "approx_bounds",
     "channels_close",
     "choi",
     "choi_trace_distance",

@@ -9,11 +9,10 @@ Every simplex problem takes one certified route.  A joint interior-point
 solve of  max t  s.t.  t <= Tr[Delta_i W]  over the diamond-norm feasible
 set returns the optimal mixture weights with a certified lower bound on
 the optimum (by duality its optimum equals
-min_p ||sum_i p_i Delta_i||_diamond).  The joint weights are re-certified
-by a fixed-objective solve and compared with the certified simplex
-vertices; the best measured candidate is returned, and ties within 1e-9
-keep the joint weights, so results are deterministic.  A candidate more
-than 1e-4 above the joint lower bound raises ``NoConvergenceError``.
+min_p ||sum_i p_i Delta_i||_diamond), and one fixed-objective solve
+re-certifies the distance at those weights.  Missing weights, or a
+distance more than 1e-4 above the joint lower bound, raise
+``NoConvergenceError``.  ``approx_bounds`` adds cheap two-sided bounds.
 """
 
 from __future__ import annotations
@@ -47,19 +46,16 @@ class ApproxResult:
 
     ``weights`` lie on the probability simplex; ``distance`` is the
     certified diamond distance between the target and the weighted
-    mixture; ``upper_bound_single`` is the best single-member distance
-    (a mixture can only do better); ``lower_bound_choi`` is the
-    simplex-minimized Choi trace-distance lower bound; ``witness`` holds
-    the input state and measurement operator certifying ``distance``;
-    ``iterations`` counts the interior-point iterations of the joint
-    minimax solve that produced the weights (0 when the target is a
-    member of the set).
+    mixture; ``witness`` holds the input state and measurement operator
+    certifying ``distance``; ``iterations`` counts the interior-point
+    iterations of the joint minimax solve that produced the weights (0
+    when the target is a member of the set).  ``approx_bounds`` gives the
+    best single-member distance and the Choi trace lower bound around
+    ``distance``.
     """
 
     weights: np.ndarray
     distance: float
-    upper_bound_single: float
-    lower_bound_choi: float
     witness: DiamondResult
     iterations: int
 
@@ -71,6 +67,20 @@ def _inner_tol(tol: float) -> float:
     return max(1e-9, min(1e-7, 0.1 * tol))
 
 
+def _simplex_deltas(target: Channel, set, tol: float) -> tuple[np.ndarray, float]:
+    """Validate; return the stacked choi(target) - choi(set[i]) and the inner tolerance."""
+    members = list(set)
+    if not 1 <= len(members) <= _MAX_SET:
+        raise RangeError(
+            f"approximating set must have 1..{_MAX_SET} members, got {len(members)}"
+        )
+    inner_tol = _inner_tol(tol)
+    if any(ch.dim != target.dim for ch in members):
+        raise DimMismatchError("approximating set dimension differs from target")
+    target_choi = choi(target)
+    return np.stack([target_choi - choi(ch) for ch in members]), inner_tol
+
+
 def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
     """Closest convex mixture of ``set`` to ``target`` in diamond norm.
 
@@ -79,67 +89,50 @@ def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
     simplex optimum by the joint interior-point lower bound; the embedded
     witness certifies the reported distance at those weights.
     """
-    members = list(set)
-    if not 1 <= len(members) <= _MAX_SET:
-        raise RangeError(
-            f"approximating set must have 1..{_MAX_SET} members, got {len(members)}"
-        )
-    inner_tol = _inner_tol(tol)
+    delta_stack, inner_tol = _simplex_deltas(target, set, tol)
     d = target.dim
-    if any(ch.dim != d for ch in members):
-        raise DimMismatchError("approximating set dimension differs from target")
-    k = len(members)
-    target_choi = choi(target)
-    delta_stack = np.stack([target_choi - choi(ch) for ch in members])
 
     # Exact membership: all weight on the matching member, distance zero.
-    for i in range(k):
-        if trace_norm(delta_stack[i]) <= 1e-12 * d:
-            weights = np.zeros(k)
-            weights[i] = 1.0
-            witness = _diamond_of_delta(delta_stack[i], d, inner_tol)
+    for i, delta in enumerate(delta_stack):
+        if trace_norm(delta) <= 1e-12 * d:
             return ApproxResult(
-                weights=prob_vector(weights),
+                weights=prob_vector(np.eye(len(delta_stack))[i]),
                 distance=0.0,
-                upper_bound_single=witness.value,
-                lower_bound_choi=0.0,
-                witness=witness,
+                witness=_diamond_of_delta(delta, d, inner_tol),
                 iterations=0,
             )
 
-    def certify(p: np.ndarray) -> DiamondResult:
-        return _diamond_of_delta(np.tensordot(p, delta_stack, axes=(0, 0)), d, inner_tol)
-
-    vertices = [(p, certify(p)) for p in np.eye(k)]
-    upper_bound_single = min(res.value for _, res in vertices)
-
     joint = sdp.solve_minimax(delta_stack, d, 1e-8)
-    trace_joint = sdp.solve_minimax_trace(delta_stack, 1e-8)
-    lower_bound_choi = max(0.0, trace_joint.primal / d)
-
-    candidates = []
-    if joint.weights is not None:
-        candidates.append((joint.weights, certify(joint.weights)))
-    candidates += vertices
-
-    best_w, best_res = candidates[0]
-    for w, res in candidates[1:]:
-        if res.value < best_res.value - 1e-9:
-            best_w, best_res = w, res
-
-    if not best_res.value <= joint.primal + _OPT_SLACK:
+    if joint.weights is None:
+        raise NoConvergenceError("the joint minimax solve returned no mixture weights")
+    mixed = np.tensordot(joint.weights, delta_stack, axes=(0, 0))
+    witness = _diamond_of_delta(mixed, d, inner_tol)
+    if not (witness.value <= joint.primal + _OPT_SLACK):
         raise NoConvergenceError(
-            f"optimizer reached {best_res.value:.9f} but the certified optimum "
+            f"optimizer reached {witness.value:.9f} but the certified optimum "
             f"is at least {joint.primal:.9f}"
         )
     return ApproxResult(
-        weights=prob_vector(best_w),
-        distance=best_res.value,
-        upper_bound_single=upper_bound_single,
-        lower_bound_choi=min(lower_bound_choi, best_res.value),
-        witness=best_res,
+        weights=prob_vector(joint.weights),
+        distance=witness.value,
+        witness=witness,
         iterations=joint.iterations,
     )
+
+
+def approx_bounds(target: Channel, set, distance: float, tol: float) -> tuple[float, float]:
+    """Bounds around ``distance = optimal_convex_approx(target, set, tol).distance``.
+
+    Returns ``(upper_bound_single, lower_bound_choi)``: the best certified
+    single-member distance (a mixture can only do better) and the simplex-
+    minimized Choi trace distance over the dimension, capped at ``distance``.
+    Costs a fixed solve per member and one trace-minimax solve.
+    """
+    delta_stack, inner_tol = _simplex_deltas(target, set, tol)
+    d = target.dim
+    upper = min(_diamond_of_delta(delta, d, inner_tol).value for delta in delta_stack)
+    trace = sdp.solve_minimax_trace(delta_stack, 1e-8)
+    return upper, min(max(0.0, trace.primal / d), distance)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +256,8 @@ def pauli_distance_damping(q: float, gamma: float, tol: float = 1e-6) -> ApproxR
     two-member ``optimal_convex_approx`` over those endpoints, and its
     weights (w0, w1) map back to (w0, w1/2, w1/2, 0).  The structure
     therefore holds exactly and the distance stays between
-    ``damping_bounds``.  ``upper_bound_single`` and ``lower_bound_choi``
-    refer to the two endpoints, not to the four Pauli conjugations.
+    ``damping_bounds``.  ``approx_bounds`` over the same two endpoints
+    gives its single-member and Choi bounds.
 
     Note the restriction is not always free: the unrestricted four-weight
     optimum (``optimal_convex_approx`` with the four Pauli conjugations)
@@ -320,6 +313,13 @@ class MultiCopyResult:
         return (self.correlated.distance, self.product_value, self.tensored_value)
 
 
+def two_copy_problem(target: Channel, members) -> tuple[Channel, list[Channel]]:
+    """``target`` on two copies, and every ordered pair of ``members``
+    tensored, first factor major: (II IZ ZI ZZ) for members (I, Z)."""
+    members = list(members)
+    return tensor(target, target), [tensor(ci, cj) for ci in members for cj in members]
+
+
 def multi_copy_approx(target: Channel, single_set, copies: int, tol: float) -> MultiCopyResult:
     """Approximate two independent uses of a qubit channel three ways.
 
@@ -327,25 +327,27 @@ def multi_copy_approx(target: Channel, single_set, copies: int, tol: float) -> M
     of set members, (b) the best independent product of per-copy mixtures
     (alternating certified per-copy solves, initialized at the single-copy
     optimum), and (c) the single-copy optimal mixture applied to both
-    copies.  Only ``copies=2`` is supported.
+    copies.  Only ``copies=2`` is supported, with 1 or 2 set members
+    (their k**2 tensor products must fit the 8-member limit).
     """
     if copies != 2:
         raise RangeError(f"copies={copies} unsupported; only copies=2 is implemented")
     inner_tol = _inner_tol(tol)
     members = list(single_set)
+    if not 1 <= len(members) <= 2:
+        raise RangeError(f"two-copy set must have 1..2 members, got {len(members)}")
     if target.dim != 2 or any(ch.dim != 2 for ch in members):
         raise DimMismatchError("two-copy approximation requires qubit channels")
 
     single = optimal_convex_approx(target, members, tol)
-    pair_target = tensor(target, target)
+    pair_target, pair_set = two_copy_problem(target, members)
     pair_choi = choi(pair_target)
 
     # (c) the single-copy optimum tensored with itself.
     base = mix(members, single.weights)
     tensored_res = _diamond_of_delta(pair_choi - choi(tensor(base, base)), 4, inner_tol)
 
-    # (a) correlated mixture over the product set, first factor major.
-    pair_set = [tensor(ci, cj) for ci in members for cj in members]
+    # (a) correlated mixture over the two-copy set.
     correlated = optimal_convex_approx(pair_target, pair_set, tol)
 
     # (b) independent per-copy mixtures by alternating certified solves;
@@ -376,9 +378,9 @@ def multi_copy_approx(target: Channel, single_set, copies: int, tol: float) -> M
     product_delta = pair_choi - choi(tensor(mix(members, q_left), mix(members, q_right)))
     product_res = _diamond_of_delta(product_delta, 4, inner_tol)
 
-    if (
-        correlated.distance > product_res.value + tol
-        or product_res.value > tensored_res.value + tol
+    if not (
+        correlated.distance <= product_res.value + tol
+        and product_res.value <= tensored_res.value + tol
     ):
         raise NoConvergenceError(
             "two-copy distances violate the correlated <= product <= tensored "

@@ -13,7 +13,8 @@ record is interpretable without reading the source.
 Every emitted distance row embeds its certificate gap.  A sweep row whose
 gap exceeds the requested tolerance, or that violates a bound the sweep
 promises (for example a distance outside its analytic bracket), aborts
-the run with exit code 4 rather than writing unreliable data.
+the run with exit code 4 rather than writing unreliable data; a NaN gap
+or distance fails these checks too.
 
 Exit codes: 0 success; 2 argument or channel-spec parse error, or an
 ``--out`` path that cannot be written; 3 solver non-convergence; 4
@@ -34,11 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import (
+    approx_bounds,
     covariance_distance_x,
     damping_bounds,
     multi_copy_approx,
     optimal_convex_approx,
     pauli_distance_damping,
+    two_copy_problem,
 )
 from .channels import (
     identity,
@@ -197,7 +200,7 @@ def _fig4_row(item) -> tuple:
 
 def _fig1_check(row, tol: float) -> str | None:
     """The analytic and certified SDP distances of a fig1 row must agree."""
-    if abs(row[1] - row[3]) > tol + 1e-5:
+    if not (abs(row[1] - row[3]) <= tol + 1e-5):
         return f"analytic value {_fmt(row[1])} and SDP value {_fmt(row[3])} disagree"
     return None
 
@@ -205,7 +208,7 @@ def _fig1_check(row, tol: float) -> str | None:
 def _fig4_check(row, tol: float) -> str | None:
     """A fig4 distance must lie inside its closed-form bracket."""
     gamma, dist, lower, upper, gap = row
-    if dist < lower - tol or dist > upper + tol:
+    if not (lower - tol <= dist <= upper + tol):
         return f"distance {_fmt(dist)} outside bracket [{_fmt(lower)}, {_fmt(upper)}]"
     return None
 
@@ -247,15 +250,11 @@ def cmd_diamond(args) -> int:
 def cmd_approx(args) -> int:
     """Best convex mixture of the given channels approximating the target."""
     doc_target, target = _load_channel_spec(args.target)
-    docs = []
-    members = []
-    for spec in args.members:
-        doc, chan = _load_channel_spec(spec)
-        docs.append(doc)
-        members.append(chan)
+    docs, members = zip(*map(_load_channel_spec, args.members))
     tol = max(args.tol, _APPROX_TOL_FLOOR)
     start = time.perf_counter()
     res = optimal_convex_approx(target, members, tol)
+    upper, lower = approx_bounds(target, members, res.distance, tol)
     elapsed = time.perf_counter() - start
     record = ResultRecord(
         label="approx",
@@ -263,8 +262,8 @@ def cmd_approx(args) -> int:
         distance=res.distance,
         weights=tuple(float(w) for w in res.weights),
         bounds={
-            "upper_bound_single": res.upper_bound_single,
-            "lower_bound_choi": res.lower_bound_choi,
+            "upper_bound_single": upper,
+            "lower_bound_choi": lower,
             "primal": res.witness.primal,
             "dual": res.witness.dual,
         },
@@ -276,9 +275,9 @@ def cmd_approx(args) -> int:
     else:
         lines = [
             f"distance: {_fmt(res.distance)}",
-            "weights: " + " ".join(_fmt(w) for w in res.weights),
-            f"upper bound (best single member): {_fmt(res.upper_bound_single)}",
-            f"lower bound (joint trace program): {_fmt(res.lower_bound_choi)}",
+            "weights: " + " ".join(map(_fmt, res.weights)),
+            f"upper bound (best single member): {_fmt(upper)}",
+            f"lower bound (joint trace program): {_fmt(lower)}",
             f"certificate gap: {_fmt(res.witness.gap)}",
             f"iterations: {res.iterations}",
         ]
@@ -298,13 +297,12 @@ def cmd_twocopy(args) -> int:
     members = [identity(2), pauli_unitaries()[3]]
     start = time.perf_counter()
     mc = multi_copy_approx(target, members, 2, tol)
-    elapsed = time.perf_counter() - start
     corr = mc.correlated
     if args.format == "json":
-        corr_bounds = {
-            "upper_bound_single": corr.upper_bound_single,
-            "lower_bound_choi": corr.lower_bound_choi,
-        }
+        # Only the JSON records carry the correlated mixture's bounds.
+        upper, lower = approx_bounds(*two_copy_problem(target, members), corr.distance, tol)
+        elapsed = time.perf_counter() - start
+        corr_bounds = {"upper_bound_single": upper, "lower_bound_choi": lower}
         rows = (
             ("correlated", corr.witness, corr.weights, corr_bounds),
             ("product", mc.product_witness, np.concatenate(mc.product_weights), {}),
@@ -324,18 +322,14 @@ def cmd_twocopy(args) -> int:
         ]
         _emit(_json_text(records), args.out)
     else:
-        w_corr = " ".join(_fmt(w) for w in corr.weights)
-        w_left = " ".join(_fmt(w) for w in mc.product_weights[0])
-        w_right = " ".join(_fmt(w) for w in mc.product_weights[1])
-        w_single = " ".join(_fmt(w) for w in mc.single.weights)
         lines = [
             f"correlated mixture distance: {_fmt(corr.distance)}",
-            f"  weights (II IZ ZI ZZ): {w_corr}",
+            f"  weights (II IZ ZI ZZ): {' '.join(map(_fmt, corr.weights))}",
             f"product mixture distance: {_fmt(mc.product_value)}",
-            f"  copy-1 weights: {w_left}",
-            f"  copy-2 weights: {w_right}",
+            f"  copy-1 weights: {' '.join(map(_fmt, mc.product_weights[0]))}",
+            f"  copy-2 weights: {' '.join(map(_fmt, mc.product_weights[1]))}",
             f"tensored single-copy distance: {_fmt(mc.tensored_value)}",
-            f"  single-copy weights: {w_single}",
+            f"  single-copy weights: {' '.join(map(_fmt, mc.single.weights))}",
         ]
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -420,8 +414,9 @@ def _run_sweep(args, worker, axes, header, tol, item, check=None) -> int:
     grid point into the argument of the row worker ``worker``, whose rows
     start with the point and end with the certificate gap.  ``tol`` must
     be finite and ``>= 1e-9`` (the certification floor of the fixed-pair
-    solver).  A gap above ``tol``, or a violation named by ``check(row,
-    tol)``, aborts the sweep before anything is written.
+    solver).  A gap not at most ``tol`` (NaN included), or a violation
+    named by ``check(row, tol)``, aborts the sweep before anything is
+    written.
     """
     counts = _parse_grid(args.grid, len(axes))
     for (name, *_), count in zip(axes, counts):
@@ -434,7 +429,7 @@ def _run_sweep(args, worker, axes, header, tol, item, check=None) -> int:
     items = [item(point, tol) for point in itertools.product(*grids)]
     rows = _map_rows(worker, items, workers)
     for row in rows:
-        if row[-1] > tol:
+        if not (row[-1] <= tol):
             violation = f"certificate gap {row[-1]:.3e} exceeds tolerance {tol:.3e}"
         else:
             violation = None if check is None else check(row, tol)

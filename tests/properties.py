@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from chanapprox import (
+    approx_bounds,
     choi_trace_distance,
     compose,
     covariant,
@@ -47,7 +48,7 @@ def check_distance_unitary_invariance(seed: int = 11, pairs: int = 5) -> float:
 
 
 def check_bound_ordering(seed: int = 12, instances: int = 30) -> float:
-    """Reported bounds sandwich the optimal mixing distance.
+    """``approx_bounds`` sandwiches the optimal mixing distance.
 
     For every instance: the Choi-based lower bound is below the distance,
     the best single-member distance is above it, and the Choi trace
@@ -62,18 +63,18 @@ def check_bound_ordering(seed: int = 12, instances: int = 30) -> float:
             helpers.random_channel(2, 2, gen) for _ in range(int(gen.integers(2, 9)))
         ]
         res = optimal_convex_approx(target, members, tol=tol)
-        assert res.lower_bound_choi <= res.distance + tol, (
-            f"lower bound {res.lower_bound_choi} exceeds distance {res.distance}"
+        upper, lower = approx_bounds(target, members, res.distance, tol)
+        assert lower <= res.distance + tol, (
+            f"lower bound {lower} exceeds distance {res.distance}"
         )
-        assert res.distance <= res.upper_bound_single + tol, (
-            f"distance {res.distance} exceeds single-member bound "
-            f"{res.upper_bound_single}"
+        assert res.distance <= upper + tol, (
+            f"distance {res.distance} exceeds single-member bound {upper}"
         )
         ctd = choi_trace_distance(target, mix(members, res.weights))
         assert ctd <= res.distance + tol, (
             f"Choi trace distance {ctd} exceeds diamond distance {res.distance}"
         )
-        worst = max(worst, res.lower_bound_choi - res.distance, ctd - res.distance)
+        worst = max(worst, lower - res.distance, ctd - res.distance)
     return worst
 
 

@@ -10,6 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from chanapprox import (
+    approx_bounds,
     channels_close,
     compose,
     covariance_distance,
@@ -30,7 +31,7 @@ from chanapprox import (
     unitary_channel,
     unitary_qubit,
 )
-from chanapprox import sdp
+from chanapprox import approx, sdp
 from chanapprox.channels import PAULI
 from chanapprox.errors import DimMismatchError, NoConvergenceError, RangeError
 
@@ -159,6 +160,36 @@ def test_missing_joint_weights_raise_instead_of_returning_a_vertex(monkeypatch) 
     target = pauli_channel([0.3, 0.3, 0.2, 0.2])
     with pytest.raises(NoConvergenceError):
         optimal_convex_approx(target, pauli_unitaries(), tol=1e-6)
+
+
+def test_non_member_target_costs_one_minimax_and_one_fixed_solve(monkeypatch) -> None:
+    solve = sdp._solve_ipm
+    kinds = []
+
+    def counting(prog, *args, **kwargs):
+        # the dual-program fallback of a fixed solve is not a solve of its own
+        if not isinstance(prog, sdp._DualProgram):
+            kinds.append("fixed" if not prog.minimax else "minimax" if prog.ref else "trace")
+        return solve(prog, *args, **kwargs)
+
+    monkeypatch.setattr(sdp, "_solve_ipm", counting)
+    res = optimal_convex_approx(unitary_qubit(0.43, 0.91, 0.27), pauli_unitaries(), tol=1e-6)
+    assert res.iterations > 0
+    assert sorted(kinds) == ["fixed", "minimax"]
+    kinds.clear()
+    pauli_distance_damping(0.7, 0.5)
+    assert sorted(kinds) == ["fixed", "minimax"]
+
+
+def test_vertex_optimal_target_matches_the_vertex_distance() -> None:
+    # A fig2 grid point (delta = pi/8) whose optimal mixture is the identity
+    # vertex: the joint weights land within a few 1e-9 of it, and their
+    # re-certified distance matches the vertex's own certificate.
+    target = unitary_qubit(np.pi / 16, np.pi / 16, np.pi / 8)
+    res = optimal_convex_approx(target, pauli_unitaries(), tol=1e-6)
+    vertex = diamond_sdp(target, identity(2), tol=1e-7).value
+    assert abs(res.distance - vertex) <= 1e-8
+    assert res.weights[0] >= 1.0 - 1e-6
 
 
 def test_bound_ordering_properties() -> None:
@@ -331,7 +362,11 @@ def test_damping_approx_symmetry_and_bracket() -> None:
         assert abs(res.distance - mirror.distance) <= 2e-4
         lower, upper = damping_bounds(q, gamma)
         assert lower - tol <= res.distance <= upper + tol
-        assert res.lower_bound_choi <= res.distance <= res.upper_bound_single + tol
+        # the single-member and Choi bounds refer to the two endpoints
+        paulis = pauli_unitaries()
+        endpoints = (paulis[0], mix(paulis[1:3], [0.5, 0.5]))
+        single, choi_lower = approx_bounds(damping(q, gamma), endpoints, res.distance, tol)
+        assert choi_lower <= res.distance <= single + tol
 
 
 def test_damping_approx_weight_structure() -> None:
@@ -357,14 +392,46 @@ def test_damping_approx_weight_floor_on_grid() -> None:
 # --- two-copy approximation ------------------------------------------------
 
 
-def test_multi_copy_rejects_bad_copy_count() -> None:
+def test_multi_copy_rejects_bad_copy_count(monkeypatch) -> None:
     with pytest.raises(RangeError):
         multi_copy_approx(identity(2), [identity(2)], copies=3, tol=1e-6)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an oversized two-copy set reached the solver")
+
+    # three members give nine tensor products, beyond the 8-member limit:
+    # rejected before any solve
+    monkeypatch.setattr(sdp, "_solve_ipm", no_solve)
+    with pytest.raises(RangeError, match="1..2 members"):
+        multi_copy_approx(identity(2), pauli_unitaries()[:3], copies=2, tol=1e-6)
 
 
 def test_multi_copy_rejects_non_qubit() -> None:
     with pytest.raises(DimMismatchError):
         multi_copy_approx(identity(3), [identity(3)], copies=2, tol=1e-6)
+
+
+def test_multi_copy_nan_product_distance_breaks_the_ordering(monkeypatch) -> None:
+    solve, certify = approx.optimal_convex_approx, approx._diamond_of_delta
+    solved = []
+
+    def recording_solve(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    def nan_product(delta, ref_dim, tol):
+        res = certify(delta, ref_dim, tol)
+        # the product witness is the only certificate made after the
+        # single-copy and correlated solves have both returned
+        if len(solved) == 2:
+            res = dataclasses.replace(res, value=float("nan"))
+        return res
+
+    monkeypatch.setattr(approx, "optimal_convex_approx", recording_solve)
+    monkeypatch.setattr(approx, "_diamond_of_delta", nan_product)
+    u = unitary_qubit(0.0, np.pi / 6, 0.0)
+    with pytest.raises(NoConvergenceError, match="ordering"):
+        multi_copy_approx(u, [identity(2)], copies=2, tol=1e-6)
 
 
 def test_multi_copy_singleton_set_collapses() -> None:

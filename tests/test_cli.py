@@ -196,6 +196,37 @@ def test_exit_code_invariant_violation(tmp_path, monkeypatch, capsys) -> None:
         assert out.read_text() == "previous contents\n"
 
 
+def test_nan_rows_violate_the_sweep_checks(tmp_path, monkeypatch, capsys) -> None:
+    nan = float("nan")
+
+    def nan_row(item):
+        alpha, beta, delta, tol = item
+        return (alpha, beta, nan, nan)
+
+    def nan_bracket_row(item):
+        q, gamma, tol = item
+        return (gamma, nan, 0.0, 1.0, 0.0)
+
+    def nan_sdp_row(item):
+        x, sdp_tol = item
+        return (x, 0.5, 0.5, nan, 0.0)
+
+    monkeypatch.setattr(cli, "_fig2_row", nan_row)
+    monkeypatch.setattr(cli, "_fig4_row", nan_bracket_row)
+    monkeypatch.setattr(cli, "_fig1_row", nan_sdp_row)
+    out = tmp_path / "previous.csv"
+    out.write_text("previous contents\n")
+    cases = (
+        (["fig2", "--grid", "2x2"], "certificate gap nan"),
+        (["fig4", "--grid", "3"], "bracket"),
+        (["fig1", "--grid", "3"], "disagree"),
+    )
+    for argv, message in cases:
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_INVARIANT
+        assert message in capsys.readouterr().err
+        assert out.read_text() == "previous contents\n"
+
+
 def test_unwritable_out_path_is_a_parse_error(tmp_path, capsys) -> None:
     target = str(tmp_path / "no-such-dir" / "out.txt")
     assert cli.main(["fig1", "--grid", "3", "--out", target]) == cli.EXIT_PARSE
@@ -355,16 +386,12 @@ def test_twocopy_text_output(monkeypatch, capsys) -> None:
     single = ApproxResult(
         weights=np.array([0.75, 0.25]),
         distance=1.0,
-        upper_bound_single=1.0,
-        lower_bound_choi=0.5,
         witness=_fixed_witness(1.0, 1e-9),
         iterations=7,
     )
     correlated = ApproxResult(
         weights=np.array([0.6, 0.2, 0.2, 0.0]),
         distance=1.25,
-        upper_bound_single=1.5,
-        lower_bound_choi=1.0,
         witness=_fixed_witness(1.25, 1e-9),
         iterations=9,
     )
@@ -381,9 +408,18 @@ def test_twocopy_text_output(monkeypatch, capsys) -> None:
         calls.append((len(members), copies, tol))
         return fixed
 
+    bound_calls = []
+
+    def fake_bounds(target, members, distance, tol):
+        bound_calls.append((target.dim, len(members), distance, tol))
+        return 1.5, 1.0
+
     monkeypatch.setattr(cli, "multi_copy_approx", fake)
+    monkeypatch.setattr(cli, "approx_bounds", fake_bounds)
     assert cli.main(["twocopy"]) == cli.EXIT_OK
     assert calls == [(2, 2, 1e-6)]
+    # the text output prints no bounds, so it pays for none
+    assert bound_calls == []
     assert fixed.values == (1.25, 1.3, 1.375)
     out = capsys.readouterr().out
     lines = dict(line.strip().split(": ", 1) for line in out.strip().splitlines())
@@ -396,6 +432,13 @@ def test_twocopy_text_output(monkeypatch, capsys) -> None:
         "tensored single-copy distance": "1.375",
         "single-copy weights": "0.75 0.25",
     }
+    # the JSON correlated record takes its bounds over the two-copy set
+    assert cli.main(["twocopy", "--format", "json"]) == cli.EXIT_OK
+    assert bound_calls == [(4, 4, 1.25, 1e-6)]
+    records = {r["label"]: r for r in json.loads(capsys.readouterr().out)}
+    corr = records["twocopy-correlated"]["bounds"]
+    assert (corr["upper_bound_single"], corr["lower_bound_choi"]) == (1.5, 1.0)
+    assert set(records["twocopy-product"]["bounds"]) == {"primal", "dual"}
 
 
 def test_module_entry_point_runs_in_subprocess(tmp_path) -> None:
