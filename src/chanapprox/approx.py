@@ -32,7 +32,7 @@ from .channels import (
     prob_vector,
     tensor,
 )
-from .diamond import DiamondResult, _diamond_of_delta, d_i_unitary
+from .diamond import _ZERO_TRACE_NORM, DiamondResult, _diamond_of_delta, d_i_unitary
 from .errors import DimMismatchError, NoConvergenceError, RangeError
 from .linalg import trace_norm
 
@@ -60,45 +60,49 @@ class ApproxResult:
     iterations: int
 
 
-def _inner_tol(tol: float) -> float:
-    """Check a mixture-optimization tolerance; return its inner-solve tolerance."""
-    if not 1e-6 <= tol < np.inf:
+_APPROX_TOL_FLOOR = 1e-6  # smallest accepted mixture tol; the CLI clamps up to it
+_INNER_TOL = 1e-7  # every certified solve behind a mixture, whatever the accepted tol
+
+
+def _check_tol(tol: float) -> None:
+    """Reject a mixture-optimization tolerance below the floor, NaN or inf."""
+    if not _APPROX_TOL_FLOOR <= tol < np.inf:
         raise RangeError(f"tolerance {tol:g} must be finite and at least 1e-6")
-    return max(1e-9, min(1e-7, 0.1 * tol))
 
 
-def _simplex_deltas(target: Channel, set, tol: float) -> tuple[np.ndarray, float]:
-    """Validate; return the stacked choi(target) - choi(set[i]) and the inner tolerance."""
+def _simplex_deltas(target: Channel, set, tol: float) -> np.ndarray:
+    """Validate; return the stacked choi(target) - choi(set[i])."""
     members = list(set)
     if not 1 <= len(members) <= _MAX_SET:
         raise RangeError(
             f"approximating set must have 1..{_MAX_SET} members, got {len(members)}"
         )
-    inner_tol = _inner_tol(tol)
+    _check_tol(tol)
     if any(ch.dim != target.dim for ch in members):
         raise DimMismatchError("approximating set dimension differs from target")
     target_choi = choi(target)
-    return np.stack([target_choi - choi(ch) for ch in members]), inner_tol
+    return np.stack([target_choi - choi(ch) for ch in members])
 
 
 def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
     """Closest convex mixture of ``set`` to ``target`` in diamond norm.
 
     Requires matching dimensions, 1..8 set members, and a finite
-    tol >= 1e-6.  The returned weights are certified within 1e-4 of the
-    simplex optimum by the joint interior-point lower bound; the embedded
-    witness certifies the reported distance at those weights.
+    tol >= 1e-6; tol is only validated, every certificate behind the result
+    is solved to 1e-7.  The returned weights are certified within 1e-4 of
+    the simplex optimum by the joint interior-point lower bound; the
+    embedded witness certifies the reported distance at those weights.
     """
-    delta_stack, inner_tol = _simplex_deltas(target, set, tol)
+    delta_stack = _simplex_deltas(target, set, tol)
     d = target.dim
 
     # Exact membership: all weight on the matching member, distance zero.
     for i, delta in enumerate(delta_stack):
-        if trace_norm(delta) <= 1e-12 * d:
+        if trace_norm(delta) <= _ZERO_TRACE_NORM:
             return ApproxResult(
                 weights=prob_vector(np.eye(len(delta_stack))[i]),
                 distance=0.0,
-                witness=_diamond_of_delta(delta, d, inner_tol),
+                witness=_diamond_of_delta(delta, d, _INNER_TOL),
                 iterations=0,
             )
 
@@ -106,7 +110,7 @@ def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
     if joint.weights is None:
         raise NoConvergenceError("the joint minimax solve returned no mixture weights")
     mixed = np.tensordot(joint.weights, delta_stack, axes=(0, 0))
-    witness = _diamond_of_delta(mixed, d, inner_tol)
+    witness = _diamond_of_delta(mixed, d, _INNER_TOL)
     if not (witness.value <= joint.primal + _OPT_SLACK):
         raise NoConvergenceError(
             f"optimizer reached {witness.value:.9f} but the certified optimum "
@@ -126,11 +130,12 @@ def approx_bounds(target: Channel, set, distance: float, tol: float) -> tuple[fl
     Returns ``(upper_bound_single, lower_bound_choi)``: the best certified
     single-member distance (a mixture can only do better) and the simplex-
     minimized Choi trace distance over the dimension, capped at ``distance``.
-    Costs a fixed solve per member and one trace-minimax solve.
+    Costs a fixed solve per member and one trace-minimax solve; tol is only
+    validated, the single-member distances are certified to 1e-7.
     """
-    delta_stack, inner_tol = _simplex_deltas(target, set, tol)
+    delta_stack = _simplex_deltas(target, set, tol)
     d = target.dim
-    upper = min(_diamond_of_delta(delta, d, inner_tol).value for delta in delta_stack)
+    upper = min(_diamond_of_delta(delta, d, _INNER_TOL).value for delta in delta_stack)
     trace = sdp.solve_minimax_trace(delta_stack, 1e-8)
     return upper, min(max(0.0, trace.primal / d), distance)
 
@@ -332,7 +337,7 @@ def multi_copy_approx(target: Channel, single_set, copies: int, tol: float) -> M
     """
     if copies != 2:
         raise RangeError(f"copies={copies} unsupported; only copies=2 is implemented")
-    inner_tol = _inner_tol(tol)
+    _check_tol(tol)
     members = list(single_set)
     if not 1 <= len(members) <= 2:
         raise RangeError(f"two-copy set must have 1..2 members, got {len(members)}")
@@ -345,7 +350,7 @@ def multi_copy_approx(target: Channel, single_set, copies: int, tol: float) -> M
 
     # (c) the single-copy optimum tensored with itself.
     base = mix(members, single.weights)
-    tensored_res = _diamond_of_delta(pair_choi - choi(tensor(base, base)), 4, inner_tol)
+    tensored_res = _diamond_of_delta(pair_choi - choi(tensor(base, base)), 4, _INNER_TOL)
 
     # (a) correlated mixture over the two-copy set.
     correlated = optimal_convex_approx(pair_target, pair_set, tol)
@@ -376,7 +381,7 @@ def multi_copy_approx(target: Channel, single_set, copies: int, tol: float) -> M
             break
         prev_value = value
     product_delta = pair_choi - choi(tensor(mix(members, q_left), mix(members, q_right)))
-    product_res = _diamond_of_delta(product_delta, 4, inner_tol)
+    product_res = _diamond_of_delta(product_delta, 4, _INNER_TOL)
 
     if not (
         correlated.distance <= product_res.value + tol

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import (
+    _APPROX_TOL_FLOOR,
     approx_bounds,
     covariance_distance_x,
     damping_bounds,
@@ -57,10 +58,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NOCONVERGENCE = 3
 EXIT_INVARIANT = 4
-
-#: Convex-approximation routines certify to this floor; sweeps built on
-#: them clamp the requested tolerance up to it.
-_APPROX_TOL_FLOOR = 1e-6
 
 _CONVENTION = (
     "Choi matrix R = (map (x) id)(|eta><eta|) with unnormalized "

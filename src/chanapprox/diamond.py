@@ -25,6 +25,8 @@ from .errors import (
 from .linalg import dagger, trace_norm
 
 _MAX_DIM = 4
+#: Shared with approx's exact-member test, so a member's distance is its witness's.
+_ZERO_TRACE_NORM = 1e-12
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ def fixed_input_bound(a: Channel, b: Channel, state: np.ndarray) -> float:
 
 def _diamond_of_delta(delta: np.ndarray, ref_dim: int, tol: float) -> DiamondResult:
     """Certified diamond norm of the Hermitian map with Choi matrix delta."""
-    if trace_norm(delta) <= 1e-12:
+    if trace_norm(delta) <= _ZERO_TRACE_NORM:
         # The diamond norm is bounded by the Choi trace norm, so this is
         # exactly zero to working precision; W = 0 with the maximally
         # mixed reference state is an exact witness pair.

@@ -31,11 +31,13 @@ only its starting point, its witness and its dual projection.
    generators are 2 Tr_1[E_j] over the basis matrices E_j, then I.
 
 The engine follows the standard path-following scheme with the HKM search
-direction and a Mehrotra predictor-corrector step. The y-iterate is kept
-exactly feasible (slacks recomputed from y each iteration), so b.y is always
-a true lower bound; upper bounds come from an exact-feasibility projection
-of the dual iterate. The solver is deterministic: fixed starting point, no
-randomization.
+direction and a Mehrotra predictor-corrector step. The step length to the
+boundary of a block P along dP is -1/lambda_min(P^-1/2 dP P^-1/2), read
+from one eigendecomposition of P (Toh, Todd & Tutuncu, SDPT3, 1999). The
+y-iterate is kept exactly feasible (slacks recomputed from y each
+iteration), so b.y is always a true lower bound; upper bounds come from an
+exact-feasibility projection of the dual iterate. The solver is
+deterministic: fixed starting point, no randomization.
 
 The projected upper bound carries a small numerical floor (the dual iterate
 picks up roundoff infeasibility that scales like eps over the barrier
@@ -291,9 +293,7 @@ class _Program(_BlockProgram):
         x1 = _herm(mats[0])
         x2 = _herm(mats[1])
         if self.minimax:
-            x = np.clip(scal, 0.0, None)
-            s = x.sum()
-            x = np.full(self.k, 1.0 / self.k) if s <= 0 else x / s
+            x = scal / scal.sum()  # _solve_ipm keeps every scalar dual >= 1e-300
             delta = np.einsum("k,kab->ab", x, self.deltas)
         else:
             x = None
@@ -375,19 +375,18 @@ class _DualProgram(_BlockProgram):
         evals, evecs = np.linalg.eigh(xb)
         evals = np.clip(evals, 0.0, None)
         tr = evals.sum()
-        if tr <= 0.0:
+        if not tr > 0.0:
             return np.inf, None
         rho = (evecs * (evals / tr)) @ evecs.conj().T
         w = (xd - xv) / (2.0 * tr)
         # Restrict W to the numerical support of I (x) rho: components on the
         # near-kernel are pure roundoff but would dominate the feasibility
         # scaling below. The restricted W block-diagonalizes against the
-        # kernel, so the scaled pair stays exactly feasible.
+        # kernel, so the scaled pair stays exactly feasible. rho has unit
+        # trace, so its top eigenvalue is always kept.
         p = np.kron(np.eye(self.out), rho)
         lam, u = np.linalg.eigh(_herm(p))
         keep = lam > 1e-7 * lam[-1]
-        if not np.any(keep):
-            return np.inf, None
         lk = lam[keep]
         uk = u[:, keep]
         wk = uk.conj().T @ w @ uk
@@ -437,22 +436,18 @@ def _block_ip(a_mats, a_scal, b_mats, b_scal):
 
 
 def _max_step(mats, scal, d_mats, d_scal):
-    """sup alpha such that (mats, scal) + alpha * direction stays PSD."""
+    """sup alpha such that (mats, scal) + alpha * direction stays PSD.
+
+    Per block, alpha <= -1/lambda_min(R^H dP R) with R = U Lambda^-1/2 from
+    P = U Lambda U^H; flooring Lambda at a trace-relative jitter keeps the
+    step finite and nonnegative on a singular or roundoff-indefinite block.
+    """
     alpha = np.inf
     for pb, db in zip(mats, d_mats):
-        n = pb.shape[0]
-        jit = 1e-300 + 1e-15 * abs(np.trace(pb).real) / n
-        try:
-            ell = np.linalg.cholesky(pb + jit * np.eye(n))
-        except np.linalg.LinAlgError:
-            bump = -float(np.linalg.eigvalsh(pb)[0]) + 1e-15
-            try:
-                ell = np.linalg.cholesky(pb + bump * np.eye(n))
-            except np.linalg.LinAlgError:
-                return 0.0
-        g = np.linalg.solve(ell, db)
-        g = np.linalg.solve(ell, g.conj().T).conj().T
-        lmin = float(np.linalg.eigvalsh(_herm(g))[0])
+        lam, u = np.linalg.eigh(pb)
+        jit = 1e-300 + 1e-15 * abs(np.trace(pb).real) / pb.shape[0]
+        r = u / np.sqrt(np.maximum(lam, jit))
+        lmin = float(np.linalg.eigvalsh(_herm(r.conj().T @ db @ r))[0])
         if lmin < 0.0:
             alpha = min(alpha, -1.0 / lmin)
     neg = d_scal < 0.0
@@ -474,7 +469,16 @@ def _lin_solve(m, rhs):
 
 
 def _solve_ipm(prog, gap_tol: float) -> SdpSolution:
-    """Best certified bracket of one program; never raises on a wide gap."""
+    """Best certified bracket of one program; never raises on a wide gap.
+
+    Each iteration keeps the best lower bound b.y and the best projected
+    upper bound, then stops at the first of: the gap target (gap <=
+    gap_tol); the gap stall or the mu stall (6 iterations in a row without
+    lower-bound progress that shrink the gap by under 0.1%, or mu by under
+    10%); the mu floor (mu < 5e-14); ``_MAX_ITER`` iterations; or a
+    ``LinAlgError`` (a singular slack or Schur matrix, or a failed
+    eigensolve) anywhere in the iteration.
+    """
     y, x_mats, x_scal = prog.start()
     best_primal = -np.inf
     best_y = y.copy()
@@ -487,101 +491,90 @@ def _solve_ipm(prog, gap_tol: float) -> SdpSolution:
     prev_gap = np.inf
     prev_mu = np.inf
     prev_best_primal = -np.inf
-    for iterations in range(1, _MAX_ITER + 1):
-        s_mats, s_scal = prog.slack_blocks(y)
-        s_mats = [_herm(sb) for sb in s_mats]
-        primal = float(prog.b @ y)
-        if primal > best_primal:
-            best_primal = primal
-            best_y = y.copy()
-        dual, weights = prog.project_dual(x_mats, x_scal)
-        if dual < best_dual:
-            best_dual = dual
-            best_weights = weights
-        gap = best_dual - best_primal
-        if gap <= gap_tol:
-            break
-        # Stop once progress has hit its numerical floor: further iterations
-        # only erode the iterates. Progress is measured on the certified gap
-        # when a projection is available and on the barrier parameter
-        # otherwise; a lower bound still improving at tolerance scale always
-        # counts as progress.
-        primal_progress = best_primal > prev_best_primal + 0.02 * gap_tol
-        prev_best_primal = best_primal
-        if (
-            not primal_progress
-            and np.isfinite(gap)
-            and gap > prev_gap - max(1e-3 * abs(gap), 1e-15)
-        ):
-            stall += 1
-            if stall >= 6:
+    try:
+        for iterations in range(1, _MAX_ITER + 1):
+            s_mats, s_scal = prog.slack_blocks(y)
+            s_mats = [_herm(sb) for sb in s_mats]
+            primal = float(prog.b @ y)
+            if primal > best_primal:
+                best_primal = primal
+                best_y = y.copy()
+            dual, weights = prog.project_dual(x_mats, x_scal)
+            if dual < best_dual:
+                best_dual = dual
+                best_weights = weights
+            gap = best_dual - best_primal
+            if gap <= gap_tol:
                 break
-        else:
-            stall = 0
-        prev_gap = gap
+            # Stop once progress has hit its numerical floor: further
+            # iterations only erode the iterates. Progress is measured on the
+            # certified gap when a projection is available (an infinite gap
+            # compares false) and on the barrier parameter otherwise; a lower
+            # bound still improving at tolerance scale always counts.
+            primal_progress = best_primal > prev_best_primal + 0.02 * gap_tol
+            prev_best_primal = best_primal
+            if not primal_progress and gap > prev_gap - max(1e-3 * abs(gap), 1e-15):
+                stall += 1
+                if stall >= 6:
+                    break
+            else:
+                stall = 0
+            prev_gap = gap
 
-        try:
-            z_mats = [np.linalg.inv(sb) for sb in s_mats]
-        except np.linalg.LinAlgError:
-            break
-        z_mats = [_herm(zb) for zb in z_mats]
-        z_scal = 1.0 / s_scal
-        mu = _block_ip(x_mats, x_scal, s_mats, s_scal) / prog.block_trace
-        if mu < 5e-14:
-            break
-        if not primal_progress and mu > 0.9 * prev_mu:
-            mu_stall += 1
-            if mu_stall >= 6:
+            z_mats = [_herm(np.linalg.inv(sb)) for sb in s_mats]
+            z_scal = 1.0 / s_scal
+            mu = _block_ip(x_mats, x_scal, s_mats, s_scal) / prog.block_trace
+            if mu < 5e-14:
                 break
-        else:
-            mu_stall = 0
-        prev_mu = mu
-        m = prog.schur(x_mats, z_mats, x_scal * z_scal)
-        m[np.diag_indices_from(m)] += 1e-13 * (np.trace(m) / prog.m + 1.0)
-        az = prog.apply(z_mats, z_scal)
+            if not primal_progress and mu > 0.9 * prev_mu:
+                mu_stall += 1
+                if mu_stall >= 6:
+                    break
+            else:
+                mu_stall = 0
+            prev_mu = mu
+            m = prog.schur(x_mats, z_mats, x_scal * z_scal)
+            m[np.diag_indices_from(m)] += 1e-13 * (np.trace(m) / prog.m + 1.0)
+            az = prog.apply(z_mats, z_scal)
 
-        # predictor (affine scaling)
-        try:
+            # predictor (affine scaling)
             dy_a = _lin_solve(m, prog.b)
-        except np.linalg.LinAlgError:
-            break
-        adj_mats, adj_scal = prog.adjoint_blocks(dy_a)
-        ds_a_mats = [-ab for ab in adj_mats]
-        ds_a_scal = -adj_scal
-        dx_a_mats = [
-            _herm(-xb + xb @ ab @ zb) for xb, ab, zb in zip(x_mats, adj_mats, z_mats)
-        ]
-        dx_a_scal = -x_scal + x_scal * adj_scal * z_scal
-        ap = min(1.0, 0.99 * _max_step(x_mats, x_scal, dx_a_mats, dx_a_scal))
-        ad = min(1.0, 0.99 * _max_step(s_mats, s_scal, ds_a_mats, ds_a_scal))
-        xa_mats = [xb + ap * db for xb, db in zip(x_mats, dx_a_mats)]
-        xa_scal = x_scal + ap * dx_a_scal
-        sa_mats = [sb + ad * db for sb, db in zip(s_mats, ds_a_mats)]
-        sa_scal = s_scal + ad * ds_a_scal
-        mu_aff = max(0.0, _block_ip(xa_mats, xa_scal, sa_mats, sa_scal)) / prog.block_trace
-        sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10))
+            adj_mats, adj_scal = prog.adjoint_blocks(dy_a)
+            ds_a_mats = [-ab for ab in adj_mats]
+            ds_a_scal = -adj_scal
+            dx_a_mats = [
+                _herm(-xb + xb @ ab @ zb) for xb, ab, zb in zip(x_mats, adj_mats, z_mats)
+            ]
+            dx_a_scal = -x_scal + x_scal * adj_scal * z_scal
+            ap = min(1.0, 0.99 * _max_step(x_mats, x_scal, dx_a_mats, dx_a_scal))
+            ad = min(1.0, 0.99 * _max_step(s_mats, s_scal, ds_a_mats, ds_a_scal))
+            xa_mats = [xb + ap * db for xb, db in zip(x_mats, dx_a_mats)]
+            xa_scal = x_scal + ap * dx_a_scal
+            sa_mats = [sb + ad * db for sb, db in zip(s_mats, ds_a_mats)]
+            sa_scal = s_scal + ad * ds_a_scal
+            mu_aff = max(0.0, _block_ip(xa_mats, xa_scal, sa_mats, sa_scal)) / prog.block_trace
+            sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10))
 
-        # corrector
-        corr_mats = [da @ ds @ zb for da, ds, zb in zip(dx_a_mats, ds_a_mats, z_mats)]
-        corr_scal = dx_a_scal * ds_a_scal * z_scal
-        rhs = prog.b - sigma * mu * az + prog.apply(corr_mats, corr_scal)
-        try:
+            # corrector
+            corr_mats = [da @ ds @ zb for da, ds, zb in zip(dx_a_mats, ds_a_mats, z_mats)]
+            corr_scal = dx_a_scal * ds_a_scal * z_scal
+            rhs = prog.b - sigma * mu * az + prog.apply(corr_mats, corr_scal)
             dy = _lin_solve(m, rhs)
-        except np.linalg.LinAlgError:
-            break
-        adj_mats, adj_scal = prog.adjoint_blocks(dy)
-        ds_mats = [-ab for ab in adj_mats]
-        ds_scal = -adj_scal
-        dx_mats = [
-            _herm(sigma * mu * zb - xb - cb + xb @ ab @ zb)
-            for xb, ab, zb, cb in zip(x_mats, adj_mats, z_mats, corr_mats)
-        ]
-        dx_scal = sigma * mu * z_scal - x_scal - corr_scal + x_scal * adj_scal * z_scal
-        ap = min(1.0, tau * _max_step(x_mats, x_scal, dx_mats, dx_scal))
-        ad = min(1.0, tau * _max_step(s_mats, s_scal, ds_mats, ds_scal))
-        x_mats = [_herm(xb + ap * db) for xb, db in zip(x_mats, dx_mats)]
-        x_scal = np.maximum(x_scal + ap * dx_scal, 1e-300)
-        y = y + ad * dy
+            adj_mats, adj_scal = prog.adjoint_blocks(dy)
+            ds_mats = [-ab for ab in adj_mats]
+            ds_scal = -adj_scal
+            dx_mats = [
+                _herm(sigma * mu * zb - xb - cb + xb @ ab @ zb)
+                for xb, ab, zb, cb in zip(x_mats, adj_mats, z_mats, corr_mats)
+            ]
+            dx_scal = sigma * mu * z_scal - x_scal - corr_scal + x_scal * adj_scal * z_scal
+            ap = min(1.0, tau * _max_step(x_mats, x_scal, dx_mats, dx_scal))
+            ad = min(1.0, tau * _max_step(s_mats, s_scal, ds_mats, ds_scal))
+            x_mats = [_herm(xb + ap * db) for xb, db in zip(x_mats, dx_mats)]
+            x_scal = np.maximum(x_scal + ap * dx_scal, 1e-300)
+            y = y + ad * dy
+    except np.linalg.LinAlgError:
+        pass  # the best bracket so far stands
 
     w, rho = prog.witness(best_y)
     return SdpSolution(

@@ -51,6 +51,16 @@ def test_member_target_gets_weight_one() -> None:
     npt.assert_allclose(res.weights, [1.0, 0.0], atol=1e-9)
 
 
+def test_near_member_distance_is_its_witness_value() -> None:
+    # Choi trace norm 1.2e-12: above the 1e-12 exact-zero threshold but below
+    # 1e-12 * d, so a d-scaled member test would report 0 against a 2e-8 witness
+    target = unitary_qubit(3e-13, 0.0, 0.0)
+    res = optimal_convex_approx(target, [identity(2), unitary_channel(PAULI[1])], tol=1e-6)
+    assert res.distance == res.witness.value
+    assert 0.0 <= res.witness.primal <= res.distance <= res.witness.dual <= 1e-6
+    assert res.weights[0] >= 1.0 - 1e-6
+
+
 def test_hull_interior_target_has_near_zero_distance() -> None:
     target = pauli_channel([0.3, 0.3, 0.2, 0.2])
     res = optimal_convex_approx(target, pauli_unitaries(), tol=1e-6)

@@ -20,6 +20,7 @@ from chanapprox import (
     cli,
     damping_bounds,
 )
+from chanapprox import sdp
 from chanapprox.errors import NoConvergenceError
 
 IDENTITY = '{"kind": "unitary", "alpha": 0, "beta": 0, "delta": 0}'
@@ -164,6 +165,15 @@ def test_exit_code_no_convergence(monkeypatch, capsys) -> None:
     monkeypatch.setattr(cli, "diamond_sdp", explode)
     assert cli.main(["diamond", IDENTITY, PAULI_ID]) == cli.EXIT_NOCONVERGENCE
     assert "error:" in capsys.readouterr().err
+    monkeypatch.undo()
+
+    # the real solver: a singular Schur solve leaves a wide certified gap
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(sdp, "_lin_solve", singular)
+    assert cli.main(["diamond", PHASE_U, IDENTITY]) == cli.EXIT_NOCONVERGENCE
+    assert "above tolerance" in capsys.readouterr().err
 
 
 def test_exit_code_invariant_violation(tmp_path, monkeypatch, capsys) -> None:

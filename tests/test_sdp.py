@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from chanapprox import (
     choi,
@@ -16,6 +17,7 @@ from chanapprox import (
 )
 from chanapprox.channels import PAULI
 from chanapprox import sdp
+from chanapprox.errors import NoConvergenceError
 
 import helpers
 
@@ -230,3 +232,80 @@ def test_program_operators_are_consistent_for_every_shape() -> None:
         brute = 0.5 * (brute + brute.T)
         fast = prog.schur(x_mats, z_mats, x_scal * z_scal)
         _assert_rel(fast, brute, _norm(brute))
+
+
+# --- step length and forced exits -------------------------------------------
+
+
+def _random_herm(size: int, gen: np.random.Generator) -> np.ndarray:
+    g = gen.normal(size=(size, size)) + 1j * gen.normal(size=(size, size))
+    return 0.5 * (g + g.conj().T)
+
+
+def test_max_step_matches_brute_force_scaled_eigenvalue() -> None:
+    gen = helpers.rng(37)
+    for trial in range(6):
+        mats = [_random_pd(s, gen) for s in (2, 4, 3)]
+        d_mats = [_random_herm(s, gen) for s in (2, 4, 3)]
+        scal = gen.uniform(0.5, 2.0, size=3)
+        # even trials let the scalar part bind, odd ones leave it unbounded
+        d_scal = gen.uniform(-50.0, -20.0, size=3) if trial % 2 == 0 else np.ones(3)
+        steps = list(scal / -d_scal) if trial % 2 == 0 else []
+        for p, dp in zip(mats, d_mats):
+            # the generalized eigenvalues of (dP, P) are those of P^-1/2 dP P^-1/2
+            lmin = float(np.linalg.eigvals(np.linalg.solve(p, dp)).real.min())
+            if lmin < 0.0:
+                steps.append(-1.0 / lmin)
+        expected = min(steps)
+        got = sdp._max_step(mats, scal, d_mats, d_scal)
+        assert abs(got - expected) <= 1e-12 * expected, (trial, got, expected)
+
+
+def test_max_step_is_finite_on_singular_and_indefinite_blocks() -> None:
+    no_scal = np.zeros(0)
+    directions = (-np.eye(2), np.diag([0.5, -2.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for diag in ([1.0, 0.0], [1.0, -1e-10]):
+        block = np.diag(diag).astype(complex)
+        for direction in directions:
+            step = sdp._max_step([block], no_scal, [direction], no_scal)
+            assert np.isfinite(step) and step >= 0.0, (diag, step)
+
+
+def _worst_unitary_deltas() -> list[np.ndarray]:
+    target = choi(unitary_qubit(np.pi / 4, np.pi / 4, np.pi / 4))
+    return [target - choi(ch) for ch in pauli_unitaries()]
+
+
+def test_linalg_error_ends_the_solve_with_its_bracket(monkeypatch) -> None:
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    deltas = _worst_unitary_deltas()
+    monkeypatch.setattr(sdp, "_lin_solve", singular)
+    sol = sdp.solve_minimax(deltas, 2, TOL)
+    assert sol.iterations == 1
+    assert np.isfinite(sol.primal) and np.isfinite(sol.dual)
+    assert sol.primal <= sol.dual
+    with pytest.raises(NoConvergenceError, match="above tolerance"):
+        sdp.solve_fixed(deltas[0], 2, TOL)
+
+
+def test_mu_floor_stops_the_solve_without_dividing_by_zero(monkeypatch) -> None:
+    monkeypatch.setattr(sdp, "_block_ip", lambda *args: 0.0)
+    assert sdp.solve_minimax(_worst_unitary_deltas(), 2, TOL).iterations == 1
+
+
+def test_iteration_cap_ends_the_solve(monkeypatch) -> None:
+    monkeypatch.setattr(sdp, "_MAX_ITER", 2)
+    sol = sdp.solve_minimax(_worst_unitary_deltas(), 2, TOL)
+    assert sol.iterations == 2
+    assert sol.gap > TOL
+
+
+def test_dual_projection_rejects_a_zero_or_nan_reference_block() -> None:
+    gen = helpers.rng(39)
+    delta = choi(helpers.random_channel(2, 2, gen)) - choi(helpers.random_channel(2, 2, gen))
+    prog = sdp._DualProgram(delta, 2)
+    eye = np.eye(4, dtype=complex)
+    for ref_block in (np.zeros((2, 2), dtype=complex), np.full((2, 2), np.nan, dtype=complex)):
+        assert prog.project_dual([eye, eye, ref_block], np.zeros(0)) == (np.inf, None)
