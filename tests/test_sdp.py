@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -271,6 +276,43 @@ def test_max_step_is_finite_on_singular_and_indefinite_blocks() -> None:
             assert np.isfinite(step) and step >= 0.0, (diag, step)
 
 
+# --- Schur solve -------------------------------------------------------------
+
+
+def test_tri_inv_matches_dense_inverse_and_stays_lower_triangular() -> None:
+    gen = helpers.rng(40)
+    # the base case, both sides of the base size, an odd split, the Schur sizes
+    for size in (1, 19, 64, 65, 271, 273):
+        g = gen.normal(size=(size, size))
+        low = np.linalg.cholesky(g @ g.T / size + np.eye(size))
+        got = sdp._tri_inv(low)
+        expected = np.linalg.inv(low)
+        assert _norm(got - expected) <= 1e-12 * _norm(expected), size
+        assert not np.any(np.triu(got, 1)), size
+
+
+def test_lin_solve_residual_matches_lu_with_refinement() -> None:
+    gen = helpers.rng(41)
+    size = 70
+    total = lu_total = 0.0
+    for _ in range(12):
+        # condition number 1e10, as on a late Schur matrix
+        q, _ = np.linalg.qr(gen.normal(size=(size, size)))
+        m = (q * np.logspace(0.0, -10.0, size)) @ q.T
+        m = 0.5 * (m + m.T)
+        rhs = gen.normal(size=size)
+        x = sdp._lin_solve(m, sdp._tri_inv(np.linalg.cholesky(m)), rhs)
+        lu = np.linalg.solve(m, rhs)
+        for _ in range(2):
+            lu = lu + np.linalg.solve(m, rhs - m @ lu)
+        total += _norm(rhs - m @ x)
+        lu_total += _norm(rhs - m @ lu)
+    # Both residuals end at roundoff, where their order on one system is a
+    # coin flip, so the test sums twelve. Without refinement the sum is
+    # 3.5x to 6x the LU one.
+    assert total <= 1.25 * lu_total, (total, lu_total)
+
+
 def _worst_unitary_deltas() -> list[np.ndarray]:
     target = choi(unitary_qubit(np.pi / 4, np.pi / 4, np.pi / 4))
     return [target - choi(ch) for ch in pauli_unitaries()]
@@ -288,6 +330,65 @@ def test_linalg_error_ends_the_solve_with_its_bracket(monkeypatch) -> None:
     assert sol.primal <= sol.dual
     with pytest.raises(NoConvergenceError, match="above tolerance"):
         sdp.solve_fixed(deltas[0], 2, TOL)
+
+
+def test_one_cholesky_and_no_lu_solve_per_newton_system(monkeypatch) -> None:
+    counts = {"cholesky": 0, "solve": 0, "schur": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(sdp.np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(sdp.np.linalg, "solve", counted("solve", np.linalg.solve))
+    monkeypatch.setattr(
+        sdp._BlockProgram, "schur", counted("schur", sdp._BlockProgram.schur)
+    )
+    delta = choi(unitary_qubit(0.3, 0.2, 0.1)) - choi(unitary_channel(PAULI[1]))
+    for solve in (
+        lambda: sdp.solve_minimax(_worst_unitary_deltas(), 2, TOL),
+        lambda: sdp.solve_fixed(delta, 2, TOL),
+    ):
+        counts.update(cholesky=0, solve=0, schur=0)
+        sol = solve()
+        assert sol.gap <= TOL
+        # the iteration that meets the gap target builds no Newton system
+        built = sol.iterations - 1
+        assert counts == {"cholesky": built, "solve": 0, "schur": built}
+
+
+def test_failed_cholesky_ends_the_solve_with_its_bracket(monkeypatch) -> None:
+    monkeypatch.setattr(sdp._BlockProgram, "schur", lambda self, *args: -np.eye(self.m))
+    deltas = _worst_unitary_deltas()
+    sol = sdp.solve_minimax(deltas, 2, TOL)
+    assert sol.iterations == 1
+    assert np.isfinite(sol.primal) and np.isfinite(sol.dual)
+    assert sol.primal <= sol.dual
+    with pytest.raises(NoConvergenceError, match="above tolerance"):
+        sdp.solve_fixed(deltas[0], 2, TOL)
+
+
+def test_diamond_sdp_imports_no_scipy() -> None:
+    """The solver is NumPy-only: SciPy is neither declared nor imported."""
+    src = str(Path(sdp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from chanapprox import diamond_sdp, identity, unitary_qubit\n"
+        "diamond_sdp(unitary_qubit(0.3, 0.2, 0.1), identity(2), 1e-8)\n"
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_mu_floor_stops_the_solve_without_dividing_by_zero(monkeypatch) -> None:
