@@ -123,11 +123,12 @@ def _json_text(payload) -> str:
 def _map_rows(worker, items, workers: int) -> list:
     """Evaluate ``worker`` over ``items`` preserving order.
 
-    With ``workers > 1`` the rows are computed in a process pool;
-    ``ProcessPoolExecutor.map`` preserves input order, so parallel and
-    serial runs emit byte-identical output.
+    With ``workers > 1`` the rows go to a process pool of at most one
+    worker per row; ``ProcessPoolExecutor.map`` preserves input order, so
+    parallel and serial runs emit byte-identical output.
     """
-    if workers <= 1 or len(items) <= 1:
+    workers = min(workers, len(items))
+    if workers <= 1:
         return [worker(item) for item in items]
     chunk = max(1, len(items) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -509,7 +510,8 @@ def _add_sweep_flags(sub, grid: str) -> None:
         const="auto",
         default=None,
         help="compute rows in a process pool (optionally give a worker "
-        "count; output is byte-identical to a serial run)",
+        "count, capped at the number of rows; output is byte-identical to "
+        "a serial run)",
     )
 
 

@@ -33,9 +33,10 @@ _ZERO_TRACE_NORM = 1e-12
 class DiamondResult:
     """Certified diamond distance with witness and two-sided bounds.
 
-    ``witness_state`` is the optimal input's reduced state rho on the
-    reference factor; ``witness_operator`` is the Hermitian W with
-    -I(x)rho <= W <= I(x)rho achieving the primal bound.
+    ``witness_state`` is the input's reduced state rho on the reference
+    factor; ``witness_operator`` is a Hermitian W with -I(x)rho <= W <=
+    I(x)rho and Tr[Delta W] >= ``primal`` for the measured Choi difference
+    Delta (for a mixture, at its returned weights).
     """
 
     value: float
@@ -47,6 +48,21 @@ class DiamondResult:
     @property
     def gap(self) -> float:
         return self.dual - self.primal
+
+    @classmethod
+    def _of_solution(cls, sol: sdp.SdpSolution) -> DiamondResult:
+        """The certificate of a fixed or minimax bracket, valued at its midpoint
+        capped at 2; a minimax t below 0 (near a member) gives way to 0 at W = 0."""
+        primal, w = sol.primal, sol.witness_w
+        if primal < 0.0:
+            primal, w = 0.0, np.zeros_like(w)
+        return cls(
+            value=min(0.5 * (primal + sol.dual), 2.0),
+            witness_state=sol.witness_rho,
+            witness_operator=w,
+            primal=primal,
+            dual=sol.dual,
+        )
 
 
 @dataclass(frozen=True)
@@ -151,15 +167,7 @@ def _diamond_of_delta(delta: np.ndarray, ref_dim: int, tol: float) -> DiamondRes
             primal=0.0,
             dual=0.0,
         )
-    sol = sdp.solve_fixed(delta, ref_dim, tol)
-    value = min(0.5 * (sol.primal + sol.dual), 2.0)
-    return DiamondResult(
-        value=value,
-        witness_state=sol.witness_rho,
-        witness_operator=sol.witness_w,
-        primal=sol.primal,
-        dual=sol.dual,
-    )
+    return DiamondResult._of_solution(sdp.solve_fixed(delta, ref_dim, tol))
 
 
 def diamond_sdp(a: Channel, b: Channel, tol: float = 1e-7) -> DiamondResult:

@@ -513,7 +513,6 @@ def _solve_ipm(prog, gap_tol: float) -> SdpSolution:
     best_y = y.copy()
     best_dual = np.inf
     best_weights = None
-    tau = 0.99
     iterations = 0
     stall = 0
     mu_stall = 0
@@ -567,17 +566,25 @@ def _solve_ipm(prog, gap_tol: float) -> SdpSolution:
             li = _tri_inv(np.linalg.cholesky(m))
             az = prog.apply(z_mats, z_scal)
 
-            # predictor (affine scaling)
-            dy_a = _lin_solve(m, li, prog.b)
-            adj_mats, adj_scal = prog.adjoint_blocks(dy_a)
-            ds_a_mats = [-ab for ab in adj_mats]
-            ds_a_scal = -adj_scal
-            dx_a_mats = [
-                _herm(-xb + xb @ ab @ zb) for xb, ab, zb in zip(x_mats, adj_mats, z_mats)
-            ]
-            dx_a_scal = -x_scal + x_scal * adj_scal * z_scal
-            ap = min(1.0, 0.99 * _max_step(x_mats, x_scal, dx_a_mats, dx_a_scal))
-            ad = min(1.0, 0.99 * _max_step(s_mats, s_scal, ds_a_mats, ds_a_scal))
+            def direction(rhs, smu, corr_mats, corr_scal):
+                """HKM direction (dx, ds, dy) for the right-hand side ``rhs``, centring
+                target ``smu`` and second-order term ``corr``; then its damped steps."""
+                dy = _lin_solve(m, li, rhs)
+                adj_mats, adj_scal = prog.adjoint_blocks(dy)
+                ds_mats, ds_scal = [-ab for ab in adj_mats], -adj_scal
+                dx_mats = [
+                    _herm(smu * zb - xb - cb + xb @ ab @ zb)
+                    for xb, ab, zb, cb in zip(x_mats, adj_mats, z_mats, corr_mats)
+                ]
+                dx_scal = smu * z_scal - x_scal - corr_scal + x_scal * adj_scal * z_scal
+                ap = min(1.0, 0.99 * _max_step(x_mats, x_scal, dx_mats, dx_scal))
+                ad = min(1.0, 0.99 * _max_step(s_mats, s_scal, ds_mats, ds_scal))
+                return dx_mats, dx_scal, ds_mats, ds_scal, dy, ap, ad
+
+            # predictor: the affine-scaling direction, smu = 0 and no correction
+            dx_a_mats, dx_a_scal, ds_a_mats, ds_a_scal, _, ap, ad = direction(
+                prog.b, 0.0, [0.0] * len(x_mats), 0.0
+            )
             xa_mats = [xb + ap * db for xb, db in zip(x_mats, dx_a_mats)]
             xa_scal = x_scal + ap * dx_a_scal
             sa_mats = [sb + ad * db for sb, db in zip(s_mats, ds_a_mats)]
@@ -589,17 +596,7 @@ def _solve_ipm(prog, gap_tol: float) -> SdpSolution:
             corr_mats = [da @ ds @ zb for da, ds, zb in zip(dx_a_mats, ds_a_mats, z_mats)]
             corr_scal = dx_a_scal * ds_a_scal * z_scal
             rhs = prog.b - sigma * mu * az + prog.apply(corr_mats, corr_scal)
-            dy = _lin_solve(m, li, rhs)
-            adj_mats, adj_scal = prog.adjoint_blocks(dy)
-            ds_mats = [-ab for ab in adj_mats]
-            ds_scal = -adj_scal
-            dx_mats = [
-                _herm(sigma * mu * zb - xb - cb + xb @ ab @ zb)
-                for xb, ab, zb, cb in zip(x_mats, adj_mats, z_mats, corr_mats)
-            ]
-            dx_scal = sigma * mu * z_scal - x_scal - corr_scal + x_scal * adj_scal * z_scal
-            ap = min(1.0, tau * _max_step(x_mats, x_scal, dx_mats, dx_scal))
-            ad = min(1.0, tau * _max_step(s_mats, s_scal, ds_mats, ds_scal))
+            dx_mats, dx_scal, _, _, dy, ap, ad = direction(rhs, sigma * mu, corr_mats, corr_scal)
             x_mats = [_herm(xb + ap * db) for xb, db in zip(x_mats, dx_mats)]
             x_scal = np.maximum(x_scal + ap * dx_scal, 1e-300)
             y = y + ad * dy

@@ -31,7 +31,7 @@ from chanapprox import (
     unitary_channel,
     unitary_qubit,
 )
-from chanapprox import approx, sdp
+from chanapprox import approx, choi, cli, sdp
 from chanapprox.channels import PAULI
 from chanapprox.errors import DimMismatchError, NoConvergenceError, RangeError
 
@@ -156,8 +156,8 @@ def test_approx_input_validation() -> None:
 
 
 def test_missing_joint_weights_raise_instead_of_returning_a_vertex(monkeypatch) -> None:
-    # Without joint weights only the vertices remain, and none of them is
-    # within the optimality slack of a target inside the members' hull.
+    # Without joint weights there is no certified mixture, and no vertex is
+    # close to a target inside the members' hull: the solve must fail.
     solve = sdp._solve_ipm
 
     def without_weights(prog, *args, **kwargs):
@@ -172,29 +172,116 @@ def test_missing_joint_weights_raise_instead_of_returning_a_vertex(monkeypatch) 
         optimal_convex_approx(target, pauli_unitaries(), tol=1e-6)
 
 
-def test_non_member_target_costs_one_minimax_and_one_fixed_solve(monkeypatch) -> None:
+def _kind(prog) -> str:
+    if isinstance(prog, sdp._DualProgram):
+        return "dual"
+    return "fixed" if not prog.minimax else "minimax" if prog.ref else "trace"
+
+
+def test_non_member_target_costs_one_minimax_solve(monkeypatch) -> None:
     solve = sdp._solve_ipm
     kinds = []
 
     def counting(prog, *args, **kwargs):
-        # the dual-program fallback of a fixed solve is not a solve of its own
-        if not isinstance(prog, sdp._DualProgram):
-            kinds.append("fixed" if not prog.minimax else "minimax" if prog.ref else "trace")
+        kinds.append(_kind(prog))
         return solve(prog, *args, **kwargs)
 
     monkeypatch.setattr(sdp, "_solve_ipm", counting)
     res = optimal_convex_approx(unitary_qubit(0.43, 0.91, 0.27), pauli_unitaries(), tol=1e-6)
     assert res.iterations > 0
-    assert sorted(kinds) == ["fixed", "minimax"]
+    assert kinds == ["minimax"]
     kinds.clear()
     pauli_distance_damping(0.7, 0.5)
-    assert sorted(kinds) == ["fixed", "minimax"]
+    assert kinds == ["minimax"]
+
+
+def _widen_joint(monkeypatch, **bounds) -> list:
+    """Reset the joint minimax solve's bounds; log every program kind."""
+    solve = sdp._solve_ipm
+    kinds = []
+
+    def widened(prog, *args, **kwargs):
+        sol = solve(prog, *args, **kwargs)
+        kinds.append(_kind(prog))
+        if kinds[-1] == "minimax":
+            sol = dataclasses.replace(sol, **{k: f(sol) for k, f in bounds.items()})
+        return sol
+
+    monkeypatch.setattr(sdp, "_solve_ipm", widened)
+    return kinds
+
+
+def test_stalled_joint_bracket_falls_back_to_a_fixed_solve(monkeypatch) -> None:
+    # Rare rows stall the joint bracket above 1e-7 (the upper side, or both
+    # sides by a few 1e-7); a fixed solve at the weights is then the witness.
+    target = unitary_qubit(0.43, 0.91, 0.27)
+    plain = optimal_convex_approx(target, pauli_unitaries(), tol=1e-6)
+    for stall in (
+        {"dual": lambda sol: sol.primal + 2e-7},
+        {"primal": lambda sol: sol.primal - 5e-7, "dual": lambda sol: sol.dual + 5e-7},
+    ):
+        kinds = _widen_joint(monkeypatch, **stall)
+        res = optimal_convex_approx(target, pauli_unitaries(), tol=1e-6)
+        assert kinds[:2] == ["minimax", "fixed"]
+        assert res.weights.tobytes() == plain.weights.tobytes()
+        assert res.witness.gap <= 1e-7
+        assert abs(res.distance - plain.distance) <= 1e-7
+        monkeypatch.undo()
+
+
+def test_joint_bound_far_below_the_distance_raises_and_approx_exits_3(monkeypatch, capsys) -> None:
+    # weights whose distance is more than tol above the joint lower bound
+    # are not certified near-optimal
+    _widen_joint(monkeypatch, primal=lambda sol: sol.dual - 2e-6)
+    with pytest.raises(NoConvergenceError, match="above the certified optimum"):
+        optimal_convex_approx(unitary_qubit(0.43, 0.91, 0.27), pauli_unitaries(), tol=1e-6)
+    # a looser tol accepts the same weights
+    loose = optimal_convex_approx(unitary_qubit(0.43, 0.91, 0.27), pauli_unitaries(), tol=1e-5)
+    assert loose.witness.gap <= 1e-7
+    phase = '{"kind": "unitary", "alpha": 0, "beta": 0.5, "delta": 0}'
+    members = ['{"kind": "pauli", "p": [1, 0, 0, 0]}', '{"kind": "pauli", "p": [0, 0, 0, 1]}']
+    assert cli.main(["approx", phase, *members]) == cli.EXIT_NOCONVERGENCE
+    assert "above the certified optimum" in capsys.readouterr().err
+
+
+def _recheck_witness(target, members, res) -> None:
+    """Re-check a mixture's lower-bound certificate from its matrices alone."""
+    cert = res.witness
+    rho, w = cert.witness_state, cert.witness_operator
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+    lift = np.kron(np.eye(target.dim), rho)
+    assert np.linalg.eigvalsh(lift - w)[0] >= -1e-12
+    assert np.linalg.eigvalsh(lift + w)[0] >= -1e-12
+    delta = choi(target) - sum(p * choi(ch) for p, ch in zip(res.weights, members))
+    assert np.einsum("ab,ba->", delta, w).real >= cert.primal - 1e-12
+    assert 0.0 <= cert.primal <= res.distance <= cert.dual <= cert.primal + 1e-7
+
+
+def test_mixture_witness_rechecks_from_its_matrices() -> None:
+    paulis = pauli_unitaries()
+    # a fig2 row and a fig3 row: the damping weights (1-2p, p, p, 0) mix
+    # the four Paulis into the same channel as the two-endpoint mixture
+    for fig2_target in (
+        unitary_qubit(0.43, 0.91, np.pi / 8),
+        # rows whose joint bracket stalls: its upper side, then both sides
+        unitary_qubit(np.pi / 6, np.pi / 3, 1.5 * np.pi + 0.0023),
+        unitary_qubit(np.pi / 6, 0.0, 5.79819173389371),
+    ):
+        _recheck_witness(fig2_target, paulis, optimal_convex_approx(fig2_target, paulis, 1e-6))
+    _recheck_witness(damping(0.7, 0.5), paulis, pauli_distance_damping(0.7, 0.5))
+    # near a member the joint lower bound dips below 0; W = 0 attains the 0
+    near = unitary_qubit(3e-13, 0.0, 0.0)
+    members = [identity(2), unitary_channel(PAULI[1])]
+    res = optimal_convex_approx(near, members, 1e-6)
+    assert res.witness.primal == 0.0 and not res.witness.witness_operator.any()
+    _recheck_witness(near, members, res)
 
 
 def test_vertex_optimal_target_matches_the_vertex_distance() -> None:
     # A fig2 grid point (delta = pi/8) whose optimal mixture is the identity
     # vertex: the joint weights land within a few 1e-9 of it, and their
-    # re-certified distance matches the vertex's own certificate.
+    # certified distance matches the vertex's own certificate.
     target = unitary_qubit(np.pi / 16, np.pi / 16, np.pi / 8)
     res = optimal_convex_approx(target, pauli_unitaries(), tol=1e-6)
     vertex = diamond_sdp(target, identity(2), tol=1e-7).value
@@ -422,26 +509,22 @@ def test_multi_copy_rejects_non_qubit() -> None:
 
 
 def test_multi_copy_nan_product_distance_breaks_the_ordering(monkeypatch) -> None:
-    solve, certify = approx.optimal_convex_approx, approx._diamond_of_delta
-    solved = []
-
-    def recording_solve(*args, **kwargs):
-        solved.append(solve(*args, **kwargs))
-        return solved[-1]
+    certify = approx._diamond_of_delta
+    certified = []
 
     def nan_product(delta, ref_dim, tol):
         res = certify(delta, ref_dim, tol)
-        # the product witness is the only certificate made after the
-        # single-copy and correlated solves have both returned
-        if len(solved) == 2:
+        certified.append(res)
+        # the tensored certificate comes first, the product certificate second
+        if len(certified) == 2:
             res = dataclasses.replace(res, value=float("nan"))
         return res
 
-    monkeypatch.setattr(approx, "optimal_convex_approx", recording_solve)
     monkeypatch.setattr(approx, "_diamond_of_delta", nan_product)
     u = unitary_qubit(0.0, np.pi / 6, 0.0)
     with pytest.raises(NoConvergenceError, match="ordering"):
         multi_copy_approx(u, [identity(2)], copies=2, tol=1e-6)
+    assert len(certified) == 2
 
 
 def test_multi_copy_singleton_set_collapses() -> None:

@@ -283,6 +283,35 @@ def test_fig1_parallel_output_is_byte_identical(tmp_path) -> None:
     assert serial.read_bytes() == parallel.read_bytes() == auto.read_bytes()
 
 
+def test_parallel_pool_has_at_most_one_worker_per_row(tmp_path, monkeypatch) -> None:
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    out = tmp_path / "fig4.csv"
+    for parallel, pools in (("5000", [3]), ("2", [3, 2])):
+        argv = ["fig4", "--grid", "3", "--parallel", parallel, "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert sizes == pools
+    # a single row never starts a pool
+    assert cli._map_rows(abs, [-1.0], 5000) == [1.0]
+    assert sizes == [3, 2]
+
+
 def test_fig2_center_value_and_symmetry(tmp_path) -> None:
     out = tmp_path / "fig2.csv"
     delta = repr(np.pi / 4)
@@ -451,16 +480,21 @@ def test_twocopy_text_output(monkeypatch, capsys) -> None:
     assert set(records["twocopy-product"]["bounds"]) == {"primal", "dual"}
 
 
-def test_module_entry_point_runs_in_subprocess(tmp_path) -> None:
-    out = tmp_path / "fig1.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "chanapprox.cli", "fig1", "--grid", "3", "--out", str(out)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    header, rows = _read_csv(out)
-    assert len(rows) == 3
+def test_module_entry_point_runs_in_subprocess(capsys) -> None:
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "chanapprox.cli", *argv], capture_output=True
+        )
+
+    # the exit code and the stdout bytes are those of an in-process run
+    proc = run("fig1", "--grid", "3")
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert cli.main(["fig1", "--grid", "3"]) == cli.EXIT_OK
+    assert proc.stdout == capsys.readouterr().out.encode("ascii")
+    proc = run("fig1", "--grid", "1")
+    assert proc.returncode == cli.EXIT_PARSE
+    assert proc.stdout == b""
+    assert b"error:" in proc.stderr
 
 
 # --- benchmark tracer --------------------------------------------------------

@@ -396,6 +396,17 @@ def test_mu_floor_stops_the_solve_without_dividing_by_zero(monkeypatch) -> None:
     assert sdp.solve_minimax(_worst_unitary_deltas(), 2, TOL).iterations == 1
 
 
+def test_mu_stall_ends_a_solve_that_cannot_move(monkeypatch) -> None:
+    # A zero step freezes the iterates, and an infinite projected bound keeps
+    # the gap stall from counting, so only the mu stall can stop the solve:
+    # the first iteration sets the lower bound, the next six leave mu as it is.
+    monkeypatch.setattr(sdp, "_max_step", lambda *args: 0.0)
+    monkeypatch.setattr(sdp._Program, "project_dual", lambda self, *args: (np.inf, None))
+    sol = sdp.solve_minimax(_worst_unitary_deltas(), 2, TOL)
+    assert sol.iterations == 7
+    assert (sol.primal, sol.dual, sol.weights) == (-1.0, np.inf, None)
+
+
 def test_iteration_cap_ends_the_solve(monkeypatch) -> None:
     monkeypatch.setattr(sdp, "_MAX_ITER", 2)
     sol = sdp.solve_minimax(_worst_unitary_deltas(), 2, TOL)
