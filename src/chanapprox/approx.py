@@ -12,7 +12,10 @@ duals are the weights p, its primal point (W, rho) has Tr[Delta(p) W] >= t,
 and its projected dual bound caps ||Delta(p)||_diamond, so [t, dual]
 brackets both the distance at p and the simplex optimum.  If that bracket
 stalls above 1e-7, a fixed solve at p certifies the distance instead, and
-it must lie within tol of t.  ``approx_bounds`` adds cheap two-sided bounds.
+it must lie within tol of t.  ``approx_bounds`` adds cheap two-sided bounds:
+a fixed solve per member, and the Choi trace bound, which is the same
+minimax program at reference dimension 1 (there -I <= W <= I, and the
+optimum is min_p ||sum_i p_i Delta_i||_1).
 """
 
 from __future__ import annotations
@@ -68,14 +71,13 @@ def _check_tol(tol: float) -> None:
         raise RangeError(f"tolerance {tol:g} must be finite and at least 1e-6")
 
 
-def _simplex_deltas(target: Channel, set, tol: float) -> np.ndarray:
+def _simplex_deltas(target: Channel, set) -> np.ndarray:
     """Validate; return the stacked choi(target) - choi(set[i])."""
     members = list(set)
     if not 1 <= len(members) <= _MAX_SET:
         raise RangeError(
             f"approximating set must have 1..{_MAX_SET} members, got {len(members)}"
         )
-    _check_tol(tol)
     if any(ch.dim != target.dim for ch in members):
         raise DimMismatchError("approximating set dimension differs from target")
     target_choi = choi(target)
@@ -91,7 +93,8 @@ def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
     optimum, so the weights are within the gap (<= 1e-7) of optimal.  If it
     stalls, a fixed solve at the weights is the witness, within tol of primal.
     """
-    delta_stack = _simplex_deltas(target, set, tol)
+    _check_tol(tol)
+    delta_stack = _simplex_deltas(target, set)
     d = target.dim
 
     # Exact membership: all weight on the matching member, distance zero.
@@ -126,19 +129,19 @@ def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
     )
 
 
-def approx_bounds(target: Channel, set, distance: float, tol: float) -> tuple[float, float]:
+def approx_bounds(target: Channel, set, distance: float) -> tuple[float, float]:
     """Bounds around ``distance = optimal_convex_approx(target, set, tol).distance``.
 
     Returns ``(upper_bound_single, lower_bound_choi)``: the best certified
     single-member distance (a mixture can only do better) and the simplex-
     minimized Choi trace distance over the dimension, capped at ``distance``.
-    Costs a fixed solve per member and one trace-minimax solve; tol is only
-    validated, the single-member distances are certified to 1e-7.
+    Costs a fixed solve per member, each certified to 1e-7, and one minimax
+    solve at reference dimension 1 for the Choi bound.
     """
-    delta_stack = _simplex_deltas(target, set, tol)
+    delta_stack = _simplex_deltas(target, set)
     d = target.dim
     upper = min(_diamond_of_delta(delta, d, _INNER_TOL).value for delta in delta_stack)
-    trace = sdp.solve_minimax_trace(delta_stack, 1e-8)
+    trace = sdp.solve_minimax(delta_stack, 1, 1e-8)
     return upper, min(max(0.0, trace.primal / d), distance)
 
 

@@ -252,7 +252,7 @@ def cmd_approx(args) -> int:
     tol = max(args.tol, _APPROX_TOL_FLOOR)
     start = time.perf_counter()
     res = optimal_convex_approx(target, members, tol)
-    upper, lower = approx_bounds(target, members, res.distance, tol)
+    upper, lower = approx_bounds(target, members, res.distance)
     elapsed = time.perf_counter() - start
     record = ResultRecord(
         label="approx",
@@ -298,7 +298,7 @@ def cmd_twocopy(args) -> int:
     corr = mc.correlated
     if args.format == "json":
         # Only the JSON records carry the correlated mixture's bounds.
-        upper, lower = approx_bounds(*two_copy_problem(target, members), corr.distance, tol)
+        upper, lower = approx_bounds(*two_copy_problem(target, members), corr.distance)
         elapsed = time.perf_counter() - start
         corr_bounds = {"upper_bound_single": upper, "lower_bound_choi": lower}
         rows = (

@@ -22,10 +22,10 @@ only its starting point, its witness and its dual projection.
    Tr[Delta_i W] >= t on the same set. y gains t last, and G has one row
    (-coords(Delta_i), 0, 1) per member. The nonnegative scalar duals,
    normalized, are the optimal mixture weights of min over the simplex.
-3. Trace-norm minimax: as 2 with -I <= W <= I, so C = (I, I), signs +1,
-   -1 and no generators; the optimum is min over the simplex of the trace
-   norm of the mixed Delta.
-4. The dual of 1 (Watrous, arXiv:1207.5726): minimize t subject to
+   At d = 1 the reference block is the constant [1] with no generators,
+   the constraint reads -I <= W <= I, and the optimum is min over the
+   simplex of the trace norm of the mixed Delta.
+3. The dual of 1 (Watrous, arXiv:1207.5726): minimize t subject to
    V >= 0, Delta + V >= 0 and t I - Tr_1[Delta + 2 V] >= 0. y = (V, -t);
    C = (0, Delta, -Tr_1[Delta]); signs -1, -1, 0; the reference block's
    generators are 2 Tr_1[E_j] over the basis matrices E_j, then I.
@@ -50,7 +50,7 @@ deterministic: fixed starting point, no randomization.
 The projected upper bound carries a small numerical floor (the dual iterate
 picks up roundoff infeasibility that scales like eps over the barrier
 parameter). When a fixed-objective solve needs a tighter certificate than
-that floor, ``solve_fixed`` recomputes the upper bound with program 4,
+that floor, ``solve_fixed`` recomputes the upper bound with program 3,
 whose objective is again evaluated at an exactly feasible point, so both
 sides of the final certificate are exact.
 """
@@ -164,8 +164,9 @@ class _BlockProgram:
 
     ``blocks``: one ``(C, sign, off, gens)`` per PSD block, so that
         A_b(y) = sign * H(y[:nw]) + sum_l y[off + l] gens[l] and
-        S_b(y) = C - A_b(y); sign is 0 on blocks that are not n x n, and
-        gens on a block with nonzero sign act only on coordinates >= nw;
+        S_b(y) = C - A_b(y); sign is 0 on blocks that are not n x n, gens
+        may be empty, and gens on a block with nonzero sign act only on
+        coordinates >= nw;
     ``g_rows``: the (k, m) scalar row matrix G with s(y) = -G y (k may be 0).
     """
 
@@ -193,10 +194,10 @@ class _BlockProgram:
         h = expand_coords(y[: self.nw], self.n)
         mats = []
         for c, sign, off, gens, _ in self.blocks:
-            a = sign * h if sign else 0.0
-            if len(gens):
-                span = y[off : off + len(gens)] @ gens.reshape(len(gens), c.size)
-                a = a + span.reshape(c.shape)
+            span = y[off : off + len(gens)] @ gens.reshape(len(gens), c.size)
+            a = span.reshape(c.shape)
+            if sign:
+                a = a + sign * h
             mats.append(a)
         return mats, self.g_rows @ y
 
@@ -207,8 +208,7 @@ class _BlockProgram:
         for mat, (_, sign, off, gens, rows) in zip(mats, self.blocks):
             if sign:
                 h = h + sign * mat
-            if len(gens):
-                out[off : off + len(gens)] += (rows @ mat.ravel()).real
+            out[off : off + len(gens)] += (rows @ mat.ravel()).real
         out[: self.nw] += extract_coords(h)
         return out
 
@@ -240,9 +240,9 @@ class _BlockProgram:
 
 
 class _Program(_BlockProgram):
-    """Fixed, minimax and trace-minimax programs (see module docstring)."""
+    """Fixed and minimax programs (see module docstring)."""
 
-    def __init__(self, deltas, ref_dim: int | None, minimax: bool):
+    def __init__(self, deltas, ref_dim: int, minimax: bool):
         self.deltas = np.stack([np.asarray(d, dtype=complex) for d in deltas])
         self.k = len(deltas)
         self.n = n = self.deltas.shape[-1]
@@ -250,27 +250,21 @@ class _Program(_BlockProgram):
         self.minimax = minimax
         if not minimax and self.k != 1:
             raise ValueError("fixed-objective mode takes exactly one matrix")
+        if n % ref_dim:
+            raise ValueError("matrix dim not divisible by reference dim")
+        self.out = n // ref_dim
         self.nw = nw = n * n
-        nu = ref_dim * ref_dim - 1 if ref_dim else 0
-        self.m = nw + nu + (1 if minimax else 0)
+        self.m = nw + ref_dim * ref_dim - 1 + (1 if minimax else 0)
         coef = extract_coords(self.deltas)  # (k, nw)
-        if ref_dim:
-            if n % ref_dim:
-                raise ValueError("matrix dim not divisible by reference dim")
-            self.out = n // ref_dim
-            fbasis = _traceless_stack(ref_dim)
-            lifted = -np.stack([np.kron(np.eye(self.out), f) for f in fbasis])
-            c_big = np.eye(n, dtype=complex) / ref_dim
-            c_ref = np.eye(ref_dim, dtype=complex) / ref_dim
-            blocks = [
-                (c_big, 1.0, nw, lifted),
-                (c_big, -1.0, nw, lifted),
-                (c_ref, 0.0, nw, -fbasis),
-            ]
-        else:
-            no_gens = np.zeros((0, n, n), dtype=complex)
-            eye = np.eye(n, dtype=complex)
-            blocks = [(eye, 1.0, nw, no_gens), (eye, -1.0, nw, no_gens)]
+        fbasis = _traceless_stack(ref_dim)
+        lifted = -np.kron(np.eye(self.out)[None], fbasis)
+        c_big = np.eye(n, dtype=complex) / ref_dim
+        c_ref = np.eye(ref_dim, dtype=complex) / ref_dim
+        blocks = [
+            (c_big, 1.0, nw, lifted),
+            (c_big, -1.0, nw, lifted),
+            (c_ref, 0.0, nw, -fbasis),
+        ]
         g_rows = np.zeros((self.k if minimax else 0, self.m))
         g_rows[:, :nw] = -coef
         g_rows[:, -1] = 1.0
@@ -289,8 +283,7 @@ class _Program(_BlockProgram):
 
     def witness(self, y):
         """(W, rho); rho is the reference block's slack I/d + traceless part."""
-        rho = self.slack_blocks(y)[0][2] if self.ref else None
-        return expand_coords(y[: self.nw], self.n), rho
+        return expand_coords(y[: self.nw], self.n), self.slack_blocks(y)[0][2]
 
     def project_dual(self, mats, scal):
         """Exact-feasibility projection of the dual iterate.
@@ -315,13 +308,8 @@ class _Program(_BlockProgram):
             bump = -lmin + 1e-15
             x1 = x1 + bump * np.eye(self.n)
             x2 = x2 + bump * np.eye(self.n)
-        q = x1 + x2
-        if self.ref:
-            qref = _trace_out(q, self.out)
-            value = float(np.linalg.eigvalsh(_herm(qref))[-1])
-        else:
-            value = float(np.trace(q).real)
-        return value, x
+        qref = _trace_out(x1 + x2, self.out)
+        return float(np.linalg.eigvalsh(_herm(qref))[-1]), x
 
 
 class _DualProgram(_BlockProgram):
@@ -423,10 +411,6 @@ class SdpSolution:
     witness_rho: np.ndarray | None
     weights: np.ndarray | None
     iterations: int
-
-    @property
-    def value(self) -> float:
-        return 0.5 * (self.primal + self.dual)
 
     @property
     def gap(self) -> float:
@@ -660,17 +644,9 @@ def solve_minimax(deltas, ref_dim: int, tol: float) -> SdpSolution:
     """max_t { t <= Tr[delta_i W] } over the same feasible set as solve_fixed.
 
     The optimum equals min over the simplex of the fixed-objective value of
-    the mixed delta; SdpSolution.weights are the optimal mixture weights,
-    normalized (None if no dual iterate gave a finite bound). Returns the
-    best certified bracket found and never raises: a gap above tol is left
-    for the caller to judge.
+    the mixed delta (its trace norm at ref_dim = 1); SdpSolution.weights are
+    the optimal mixture weights, normalized (None if no dual iterate gave a
+    finite bound). Returns the best certified bracket found and never
+    raises: a gap above tol is left for the caller to judge.
     """
     return _solve_ipm(_Program(list(deltas), ref_dim, minimax=True), tol)
-
-
-def solve_minimax_trace(deltas, tol: float) -> SdpSolution:
-    """min over the simplex of the trace norm of the mixed delta.
-
-    Like solve_minimax, returns the best certified bracket and never raises.
-    """
-    return _solve_ipm(_Program(list(deltas), None, minimax=True), tol)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from chanapprox.approx import ApproxResult, MultiCopyResult
 from chanapprox.channels import Channel
+from chanapprox.diamond import DiamondResult
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -38,3 +40,36 @@ def random_channel(d: int, kraus_count: int, gen: np.random.Generator) -> Channe
 def random_simplex(k: int, gen: np.random.Generator) -> np.ndarray:
     """Uniform (Dirichlet) random point on the probability simplex."""
     return gen.dirichlet(np.ones(k))
+
+
+def _fixed_witness(value: float, gap: float) -> DiamondResult:
+    return DiamondResult(
+        value=value,
+        witness_state=np.eye(2) / 2,
+        witness_operator=np.zeros((4, 4)),
+        primal=value - gap / 2,
+        dual=value + gap / 2,
+    )
+
+
+def canned_multi_copy() -> MultiCopyResult:
+    """A fixed two-copy study with distances 1.25 <= 1.3 <= 1.375."""
+    single = ApproxResult(
+        weights=np.array([0.75, 0.25]),
+        distance=1.0,
+        witness=_fixed_witness(1.0, 1e-9),
+        iterations=7,
+    )
+    correlated = ApproxResult(
+        weights=np.array([0.6, 0.2, 0.2, 0.0]),
+        distance=1.25,
+        witness=_fixed_witness(1.25, 1e-9),
+        iterations=9,
+    )
+    return MultiCopyResult(
+        correlated=correlated,
+        product_witness=_fixed_witness(1.3, 2e-9),
+        product_weights=(np.array([0.7, 0.3]), np.array([0.625, 0.375])),
+        tensored_witness=_fixed_witness(1.375, 3e-9),
+        single=single,
+    )

@@ -63,7 +63,7 @@ def check_bound_ordering(seed: int = 12, instances: int = 30) -> float:
             helpers.random_channel(2, 2, gen) for _ in range(int(gen.integers(2, 9)))
         ]
         res = optimal_convex_approx(target, members, tol=tol)
-        upper, lower = approx_bounds(target, members, res.distance, tol)
+        upper, lower = approx_bounds(target, members, res.distance)
         assert lower <= res.distance + tol, (
             f"lower bound {lower} exceeds distance {res.distance}"
         )

@@ -175,7 +175,7 @@ def test_missing_joint_weights_raise_instead_of_returning_a_vertex(monkeypatch) 
 def _kind(prog) -> str:
     if isinstance(prog, sdp._DualProgram):
         return "dual"
-    return "fixed" if not prog.minimax else "minimax" if prog.ref else "trace"
+    return "minimax" if prog.minimax else "fixed"
 
 
 def test_non_member_target_costs_one_minimax_solve(monkeypatch) -> None:
@@ -462,7 +462,7 @@ def test_damping_approx_symmetry_and_bracket() -> None:
         # the single-member and Choi bounds refer to the two endpoints
         paulis = pauli_unitaries()
         endpoints = (paulis[0], mix(paulis[1:3], [0.5, 0.5]))
-        single, choi_lower = approx_bounds(damping(q, gamma), endpoints, res.distance, tol)
+        single, choi_lower = approx_bounds(damping(q, gamma), endpoints, res.distance)
         assert choi_lower <= res.distance <= single + tol
 
 

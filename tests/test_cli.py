@@ -13,15 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chanapprox import (
-    ApproxResult,
-    DiamondResult,
-    MultiCopyResult,
-    cli,
-    damping_bounds,
-)
+from chanapprox import cli, damping_bounds
 from chanapprox import sdp
 from chanapprox.errors import NoConvergenceError
+
+import helpers
 
 IDENTITY = '{"kind": "unitary", "alpha": 0, "beta": 0, "delta": 0}'
 PAULI_ID = '{"kind": "pauli", "p": [1, 0, 0, 0]}'
@@ -411,36 +407,8 @@ def test_twocopy_json_matches_reference_values(capsys) -> None:
         assert primal <= rec["distance"] <= dual
 
 
-def _fixed_witness(value: float, gap: float) -> DiamondResult:
-    return DiamondResult(
-        value=value,
-        witness_state=np.eye(2) / 2,
-        witness_operator=np.zeros((4, 4)),
-        primal=value - gap / 2,
-        dual=value + gap / 2,
-    )
-
-
 def test_twocopy_text_output(monkeypatch, capsys) -> None:
-    single = ApproxResult(
-        weights=np.array([0.75, 0.25]),
-        distance=1.0,
-        witness=_fixed_witness(1.0, 1e-9),
-        iterations=7,
-    )
-    correlated = ApproxResult(
-        weights=np.array([0.6, 0.2, 0.2, 0.0]),
-        distance=1.25,
-        witness=_fixed_witness(1.25, 1e-9),
-        iterations=9,
-    )
-    fixed = MultiCopyResult(
-        correlated=correlated,
-        product_witness=_fixed_witness(1.3, 2e-9),
-        product_weights=(np.array([0.7, 0.3]), np.array([0.625, 0.375])),
-        tensored_witness=_fixed_witness(1.375, 3e-9),
-        single=single,
-    )
+    fixed = helpers.canned_multi_copy()
     calls = []
 
     def fake(target, members, copies, tol):
@@ -449,8 +417,8 @@ def test_twocopy_text_output(monkeypatch, capsys) -> None:
 
     bound_calls = []
 
-    def fake_bounds(target, members, distance, tol):
-        bound_calls.append((target.dim, len(members), distance, tol))
+    def fake_bounds(target, members, distance):
+        bound_calls.append((target.dim, len(members), distance))
         return 1.5, 1.0
 
     monkeypatch.setattr(cli, "multi_copy_approx", fake)
@@ -473,7 +441,7 @@ def test_twocopy_text_output(monkeypatch, capsys) -> None:
     }
     # the JSON correlated record takes its bounds over the two-copy set
     assert cli.main(["twocopy", "--format", "json"]) == cli.EXIT_OK
-    assert bound_calls == [(4, 4, 1.25, 1e-6)]
+    assert bound_calls == [(4, 4, 1.25)]
     records = {r["label"]: r for r in json.loads(capsys.readouterr().out)}
     corr = records["twocopy-correlated"]["bounds"]
     assert (corr["upper_bound_single"], corr["lower_bound_choi"]) == (1.5, 1.0)

@@ -54,7 +54,7 @@ def _check_certificate(sol: sdp.SdpSolution, delta: np.ndarray, ref_dim: int) ->
 def test_solve_fixed_orthogonal_unitaries() -> None:
     delta = choi(unitary_qubit(0.0, 0.0, 0.0)) - choi(unitary_channel(PAULI[1]))
     sol = sdp.solve_fixed(delta, 2, TOL)
-    npt.assert_allclose(sol.value, 2.0, atol=1e-7)
+    npt.assert_allclose([sol.primal, sol.dual], 2.0, atol=1e-7)
     _check_certificate(sol, delta, 2)
 
 
@@ -65,7 +65,7 @@ def test_solve_fixed_pauli_pair_matches_weight_distance() -> None:
         q = helpers.random_simplex(4, gen)
         delta = choi(pauli_channel(p)) - choi(pauli_channel(q))
         sol = sdp.solve_fixed(delta, 2, TOL)
-        npt.assert_allclose(sol.value, np.sum(np.abs(p - q)), atol=1e-7)
+        npt.assert_allclose([sol.primal, sol.dual], np.sum(np.abs(p - q)), atol=1e-7)
         _check_certificate(sol, delta, 2)
 
 
@@ -101,7 +101,7 @@ def test_solve_minimax_finds_equal_weights_for_worst_unitary() -> None:
     target = choi(unitary_qubit(np.pi / 4, np.pi / 4, np.pi / 4))
     deltas = [target - choi(ch) for ch in pauli_unitaries()]
     sol = sdp.solve_minimax(deltas, 2, TOL)
-    npt.assert_allclose(sol.value, 1.5, atol=1e-6)
+    npt.assert_allclose([sol.primal, sol.dual], 1.5, atol=1e-6)
     npt.assert_allclose(sol.weights, np.full(4, 0.25), atol=1e-4)
     assert sol.gap <= TOL
 
@@ -116,8 +116,8 @@ def test_solve_minimax_weights_reproduce_fixed_value() -> None:
     fixed = sdp.solve_fixed(mixed_delta, 2, TOL)
     # the minimax optimum is attainable by its own weights, and no weight
     # vector can do better than the certified dual bound
-    assert fixed.value <= sol.dual + 1e-6
-    assert fixed.value >= sol.primal - 1e-6
+    assert fixed.dual <= sol.dual + 1e-6
+    assert fixed.primal >= sol.primal - 1e-6
 
 
 def test_solve_minimax_trace_matches_grid_minimum() -> None:
@@ -125,7 +125,8 @@ def test_solve_minimax_trace_matches_grid_minimum() -> None:
     target = helpers.random_channel(2, 2, gen)
     members = [helpers.random_channel(2, 2, gen) for _ in range(2)]
     deltas = [choi(target) - choi(m) for m in members]
-    sol = sdp.solve_minimax_trace(deltas, TOL)
+    # the trace-norm minimax is the minimax program at reference dimension 1
+    sol = sdp.solve_minimax(deltas, 1, TOL)
 
     def norm_at(w: float) -> float:
         return trace_norm(w * deltas[0] + (1 - w) * deltas[1])
@@ -155,7 +156,6 @@ def test_solution_value_and_gap_definitions() -> None:
         weights=None,
         iterations=5,
     )
-    npt.assert_allclose(sol.value, 1.1)
     npt.assert_allclose(sol.gap, 0.2)
 
 
@@ -176,7 +176,7 @@ def _program_shapes():
         "fixed-ref2": sdp._Program([d2], 2, minimax=False),
         "fixed-ref4": sdp._Program([d4], 4, minimax=False),
         "minimax-ref2": sdp._Program(family, 2, minimax=True),
-        "trace-minimax": sdp._Program(family, None, minimax=True),
+        "minimax-ref1": sdp._Program(family, 1, minimax=True),
         "dual-ref2": sdp._DualProgram(d2, 2),
         "dual-ref4": sdp._DualProgram(d4, 4),
     }
@@ -237,6 +237,16 @@ def test_program_operators_are_consistent_for_every_shape() -> None:
         brute = 0.5 * (brute + brute.T)
         fast = prog.schur(x_mats, z_mats, x_scal * z_scal)
         _assert_rel(fast, brute, _norm(brute))
+
+
+def test_programs_reject_malformed_shapes() -> None:
+    delta = np.eye(4, dtype=complex)
+    with pytest.raises(ValueError, match="exactly one matrix"):
+        sdp._Program([delta, delta], 2, minimax=False)
+    with pytest.raises(ValueError, match="not divisible"):
+        sdp._Program([delta], 3, minimax=True)
+    with pytest.raises(ValueError, match="not divisible"):
+        sdp._DualProgram(delta, 3)
 
 
 # --- step length and forced exits -------------------------------------------
