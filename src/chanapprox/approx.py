@@ -12,10 +12,13 @@ duals are the weights p, its primal point (W, rho) has Tr[Delta(p) W] >= t,
 and its projected dual bound caps ||Delta(p)||_diamond, so [t, dual]
 brackets both the distance at p and the simplex optimum.  If that bracket
 stalls above 1e-7, a fixed solve at p certifies the distance instead, and
-it must lie within tol of t.  ``approx_bounds`` adds cheap two-sided bounds:
-a fixed solve per member, and the Choi trace bound, which is the same
-minimax program at reference dimension 1 (there -I <= W <= I, and the
-optimum is min_p ||sum_i p_i Delta_i||_1).
+it must lie within tol of t.  Diagonal-unitary-covariant problems (every
+damping row and the phase-gate two-copy study) are solved on their
+invariant sectors, with the same certificate on the full space.
+``approx_bounds`` adds cheap two-sided bounds: a fixed solve per member,
+and the Choi trace bound, which is the same minimax program at reference
+dimension 1 (there -I <= W <= I, and the optimum is
+min_p ||sum_i p_i Delta_i||_1).
 """
 
 from __future__ import annotations
@@ -345,7 +348,10 @@ def multi_copy_approx(target: Channel, single_set, copies: int, tol: float) -> M
     is flat in them, so the 1e-8 half-step solves and the 1e-9 stop rule
     fix them only to a few parts in 1e7, while the certified product
     distance holds to the tolerance; a change in the solver's rounding can
-    move them in the 7th decimal place.
+    move them in the 7th decimal place.  The single-copy optimum is flat as
+    well: solving the phase-gate study on its invariant sectors instead of
+    the full space moved the single-copy weights by 4e-6, and with them the
+    tensored distance by 8.2e-7, within tol.
     """
     if copies != 2:
         raise RangeError(f"copies={copies} unsupported; only copies=2 is implemented")

@@ -29,6 +29,26 @@ only its starting point, its witness and its dual projection.
    V >= 0, Delta + V >= 0 and t I - Tr_1[Delta + 2 V] >= 0. y = (V, -t);
    C = (0, Delta, -Tr_1[Delta]); signs -1, -1, 0; the reference block's
    generators are 2 Tr_1[E_j] over the basis matrices E_j, then I.
+4. 1 and 2 on the invariant sectors of a diagonal-unitary-covariant
+   family at n = d^2, whose every Delta_i is exactly zero outside the
+   |aa><bb| entries and the diagonal. Conjugation by U (x) conj(U), U
+   diagonal unitary, fixes each Delta_i and maps the feasible set onto
+   itself, so the group average of an optimal (W, rho) is optimal, with
+   rho = diag(p) and W one d x d block W_0 on the |aa> sector plus one
+   real w_ab on each |ab>, a != b (Gatermann & Parrilo, J. Pure Appl.
+   Algebra 2004; Singh & Nechita, Quantum 2021). A pair is kept only if
+   some Delta_i has a nonzero |ab><ab| entry: otherwise w_ab = 0 loses
+   nothing. y = (W_0, the kept w_ab, traceless part of p[, t]) with
+   n = d; blocks diag(p) -+ W_0 with signs +1, -1, and one diagonal block
+   holding p_b - w_ab, p_b + w_ab and p_b, whose C and generators are
+   diagonal, so its iterates stay diagonal; b and G are those of 1 and 2
+   on these coordinates. Both sides answer for the full program: the
+   witness is W lifted with zeros off the sectors and rho = diag(p), and
+   the bound is lambda_max(Tr_1[X1 + X2]) of the lifted duals, max_b
+   [(X1 + X2)_bb + sum_{a != b} (x-_ab + x+_ab)], which is valid because
+   Delta is exactly zero where the lift puts zeros. ``solve_fixed`` and
+   ``solve_minimax`` take this form whenever one exact-zero test on the
+   stacked Delta_i allows it; the trace bound at d = 1 never does.
 
 The engine follows the standard path-following scheme with the HKM search
 direction and a Mehrotra predictor-corrector step. The step length to the
@@ -50,9 +70,9 @@ deterministic: fixed starting point, no randomization.
 The projected upper bound carries a small numerical floor (the dual iterate
 picks up roundoff infeasibility that scales like eps over the barrier
 parameter). When a fixed-objective solve needs a tighter certificate than
-that floor, ``solve_fixed`` recomputes the upper bound with program 3,
-whose objective is again evaluated at an exactly feasible point, so both
-sides of the final certificate are exact.
+that floor, ``solve_fixed`` recomputes the upper bound with program 3 on
+the full space, whose objective is again evaluated at an exactly feasible
+point, so both sides of the final certificate are exact.
 """
 
 from __future__ import annotations
@@ -243,19 +263,13 @@ class _Program(_BlockProgram):
     """Fixed and minimax programs (see module docstring)."""
 
     def __init__(self, deltas, ref_dim: int, minimax: bool):
-        self.deltas = np.stack([np.asarray(d, dtype=complex) for d in deltas])
-        self.k = len(deltas)
+        self._set_members(deltas, ref_dim, minimax)
         self.n = n = self.deltas.shape[-1]
-        self.ref = ref_dim
-        self.minimax = minimax
-        if not minimax and self.k != 1:
-            raise ValueError("fixed-objective mode takes exactly one matrix")
         if n % ref_dim:
             raise ValueError("matrix dim not divisible by reference dim")
         self.out = n // ref_dim
         self.nw = nw = n * n
         self.m = nw + ref_dim * ref_dim - 1 + (1 if minimax else 0)
-        coef = extract_coords(self.deltas)  # (k, nw)
         fbasis = _traceless_stack(ref_dim)
         lifted = -np.kron(np.eye(self.out)[None], fbasis)
         c_big = np.eye(n, dtype=complex) / ref_dim
@@ -265,15 +279,28 @@ class _Program(_BlockProgram):
             (c_big, -1.0, nw, lifted),
             (c_ref, 0.0, nw, -fbasis),
         ]
-        g_rows = np.zeros((self.k if minimax else 0, self.m))
-        g_rows[:, :nw] = -coef
+        self._set_data(blocks, self._objective(extract_coords(self.deltas)))
+
+    def _set_members(self, deltas, ref_dim, minimax):
+        self.deltas = np.stack([np.asarray(d, dtype=complex) for d in deltas])
+        self.k = len(self.deltas)
+        self.ref = ref_dim
+        self.minimax = minimax
+        if not minimax and self.k != 1:
+            raise ValueError("fixed-objective mode takes exactly one matrix")
+
+    def _objective(self, coef):
+        """Set b from the members' (k, j) coordinates on y[:j]; return G."""
+        j = coef.shape[1]
+        g_rows = np.zeros((self.k if self.minimax else 0, self.m))
+        g_rows[:, :j] = -coef
         g_rows[:, -1] = 1.0
         self.b = np.zeros(self.m)
-        if minimax:
+        if self.minimax:
             self.b[-1] = 1.0
         else:
-            self.b[:nw] = coef[0]
-        self._set_data(blocks, g_rows)
+            self.b[:j] = coef[0]
+        return g_rows
 
     def start(self):
         y = np.zeros(self.m)
@@ -285,6 +312,14 @@ class _Program(_BlockProgram):
         """(W, rho); rho is the reference block's slack I/d + traceless part."""
         return expand_coords(y[: self.nw], self.n), self.slack_blocks(y)[0][2]
 
+    def _mixed(self, scal):
+        """(weights, Delta): the normalized scalar duals and their mixture in
+        minimax mode, (None, the member) in fixed mode."""
+        if not self.minimax:
+            return None, self.deltas[0]
+        x = scal / scal.sum()  # _solve_ipm keeps every scalar dual >= 1e-300
+        return x, np.einsum("k,kab->ab", x, self.deltas)
+
     def project_dual(self, mats, scal):
         """Exact-feasibility projection of the dual iterate.
 
@@ -292,24 +327,126 @@ class _Program(_BlockProgram):
         the program optimum and weights are the normalized scalar duals
         (minimax mode) used in the projection.
         """
-        x1 = _herm(mats[0])
-        x2 = _herm(mats[1])
-        if self.minimax:
-            x = scal / scal.sum()  # _solve_ipm keeps every scalar dual >= 1e-300
-            delta = np.einsum("k,kab->ab", x, self.deltas)
-        else:
-            x = None
-            delta = self.deltas[0]
-        shift = 0.5 * (x1 - x2 - delta)
-        x1 = x1 - shift
-        x2 = x2 + shift
-        lmin = min(np.linalg.eigvalsh(x1)[0], np.linalg.eigvalsh(x2)[0])
-        if lmin < 0.0:
-            bump = -lmin + 1e-15
-            x1 = x1 + bump * np.eye(self.n)
-            x2 = x2 + bump * np.eye(self.n)
+        x, delta = self._mixed(scal)
+        x1, x2 = _shift_to_psd(_herm(mats[0]), _herm(mats[1]), delta)
         qref = _trace_out(x1 + x2, self.out)
         return float(np.linalg.eigvalsh(_herm(qref))[-1]), x
+
+
+def _shift_to_psd(x1, x2, delta):
+    """X1 and X2 moved by opposite halves of one shift to X1 - X2 = delta,
+    then raised by one multiple of I until both are PSD."""
+    shift = 0.5 * (x1 - x2 - delta)
+    x1 = x1 - shift
+    x2 = x2 + shift
+    lmin = min(np.linalg.eigvalsh(x1)[0], np.linalg.eigvalsh(x2)[0])
+    if lmin < 0.0:
+        bump = -lmin + 1e-15
+        x1 = x1 + bump * np.eye(len(x1))
+        x2 = x2 + bump * np.eye(len(x2))
+    return x1, x2
+
+
+@lru_cache(maxsize=None)
+def _sector_mask(d: int) -> np.ndarray:
+    """Entries of a (d x d) x (d x d) matrix that every conjugation by
+    U (x) conj(U), U diagonal unitary, fixes: the |aa><bb| entries and the
+    diagonal."""
+    a, b = np.divmod(np.arange(d * d), d)
+    same = a == b
+    mask = (same[:, None] & same[None, :]) | np.eye(d * d, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+class _SectorProgram(_Program):
+    """Programs 1 and 2 of a DUC family, on its invariant sectors (program 4
+    of the module docstring). ``n`` is the sector size d; ``witness`` and
+    ``project_dual`` answer for the full d^2-dimensional program."""
+
+    def __init__(self, deltas, ref_dim: int, minimax: bool):
+        self._set_members(deltas, ref_dim, minimax)
+        self.n = d = ref_dim
+        self.nw = nw = d * d
+        out_idx, ref_idx = np.divmod(np.arange(nw), d)
+        self.sector = np.flatnonzero(out_idx == ref_idx)  # |aa>, a = 0..d-1
+        off = np.flatnonzero(out_idx != ref_idx)
+        # |ab>, a != b, where some member has a nonzero diagonal entry
+        self.pairs = pairs = off[np.any(self.deltas[:, off, off] != 0, axis=0)]
+        self.pair_ref = ref_idx[pairs]
+        npair = len(pairs)
+        self.m = nw + npair + d - 1 + (1 if minimax else 0)
+        sec = self.sector
+        coef = np.concatenate(
+            [
+                extract_coords(self.deltas[:, sec[:, None], sec]),
+                self.deltas[:, pairs, pairs].real,
+            ],
+            axis=1,
+        )
+        f = _traceless_stack(d)[: d - 1].diagonal(axis1=1, axis2=2).real  # (d-1, d)
+        # one diagonal block: p_b - w_ab and p_b + w_ab per pair, then p_b
+        ref_of = np.concatenate([self.pair_ref, self.pair_ref, np.arange(d)])
+        size = len(ref_of)
+        diag_gens = np.zeros((npair + d - 1, size, size), dtype=complex)
+        j = np.arange(npair)
+        diag_gens[j, j, j] = 1.0
+        diag_gens[j, npair + j, npair + j] = -1.0
+        r = np.arange(size)
+        diag_gens[npair:, r, r] = -f[:, ref_of]
+        sector_gens = -f[:, :, None] * np.eye(d, dtype=complex)
+        c_sector = np.eye(d, dtype=complex) / d
+        blocks = [
+            (c_sector, 1.0, nw + npair, sector_gens),
+            (c_sector, -1.0, nw + npair, sector_gens),
+            (np.eye(size, dtype=complex) / d, 0.0, nw, diag_gens),
+        ]
+        self._set_data(blocks, self._objective(coef))
+
+    def witness(self, y):
+        """(W, rho) on the full space: W is zero off the sectors, rho is diagonal."""
+        npair = len(self.pairs)
+        w = np.zeros((self.nw, self.nw), dtype=complex)
+        w[self.sector[:, None], self.sector] = expand_coords(y[: self.nw], self.n)
+        w[self.pairs, self.pairs] = y[self.nw : self.nw + npair]
+        p = self.slack_blocks(y)[0][2].diagonal()[2 * npair :]
+        return w, np.diag(p)
+
+    def project_dual(self, mats, scal):
+        """Exact-feasibility projection of the lifted dual iterate.
+
+        The lifted X1 and X2 are the sector blocks plus the pair duals x-_ab
+        and x+_ab on the diagonal, zero elsewhere. Delta is exactly zero off
+        the sectors, so X1 - X2 = Delta holds block by block: the sector
+        blocks as in program 1, and each pair as x-+_ab = (s +- Delta_ab)/2
+        with s = max(x-_ab + x+_ab, |Delta_ab| + 2e-15), both nonnegative.
+        lambda_max(Tr_1[X1 + X2]) is then
+        max_b [(X1 + X2)_bb + sum_{a != b} s_ab].
+        """
+        x, delta = self._mixed(scal)
+        sec = self.sector
+        x1, x2 = _shift_to_psd(
+            _herm(mats[0]), _herm(mats[1]), delta[sec[:, None], sec]
+        )
+        npair = len(self.pairs)
+        duals = mats[2].diagonal().real
+        least = np.abs(delta[self.pairs, self.pairs].real) + 2e-15
+        s = np.maximum(duals[:npair] + duals[npair : 2 * npair], least)
+        per_ref = np.bincount(self.pair_ref, weights=s, minlength=self.n)
+        return float(np.max((x1 + x2).diagonal().real + per_ref)), x
+
+
+def _program(deltas, ref_dim: int, minimax: bool) -> _Program:
+    """The sector program when n = ref_dim^2 and every member is exactly zero
+    off the sectors; the full program otherwise."""
+    deltas = np.stack([np.asarray(d, dtype=complex) for d in deltas])
+    if (
+        ref_dim > 1
+        and deltas.shape[-1] == ref_dim * ref_dim
+        and not deltas[:, ~_sector_mask(ref_dim)].any()
+    ):
+        return _SectorProgram(deltas, ref_dim, minimax)
+    return _Program(deltas, ref_dim, minimax)
 
 
 class _DualProgram(_BlockProgram):
@@ -607,9 +744,10 @@ def solve_fixed(delta: np.ndarray, ref_dim: int, tol: float) -> SdpSolution:
 
     Returns a bracket with gap <= tol, falling back to the dual program when
     the first solve stops short; raises NoConvergenceError if the combined
-    bracket is still wider than tol.
+    bracket is still wider than tol. A diagonal-unitary-covariant delta at
+    n = ref_dim^2 is solved on its sectors (program 4).
     """
-    sol = _solve_ipm(_Program([delta], ref_dim, minimax=False), tol)
+    sol = _solve_ipm(_program([delta], ref_dim, minimax=False), tol)
     if sol.gap <= tol:
         return sol
     # The projected upper bound has hit its numerical floor; recompute both
@@ -647,6 +785,8 @@ def solve_minimax(deltas, ref_dim: int, tol: float) -> SdpSolution:
     the mixed delta (its trace norm at ref_dim = 1); SdpSolution.weights are
     the optimal mixture weights, normalized (None if no dual iterate gave a
     finite bound). Returns the best certified bracket found and never
-    raises: a gap above tol is left for the caller to judge.
+    raises: a gap above tol is left for the caller to judge. A
+    diagonal-unitary-covariant family at n = ref_dim^2 is solved on its
+    sectors (program 4).
     """
-    return _solve_ipm(_Program(list(deltas), ref_dim, minimax=True), tol)
+    return _solve_ipm(_program(deltas, ref_dim, minimax=True), tol)

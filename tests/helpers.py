@@ -73,3 +73,25 @@ def canned_multi_copy() -> MultiCopyResult:
         tensored_witness=_fixed_witness(1.375, 3e-9),
         single=single,
     )
+
+
+def random_diagonal_unitary(d: int, gen: np.random.Generator) -> Channel:
+    """Conjugation by a diagonal unitary with uniform random phases."""
+    return Channel((np.diag(np.exp(2j * np.pi * gen.uniform(size=d))),))
+
+
+def random_damping_dephasing(d: int, gen: np.random.Generator) -> Channel:
+    """Random diagonal-unitary-covariant channel: damping Kraus operators
+    sqrt(B_ab) |a><b| (a != b, total rate below 0.9 out of each level)
+    plus dephasing Kraus operators that are diagonal with random phases."""
+    rates = gen.uniform(size=(d, d)) * (1.0 - np.eye(d))
+    rates *= gen.uniform(0.0, 0.9, size=d) / rates.sum(axis=0)
+    g = gen.normal(size=(d, 2)) + 1j * gen.normal(size=(d, 2))
+    # row b of g has squared norm 1 - (rate out of b), so the Kraus set is trace preserving
+    g *= (np.sqrt(1.0 - rates.sum(axis=0)) / np.linalg.norm(g, axis=1))[:, None]
+    kraus = [np.diag(col) for col in g.T]
+    for a, b in zip(*np.nonzero(rates)):
+        op = np.zeros((d, d), dtype=complex)
+        op[a, b] = np.sqrt(rates[a, b])
+        kraus.append(op)
+    return Channel(tuple(kraus))

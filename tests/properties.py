@@ -11,6 +11,7 @@ import numpy as np
 
 from chanapprox import (
     approx_bounds,
+    choi,
     choi_trace_distance,
     compose,
     covariant,
@@ -23,6 +24,7 @@ from chanapprox import (
     unitary_channel,
     unitary_qubit,
 )
+from chanapprox import sdp
 from chanapprox.channels import PAULI
 
 import helpers
@@ -194,6 +196,41 @@ def check_damping_phase_covariance(seed: int = 17, instances: int = 20) -> float
     return worst
 
 
+def check_duc_sector_bracket_overlap(seed: int = 19, families: int = 2) -> float:
+    """Diagonal-unitary-covariant families solve on their invariant sectors,
+    and the sector bracket overlaps the full program's.
+
+    Families of four random diagonal unitaries, and of four random
+    damping/dephasing channels, at d=2 and d=4: the differences from the
+    first build the sector program, for the minimax over all three and for
+    the fixed objective of the first, and each sector bracket meets the
+    full program's bracket on the same differences. Returns the largest
+    distance between the two midpoints.
+    """
+    gen = helpers.rng(seed)
+    worst = 0.0
+    for d in (2, 4):
+        for make in (helpers.random_diagonal_unitary, helpers.random_damping_dephasing):
+            for _ in range(families):
+                target, *members = (make(d, gen) for _ in range(4))
+                deltas = [choi(target) - choi(ch) for ch in members]
+                for family, minimax in ((deltas, True), (deltas[:1], False)):
+                    prog = sdp._program(family, d, minimax)
+                    assert isinstance(prog, sdp._SectorProgram), (
+                        f"{make.__name__} family at d={d} built the full program"
+                    )
+                    sector = sdp._solve_ipm(prog, 1e-8)
+                    full = sdp._solve_ipm(sdp._Program(family, d, minimax), 1e-8)
+                    assert max(sector.primal, full.primal) <= min(sector.dual, full.dual), (
+                        f"{make.__name__} at d={d} (minimax={minimax}): sector "
+                        f"[{sector.primal}, {sector.dual}] misses full "
+                        f"[{full.primal}, {full.dual}]"
+                    )
+                    mid = 0.5 * (sector.primal + sector.dual - full.primal - full.dual)
+                    worst = max(worst, abs(mid))
+    return worst
+
+
 ALL_CHECKS = (
     check_distance_unitary_invariance,
     check_bound_ordering,
@@ -202,6 +239,7 @@ ALL_CHECKS = (
     check_pauli_choi_bell_diagonal,
     check_covariant_commutes_with_unitaries,
     check_damping_phase_covariance,
+    check_duc_sector_bracket_overlap,
 )
 
 

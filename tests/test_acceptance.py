@@ -218,7 +218,7 @@ def test_acceptance_7_surface_coverage(tmp_path) -> None:
     # the two swept surfaces have no tabulated ground truth; they are
     # covered by the property suites plus symmetry/anchor samples here
     def body() -> str:
-        assert len(properties.ALL_CHECKS) == 7
+        assert len(properties.ALL_CHECKS) == 8
         out2 = tmp_path / "fig2.csv"
         assert cli.main(["fig2", "--grid", "3x3", "--out", str(out2)]) == cli.EXIT_OK
         with open(out2, newline="") as fh:

@@ -32,6 +32,7 @@ from chanapprox import (
     unitary_qubit,
 )
 from chanapprox import approx, choi, cli, sdp
+from chanapprox.approx import two_copy_problem
 from chanapprox.channels import PAULI
 from chanapprox.errors import DimMismatchError, NoConvergenceError, RangeError
 
@@ -175,10 +176,12 @@ def test_missing_joint_weights_raise_instead_of_returning_a_vertex(monkeypatch) 
 def _kind(prog) -> str:
     if isinstance(prog, sdp._DualProgram):
         return "dual"
-    return "minimax" if prog.minimax else "fixed"
+    kind = "minimax" if prog.minimax else "fixed"
+    return f"sector-{kind}" if isinstance(prog, sdp._SectorProgram) else kind
 
 
-def test_non_member_target_costs_one_minimax_solve(monkeypatch) -> None:
+def _log_kinds(monkeypatch) -> list:
+    """Log the kind of every program that reaches the interior-point engine."""
     solve = sdp._solve_ipm
     kinds = []
 
@@ -187,12 +190,45 @@ def test_non_member_target_costs_one_minimax_solve(monkeypatch) -> None:
         return solve(prog, *args, **kwargs)
 
     monkeypatch.setattr(sdp, "_solve_ipm", counting)
+    return kinds
+
+
+def test_non_member_target_costs_one_minimax_solve(monkeypatch) -> None:
+    kinds = _log_kinds(monkeypatch)
     res = optimal_convex_approx(unitary_qubit(0.43, 0.91, 0.27), pauli_unitaries(), tol=1e-6)
     assert res.iterations > 0
     assert kinds == ["minimax"]
     kinds.clear()
     pauli_distance_damping(0.7, 0.5)
-    assert kinds == ["minimax"]
+    assert kinds == ["sector-minimax"]
+
+
+def test_only_exactly_covariant_families_take_the_sector_program(monkeypatch) -> None:
+    # damping against the identity is diagonal-unitary covariant; one
+    # off-sector entry of 1e-300 (at |01><10|) makes it a full program
+    delta = choi(damping(0.7, 0.5)) - choi(identity(2))
+    assert isinstance(sdp._program([delta], 2, minimax=False), sdp._SectorProgram)
+    nudged = delta.copy()
+    nudged[1, 2] = nudged[2, 1] = 1e-300
+    assert type(sdp._program([nudged], 2, minimax=False)) is sdp._Program
+    # fig1 and fig2 rows are not covariant
+    kinds = _log_kinds(monkeypatch)
+    cli._fig1_row((1.2, 1e-7))
+    cli._fig2_row((0.43, 0.91, np.pi / 8, 1e-6))
+    assert kinds == ["fixed", "minimax"]
+
+
+def test_two_copy_member_bounds_certify_without_the_dual_program(monkeypatch) -> None:
+    # The IZ and ZI members' fixed solves stalled at [1.969, 2.105] on the
+    # full program and needed the dual program; on their sectors they certify.
+    kinds = _log_kinds(monkeypatch)
+    members = [identity(2), unitary_channel(PAULI[3])]
+    problem = two_copy_problem(unitary_qubit(0.0, np.pi / 6, 0.0), members)
+    upper, lower = approx_bounds(*problem, 1.2810473988)
+    assert kinds == ["sector-fixed"] * 4 + ["minimax"]
+    # the II member, a unitary pair: diamond_unitary gives sqrt(3)
+    assert abs(upper - np.sqrt(3.0)) <= 1e-7
+    assert 0.0 < lower <= 1.2810473988
 
 
 def _widen_joint(monkeypatch, **bounds) -> list:
@@ -203,7 +239,7 @@ def _widen_joint(monkeypatch, **bounds) -> list:
     def widened(prog, *args, **kwargs):
         sol = solve(prog, *args, **kwargs)
         kinds.append(_kind(prog))
-        if kinds[-1] == "minimax":
+        if kinds[-1].endswith("minimax"):
             sol = dataclasses.replace(sol, **{k: f(sol) for k, f in bounds.items()})
         return sol
 

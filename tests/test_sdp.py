@@ -13,18 +13,23 @@ import pytest
 
 from chanapprox import (
     choi,
+    damping,
+    identity,
     mix,
     pauli_channel,
     pauli_unitaries,
+    tensor,
     trace_norm,
     unitary_channel,
     unitary_qubit,
 )
+from chanapprox.approx import two_copy_problem
 from chanapprox.channels import PAULI
 from chanapprox import sdp
 from chanapprox.errors import NoConvergenceError
 
 import helpers
+import properties
 
 TOL = 1e-8
 
@@ -162,6 +167,24 @@ def test_solution_value_and_gap_definitions() -> None:
 # --- operator consistency of every program shape ----------------------------
 
 
+def _damping_deltas(q: float, gamma: float) -> list[np.ndarray]:
+    """A fig3 row's family: damping against the identity and the equal X/Y mixture."""
+    paulis = pauli_unitaries()
+    target = choi(damping(q, gamma))
+    return [target - choi(ch) for ch in (paulis[0], mix(paulis[1:3], [0.5, 0.5]))]
+
+
+def _two_copy_pair():
+    paulis = pauli_unitaries()
+    return two_copy_problem(unitary_qubit(0.0, np.pi / 6, 0.0), [identity(2), paulis[3]])
+
+
+def _two_copy_deltas() -> list[np.ndarray]:
+    """The correlated two-copy family (II IZ ZI ZZ) of the phase-gate study."""
+    target, members = _two_copy_pair()
+    return [choi(target) - choi(ch) for ch in members]
+
+
 def _program_shapes():
     gen = helpers.rng(35)
 
@@ -172,6 +195,10 @@ def _program_shapes():
 
     d2, d4 = delta(2), delta(4)
     family = [delta(2) for _ in range(3)]
+    damping_family = _damping_deltas(0.7, 0.5) + [
+        choi(damping(0.7, 0.5)) - choi(pauli_channel([0.9, 0.0, 0.0, 0.1]))
+    ]
+    two_copy = _two_copy_deltas()
     return {
         "fixed-ref2": sdp._Program([d2], 2, minimax=False),
         "fixed-ref4": sdp._Program([d4], 4, minimax=False),
@@ -179,6 +206,12 @@ def _program_shapes():
         "minimax-ref1": sdp._Program(family, 1, minimax=True),
         "dual-ref2": sdp._DualProgram(d2, 2),
         "dual-ref4": sdp._DualProgram(d4, 4),
+        # damping against Pauli channels keeps both pairs |01>, |10>; the
+        # two-copy phase-gate family keeps none
+        "sector-fixed-ref2": sdp._SectorProgram(damping_family[:1], 2, minimax=False),
+        "sector-minimax-ref2": sdp._SectorProgram(damping_family, 2, minimax=True),
+        "sector-fixed-ref4": sdp._SectorProgram(two_copy[:1], 4, minimax=False),
+        "sector-minimax-ref4": sdp._SectorProgram(two_copy, 4, minimax=True),
     }
 
 
@@ -431,3 +464,80 @@ def test_dual_projection_rejects_a_zero_or_nan_reference_block() -> None:
     eye = np.eye(4, dtype=complex)
     for ref_block in (np.zeros((2, 2), dtype=complex), np.full((2, 2), np.nan, dtype=complex)):
         assert prog.project_dual([eye, eye, ref_block], np.zeros(0)) == (np.inf, None)
+
+
+# --- sector program ------------------------------------------------------------
+
+
+def test_sector_program_keeps_only_pairs_with_data() -> None:
+    assert sdp._SectorProgram(_damping_deltas(0.7, 0.5), 2, True).pairs.tolist() == [1, 2]
+    two_copy = sdp._SectorProgram(_two_copy_deltas(), 4, True)
+    assert two_copy.pairs.size == 0
+    assert (two_copy.n, two_copy.ref, two_copy.m) == (4, 4, 20)
+
+
+def _recheck_on_full_space(sol: sdp.SdpSolution, deltas, ref_dim: int) -> None:
+    """Re-check a sector result's primal side from its matrices on the full Delta."""
+    w, rho = sol.witness_w, sol.witness_rho
+    assert w.shape == deltas[0].shape
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+    lift = np.kron(np.eye(ref_dim), rho)
+    assert np.linalg.eigvalsh(lift - w)[0] >= -1e-12
+    assert np.linalg.eigvalsh(lift + w)[0] >= -1e-12
+    for delta in deltas:
+        assert np.einsum("ab,ba->", delta, w).real >= sol.primal - 1e-12
+
+
+def test_sector_results_recheck_on_the_full_space() -> None:
+    target, _ = _two_copy_pair()
+    pair_choi = choi(target)
+    single = [identity(2), pauli_unitaries()[3]]
+    base = mix(single, [0.75, 0.25])
+    # (deltas, ref_dim, minimax, tol) as the two-copy study and fig3 solve them
+    cases = [
+        (_two_copy_deltas(), 4, True, 1e-8),  # correlated
+        ([pair_choi - choi(tensor(ch, base)) for ch in single], 4, True, 1e-8),  # half-step
+        ([pair_choi - choi(tensor(base, base))], 4, False, 1e-7),  # tensored
+        (_damping_deltas(0.25, 0.5), 2, True, 1e-8),  # fig3 row
+    ]
+    for deltas, ref_dim, minimax, tol in cases:
+        assert isinstance(sdp._program(deltas, ref_dim, minimax), sdp._SectorProgram)
+        if minimax:
+            sol = sdp.solve_minimax(deltas, ref_dim, tol)
+        else:
+            sol = sdp.solve_fixed(deltas[0], ref_dim, tol)
+        assert sol.gap <= tol
+        _recheck_on_full_space(sol, deltas, ref_dim)
+        full = sdp._solve_ipm(sdp._Program(deltas, ref_dim, minimax), tol)
+        assert max(sol.primal, full.primal) <= min(sol.dual, full.dual), (sol, full)
+
+
+def test_duc_sector_bracket_overlap_property() -> None:
+    properties.check_duc_sector_bracket_overlap(families=1)
+
+
+
+def test_sector_dual_bound_is_the_full_bound_of_the_lifted_duals() -> None:
+    # Sector blocks that already differ by Delta_0, and every pair dual at 0:
+    # the projection must raise each pair to x-_ab - x+_ab = Delta_ab at
+    # least cost, and its bound is then lambda_max(Tr_1[X1 + X2]) of the
+    # lifted duals, which satisfy X1 - X2 = Delta on the full space.
+    delta = _damping_deltas(0.25, 0.5)[0]
+    prog = sdp._SectorProgram([delta], 2, minimax=False)
+    sec, pairs = prog.sector, prog.pairs
+    x2 = (1.0 + np.abs(delta).sum()) * np.eye(2, dtype=complex)
+    x1 = x2 + delta[np.ix_(sec, sec)]
+    pair_duals = np.diag(np.r_[np.zeros(2 * len(pairs)), 1.0, 1.0]).astype(complex)
+    bound, weights = prog.project_dual([x1, x2, pair_duals], np.zeros(0))
+    assert weights is None
+    lift1 = np.zeros((4, 4), dtype=complex)
+    lift2 = np.zeros((4, 4), dtype=complex)
+    lift1[np.ix_(sec, sec)] = x1
+    lift2[np.ix_(sec, sec)] = x2
+    pair_delta = delta[pairs, pairs].real
+    assert np.all(pair_delta > 0.0)
+    lift1[pairs, pairs] = pair_delta
+    assert np.abs(lift1 - lift2 - delta).max() <= 1e-15
+    full = float(np.linalg.eigvalsh(sdp._trace_out(lift1 + lift2, 2))[-1])
+    assert abs(bound - full) <= 1e-12, (bound, full)
