@@ -55,6 +55,25 @@ direction and a Mehrotra predictor-corrector step. The step length to the
 boundary of a block P along dP is -1/lambda_min(P^-1/2 dP P^-1/2), read
 from one eigendecomposition of P (Toh, Todd & Tutuncu, SDPT3, 1999).
 
+The Schur matrix M_ij = sum_s Re Tr[A_s,i X_s A_s,j Z_s] is closed-form on
+the Hermitian coordinates, where A_s,i = sign_s E_i on each signed block s
+(Fujisawa, Kojima & Nakata, Math. Program. 1997, formulas F1-F3). Each
+basis matrix E_i has at most two nonzero entries, so M_ij = Re Tr[E_j R_i^T]
+with R_i[c, d] = sum_s sum_ab (E_i)_ab X_s[b, c] Z_s[d, a], a sum of at
+most two outer products per block. E_j is Hermitian, so also
+M_ij = Re Tr[E_j W_i^T] / 2 with W_i = R_i + R_i^H: column j reads one
+diagonal or upper-triangle entry of the Hermitian W_i. All n^2 matrices W_i
+are one batched product of rows gathered from the X_s and Z_s, with inner
+dimension 4 per signed block: O(n^4) work, where n^2 products X_s E_j Z_s
+took O(n^5). The gathered rows, the W_i, their upper triangles and M
+before symmetrization live in buffers that each program allocates once
+(3 MB at n = 16); a program therefore serves one solve at a time, and
+separate programs solve concurrently. Allocated per iteration instead,
+such arrays are returned to the system by glibc and faulted in again on
+every use: the n^2 products did so 5870 times per two-qubit solve, and
+took 6.5 ms per n = 16 iteration against 4.1 ms with glibc's trim and
+mmap thresholds raised (2-core Xeon). The closed form takes about 2 ms.
+
 Each iteration factors the Schur matrix M once: M = L L^T by Cholesky after
 a 1e-13 trace-relative ridge, then L^-1 by halves, so the predictor and the
 corrector cost only products x = L^-T L^-1 r, each refined twice against M
@@ -188,6 +207,9 @@ class _BlockProgram:
         may be empty, and gens on a block with nonzero sign act only on
         coordinates >= nw;
     ``g_rows``: the (k, m) scalar row matrix G with s(y) = -G y (k may be 0).
+
+    ``_set_data`` also allocates the Schur work buffers, so a program object
+    serves one solve at a time.
     """
 
     def _set_data(self, blocks, g_rows):
@@ -198,7 +220,17 @@ class _BlockProgram:
         ]
         self.g_rows = g_rows
         self.block_trace = sum(c.shape[0] for c, *_ in blocks) + len(g_rows)
-        self.basis = _herm_basis_stack(self.n)
+        n, nw = self.n, self.nw
+        self.signed = sum(1 for _, sign, *_ in blocks if sign)
+        # Schur work buffers (see schur), owned by this program
+        k = 4 * self.signed
+        self._schur_buffers = (
+            np.empty((nw, k, n), dtype=complex),
+            np.empty((nw, k, n), dtype=complex),
+            np.empty((nw, nw), dtype=complex),
+            np.empty((nw, (nw - n) // 2), dtype=complex),
+            np.empty((self.m, self.m)),
+        )
 
     def _start_at(self, y):
         """Starting point: y with identity matrix duals and unit scalar duals."""
@@ -233,14 +265,31 @@ class _BlockProgram:
         return out
 
     def schur(self, x_mats, z_mats, xz_scal):
-        """M[i,j] = sum over blocks of Re Tr[A_i X A_j Z] plus sum_k G_ki xz_k G_kj."""
-        nw = self.nw
-        tl = 0.0
-        for x, z, (_, sign, *_) in zip(x_mats, z_mats, self.blocks):
-            if sign:
-                tl += np.matmul(np.matmul(x, self.basis), z)
-        m = np.zeros((self.m, self.m))
-        m[:nw, :nw] = extract_coords(tl).T
+        """M[i,j] = sum over blocks of Re Tr[A_i X A_j Z] plus sum_k G_ki xz_k G_kj.
+
+        The block of the Hermitian coordinates is the closed form of the
+        module docstring: ``left`` and ``right`` hold the gathered rows,
+        ``w`` the n^2 matrices W_i, ``upper`` their upper triangles. Only
+        the returned matrix is allocated per call.
+        """
+        n, nw = self.n, self.nw
+        npair = (nw - n) // 2
+        left_rows, right_rows, coef, upper_cols = _schur_gathers(n, self.signed)
+        xs = [x for x, (_, sign, *_) in zip(x_mats, self.blocks) if sign]
+        zs = [z for z, (_, sign, *_) in zip(z_mats, self.blocks) if sign]
+        left, right, w, upper, m = self._schur_buffers
+        left_src = np.concatenate(xs + [z.conj().T for z in zs])
+        np.take(left_src, left_rows, axis=0, out=left, mode="clip")
+        left *= coef
+        right_src = np.concatenate([z.T for z in zs] + [x.conj() for x in xs])
+        np.take(right_src, right_rows, axis=0, out=right, mode="clip")
+        np.matmul(left.transpose(0, 2, 1), right, out=w.reshape(nw, n, n))
+        np.take(w, upper_cols, axis=1, out=upper, mode="clip")
+        np.multiply(w[:, :: n + 1].real, 1.0 / _SQRT2, out=m[:nw, :n])
+        np.copyto(m[:nw, n : n + npair], upper.real)
+        np.negative(upper.imag, out=m[:nw, n + npair : nw])
+        m[:nw, nw:] = 0.0
+        m[nw:] = 0.0
         if len(xz_scal):
             m += self.g_rows.T @ (xz_scal[:, None] * self.g_rows)
         cross = {}  # sign * X F Z summed over the blocks that share a span
@@ -256,7 +305,51 @@ class _BlockProgram:
             c = extract_coords(t)
             m[off : off + l, :nw] += c
             m[:nw, off : off + l] += c.T
-        return 0.5 * (m + m.T)
+        out = m.T.copy()
+        out += m
+        out *= 0.5
+        return out
+
+
+@lru_cache(maxsize=None)
+def _schur_gathers(n: int, signed: int):
+    """Read-only index and coefficient tables of the closed-form Schur block.
+
+    Term t of basis matrix E_i is (E_i)_ab e_ab: t = 0 only for e_aa, and
+    t = 0, 1 for (a, b) = (p, q), (q, p) of a pair p < q. Column
+    k = (h, t, s) of ``left_rows`` and ``right_rows`` indexes the
+    concatenated sources of ``schur``: for h = 0, row b of X_s and row a of
+    Z_s^T, scaled by ``coef`` = (E_i)_ab / sqrt2 (the 1/sqrt2 normalizes
+    the columns j); for h = 1, row a of Z_s^H and row b of conj(X_s),
+    scaled by its conjugate. ``upper_cols`` are the flat positions of the
+    upper triangle of an n x n matrix.
+    """
+    iu, ju = _pair_indices(n)
+    r = np.arange(n)
+    npair = iu.size
+    first = np.stack([np.concatenate([r, iu, iu]), np.concatenate([r, ju, ju])])
+    second = np.stack([np.concatenate([r, ju, ju]), np.concatenate([r, iu, iu])])
+    half = np.full(npair, 0.5)
+    coef = np.stack(
+        [
+            np.concatenate([np.full(n, 1.0 / _SQRT2), half, 0.5j * np.ones(npair)]),
+            np.concatenate([np.zeros(n), half, -0.5j * np.ones(npair)]),
+        ]
+    )
+    block = n * np.arange(signed)[:, None, None]
+
+    def columns(rows):  # (2, n^2) rows of the terms -> (n^2, 2 * signed)
+        return (rows + block).transpose(2, 1, 0).reshape(n * n, -1)
+
+    other = n * signed  # the h = 1 sources follow the h = 0 ones
+    left_rows = np.concatenate([columns(second), columns(first) + other], axis=1)
+    right_rows = np.concatenate([columns(first), columns(second) + other], axis=1)
+    coef = np.repeat(coef.T, signed, axis=1)
+    coef = np.concatenate([coef, coef.conj()], axis=1)[:, :, None]
+    upper_cols = iu * n + ju
+    for arr in (left_rows, right_rows, coef, upper_cols):
+        arr.setflags(write=False)
+    return left_rows, right_rows, coef, upper_cols
 
 
 class _Program(_BlockProgram):
@@ -565,18 +658,29 @@ def _block_ip(a_mats, a_scal, b_mats, b_scal):
     return tot + float(a_scal @ b_scal)
 
 
-def _max_step(mats, scal, d_mats, d_scal):
-    """sup alpha such that (mats, scal) + alpha * direction stays PSD.
+def _inv_sqrt_factors(mats):
+    """R = U Lambda^-1/2 of each block P = U Lambda U^H.
 
-    Per block, alpha <= -1/lambda_min(R^H dP R) with R = U Lambda^-1/2 from
-    P = U Lambda U^H; flooring Lambda at a trace-relative jitter keeps the
-    step finite and nonnegative on a singular or roundoff-indefinite block.
+    Flooring Lambda at a trace-relative jitter keeps R finite on a singular
+    or roundoff-indefinite block.
     """
-    alpha = np.inf
-    for pb, db in zip(mats, d_mats):
+    roots = []
+    for pb in mats:
         lam, u = np.linalg.eigh(pb)
         jit = 1e-300 + 1e-15 * abs(np.trace(pb).real) / pb.shape[0]
-        r = u / np.sqrt(np.maximum(lam, jit))
+        roots.append(u / np.sqrt(np.maximum(lam, jit)))
+    return roots
+
+
+def _max_step(roots, scal, d_mats, d_scal):
+    """sup alpha such that (mats, scal) + alpha * direction stays PSD.
+
+    Per block, alpha <= -1/lambda_min(R^H dP R) with R from
+    _inv_sqrt_factors(mats); the floored jitter keeps the step finite and
+    nonnegative.
+    """
+    alpha = np.inf
+    for r, db in zip(roots, d_mats):
         lmin = float(np.linalg.eigvalsh(_herm(r.conj().T @ db @ r))[0])
         if lmin < 0.0:
             alpha = min(alpha, -1.0 / lmin)
@@ -686,6 +790,9 @@ def _solve_ipm(prog, gap_tol: float) -> SdpSolution:
             m[np.diag_indices_from(m)] += 1e-13 * (np.trace(m) / prog.m + 1.0)
             li = _tri_inv(np.linalg.cholesky(m))
             az = prog.apply(z_mats, z_scal)
+            # the predictor and the corrector step from the same iterates
+            x_roots = _inv_sqrt_factors(x_mats)
+            s_roots = _inv_sqrt_factors(s_mats)
 
             def direction(rhs, smu, corr_mats, corr_scal):
                 """HKM direction (dx, ds, dy) for the right-hand side ``rhs``, centring
@@ -698,8 +805,8 @@ def _solve_ipm(prog, gap_tol: float) -> SdpSolution:
                     for xb, ab, zb, cb in zip(x_mats, adj_mats, z_mats, corr_mats)
                 ]
                 dx_scal = smu * z_scal - x_scal - corr_scal + x_scal * adj_scal * z_scal
-                ap = min(1.0, 0.99 * _max_step(x_mats, x_scal, dx_mats, dx_scal))
-                ad = min(1.0, 0.99 * _max_step(s_mats, s_scal, ds_mats, ds_scal))
+                ap = min(1.0, 0.99 * _max_step(x_roots, x_scal, dx_mats, dx_scal))
+                ad = min(1.0, 0.99 * _max_step(s_roots, s_scal, ds_mats, ds_scal))
                 return dx_mats, dx_scal, ds_mats, ds_scal, dy, ap, ad
 
             # predictor: the affine-scaling direction, smu = 0 and no correction

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import os
+import struct
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ import pytest
 from chanapprox import (
     choi,
     damping,
+    diamond_sdp,
     identity,
     mix,
     pauli_channel,
@@ -229,6 +233,20 @@ def _norm(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def _brute_schur(prog, x_mats, z_mats, xz_scal) -> np.ndarray:
+    """The Schur matrix from A^T(e_i) of every unit vector, dense."""
+    units = [prog.adjoint_blocks(e) for e in np.eye(prog.m)]
+    brute = np.zeros((prog.m, prog.m))
+    for b, (x, z) in enumerate(zip(x_mats, z_mats)):
+        gens = np.stack([u[0][b] for u in units])
+        t = np.matmul(np.matmul(x, gens), z)
+        flat = gens.reshape(prog.m, -1)
+        brute += (flat @ t.transpose(0, 2, 1).reshape(prog.m, -1).T).real
+    rows = np.stack([u[1] for u in units])
+    brute += rows @ (xz_scal[:, None] * rows.T)
+    return 0.5 * (brute + brute.T)
+
+
 def test_program_operators_are_consistent_for_every_shape() -> None:
     """slack = C - A^T(y), <A^T(y), X> = y . A(X), and schur matches brute force."""
     gen = helpers.rng(36)
@@ -258,18 +276,69 @@ def test_program_operators_are_consistent_for_every_shape() -> None:
         _assert_rel(sum(terms), float(y @ applied), scale)
 
         # schur against the dense brute force over unit vectors
-        units = [prog.adjoint_blocks(e) for e in np.eye(prog.m)]
-        brute = np.zeros((prog.m, prog.m))
-        for b, (x, z) in enumerate(zip(x_mats, z_mats)):
-            gens = np.stack([u[0][b] for u in units])
-            t = np.matmul(np.matmul(x, gens), z)
-            flat = gens.reshape(prog.m, -1)
-            brute += (flat @ t.transpose(0, 2, 1).reshape(prog.m, -1).T).real
-        rows = np.stack([u[1] for u in units])
-        brute += rows @ ((x_scal * z_scal)[:, None] * rows.T)
-        brute = 0.5 * (brute + brute.T)
+        brute = _brute_schur(prog, x_mats, z_mats, x_scal * z_scal)
         fast = prog.schur(x_mats, z_mats, x_scal * z_scal)
         _assert_rel(fast, brute, _norm(brute))
+
+        # a second call on fresh iterates reuses the program's buffers but
+        # leaves the first returned matrix as it was
+        kept = fast.copy()
+        x_mats = [_random_pd(s, gen) for s in sizes]
+        z_mats = [_random_pd(s, gen) for s in sizes]
+        xz_scal = gen.uniform(0.5, 2.0, size=k)
+        second = prog.schur(x_mats, z_mats, xz_scal)
+        _assert_rel(second, _brute_schur(prog, x_mats, z_mats, xz_scal), _norm(second))
+        assert np.array_equal(fast, kept), name
+
+
+def test_warm_schur_call_allocates_no_large_temporaries() -> None:
+    """At n = 16 the per-iteration Schur work lives in program-owned buffers:
+    a warm call allocates little beyond its 0.56 MiB result (271 x 271)."""
+    gen = helpers.rng(42)
+    delta = choi(helpers.random_channel(4, 2, gen)) - choi(helpers.random_channel(4, 3, gen))
+    prog = sdp._Program([delta], 4, minimax=False)
+    assert (prog.n, prog.m) == (16, 271)
+    sizes = [blk.shape[0] for blk in prog.slack_blocks(np.zeros(prog.m))[0]]
+    x_mats = [_random_pd(s, gen) for s in sizes]
+    z_mats = [_random_pd(s, gen) for s in sizes]
+    prog.schur(x_mats, z_mats, np.zeros(0))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        prog.schur(x_mats, z_mats, np.zeros(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 1.5 * 2**20, peak - start
+
+
+def test_concurrent_solves_match_serial_bits() -> None:
+    """Two threads solving different d = 4 pairs give the serial bits."""
+    gen = helpers.rng(43)
+    pairs = [
+        (helpers.random_channel(4, 2, gen), helpers.random_channel(4, 3, gen))
+        for _ in range(2)
+    ]
+
+    def bits(res):
+        return (
+            struct.pack("<3d", res.value, res.primal, res.dual),
+            res.witness_operator.tobytes(),
+            res.witness_state.tobytes(),
+        )
+
+    serial = [bits(diamond_sdp(a, b, TOL)) for a, b in pairs]
+    threaded = [None, None]
+
+    def run(i):
+        threaded[i] = bits(diamond_sdp(*pairs[i], TOL))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert threaded == serial
 
 
 def test_programs_reject_malformed_shapes() -> None:
@@ -305,7 +374,7 @@ def test_max_step_matches_brute_force_scaled_eigenvalue() -> None:
             if lmin < 0.0:
                 steps.append(-1.0 / lmin)
         expected = min(steps)
-        got = sdp._max_step(mats, scal, d_mats, d_scal)
+        got = sdp._max_step(sdp._inv_sqrt_factors(mats), scal, d_mats, d_scal)
         assert abs(got - expected) <= 1e-12 * expected, (trial, got, expected)
 
 
@@ -315,7 +384,7 @@ def test_max_step_is_finite_on_singular_and_indefinite_blocks() -> None:
     for diag in ([1.0, 0.0], [1.0, -1e-10]):
         block = np.diag(diag).astype(complex)
         for direction in directions:
-            step = sdp._max_step([block], no_scal, [direction], no_scal)
+            step = sdp._max_step(sdp._inv_sqrt_factors([block]), no_scal, [direction], no_scal)
             assert np.isfinite(step) and step >= 0.0, (diag, step)
 
 
