@@ -56,11 +56,11 @@ boundary of a block P along dP is -1/lambda_min(P^-1/2 dP P^-1/2), read
 from one eigendecomposition of P (Toh, Todd & Tutuncu, SDPT3, 1999).
 
 The Schur matrix M_ij = sum_s Re Tr[A_s,i X_s A_s,j Z_s] is closed-form on
-the Hermitian coordinates, where A_s,i = sign_s E_i on each signed block s
-(Fujisawa, Kojima & Nakata, Math. Program. 1997, formulas F1-F3). Each
-basis matrix E_i has at most two nonzero entries, so M_ij = Re Tr[E_j R_i^T]
-with R_i[c, d] = sum_s sum_ab (E_i)_ab X_s[b, c] Z_s[d, a], a sum of at
-most two outer products per block. E_j is Hermitian, so also
+the Hermitian coordinates, where A_s,i = sign_s E_i with sign_s^2 = 1 on
+each n x n block s (Fujisawa, Kojima & Nakata, Math. Program. 1997,
+formulas F1-F3). Each basis matrix E_i has at most two nonzero entries, so
+M_ij = Re Tr[E_j R_i^T] with R_i[c, d] = sum_s sum_ab (E_i)_ab X_s[b, c]
+Z_s[d, a], a sum of at most two outer products per block. E_j is Hermitian, so also
 M_ij = Re Tr[E_j W_i^T] / 2 with W_i = R_i + R_i^H: column j reads one
 diagonal or upper-triangle entry of the Hermitian W_i. All n^2 matrices W_i
 are one batched product of rows gathered from the X_s and Z_s, with inner
@@ -68,11 +68,13 @@ dimension 4 per signed block: O(n^4) work, where n^2 products X_s E_j Z_s
 took O(n^5). The gathered rows, the W_i, their upper triangles and M
 before symmetrization live in buffers that each program allocates once
 (3 MB at n = 16); a program therefore serves one solve at a time, and
-separate programs solve concurrently. Allocated per iteration instead,
-such arrays are returned to the system by glibc and faulted in again on
-every use: the n^2 products did so 5870 times per two-qubit solve, and
-took 6.5 ms per n = 16 iteration against 4.1 ms with glibc's trim and
-mmap thresholds raised (2-core Xeon). The closed form takes about 2 ms.
+separate programs solve concurrently. Arrays allocated per iteration
+instead are returned to the system by glibc and faulted in again on every
+use: with the n^2 products in fresh arrays, a two-qubit solve took about
+5600-6000 minor page faults, and the products took 6.5 ms per n = 16
+iteration against 4.1 ms with glibc's trim and mmap thresholds raised
+(2-core Xeon). The closed form takes about 2 ms, and a solve about
+900-1500 faults.
 
 Each iteration factors the Schur matrix M once: M = L L^T by Cholesky after
 a 1e-13 trace-relative ridge, then L^-1 by halves, so the predictor and the
@@ -279,6 +281,7 @@ class _BlockProgram:
         zs = [z for z, (_, sign, *_) in zip(z_mats, self.blocks) if sign]
         left, right, w, upper, m = self._schur_buffers
         left_src = np.concatenate(xs + [z.conj().T for z in zs])
+        # mode="clip": with the default mode, np.take fills a copy of ``out``
         np.take(left_src, left_rows, axis=0, out=left, mode="clip")
         left *= coef
         right_src = np.concatenate([z.T for z in zs] + [x.conj() for x in xs])
@@ -673,11 +676,12 @@ def _inv_sqrt_factors(mats):
 
 
 def _max_step(roots, scal, d_mats, d_scal):
-    """sup alpha such that (mats, scal) + alpha * direction stays PSD.
+    """sup alpha such that every block P + alpha dP stays PSD and
+    scal + alpha d_scal stays nonnegative, given ``roots`` =
+    _inv_sqrt_factors of the blocks P.
 
-    Per block, alpha <= -1/lambda_min(R^H dP R) with R from
-    _inv_sqrt_factors(mats); the floored jitter keeps the step finite and
-    nonnegative.
+    Per block, alpha <= -1/lambda_min(R^H dP R); the floored jitter keeps
+    the step finite and nonnegative.
     """
     alpha = np.inf
     for r, db in zip(roots, d_mats):

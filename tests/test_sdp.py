@@ -295,7 +295,8 @@ def test_warm_schur_call_allocates_no_large_temporaries() -> None:
     """At n = 16 the per-iteration Schur work lives in program-owned buffers:
     a warm call allocates little beyond its 0.56 MiB result (271 x 271)."""
     gen = helpers.rng(42)
-    delta = choi(helpers.random_channel(4, 2, gen)) - choi(helpers.random_channel(4, 3, gen))
+    a, b = helpers.random_channel(4, 2, gen), helpers.random_channel(4, 3, gen)
+    delta = choi(a) - choi(b)
     prog = sdp._Program([delta], 4, minimax=False)
     assert (prog.n, prog.m) == (16, 271)
     sizes = [blk.shape[0] for blk in prog.slack_blocks(np.zeros(prog.m))[0]]
@@ -334,10 +335,16 @@ def test_concurrent_solves_match_serial_bits() -> None:
         threaded[i] = bits(diamond_sdp(*pairs[i], TOL))
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the two solves finely
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert threaded == serial
 
 
@@ -384,7 +391,8 @@ def test_max_step_is_finite_on_singular_and_indefinite_blocks() -> None:
     for diag in ([1.0, 0.0], [1.0, -1e-10]):
         block = np.diag(diag).astype(complex)
         for direction in directions:
-            step = sdp._max_step(sdp._inv_sqrt_factors([block]), no_scal, [direction], no_scal)
+            roots = sdp._inv_sqrt_factors([block])
+            step = sdp._max_step(roots, no_scal, [direction], no_scal)
             assert np.isfinite(step) and step >= 0.0, (diag, step)
 
 
