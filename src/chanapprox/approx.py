@@ -38,7 +38,14 @@ from .channels import (
     prob_vector,
     tensor,
 )
-from .diamond import _ZERO_TRACE_NORM, DiamondResult, _diamond_of_delta, d_i_unitary
+from .diamond import (
+    _ZERO_TRACE_NORM,
+    DiamondResult,
+    _delta_steps,
+    _diamond_of_delta,
+    _zero_result,
+    d_i_unitary,
+)
 from .errors import DimMismatchError, NoConvergenceError, RangeError
 from .linalg import trace_norm
 
@@ -96,6 +103,11 @@ def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
     optimum, so the weights are within the gap (<= 1e-7) of optimal.  If it
     stalls, a fixed solve at the weights is the witness, within tol of primal.
     """
+    return sdp._run(_convex_approx_steps(target, set, tol))
+
+
+def _convex_approx_steps(target: Channel, set, tol: float):
+    """``optimal_convex_approx`` as steps (see ``sdp._run_all``)."""
     _check_tol(tol)
     delta_stack = _simplex_deltas(target, set)
     d = target.dim
@@ -106,11 +118,11 @@ def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
             return ApproxResult(
                 weights=prob_vector(np.eye(len(delta_stack))[i]),
                 distance=0.0,
-                witness=_diamond_of_delta(delta, d, _INNER_TOL),
+                witness=_zero_result(delta, d),
                 iterations=0,
             )
 
-    joint = sdp.solve_minimax(delta_stack, d, 1e-8)
+    joint = yield sdp._program(delta_stack, d, minimax=True), 1e-8
     if joint.weights is None:
         raise NoConvergenceError("the joint minimax solve returned no mixture weights")
     witness = DiamondResult._of_solution(joint)
@@ -118,7 +130,7 @@ def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
         # The joint bracket can stall above 1e-7: a fixed solve certifies the
         # distance at the weights, and t their optimality to within tol.
         mixed = np.tensordot(joint.weights, delta_stack, axes=1)
-        witness = _diamond_of_delta(mixed, d, _INNER_TOL)
+        witness = yield from _delta_steps(mixed, d, _INNER_TOL)
         if not witness.dual <= joint.primal + tol:
             raise NoConvergenceError(
                 f"mixture distance {witness.dual:.9f} is more than {tol:.0e} above "
@@ -283,9 +295,14 @@ def pauli_distance_damping(q: float, gamma: float, tol: float = 1e-6) -> ApproxR
     s = sqrt(1-gamma), and the unrestricted distance is zero -- while
     this family keeps a strictly positive distance.
     """
+    return sdp._run(_damping_steps(q, gamma, tol))
+
+
+def _damping_steps(q: float, gamma: float, tol: float):
+    """``pauli_distance_damping`` as steps (see ``sdp._run_all``)."""
     paulis = pauli_unitaries()
     endpoints = (paulis[0], mix(paulis[1:3], [0.5, 0.5]))
-    res = optimal_convex_approx(damping(q, gamma), endpoints, tol)
+    res = yield from _convex_approx_steps(damping(q, gamma), endpoints, tol)
     w0, w1 = res.weights
     return replace(res, weights=prob_vector([w0, 0.5 * w1, 0.5 * w1, 0.0]))
 

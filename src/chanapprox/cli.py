@@ -24,6 +24,7 @@ invariant violation during a sweep.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -34,16 +35,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sdp
 from .approx import (
     _APPROX_TOL_FLOOR,
+    _convex_approx_steps,
     approx_bounds,
     covariance_distance_x,
     damping_bounds,
     multi_copy_approx,
     optimal_convex_approx,
-    pauli_distance_damping,
     two_copy_problem,
 )
+from .approx import _damping_steps as pauli_distance_damping  # steps (see _fig3_row)
 from .channels import (
     identity,
     parse_channel_spec,
@@ -51,7 +54,7 @@ from .channels import (
     unitary_qubit,
 )
 from .channels import covariant as covariant_channel
-from .diamond import diamond_sdp, discrimination_probability
+from .diamond import _diamond_sdp_steps, diamond_sdp, discrimination_probability
 from .errors import NoConvergenceError, SpecParseError
 
 EXIT_OK = 0
@@ -121,18 +124,27 @@ def _json_text(payload) -> str:
 
 
 def _map_rows(worker, items, workers: int) -> list:
-    """Evaluate ``worker`` over ``items`` preserving order.
+    """The rows of the step generators ``worker(item)``, in order.
 
-    With ``workers > 1`` the rows go to a process pool of at most one
-    worker per row; ``ProcessPoolExecutor.map`` preserves input order, so
-    parallel and serial runs emit byte-identical output.
+    The rows are solved together (``sdp._run_all``): every solve they need
+    joins a stacked solve of its program's shape. With ``workers > 1`` a
+    process pool of at most one worker per row takes the items in
+    contiguous chunks, one chunk per worker. A row's bits do not depend on
+    the rows it is solved with, so parallel and serial runs emit
+    byte-identical output.
     """
     workers = min(workers, len(items))
     if workers <= 1:
-        return [worker(item) for item in items]
-    chunk = max(1, len(items) // (workers * 4))
+        return _solve_rows(worker, items)
+    cuts = [len(items) * i // workers for i in range(workers + 1)]
+    chunks = [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, items, chunksize=chunk))
+        parts = pool.map(functools.partial(_solve_rows, worker), chunks)
+        return [row for part in parts for row in part]
+
+
+def _solve_rows(worker, items) -> list:
+    return sdp._run_all([worker(item) for item in items])
 
 
 def _load_channel_spec(text: str):
@@ -163,42 +175,52 @@ def _load_channel_spec(text: str):
 # ---------------------------------------------------------------------------
 
 
-def _fig1_row(item) -> tuple:
+# A row worker is a step generator (see ``sdp._run_all``): it yields the
+# programs its row needs, receives their solutions and returns the row.
+
+
+def _fig1_row(item):
     """(x, analytic D, optimal p, certified SDP D, gap) for one shift x."""
     x, sdp_tol = item
     value, p_opt = covariance_distance_x(x)
     alpha = float(np.arcsin(np.clip(x / 2.0, -1.0, 1.0)))
-    res = diamond_sdp(unitary_qubit(alpha, 0.0, 0.0), covariant_channel(p_opt), sdp_tol)
+    res = yield from _diamond_sdp_steps(
+        unitary_qubit(alpha, 0.0, 0.0), covariant_channel(p_opt), sdp_tol
+    )
     return (x, value, p_opt, res.value, res.gap)
 
 
-def _fig2_row(item) -> tuple:
+def _fig2_row(item):
     """(alpha, beta, Pauli-mixture distance, gap) for one unitary."""
     alpha, beta, delta, tol = item
-    res = optimal_convex_approx(
+    res = yield from _convex_approx_steps(
         unitary_qubit(alpha, beta, delta), pauli_unitaries(), tol
     )
     return (alpha, beta, res.distance, res.witness.gap)
 
 
-def _fig3_row(item) -> tuple:
-    """(q, gamma, structured Pauli distance, gap) for one damping channel."""
+def _fig3_row(item):
+    """(q, gamma, structured Pauli distance, gap) for one damping channel.
+
+    The fig3 and fig4 rows reach ``approx.pauli_distance_damping`` through
+    this module's ``pauli_distance_damping``, bound to its step form.
+    """
     q, gamma, tol = item
-    res = pauli_distance_damping(q, gamma, tol)
+    res = yield from pauli_distance_damping(q, gamma, tol)
     return (q, gamma, res.distance, res.witness.gap)
 
 
-def _fig4_row(item) -> tuple:
+def _fig4_row(item):
     """(gamma, distance, lower, upper, gap) for one damping strength."""
     q, gamma, tol = item
-    res = pauli_distance_damping(q, gamma, tol)
+    res = yield from pauli_distance_damping(q, gamma, tol)
     lower, upper = damping_bounds(q, gamma)
     return (gamma, res.distance, lower, upper, res.witness.gap)
 
 
 def _fig1_check(row, tol: float) -> str | None:
     """The analytic and certified SDP distances of a fig1 row must agree."""
-    if not (abs(row[1] - row[3]) <= tol + 1e-5):
+    if not (abs(row[1] - row[3]) <= tol):
         return f"analytic value {_fmt(row[1])} and SDP value {_fmt(row[3])} disagree"
     return None
 
@@ -409,10 +431,11 @@ def _run_sweep(args, worker, axes, header, tol, item, check=None) -> int:
 
     ``axes`` holds ``(name, start, stop)`` for each linearly spaced axis;
     each axis needs at least 2 points.  ``item(point, tol)`` turns one
-    grid point into the argument of the row worker ``worker``, whose rows
-    start with the point and end with the certificate gap.  ``tol`` must
-    be finite and ``>= 1e-9`` (the certification floor of the fixed-pair
-    solver).  A gap not at most ``tol`` (NaN included), or a violation
+    grid point into the argument of the row worker ``worker``, a step
+    generator whose rows start with the point and end with the
+    certificate gap; ``_map_rows`` solves the rows in batches.  ``tol``
+    must be finite and ``>= 1e-9`` (the certification floor of the
+    fixed-pair solver).  A gap not at most ``tol`` (NaN included), or a violation
     named by ``check(row, tol)``, aborts the sweep before anything is
     written.
     """

@@ -153,21 +153,48 @@ def fixed_input_bound(a: Channel, b: Channel, state: np.ndarray) -> float:
     return trace_norm(apply_channel(a, state) - apply_channel(b, state))
 
 
+def _zero_result(delta: np.ndarray, ref_dim: int) -> DiamondResult:
+    """The result for a delta of trace norm at most _ZERO_TRACE_NORM.
+
+    The diamond norm is bounded by the Choi trace norm, so it is exactly
+    zero to working precision; W = 0 with the maximally mixed reference
+    state is an exact witness pair.
+    """
+    n = delta.shape[0]
+    return DiamondResult(
+        value=0.0,
+        witness_state=np.eye(ref_dim, dtype=complex) / ref_dim,
+        witness_operator=np.zeros((n, n), dtype=complex),
+        primal=0.0,
+        dual=0.0,
+    )
+
+
 def _diamond_of_delta(delta: np.ndarray, ref_dim: int, tol: float) -> DiamondResult:
     """Certified diamond norm of the Hermitian map with Choi matrix delta."""
     if trace_norm(delta) <= _ZERO_TRACE_NORM:
-        # The diamond norm is bounded by the Choi trace norm, so this is
-        # exactly zero to working precision; W = 0 with the maximally
-        # mixed reference state is an exact witness pair.
-        n = delta.shape[0]
-        return DiamondResult(
-            value=0.0,
-            witness_state=np.eye(ref_dim, dtype=complex) / ref_dim,
-            witness_operator=np.zeros((n, n), dtype=complex),
-            primal=0.0,
-            dual=0.0,
-        )
+        return _zero_result(delta, ref_dim)
     return DiamondResult._of_solution(sdp.solve_fixed(delta, ref_dim, tol))
+
+
+def _delta_steps(delta: np.ndarray, ref_dim: int, tol: float):
+    """``_diamond_of_delta`` as steps (see ``sdp._run_all``)."""
+    if trace_norm(delta) <= _ZERO_TRACE_NORM:
+        return _zero_result(delta, ref_dim)
+    return DiamondResult._of_solution((yield from sdp._fixed_steps(delta, ref_dim, tol)))
+
+
+def _checked_delta(a: Channel, b: Channel, tol: float) -> np.ndarray:
+    """choi(a) - choi(b), once ``diamond_sdp`` accepts its arguments."""
+    if a.dim != b.dim:
+        raise DimMismatchError(f"channel dims differ: {a.dim} vs {b.dim}")
+    if a.dim > _MAX_DIM:
+        raise DimTooLargeError(
+            f"dimension {a.dim} exceeds the supported maximum {_MAX_DIM}"
+        )
+    if not 1e-9 <= tol < np.inf:
+        raise RangeError(f"tolerance {tol:g} must be finite and at least 1e-9")
+    return choi(a) - choi(b)
 
 
 def diamond_sdp(a: Channel, b: Channel, tol: float = 1e-7) -> DiamondResult:
@@ -177,15 +204,13 @@ def diamond_sdp(a: Channel, b: Channel, tol: float = 1e-7) -> DiamondResult:
     -I(x)rho <= W <= I(x)rho, rho >= 0, Tr rho = 1, returning the midpoint
     of the certified two-sided bounds (gap <= tol).
     """
-    if a.dim != b.dim:
-        raise DimMismatchError(f"channel dims differ: {a.dim} vs {b.dim}")
-    if a.dim > _MAX_DIM:
-        raise DimTooLargeError(
-            f"dimension {a.dim} exceeds the supported maximum {_MAX_DIM}"
-        )
-    if not 1e-9 <= tol < np.inf:
-        raise RangeError(f"tolerance {tol:g} must be finite and at least 1e-9")
-    return _diamond_of_delta(choi(a) - choi(b), a.dim, tol)
+    return _diamond_of_delta(_checked_delta(a, b, tol), a.dim, tol)
+
+
+def _diamond_sdp_steps(a: Channel, b: Channel, tol: float):
+    """``diamond_sdp`` as steps (see ``sdp._run_all``); the arguments are
+    checked when it is called."""
+    return _delta_steps(_checked_delta(a, b, tol), a.dim, tol)
 
 
 def discrimination_probability(diamond_value: float) -> float:

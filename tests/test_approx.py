@@ -213,8 +213,8 @@ def test_only_exactly_covariant_families_take_the_sector_program(monkeypatch) ->
     assert type(sdp._program([nudged], 2, minimax=False)) is sdp._Program
     # fig1 and fig2 rows are not covariant
     kinds = _log_kinds(monkeypatch)
-    cli._fig1_row((1.2, 1e-7))
-    cli._fig2_row((0.43, 0.91, np.pi / 8, 1e-6))
+    sdp._run(cli._fig1_row((1.2, 1e-7)))
+    sdp._run(cli._fig2_row((0.43, 0.91, np.pi / 8, 1e-6)))
     assert kinds == ["fixed", "minimax"]
 
 

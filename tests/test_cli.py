@@ -172,6 +172,17 @@ def test_exit_code_no_convergence(monkeypatch, capsys) -> None:
     assert "above tolerance" in capsys.readouterr().err
 
 
+def _without_solves(row):
+    """A row worker (a step generator) that returns ``row(item)`` and
+    requests no solve."""
+
+    def worker(item):
+        return row(item)
+        yield
+
+    return worker
+
+
 def test_exit_code_invariant_violation(tmp_path, monkeypatch, capsys) -> None:
     def bad_row(item):
         q, gamma, tol = item
@@ -185,17 +196,25 @@ def test_exit_code_invariant_violation(tmp_path, monkeypatch, capsys) -> None:
         x, sdp_tol = item
         return (x, 0.0, 0.5, 0.25, 0.0)
 
-    monkeypatch.setattr(cli, "_fig4_row", bad_row)
-    monkeypatch.setattr(cli, "_fig2_row", wide_gap_row)
-    monkeypatch.setattr(cli, "_fig1_row", disagreeing_row)
+    def slightly_disagreeing_row(item):
+        # 2e-7 apart at the default tol 1e-7: the SDP column, solved to
+        # 1e-9, can sit at most 5e-10 from the analytic one
+        x, sdp_tol = item
+        return (x, 0.5, 0.5, 0.5 + 2e-7, 0.0)
+
+    monkeypatch.setattr(cli, "_fig4_row", _without_solves(bad_row))
+    monkeypatch.setattr(cli, "_fig2_row", _without_solves(wide_gap_row))
     out = tmp_path / "previous.csv"
     out.write_text("previous contents\n")
     cases = (
-        (["fig4", "--grid", "3"], "bracket"),
-        (["fig2", "--grid", "2x2"], "certificate gap"),
-        (["fig1", "--grid", "3"], "disagree"),
+        (["fig4", "--grid", "3"], "bracket", None),
+        (["fig2", "--grid", "2x2"], "certificate gap", None),
+        (["fig1", "--grid", "3"], "disagree", disagreeing_row),
+        (["fig1", "--grid", "3"], "disagree", slightly_disagreeing_row),
     )
-    for argv, message in cases:
+    for argv, message, fig1_row in cases:
+        if fig1_row is not None:
+            monkeypatch.setattr(cli, "_fig1_row", _without_solves(fig1_row))
         assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_INVARIANT
         assert message in capsys.readouterr().err
         # nothing is written unless every row passes its checks
@@ -217,9 +236,9 @@ def test_nan_rows_violate_the_sweep_checks(tmp_path, monkeypatch, capsys) -> Non
         x, sdp_tol = item
         return (x, 0.5, 0.5, nan, 0.0)
 
-    monkeypatch.setattr(cli, "_fig2_row", nan_row)
-    monkeypatch.setattr(cli, "_fig4_row", nan_bracket_row)
-    monkeypatch.setattr(cli, "_fig1_row", nan_sdp_row)
+    monkeypatch.setattr(cli, "_fig2_row", _without_solves(nan_row))
+    monkeypatch.setattr(cli, "_fig4_row", _without_solves(nan_bracket_row))
+    monkeypatch.setattr(cli, "_fig1_row", _without_solves(nan_sdp_row))
     out = tmp_path / "previous.csv"
     out.write_text("previous contents\n")
     cases = (
@@ -279,6 +298,18 @@ def test_fig1_parallel_output_is_byte_identical(tmp_path) -> None:
     assert serial.read_bytes() == parallel.read_bytes() == auto.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv", [["fig2", "--grid", "3x3"], ["fig3", "--grid", "3x3"], ["fig4", "--grid", "5"]]
+)
+def test_parallel_output_is_byte_identical(tmp_path, argv) -> None:
+    # serially the sweep is one batch; with two workers it is two chunks
+    serial = tmp_path / "serial.csv"
+    parallel = tmp_path / "parallel.csv"
+    assert cli.main([*argv, "--out", str(serial)]) == cli.EXIT_OK
+    assert cli.main([*argv, "--parallel", "2", "--out", str(parallel)]) == cli.EXIT_OK
+    assert serial.read_bytes() == parallel.read_bytes()
+
+
 def test_parallel_pool_has_at_most_one_worker_per_row(tmp_path, monkeypatch) -> None:
     sizes = []
 
@@ -304,7 +335,7 @@ def test_parallel_pool_has_at_most_one_worker_per_row(tmp_path, monkeypatch) -> 
         assert cli.main(argv) == cli.EXIT_OK
         assert sizes == pools
     # a single row never starts a pool
-    assert cli._map_rows(abs, [-1.0], 5000) == [1.0]
+    assert cli._map_rows(_without_solves(abs), [-1.0], 5000) == [1.0]
     assert sizes == [3, 2]
 
 

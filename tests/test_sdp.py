@@ -29,7 +29,7 @@ from chanapprox import (
 )
 from chanapprox.approx import two_copy_problem
 from chanapprox.channels import PAULI
-from chanapprox import sdp
+from chanapprox import cli, sdp
 from chanapprox.errors import NoConvergenceError
 
 import helpers
@@ -233,12 +233,26 @@ def _norm(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def _blocks(groups) -> list[np.ndarray]:
+    """The block matrices of a program's grouped matrices, in order."""
+    return [block for group in groups for block in group]
+
+
+def _grouped(prog, blocks) -> list[np.ndarray]:
+    """Block matrices, in order, stacked into the program's groups."""
+    out, start = [], 0
+    for c in prog.c:
+        out.append(np.stack(blocks[start : start + len(c)]))
+        start += len(c)
+    return out
+
+
 def _brute_schur(prog, x_mats, z_mats, xz_scal) -> np.ndarray:
     """The Schur matrix from A^T(e_i) of every unit vector, dense."""
     units = [prog.adjoint_blocks(e) for e in np.eye(prog.m)]
     brute = np.zeros((prog.m, prog.m))
     for b, (x, z) in enumerate(zip(x_mats, z_mats)):
-        gens = np.stack([u[0][b] for u in units])
+        gens = np.stack([_blocks(u[0])[b] for u in units])
         t = np.matmul(np.matmul(x, gens), z)
         flat = gens.reshape(prog.m, -1)
         brute += (flat @ t.transpose(0, 2, 1).reshape(prog.m, -1).T).real
@@ -252,7 +266,7 @@ def test_program_operators_are_consistent_for_every_shape() -> None:
     gen = helpers.rng(36)
     for name, prog in _program_shapes().items():
         zero_mats, zero_scal = prog.slack_blocks(np.zeros(prog.m))
-        sizes = [blk.shape[0] for blk in zero_mats]
+        sizes = [blk.shape[0] for blk in _blocks(zero_mats)]
         k = zero_scal.size
         y = gen.normal(size=prog.m)
         x_mats = [_random_pd(s, gen) for s in sizes]
@@ -268,16 +282,18 @@ def test_program_operators_are_consistent_for_every_shape() -> None:
         _assert_rel(s_scal, zero_scal - a_scal, _norm(zero_scal) + _norm(a_scal))
 
         # apply is the adjoint of adjoint_blocks
-        applied = prog.apply(x_mats, x_scal)
+        applied = prog.apply(_grouped(prog, x_mats), x_scal)
         assert applied.dtype == np.float64 and applied.shape == (prog.m,), name
-        terms = [float(np.einsum("ab,ba->", a, x).real) for a, x in zip(a_mats, x_mats)]
+        terms = [
+            float(np.einsum("ab,ba->", a, x).real) for a, x in zip(_blocks(a_mats), x_mats)
+        ]
         terms.extend(a_scal * x_scal)
         scale = sum(abs(t) for t in terms) + _norm(y) * _norm(applied)
         _assert_rel(sum(terms), float(y @ applied), scale)
 
         # schur against the dense brute force over unit vectors
         brute = _brute_schur(prog, x_mats, z_mats, x_scal * z_scal)
-        fast = prog.schur(x_mats, z_mats, x_scal * z_scal)
+        fast = prog.schur(_grouped(prog, x_mats), _grouped(prog, z_mats), x_scal * z_scal)
         _assert_rel(fast, brute, _norm(brute))
 
         # a second call on fresh iterates reuses the program's buffers but
@@ -286,7 +302,7 @@ def test_program_operators_are_consistent_for_every_shape() -> None:
         x_mats = [_random_pd(s, gen) for s in sizes]
         z_mats = [_random_pd(s, gen) for s in sizes]
         xz_scal = gen.uniform(0.5, 2.0, size=k)
-        second = prog.schur(x_mats, z_mats, xz_scal)
+        second = prog.schur(_grouped(prog, x_mats), _grouped(prog, z_mats), xz_scal)
         _assert_rel(second, _brute_schur(prog, x_mats, z_mats, xz_scal), _norm(second))
         assert np.array_equal(fast, kept), name
 
@@ -299,9 +315,9 @@ def test_warm_schur_call_allocates_no_large_temporaries() -> None:
     delta = choi(a) - choi(b)
     prog = sdp._Program([delta], 4, minimax=False)
     assert (prog.n, prog.m) == (16, 271)
-    sizes = [blk.shape[0] for blk in prog.slack_blocks(np.zeros(prog.m))[0]]
-    x_mats = [_random_pd(s, gen) for s in sizes]
-    z_mats = [_random_pd(s, gen) for s in sizes]
+    sizes = [blk.shape[0] for blk in _blocks(prog.slack_blocks(np.zeros(prog.m))[0])]
+    x_mats = _grouped(prog, [_random_pd(s, gen) for s in sizes])
+    z_mats = _grouped(prog, [_random_pd(s, gen) for s in sizes])
     prog.schur(x_mats, z_mats, np.zeros(0))
     tracemalloc.start()
     try:
@@ -346,6 +362,110 @@ def test_concurrent_solves_match_serial_bits() -> None:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert threaded == serial
+
+
+# --- batches -------------------------------------------------------------------
+
+
+def _row_requests(steps) -> list:
+    """The (program, gap_tol) of every solve a sweep row's step generator
+    needs, each answered by a solve of its own."""
+    requests = []
+    try:
+        request = next(steps)
+        while True:
+            requests.append(request)
+            request = steps.send(sdp._solve_ipm(*request))
+    except StopIteration:
+        return requests
+
+
+def _solution_bits(sol: sdp.SdpSolution) -> tuple:
+    arrays = (sol.weights, sol.witness_w, sol.witness_rho)
+    return (
+        struct.pack("<2d", sol.primal, sol.dual),
+        sol.iterations,
+        *(None if a is None else a.tobytes() for a in arrays),
+    )
+
+
+def test_batched_solves_match_solo_solves_bit_for_bit() -> None:
+    """A problem gives the same bits alone, in a batch, in the reversed batch
+    and beside members that stop at other iterations."""
+    # The two (alpha, beta, delta) fig2 rows stall above 1e-7 and take the
+    # fixed solve at their weights, and the second one's fixed solve also
+    # takes the dual-program fallback: every follow-up solve of a row.
+    stalled = [(np.pi / 6, np.pi / 3, 4.714680286095766), (np.pi / 6, 0.0, 5.79819173389371)]
+    rows = [cli._fig1_row((x, 1e-9)) for x in (0.4, 1.2, 1.5, 1.95)]
+    rows += [
+        cli._fig2_row((alpha, beta, delta, 1e-6))
+        for alpha, beta, delta in [(0.3, 0.9, np.pi / 8), (np.pi / 4, np.pi / 4, np.pi / 8)] + stalled
+    ]
+    rows += [cli._fig3_row((q, gamma, 1e-6)) for q, gamma in ((0.25, 0.5), (0.7, 0.3), (0.9, 0.9))]
+    groups = {}
+    for prog, tol in (request for row in rows for request in _row_requests(row)):
+        groups.setdefault(prog.shape_key(), []).append((prog, tol))
+    kinds = sorted(
+        (type(group[0][0]).__name__, getattr(group[0][0], "minimax", False), len(group))
+        for group in groups.values()
+    )
+    assert kinds == [
+        ("_DualProgram", False, 1),
+        ("_Program", False, 6),  # four fig1 rows and the stalled rows' fixed solves
+        ("_Program", True, 4),
+        ("_SectorProgram", True, 3),
+    ]
+    for group in groups.values():
+        progs, tols = map(list, zip(*group))
+        alone = [_solution_bits(sdp._solve_ipm(prog, tol)) for prog, tol in group]
+        batch = sdp._solve_batch(progs, tols)
+        assert [_solution_bits(sol) for sol in batch] == alone
+        reverse = sdp._solve_batch(progs[::-1], tols[::-1])
+        assert [_solution_bits(sol) for sol in reverse] == alone[::-1]
+        for i, prog in enumerate(progs):
+            # the others, and this problem again, at loose gap targets
+            loose = progs + [prog, prog]
+            loose_tols = [1e-2] * len(progs) + [1e-4, 1e-3]
+            loose_tols[i] = tols[i]
+            mixed = sdp._solve_batch(loose, loose_tols)
+            assert len({sol.iterations for sol in mixed}) > 1
+            assert _solution_bits(mixed[i]) == alone[i]
+
+
+def _pauli_deltas(alpha: float, beta: float) -> np.ndarray:
+    """A fig2 row's family at delta = pi/8."""
+    target = choi(unitary_qubit(alpha, beta, np.pi / 8))
+    return [target - choi(ch) for ch in pauli_unitaries()]
+
+
+def test_a_failing_member_stops_alone_in_its_batch(monkeypatch) -> None:
+    # A stacked Cholesky raises for the whole stack when one slice fails.
+    # The failing problem must stop with its bracket at the iteration where
+    # its own solve stops, and every other problem must go on as if alone.
+    healthy = [sdp._program(_pauli_deltas(a, b), 2, True) for a, b in ((0.3, 0.9), (1.2, 0.4), (0.5, 0.5))]
+    sick = sdp._program(_pauli_deltas(0.7, 0.4), 2, True)
+    schur = sdp._BlockProgram.schur
+
+    def poisoned(self, x_mats, z_mats, xz_scal):
+        m = schur(self, x_mats, z_mats, xz_scal)
+        # the sick problem's Schur matrix turns NaN once its scalar duals pass 1e3
+        mine = (self.g_rows == sick.g_rows).all(axis=(-2, -1))
+        m[mine & (xz_scal.max(axis=-1) > 1e3)] = np.nan
+        return m
+
+    monkeypatch.setattr(sdp._BlockProgram, "schur", poisoned)
+    sick_alone = sdp._solve_ipm(sick, TOL)
+    assert sick_alone.iterations == 5
+    assert np.isfinite(sick_alone.primal) and np.isfinite(sick_alone.dual)
+    assert sick_alone.gap > TOL
+    alone = [_solution_bits(sdp._solve_ipm(prog, TOL)) for prog in healthy]
+    assert all(bits[1] > 5 for bits in alone)
+    for order in ([0, 1, "sick", 2], ["sick", 2, 1, 0]):
+        progs = [sick if i == "sick" else healthy[i] for i in order]
+        sols = sdp._solve_batch(progs, [TOL] * len(progs))
+        for i, sol in zip(order, sols):
+            expected = _solution_bits(sick_alone) if i == "sick" else alone[i]
+            assert _solution_bits(sol) == expected, i
 
 
 def test_programs_reject_malformed_shapes() -> None:
@@ -520,8 +640,8 @@ def test_mu_stall_ends_a_solve_that_cannot_move(monkeypatch) -> None:
     # A zero step freezes the iterates, and an infinite projected bound keeps
     # the gap stall from counting, so only the mu stall can stop the solve:
     # the first iteration sets the lower bound, the next six leave mu as it is.
-    monkeypatch.setattr(sdp, "_max_step", lambda *args: 0.0)
-    monkeypatch.setattr(sdp._Program, "project_dual", lambda self, *args: (np.inf, None))
+    monkeypatch.setattr(sdp, "_max_step", lambda roots, scal, *args: np.zeros(scal.shape[:-1]))
+    monkeypatch.setattr(sdp._Program, "project_dual", lambda self, *args: np.inf)
     sol = sdp.solve_minimax(_worst_unitary_deltas(), 2, TOL)
     assert sol.iterations == 7
     assert (sol.primal, sol.dual, sol.weights) == (-1.0, np.inf, None)
@@ -540,7 +660,7 @@ def test_dual_projection_rejects_a_zero_or_nan_reference_block() -> None:
     prog = sdp._DualProgram(delta, 2)
     eye = np.eye(4, dtype=complex)
     for ref_block in (np.zeros((2, 2), dtype=complex), np.full((2, 2), np.nan, dtype=complex)):
-        assert prog.project_dual([eye, eye, ref_block], np.zeros(0)) == (np.inf, None)
+        assert prog.project_dual(_grouped(prog, [eye, eye, ref_block]), np.zeros(0)) == np.inf
 
 
 # --- sector program ------------------------------------------------------------
@@ -606,8 +726,10 @@ def test_sector_dual_bound_is_the_full_bound_of_the_lifted_duals() -> None:
     x2 = (1.0 + np.abs(delta).sum()) * np.eye(2, dtype=complex)
     x1 = x2 + delta[np.ix_(sec, sec)]
     pair_duals = np.diag(np.r_[np.zeros(2 * len(pairs)), 1.0, 1.0]).astype(complex)
-    bound, weights = prog.project_dual([x1, x2, pair_duals], np.zeros(0))
-    assert weights is None
+    duals = _grouped(prog, [x1, x2, pair_duals])
+    bound = prog.project_dual(duals, np.zeros(0))
+    # a fixed program has no weights
+    assert prog.certificate(np.zeros(prog.m), duals, np.zeros(0))[2] is None
     lift1 = np.zeros((4, 4), dtype=complex)
     lift2 = np.zeros((4, 4), dtype=complex)
     lift1[np.ix_(sec, sec)] = x1
