@@ -32,24 +32,27 @@ certificate (witness and weights) of its best bracket.
    generators are 2 Tr_1[E_j] over the basis matrices E_j, then I.
 4. 1 and 2 on the invariant sectors of a diagonal-unitary-covariant
    family at n = d^2, whose every Delta_i is exactly zero outside the
-   |aa><bb| entries and the diagonal. Conjugation by U (x) conj(U), U
-   diagonal unitary, fixes each Delta_i and maps the feasible set onto
-   itself, so the group average of an optimal (W, rho) is optimal, with
-   rho = diag(p) and W one d x d block W_0 on the |aa> sector plus one
-   real w_ab on each |ab>, a != b (Gatermann & Parrilo, J. Pure Appl.
-   Algebra 2004; Singh & Nechita, Quantum 2021). A pair is kept only if
-   some Delta_i has a nonzero |ab><ab| entry: otherwise w_ab = 0 loses
-   nothing. y = (W_0, the kept w_ab, traceless part of p[, t]) with
-   n = d; blocks diag(p) -+ W_0 with signs +1, -1, and one diagonal block
-   holding p_b - w_ab, p_b + w_ab and p_b, whose C and generators are
-   diagonal, so its iterates stay diagonal; b and G are those of 1 and 2
-   on these coordinates. Both sides answer for the full program: the
-   witness is W lifted with zeros off the sectors and rho = diag(p), and
-   the bound is lambda_max(Tr_1[X1 + X2]) of the lifted duals, max_b
-   [(X1 + X2)_bb + sum_{a != b} (x-_ab + x+_ab)], which is valid because
-   Delta is exactly zero where the lift puts zeros. ``solve_fixed`` and
-   ``solve_minimax`` take this form whenever one exact-zero test on the
-   stacked Delta_i allows it; the trace bound at d = 1 never does.
+   |aa><bb| entries and the diagonal, at reference dimension d or 1.
+   Conjugation by U (x) conj(U), U diagonal unitary, fixes each Delta_i
+   and maps the feasible set onto itself, so the group average of an
+   optimal (W, rho) is optimal, with rho = diag(p) and W one d x d block
+   W_0 on the |aa> sector plus one real w_ab on each |ab>, a != b
+   (Gatermann & Parrilo, J. Pure Appl. Algebra 2004; Singh & Nechita,
+   Quantum 2021). A pair is kept only if some Delta_i has a nonzero
+   |ab><ab| entry: otherwise w_ab = 0 loses nothing. y = (W_0, the kept
+   w_ab, traceless part of p[, t]) with n = d; blocks diag(p) -+ W_0 with
+   signs +1, -1, and one diagonal block holding p_b - w_ab, p_b + w_ab and
+   p_b, whose C and generators are diagonal, so its iterates stay
+   diagonal; b and G are those of 1 and 2 on these coordinates. At
+   reference dimension 1, p is the constant [1]: the blocks are I -+ W_0
+   and 1 -+ w_ab, with no p coordinates. Both sides answer for the full
+   program: the witness is W lifted with zeros off the sectors and
+   rho = diag(p), and the bound is lambda_max(Tr_1[X1 + X2]) of the lifted
+   duals, max_b [(X1 + X2)_bb + sum_{a != b} (x-_ab + x+_ab)] over the
+   reference index b of each entry, so a sum over b at reference
+   dimension 1; it is valid because Delta is exactly zero where the lift
+   puts zeros. ``solve_fixed`` and ``solve_minimax`` take this form
+   whenever one exact-zero test on the stacked Delta_i allows it.
 
 The engine follows the standard path-following scheme with the HKM search
 direction and a Mehrotra predictor-corrector step. The step length to the
@@ -125,6 +128,7 @@ the sweeps gain little from larger stacks.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -602,23 +606,26 @@ def _sector_mask(d: int) -> np.ndarray:
 
 class _SectorProgram(_Program):
     """Programs 1 and 2 of a DUC family, on its invariant sectors (program 4
-    of the module docstring). ``n`` is the sector size d; ``witness`` and
-    ``project_dual`` answer for the full d^2-dimensional program."""
+    of the module docstring). ``n`` is the sector size d, and the reference
+    dimension is d or 1; ``witness`` and ``project_dual`` answer for the full
+    d^2-dimensional program."""
 
     def __init__(self, deltas, ref_dim: int, minimax: bool):
         self._set_members(deltas, ref_dim, minimax)
-        self.n = d = ref_dim
+        self.n = d = math.isqrt(self.deltas.shape[-1])
         self.nw = nw = d * d
-        out_idx, ref_idx = np.divmod(np.arange(nw), d)
-        self.sector = np.flatnonzero(out_idx == ref_idx)  # |aa>, a = 0..d-1
-        off = np.flatnonzero(out_idx != ref_idx)
+        out_idx, in_idx = np.divmod(np.arange(nw), d)
+        self.sector = np.flatnonzero(out_idx == in_idx)  # |aa>, a = 0..d-1
+        off = np.flatnonzero(out_idx != in_idx)
         # |ab>, a != b, where some member has a nonzero diagonal entry
         self.pairs = pairs = off[np.any(self.deltas[:, off, off] != 0, axis=0)]
-        self.pair_ref = ref_idx[pairs]
+        ref_of = np.arange(nw) % ref_dim  # the reference index of each entry
+        self.pair_ref = ref_of[pairs]
         npair = len(pairs)
-        # per_ref[b] = sum of a per-pair vector over the pairs of reference b
-        self.per_ref = (self.pair_ref[:, None] == np.arange(d)).astype(float)
-        self.m = nw + npair + d - 1 + (1 if minimax else 0)
+        # (vector @ per_ref)[b] = its sum over the entries of reference b
+        self.sector_ref = (ref_of[self.sector][:, None] == np.arange(ref_dim)).astype(float)
+        self.per_ref = (self.pair_ref[:, None] == np.arange(ref_dim)).astype(float)
+        self.m = nw + npair + ref_dim - 1 + (1 if minimax else 0)
         sec = self.sector
         coef = np.concatenate(
             [
@@ -627,21 +634,22 @@ class _SectorProgram(_Program):
             ],
             axis=1,
         )
-        f = _traceless_stack(d)[: d - 1].diagonal(axis1=1, axis2=2).real  # (d-1, d)
+        # (ref_dim - 1, ref_dim)
+        f = _traceless_stack(ref_dim)[: ref_dim - 1].diagonal(axis1=1, axis2=2).real
         # one diagonal block: p_b - w_ab and p_b + w_ab per pair, then p_b
-        ref_of = np.concatenate([self.pair_ref, self.pair_ref, np.arange(d)])
-        size = len(ref_of)
-        diag_gens = np.zeros((npair + d - 1, size, size), dtype=complex)
+        ref_of_diag = np.concatenate([self.pair_ref, self.pair_ref, np.arange(ref_dim)])
+        size = len(ref_of_diag)
+        diag_gens = np.zeros((npair + ref_dim - 1, size, size), dtype=complex)
         j = np.arange(npair)
         diag_gens[j, j, j] = 1.0
         diag_gens[j, npair + j, npair + j] = -1.0
         r = np.arange(size)
-        diag_gens[npair:, r, r] = -f[:, ref_of]
-        sector_gens = -f[:, :, None] * np.eye(d, dtype=complex)
+        diag_gens[npair:, r, r] = -f[:, ref_of_diag]
+        sector_gens = -f[:, ref_of[sec], None] * np.eye(d, dtype=complex)
         eye = np.eye(d, dtype=complex)
         groups = [
-            (np.stack([eye, eye]) / d, (1.0, -1.0), nw + npair, sector_gens),
-            (np.eye(size, dtype=complex)[None] / d, (0.0,), nw, diag_gens),
+            (np.stack([eye, eye]) / ref_dim, (1.0, -1.0), nw + npair, sector_gens),
+            (np.eye(size, dtype=complex)[None] / ref_dim, (0.0,), nw, diag_gens),
         ]
         self._set_data(groups, self._objective(coef))
 
@@ -665,8 +673,9 @@ class _SectorProgram(_Program):
         the sectors, so X1 - X2 = Delta holds block by block: the sector
         blocks as in program 1, and each pair as x-+_ab = (s +- Delta_ab)/2
         with s = max(x-_ab + x+_ab, |Delta_ab| + 2e-15), both nonnegative.
-        lambda_max(Tr_1[X1 + X2]) is then
-        max_b [(X1 + X2)_bb + sum_{a != b} s_ab].
+        Tr_1[X1 + X2] is then diagonal, and its largest entry is the bound:
+        max_b [(X1 + X2)_bb + sum_{a != b} s_ab] at reference dimension d,
+        and Tr[X1 + X2] = sum_b [(X1 + X2)_bb + sum_{a != b} s_ab] at 1.
         """
         _, delta = self._mixed(scal)
         sec, pairs = self.sector, self.pairs
@@ -675,19 +684,21 @@ class _SectorProgram(_Program):
         duals = mats[1][..., 0, :, :].diagonal(axis1=-2, axis2=-1).real
         least = np.abs(delta[..., pairs, pairs].real) + 2e-15
         s = np.maximum(duals[..., :npair] + duals[..., npair : 2 * npair], least)
-        per_ref = (s[..., None, :] @ self.per_ref)[..., 0, :]
-        lifted = pair.sum(axis=-3).diagonal(axis1=-2, axis2=-1).real + per_ref
-        return np.max(lifted, axis=-1)
+        sector = pair.sum(axis=-3).diagonal(axis1=-2, axis2=-1).real
+        lifted = sector[..., None, :] @ self.sector_ref + s[..., None, :] @ self.per_ref
+        return np.max(lifted[..., 0, :], axis=-1)
 
 
 def _program(deltas, ref_dim: int, minimax: bool) -> _Program:
-    """The sector program when n = ref_dim^2 and every member is exactly zero
-    off the sectors; the full program otherwise."""
+    """The sector program when n = d^2, the reference dimension is d or 1 and
+    every member is exactly zero off the sectors; the full program otherwise."""
     deltas = np.stack([np.asarray(d, dtype=complex) for d in deltas])
+    d = math.isqrt(deltas.shape[-1])
     if (
-        ref_dim > 1
-        and deltas.shape[-1] == ref_dim * ref_dim
-        and not deltas[:, ~_sector_mask(ref_dim)].any()
+        d > 1
+        and d * d == deltas.shape[-1]
+        and ref_dim in (d, 1)
+        and not deltas[:, ~_sector_mask(d)].any()
     ):
         return _SectorProgram(deltas, ref_dim, minimax)
     return _Program(deltas, ref_dim, minimax)

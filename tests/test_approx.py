@@ -31,10 +31,10 @@ from chanapprox import (
     unitary_channel,
     unitary_qubit,
 )
-from chanapprox import approx, choi, cli, sdp
+from chanapprox import approx, choi, cli, diamond_unitary, sdp
 from chanapprox.approx import two_copy_problem
-from chanapprox.channels import PAULI
-from chanapprox.errors import DimMismatchError, NoConvergenceError, RangeError
+from chanapprox.channels import PAULI, Channel
+from chanapprox.errors import DimMismatchError, NoConvergenceError, NotUnitaryError, RangeError
 
 import helpers
 import properties
@@ -219,16 +219,42 @@ def test_only_exactly_covariant_families_take_the_sector_program(monkeypatch) ->
 
 
 def test_two_copy_member_bounds_certify_without_the_dual_program(monkeypatch) -> None:
-    # The IZ and ZI members' fixed solves stalled at [1.969, 2.105] on the
-    # full program and needed the dual program; on their sectors they certify.
-    kinds = _log_kinds(monkeypatch)
+    # Every member of the two-copy set is a unitary pair with the target, so
+    # diamond_unitary gives its distance and only the Choi bound reaches the
+    # engine, on the invariant sectors at reference dimension 1.
+    solve = sdp._solve_ipm
+    census = []
+
+    def counting(prog, *args, **kwargs):
+        census.append((_kind(prog), prog.ref))
+        return solve(prog, *args, **kwargs)
+
+    monkeypatch.setattr(sdp, "_solve_ipm", counting)
     members = [identity(2), unitary_channel(PAULI[3])]
-    problem = two_copy_problem(unitary_qubit(0.0, np.pi / 6, 0.0), members)
-    upper, lower = approx_bounds(*problem, 1.2810473988)
-    assert kinds == ["sector-fixed"] * 4 + ["minimax"]
-    # the II member, a unitary pair: diamond_unitary gives sqrt(3)
-    assert abs(upper - np.sqrt(3.0)) <= 1e-7
+    target, pair_set = two_copy_problem(unitary_qubit(0.0, np.pi / 6, 0.0), members)
+    upper, lower = approx_bounds(target, pair_set, 1.2810473988)
+    assert census == [("sector-minimax", 1)]
+    # the II member: diamond_unitary gives sqrt(3)
+    assert abs(upper - np.sqrt(3.0)) <= 1e-12
     assert 0.0 < lower <= 1.2810473988
+    # a member with two Kraus operators still takes its fixed solve
+    census.clear()
+    dephased = tensor(identity(2), mix(members, [0.5, 0.5]))
+    approx_bounds(target, pair_set + [dephased], 1.2810473988)
+    assert census == [("sector-fixed", 4), ("sector-minimax", 1)]
+
+
+def test_unitary_member_outside_diamond_unitarys_check_takes_its_fixed_solve(monkeypatch) -> None:
+    # K^dag K - I = diag(1.5e-9, 0): within Channel's Frobenius bound of
+    # 1e-9 d, but above diamond_unitary's 1e-9 per entry
+    near = Channel((np.diag([np.sqrt(1.0 + 1.5e-9), 1.0]).astype(complex),))
+    target = unitary_qubit(0.0, np.pi / 6, 0.0)
+    with pytest.raises(NotUnitaryError):
+        diamond_unitary(target.kraus[0], near.kraus[0])
+    kinds = _log_kinds(monkeypatch)
+    upper, _ = approx_bounds(target, [near], 1.0)
+    assert kinds == ["sector-fixed", "sector-minimax"]
+    assert abs(upper - diamond_unitary(target.kraus[0], np.eye(2))) <= 1e-7
 
 
 def _widen_joint(monkeypatch, **bounds) -> list:
@@ -572,3 +598,53 @@ def test_multi_copy_singleton_set_collapses() -> None:
     npt.assert_allclose(res.product_value, direct, atol=1e-4)
     npt.assert_allclose(res.tensored_value, direct, atol=1e-4)
     assert res.correlated.distance <= res.product_value <= res.tensored_value + 1e-6
+
+
+def _log_half_steps(monkeypatch, raise_call=None) -> list:
+    """Log (set, result) of every ``optimal_convex_approx`` call of a two-copy
+    study; the call numbered ``raise_call`` reports a dual bound 1e-3 higher."""
+    solve = approx.optimal_convex_approx
+    calls = []
+
+    def logged(target, set, tol):
+        res = solve(target, set, tol)
+        if len(calls) == raise_call:
+            res = dataclasses.replace(
+                res, witness=dataclasses.replace(res.witness, dual=res.witness.dual + 1e-3)
+            )
+        calls.append((set, res))
+        return res
+
+    monkeypatch.setattr(approx, "optimal_convex_approx", logged)
+    return calls
+
+
+_PHASE_STUDY = (unitary_qubit(0.0, np.pi / 6, 0.0), [identity(2), unitary_channel(PAULI[3])])
+
+
+def test_product_search_takes_at_most_twelve_half_steps(monkeypatch) -> None:
+    calls = _log_half_steps(monkeypatch)
+    res = multi_copy_approx(*_PHASE_STUDY, 2, 1e-6)
+    # the single-copy and correlated solves come first
+    assert len(calls) - 2 <= 12
+    assert res.product_value <= 1.3118576984 + 1e-9
+    assert res.product_witness.gap <= 1e-7
+
+
+def test_rising_extrapolation_restarts_from_the_best_round(monkeypatch) -> None:
+    # Calls 2-5 are the plain rounds 1 and 2; round 3 starts at the first
+    # extrapolated point, and its second half-step (call 7) is made to rise.
+    target, members = _PHASE_STUDY
+    calls = _log_half_steps(monkeypatch, raise_call=7)
+    res = multi_copy_approx(target, members, 2, 1e-6)
+    # round 4 restarts plain alternation from round 2's right weights
+    best_right = mix(members, calls[5][1].weights)
+    npt.assert_array_equal(choi(calls[8][0][1]), choi(tensor(members[1], best_right)))
+    # round 5 is plain again: the history was cleared
+    right = mix(members, calls[9][1].weights)
+    npt.assert_array_equal(choi(calls[10][0][1]), choi(tensor(members[1], right)))
+    # the search still stops, certifies, and passes the ordering check
+    assert res.product_witness.gap <= 1e-7
+    assert res.correlated.distance <= res.product_value <= res.tensored_value + 1e-6
+    assert res.product_value <= 1.3118576984 + 1e-9
+

@@ -438,6 +438,24 @@ def test_twocopy_json_matches_reference_values(capsys) -> None:
         assert primal <= rec["distance"] <= dual
 
 
+def test_twocopy_output_is_byte_identical_across_runs(capsys) -> None:
+    # the accelerated product search is deterministic
+    def run(*argv) -> str:
+        assert cli.main(["twocopy", *argv]) == cli.EXIT_OK
+        return capsys.readouterr().out
+
+    def without_wall_time(text: str) -> str:
+        records = json.loads(text)
+        for rec in records:
+            rec.pop("wall_time_s")
+        return json.dumps(records)
+
+    assert run() == run()
+    assert without_wall_time(run("--format", "json")) == without_wall_time(
+        run("--format", "json")
+    )
+
+
 def test_twocopy_text_output(monkeypatch, capsys) -> None:
     fixed = helpers.canned_multi_copy()
     calls = []

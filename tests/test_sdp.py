@@ -216,6 +216,9 @@ def _program_shapes():
         "sector-minimax-ref2": sdp._SectorProgram(damping_family, 2, minimax=True),
         "sector-fixed-ref4": sdp._SectorProgram(two_copy[:1], 4, minimax=False),
         "sector-minimax-ref4": sdp._SectorProgram(two_copy, 4, minimax=True),
+        # the Choi bounds of both families
+        "sector-minimax-ref1-d2": sdp._SectorProgram(damping_family, 1, minimax=True),
+        "sector-minimax-ref1-d4": sdp._SectorProgram(two_copy, 1, minimax=True),
     }
 
 
@@ -671,6 +674,9 @@ def test_sector_program_keeps_only_pairs_with_data() -> None:
     two_copy = sdp._SectorProgram(_two_copy_deltas(), 4, True)
     assert two_copy.pairs.size == 0
     assert (two_copy.n, two_copy.ref, two_copy.m) == (4, 4, 20)
+    # at reference dimension 1 the program has no p coordinates
+    choi_bound = sdp._SectorProgram(_two_copy_deltas(), 1, True)
+    assert (choi_bound.n, choi_bound.ref, choi_bound.m) == (4, 1, 17)
 
 
 def _recheck_on_full_space(sol: sdp.SdpSolution, deltas, ref_dim: int) -> None:
@@ -679,7 +685,7 @@ def _recheck_on_full_space(sol: sdp.SdpSolution, deltas, ref_dim: int) -> None:
     assert w.shape == deltas[0].shape
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     assert np.linalg.eigvalsh(rho)[0] >= -1e-12
-    lift = np.kron(np.eye(ref_dim), rho)
+    lift = np.kron(np.eye(w.shape[0] // ref_dim), rho)
     assert np.linalg.eigvalsh(lift - w)[0] >= -1e-12
     assert np.linalg.eigvalsh(lift + w)[0] >= -1e-12
     for delta in deltas:
@@ -697,6 +703,8 @@ def test_sector_results_recheck_on_the_full_space() -> None:
         ([pair_choi - choi(tensor(ch, base)) for ch in single], 4, True, 1e-8),  # half-step
         ([pair_choi - choi(tensor(base, base))], 4, False, 1e-7),  # tensored
         (_damping_deltas(0.25, 0.5), 2, True, 1e-8),  # fig3 row
+        (_two_copy_deltas(), 1, True, 1e-8),  # the correlated Choi bound
+        (_damping_deltas(0.25, 0.5), 1, True, 1e-8),  # a damping Choi bound
     ]
     for deltas, ref_dim, minimax, tol in cases:
         assert isinstance(sdp._program(deltas, ref_dim, minimax), sdp._SectorProgram)
@@ -740,3 +748,36 @@ def test_sector_dual_bound_is_the_full_bound_of_the_lifted_duals() -> None:
     assert np.abs(lift1 - lift2 - delta).max() <= 1e-15
     full = float(np.linalg.eigvalsh(sdp._trace_out(lift1 + lift2, 2))[-1])
     assert abs(bound - full) <= 1e-12, (bound, full)
+
+
+def test_sector_choi_bound_is_the_full_trace_bound_of_the_lifted_duals() -> None:
+    # At reference dimension 1 the full bound is Tr[X1 + X2] of the lifted
+    # duals: the sum over b of the reference-d bound's terms, not their max.
+    deltas = _damping_deltas(0.25, 0.5)
+    prog = sdp._program(deltas, 1, minimax=True)
+    assert isinstance(prog, sdp._SectorProgram) and prog.ref == 1
+    sec, pairs = prog.sector, prog.pairs
+    scal = np.array([3.0, 1.0])
+    delta = (scal[0] * deltas[0] + scal[1] * deltas[1]) / scal.sum()
+    x2 = (1.0 + np.abs(delta).sum()) * np.eye(2, dtype=complex)
+    x1 = x2 + delta[np.ix_(sec, sec)]
+    pair_duals = np.diag(np.r_[np.zeros(2 * len(pairs)), 1.0]).astype(complex)
+    bound = prog.project_dual(_grouped(prog, [x1, x2, pair_duals]), scal)
+    lift1 = np.zeros((4, 4), dtype=complex)
+    lift2 = np.zeros((4, 4), dtype=complex)
+    lift1[np.ix_(sec, sec)] = x1
+    lift2[np.ix_(sec, sec)] = x2
+    pair_delta = delta[pairs, pairs].real
+    lift1[pairs, pairs] = np.maximum(pair_delta, 0.0) + 1e-15
+    lift2[pairs, pairs] = np.maximum(-pair_delta, 0.0) + 1e-15
+    assert np.abs(lift1 - lift2 - delta).max() <= 1e-15
+    assert np.linalg.eigvalsh(lift1)[0] >= 0.0 and np.linalg.eigvalsh(lift2)[0] >= 0.0
+    full = float(np.linalg.eigvalsh(sdp._trace_out(lift1 + lift2, 4))[-1])
+    assert abs(bound - full) <= 1e-12, (bound, full)
+    # the solved bound re-checks on the full Delta, and brackets the full program's
+    sol = sdp.solve_minimax(deltas, 1, 1e-8)
+    _recheck_on_full_space(sol, deltas, 1)
+    full_sol = sdp._solve_ipm(sdp._Program(deltas, 1, True), 1e-8)
+    assert max(sol.primal, full_sol.primal) <= min(sol.dual, full_sol.dual)
+    assert abs(sol.primal - full_sol.primal) <= 4e-8
+
