@@ -10,15 +10,16 @@ of  max t  s.t.  t <= Tr[Delta_i W]  over the diamond-norm feasible set,
 whose optimum is min_p ||sum_i p_i Delta_i||_diamond by duality.  Its scalar
 duals are the weights p, its primal point (W, rho) has Tr[Delta(p) W] >= t,
 and its projected dual bound caps ||Delta(p)||_diamond, so [t, dual]
-brackets both the distance at p and the simplex optimum.  If that bracket
-stalls above 1e-7, a fixed solve at p certifies the distance instead, and
-it must lie within tol of t.  Diagonal-unitary-covariant problems (every
-damping row and the phase-gate two-copy study) are solved on their
-invariant sectors, with the same certificate on the full space.
-``approx_bounds`` adds cheap two-sided bounds: each member's distance
-(closed form for a unitary pair, else a fixed solve), and the Choi trace
-bound, which is the same minimax program at reference dimension 1 (there
--I <= W <= I, and the optimum is min_p ||sum_i p_i Delta_i||_1).
+brackets both the distance at p and the simplex optimum; a single distance
+is the family of one.  If the joint bracket stalls above 1e-7, the program
+of Delta(p) alone certifies the distance, which must lie within tol of t.
+Diagonal-unitary-covariant problems (every damping row and the phase-gate
+two-copy study) are solved on their invariant sectors, with the same
+certificate on the full space.  ``approx_bounds`` adds cheap two-sided
+bounds: each member's distance (closed form for a unitary pair, else a
+single-member solve), and the Choi trace bound, which is the same minimax
+program at reference dimension 1 (there -I <= W <= I, and the optimum is
+min_p ||sum_i p_i Delta_i||_1).
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
     tol >= 1e-6.  The joint minimax bracket [primal, dual] holds the
     distance at the returned weights, and primal bounds the simplex
     optimum, so the weights are within the gap (<= 1e-7) of optimal.  If it
-    stalls, a fixed solve at the weights is the witness, within tol of primal.
+    stalls, the mixture's own solve is the witness, within tol of primal.
     """
     return sdp._run(_convex_approx_steps(target, set, tol))
 
@@ -123,13 +124,13 @@ def _convex_approx_steps(target: Channel, set, tol: float):
                 iterations=0,
             )
 
-    joint = yield sdp._program(delta_stack, d, minimax=True), 1e-8
+    joint = yield sdp._program(delta_stack, d), 1e-8
     if joint.weights is None:
         raise NoConvergenceError("the joint minimax solve returned no mixture weights")
     witness = DiamondResult._of_solution(joint)
     if not witness.gap <= _INNER_TOL:
-        # The joint bracket can stall above 1e-7: a fixed solve certifies the
-        # distance at the weights, and t their optimality to within tol.
+        # The joint bracket can stall above 1e-7: the mixture's own solve
+        # certifies the distance at the weights, and t their optimality.
         mixed = np.tensordot(joint.weights, delta_stack, axes=1)
         witness = yield from _delta_steps(mixed, d, _INNER_TOL)
         if not witness.dual <= joint.primal + tol:
@@ -152,9 +153,9 @@ def approx_bounds(target: Channel, set, distance: float) -> tuple[float, float]:
     distance (a mixture can only do better) and the simplex-minimized Choi
     trace distance over the dimension, capped at ``distance``. A member
     distance is exact when the target and the member each have a single
-    Kraus operator (``diamond_unitary``); any other member costs a fixed
-    solve certified to 1e-7. The Choi bound costs one minimax solve at
-    reference dimension 1, on the invariant sectors for a
+    Kraus operator (``diamond_unitary``); any other member costs a
+    single-member solve certified to 1e-7. The Choi bound costs one minimax
+    solve at reference dimension 1, on the invariant sectors for a
     diagonal-unitary-covariant family.
     """
     members = list(set)
@@ -166,7 +167,7 @@ def approx_bounds(target: Channel, set, distance: float) -> tuple[float, float]:
 
 def _member_distance(target: Channel, member: Channel, delta: np.ndarray) -> float:
     """The diamond distance of one member: closed form for a unitary pair,
-    else the value of a fixed solve certified to 1e-7."""
+    else the value of a single-member solve certified to 1e-7."""
     if len(target.kraus) == 1 and len(member.kraus) == 1:
         try:
             return diamond_unitary(target.kraus[0], member.kraus[0])
@@ -406,12 +407,9 @@ def multi_copy_approx(target: Channel, single_set, copies: int, tol: float) -> M
 
     The product optimum is flat in the weights, so the 1e-8 half-step solves
     and the 1e-9 stop rule fix them only to a few parts in 1e7, while the
-    certified product distance holds to the tolerance: the accelerated search
-    moved the phase-gate study's weights from 0.771677 / 0.771617 (plain
-    alternation) to 0.771644 / 0.771644 and its distance by 5e-10.  The
-    single-copy optimum is flat as well: solving the phase-gate study on its
-    invariant sectors instead of the full space moved the single-copy weights
-    by 4e-6, and with them the tensored distance by 8.2e-7, within tol.
+    certified product distance holds to the tolerance.  The single-copy
+    optimum is flat as well, so its weights, and with them the tensored
+    distance, hold only to within tol.
     """
     if copies != 2:
         raise RangeError(f"copies={copies} unsupported; only copies=2 is implemented")

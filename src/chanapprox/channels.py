@@ -221,11 +221,11 @@ def covariant(p: float, d: int = 2) -> Channel:
 
 
 def pauli_channel(p) -> Channel:
-    """Pauli channel rho -> sum_i p_i sigma_i rho sigma_i for a 4-weight vector."""
+    """Pauli channel rho -> sum_i p_i sigma_i rho sigma_i; a zero weight adds no Kraus operator."""
     p = prob_vector(p)
     if p.size != 4:
         raise SimplexError(f"Pauli channel needs 4 weights, got {p.size}")
-    return Channel(tuple(np.sqrt(pi) * s for pi, s in zip(p, PAULI)))
+    return Channel(tuple(np.sqrt(pi) * s for pi, s in zip(p, PAULI) if pi != 0.0))
 
 
 def pauli_unitaries() -> tuple[Channel, ...]:

@@ -51,8 +51,8 @@ class DiamondResult:
 
     @classmethod
     def _of_solution(cls, sol: sdp.SdpSolution) -> DiamondResult:
-        """The certificate of a fixed or minimax bracket, valued at its midpoint
-        capped at 2; a minimax t below 0 (near a member) gives way to 0 at W = 0."""
+        """The certificate of a minimax bracket (a distance is the family of
+        one), valued at its midpoint capped at 2; t < 0 gives way to 0 at W = 0."""
         primal, w = sol.primal, sol.witness_w
         if primal < 0.0:
             primal, w = 0.0, np.zeros_like(w)

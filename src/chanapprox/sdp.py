@@ -14,23 +14,24 @@ Schur matrix once from the data (C_b, sign_b, F_b, G); each program adds
 only its starting point, its shape key, its dual projection and the
 certificate (witness and weights) of its best bracket.
 
-1. Fixed objective (diamond norm of a fixed Hermitian Delta on a doubled
-   space, reference dimension d): maximize Tr[Delta W] subject to
+1. Minimax over a family {Delta_i} of Hermitian matrices on a doubled
+   space, reference dimension d: maximize t subject to Tr[Delta_i W] >= t,
    I (x) rho -+ W >= 0 and rho >= 0 with Tr rho = 1. y = (W, traceless
-   part of rho); C = (I/d, I/d, I/d); signs +1, -1, 0; generators
-   -I (x) F_l, -I (x) F_l, -F_l over an orthonormal traceless basis F_l.
-2. Minimax over a family {Delta_i}: maximize t subject to
-   Tr[Delta_i W] >= t on the same set. y gains t last, and G has one row
-   (-coords(Delta_i), 0, 1) per member. The nonnegative scalar duals,
-   normalized, are the optimal mixture weights of min over the simplex.
-   At d = 1 the reference block is the constant [1] with no generators,
-   the constraint reads -I <= W <= I, and the optimum is min over the
-   simplex of the trace norm of the mixed Delta.
-3. The dual of 1 (Watrous, arXiv:1207.5726): minimize t subject to
-   V >= 0, Delta + V >= 0 and t I - Tr_1[Delta + 2 V] >= 0. y = (V, -t);
-   C = (0, Delta, -Tr_1[Delta]); signs -1, -1, 0; the reference block's
-   generators are 2 Tr_1[E_j] over the basis matrices E_j, then I.
-4. 1 and 2 on the invariant sectors of a diagonal-unitary-covariant
+   part of rho, t); C = (I/d, I/d, I/d); signs +1, -1, 0; generators
+   -I (x) F_l, -I (x) F_l, -F_l over an orthonormal traceless basis F_l;
+   G has one row (-coords(Delta_i), 0, 1) per member. The nonnegative
+   scalar duals, normalized, are the optimal mixture weights of min over
+   the simplex of the diamond norm of the mixed Delta. A fixed objective
+   (the diamond norm of one Delta) is the family of one. At d = 1 the
+   reference block is the constant [1] with no generators, the constraint
+   reads -I <= W <= I, and the optimum is min over the simplex of the
+   trace norm of the mixed Delta.
+2. The dual of the one-member program (Watrous, arXiv:1207.5726): minimize
+   t subject to V >= 0, Delta + V >= 0 and t I - Tr_1[Delta + 2 V] >= 0.
+   y = (V, -t); C = (0, Delta, -Tr_1[Delta]); signs -1, -1, 0; the
+   reference block's generators are 2 Tr_1[E_j] over the basis matrices
+   E_j, then I.
+3. Program 1 on the invariant sectors of a diagonal-unitary-covariant
    family at n = d^2, whose every Delta_i is exactly zero outside the
    |aa><bb| entries and the diagonal, at reference dimension d or 1.
    Conjugation by U (x) conj(U), U diagonal unitary, fixes each Delta_i
@@ -40,12 +41,12 @@ certificate (witness and weights) of its best bracket.
    (Gatermann & Parrilo, J. Pure Appl. Algebra 2004; Singh & Nechita,
    Quantum 2021). A pair is kept only if some Delta_i has a nonzero
    |ab><ab| entry: otherwise w_ab = 0 loses nothing. y = (W_0, the kept
-   w_ab, traceless part of p[, t]) with n = d; blocks diag(p) -+ W_0 with
+   w_ab, traceless part of p, t) with n = d; blocks diag(p) -+ W_0 with
    signs +1, -1, and one diagonal block holding p_b - w_ab, p_b + w_ab and
    p_b, whose C and generators are diagonal, so its iterates stay
-   diagonal; b and G are those of 1 and 2 on these coordinates. At
-   reference dimension 1, p is the constant [1]: the blocks are I -+ W_0
-   and 1 -+ w_ab, with no p coordinates. Both sides answer for the full
+   diagonal; b and G are those of 1 on these coordinates. At reference
+   dimension 1, p is the constant [1]: the blocks are I -+ W_0 and
+   1 -+ w_ab, with no p coordinates. Both sides answer for the full
    program: the witness is W lifted with zeros off the sectors and
    rho = diag(p), and the bound is lambda_max(Tr_1[X1 + X2]) of the lifted
    duals, max_b [(X1 + X2)_bb + sum_{a != b} (x-_ab + x+_ab)] over the
@@ -72,13 +73,9 @@ dimension 4 per signed block: O(n^4) work, where n^2 products X_s E_j Z_s
 took O(n^5). The gathered rows, the W_i, their upper triangles and M
 before symmetrization live in buffers that a program allocates once per
 stack shape (3 MB at n = 16); a program therefore serves one solve at a
-time, and separate programs solve concurrently. Arrays allocated per
-iteration instead are returned to the system by glibc and faulted in again on every
-use: with the n^2 products in fresh arrays, a two-qubit solve took about
-5600-6000 minor page faults, and the products took 6.5 ms per n = 16
-iteration against 4.1 ms with glibc's trim and mmap thresholds raised
-(2-core Xeon). The closed form takes about 2 ms, and a solve about
-900-1500 faults.
+time, and separate programs solve concurrently. Arrays of that size
+allocated per iteration instead are returned to the system by glibc and
+faulted in again on every use.
 
 Each iteration factors the Schur matrix M once: M = L L^T by Cholesky after
 a 1e-13 trace-relative ridge, then L^-1 by halves, so the predictor and the
@@ -95,12 +92,12 @@ deterministic: fixed starting point, no randomization.
 The projected upper bound carries a small numerical floor (the dual iterate
 picks up roundoff infeasibility that scales like eps over the barrier
 parameter). When a fixed-objective solve needs a tighter certificate than
-that floor, ``solve_fixed`` recomputes the upper bound with program 3 on
+that floor, ``solve_fixed`` recomputes the upper bound with program 2 on
 the full space, whose objective is again evaluated at an exactly feasible
 point, so both sides of the final certificate are exact.
 
 Batches. ``_solve_batch`` solves programs of one shape as one stack: one
-class, n, reference dimension, mode, member count and, for program 4, kept
+class, n, reference dimension, member count and, for program 3, kept
 pairs (``shape_key``). ``_stack`` gives their per-problem data (b, G, every
 C_b and the members Delta_i) a leading axis; every map above takes and
 returns stacks, and every step below acts on them, so ``_solve_ipm`` is the
@@ -120,9 +117,7 @@ traces and mixtures are matmul products). A problem therefore gets the
 same bits alone, in any batch and at any place in it. ``_run_all`` drives step
 generators, each of which yields the programs its answer needs and
 receives their solutions; in windows of ``_MAX_BATCH`` generators it
-solves the programs pending in a round grouped by shape. At n = 4 a
-problem in a stack of 64 takes about 55 KB at the peak of its solve, and
-the sweeps gain little from larger stacks.
+solves the programs pending in a round grouped by shape.
 """
 
 from __future__ import annotations
@@ -493,18 +488,19 @@ def _schur_gathers(n: int, signed: int):
 
 
 class _Program(_BlockProgram):
-    """Fixed and minimax programs (see module docstring)."""
+    """The minimax program over a family (see module docstring); a fixed
+    objective is the family of one."""
 
     _members = ("deltas",)
 
-    def __init__(self, deltas, ref_dim: int, minimax: bool):
-        self._set_members(deltas, ref_dim, minimax)
+    def __init__(self, deltas, ref_dim: int):
+        self._set_members(deltas, ref_dim)
         self.n = n = self.deltas.shape[-1]
         if n % ref_dim:
             raise ValueError("matrix dim not divisible by reference dim")
         self.out = n // ref_dim
         self.nw = nw = n * n
-        self.m = nw + ref_dim * ref_dim - 1 + (1 if minimax else 0)
+        self.m = nw + ref_dim * ref_dim
         fbasis = _traceless_stack(ref_dim)
         lifted = -np.kron(np.eye(self.out)[None], fbasis)
         eye = np.eye(n, dtype=complex)
@@ -514,35 +510,35 @@ class _Program(_BlockProgram):
         ]
         self._set_data(groups, self._objective(extract_coords(self.deltas)))
 
-    def _set_members(self, deltas, ref_dim, minimax):
+    def _set_members(self, deltas, ref_dim):
         self.deltas = np.stack([np.asarray(d, dtype=complex) for d in deltas])
         self.k = len(self.deltas)
         self.ref = ref_dim
-        self.minimax = minimax
-        if not minimax and self.k != 1:
-            raise ValueError("fixed-objective mode takes exactly one matrix")
+
+    @property
+    def minimax(self) -> bool:
+        """Whether the family has more than one member; read only by
+        ``perfbench/tracing.program_kind``, which tags a one-member
+        program as fixed."""
+        return self.k > 1
 
     def shape_key(self):
         """Programs with equal keys stack (see ``_solve_batch``)."""
-        return (type(self), self.n, self.ref, self.minimax, self.k)
+        return (type(self), self.n, self.ref, self.k)
 
     def _objective(self, coef):
-        """Set b from the members' (k, j) coordinates on y[:j]; return G."""
-        j = coef.shape[1]
-        g_rows = np.zeros((self.k if self.minimax else 0, self.m))
-        g_rows[:, :j] = -coef
+        """Set b = e_t; return G, so that s_i = coef_i . y[:j] - t for the
+        members' (k, j) coordinates ``coef``."""
+        g_rows = np.zeros((self.k, self.m))
+        g_rows[:, : coef.shape[1]] = -coef
         g_rows[:, -1] = 1.0
         self.b = np.zeros(self.m)
-        if self.minimax:
-            self.b[-1] = 1.0
-        else:
-            self.b[:j] = coef[0]
+        self.b[-1] = 1.0
         return g_rows
 
     def start(self):
         y = np.zeros(self.m)
-        if self.minimax:
-            y[-1] = -1.0
+        y[-1] = -1.0
         return self._start_at(y)
 
     def witness(self, y):
@@ -550,18 +546,14 @@ class _Program(_BlockProgram):
         return expand_coords(y[: self.nw], self.n), self.slack_blocks(y)[0][1][0]
 
     def certificate(self, y, x_mats, x_scal):
-        """(W, rho, weights) of a best bracket: the witness at y and, in
-        minimax mode, the normalized scalar duals of the best dual iterate
-        (None without one)."""
+        """(W, rho, weights) of a best bracket: the witness at y and the
+        normalized scalar duals of the best dual iterate (None without one)."""
         w, rho = self.witness(y)
         weights = None if x_scal is None else self._mixed(x_scal)[0]
         return w, rho, weights
 
     def _mixed(self, scal):
-        """(weights, Delta): the normalized scalar duals and their mixture in
-        minimax mode, (None, the member) in fixed mode."""
-        if not self.minimax:
-            return None, self.deltas[..., 0, :, :]
+        """(weights, Delta): the normalized scalar duals and their mixture."""
         x = scal / scal.sum(-1, keepdims=True)  # the engine keeps every scalar dual >= 1e-300
         n = self.deltas.shape[-1]
         flat = self.deltas.reshape(self.deltas.shape[:-2] + (n * n,))
@@ -570,7 +562,7 @@ class _Program(_BlockProgram):
     def project_dual(self, mats, scal):
         """Exact-feasibility projection of the dual iterate: a certified
         upper bound on the program optimum at the mixture of the normalized
-        scalar duals (minimax mode)."""
+        scalar duals."""
         _, delta = self._mixed(scal)
         pair = _shift_to_psd(_herm(mats[0]), delta)
         qref = _trace_out(pair.sum(axis=-3), self.out)
@@ -605,13 +597,13 @@ def _sector_mask(d: int) -> np.ndarray:
 
 
 class _SectorProgram(_Program):
-    """Programs 1 and 2 of a DUC family, on its invariant sectors (program 4
-    of the module docstring). ``n`` is the sector size d, and the reference
+    """Program 1 of a DUC family, on its invariant sectors (program 3 of the
+    module docstring). ``n`` is the sector size d, and the reference
     dimension is d or 1; ``witness`` and ``project_dual`` answer for the full
     d^2-dimensional program."""
 
-    def __init__(self, deltas, ref_dim: int, minimax: bool):
-        self._set_members(deltas, ref_dim, minimax)
+    def __init__(self, deltas, ref_dim: int):
+        self._set_members(deltas, ref_dim)
         self.n = d = math.isqrt(self.deltas.shape[-1])
         self.nw = nw = d * d
         out_idx, in_idx = np.divmod(np.arange(nw), d)
@@ -625,7 +617,7 @@ class _SectorProgram(_Program):
         # (vector @ per_ref)[b] = its sum over the entries of reference b
         self.sector_ref = (ref_of[self.sector][:, None] == np.arange(ref_dim)).astype(float)
         self.per_ref = (self.pair_ref[:, None] == np.arange(ref_dim)).astype(float)
-        self.m = nw + npair + ref_dim - 1 + (1 if minimax else 0)
+        self.m = nw + npair + ref_dim
         sec = self.sector
         coef = np.concatenate(
             [
@@ -689,7 +681,7 @@ class _SectorProgram(_Program):
         return np.max(lifted[..., 0, :], axis=-1)
 
 
-def _program(deltas, ref_dim: int, minimax: bool) -> _Program:
+def _program(deltas, ref_dim: int) -> _Program:
     """The sector program when n = d^2, the reference dimension is d or 1 and
     every member is exactly zero off the sectors; the full program otherwise."""
     deltas = np.stack([np.asarray(d, dtype=complex) for d in deltas])
@@ -700,16 +692,16 @@ def _program(deltas, ref_dim: int, minimax: bool) -> _Program:
         and ref_dim in (d, 1)
         and not deltas[:, ~_sector_mask(d)].any()
     ):
-        return _SectorProgram(deltas, ref_dim, minimax)
-    return _Program(deltas, ref_dim, minimax)
+        return _SectorProgram(deltas, ref_dim)
+    return _Program(deltas, ref_dim)
 
 
 class _DualProgram(_BlockProgram):
-    """Dual form of the fixed-objective program (see module docstring).
+    """Dual form of the one-member program (program 2 of the module docstring).
 
     Free variables are the n^2 real coordinates of V plus the scalar t; the
     objective is max -t, so -b.y at an exactly feasible y-iterate is a true
-    upper bound on the fixed program's optimum.
+    upper bound on the diamond norm of Delta.
     """
 
     _members = ("delta",)
@@ -762,7 +754,7 @@ class _DualProgram(_BlockProgram):
 
         The dual variables of this program are the original program's
         (rho, W) pair; projecting them onto the original feasible set gives
-        a lower bound L on the fixed program's optimum, i.e. an upper bound
+        a lower bound L on the diamond norm of Delta, i.e. an upper bound
         -L on this program's objective max(-t).
         """
         return -self._projected_pair(mats)[0]
@@ -1095,8 +1087,7 @@ def _solve_batch(progs, tols) -> list[SdpSolution]:
             break
         # The step's Schur arrays stay alive until the next step has made its
         # own: freed first, the 0.6 MB arrays of an n = 16 program let glibc
-        # trim the top of the heap, and every iteration faulted about 2 MB
-        # back in (about 4600 minor faults per two-qubit solve instead of 600).
+        # trim the top of the heap, and every iteration faulted them back in.
         r.x_mats, r.x_scal, r.y, held = step
     else:
         stop(np.ones(len(r.ids), dtype=bool), _MAX_ITER)
@@ -1182,15 +1173,16 @@ def solve_fixed(delta: np.ndarray, ref_dim: int, tol: float) -> SdpSolution:
 
     Returns a bracket with gap <= tol, falling back to the dual program when
     the first solve stops short; raises NoConvergenceError if the combined
-    bracket is still wider than tol. A diagonal-unitary-covariant delta at
-    n = ref_dim^2 is solved on its sectors (program 4).
+    bracket is still wider than tol. The first solve is the minimax program
+    of the family of one. A diagonal-unitary-covariant delta at
+    n = ref_dim^2 is solved on its sectors (program 3).
     """
     return _run(_fixed_steps(delta, ref_dim, tol))
 
 
 def _fixed_steps(delta, ref_dim, tol):
     """``solve_fixed`` as steps."""
-    sol = yield _program([delta], ref_dim, minimax=False), tol
+    sol = yield _program([delta], ref_dim), tol
     if sol.gap <= tol:
         return sol
     # The projected upper bound has hit its numerical floor; recompute both
@@ -1228,6 +1220,6 @@ def solve_minimax(deltas, ref_dim: int, tol: float) -> SdpSolution:
     finite bound). Returns the best certified bracket found and never
     raises: a gap above tol is left for the caller to judge. A
     diagonal-unitary-covariant family at n = ref_dim^2 is solved on its
-    sectors (program 4).
+    sectors (program 3).
     """
-    return _solve_ipm(_program(deltas, ref_dim, minimax=True), tol)
+    return _solve_ipm(_program(deltas, ref_dim), tol)

@@ -214,15 +214,15 @@ def check_duc_sector_bracket_overlap(seed: int = 19, families: int = 2) -> float
             for _ in range(families):
                 target, *members = (make(d, gen) for _ in range(4))
                 deltas = [choi(target) - choi(ch) for ch in members]
-                for family, minimax in ((deltas, True), (deltas[:1], False)):
-                    prog = sdp._program(family, d, minimax)
+                for family in (deltas, deltas[:1]):
+                    prog = sdp._program(family, d)
                     assert isinstance(prog, sdp._SectorProgram), (
                         f"{make.__name__} family at d={d} built the full program"
                     )
                     sector = sdp._solve_ipm(prog, 1e-8)
-                    full = sdp._solve_ipm(sdp._Program(family, d, minimax), 1e-8)
+                    full = sdp._solve_ipm(sdp._Program(family, d), 1e-8)
                     assert max(sector.primal, full.primal) <= min(sector.dual, full.dual), (
-                        f"{make.__name__} at d={d} (minimax={minimax}): sector "
+                        f"{make.__name__} at d={d} ({len(family)} members): sector "
                         f"[{sector.primal}, {sector.dual}] misses full "
                         f"[{full.primal}, {full.dual}]"
                     )

@@ -207,10 +207,10 @@ def test_only_exactly_covariant_families_take_the_sector_program(monkeypatch) ->
     # damping against the identity is diagonal-unitary covariant; one
     # off-sector entry of 1e-300 (at |01><10|) makes it a full program
     delta = choi(damping(0.7, 0.5)) - choi(identity(2))
-    assert isinstance(sdp._program([delta], 2, minimax=False), sdp._SectorProgram)
+    assert isinstance(sdp._program([delta], 2), sdp._SectorProgram)
     nudged = delta.copy()
     nudged[1, 2] = nudged[2, 1] = 1e-300
-    assert type(sdp._program([nudged], 2, minimax=False)) is sdp._Program
+    assert type(sdp._program([nudged], 2)) is sdp._Program
     # fig1 and fig2 rows are not covariant
     kinds = _log_kinds(monkeypatch)
     sdp._run(cli._fig1_row((1.2, 1e-7)))
@@ -218,10 +218,9 @@ def test_only_exactly_covariant_families_take_the_sector_program(monkeypatch) ->
     assert kinds == ["fixed", "minimax"]
 
 
-def test_two_copy_member_bounds_certify_without_the_dual_program(monkeypatch) -> None:
-    # Every member of the two-copy set is a unitary pair with the target, so
-    # diamond_unitary gives its distance and only the Choi bound reaches the
-    # engine, on the invariant sectors at reference dimension 1.
+def _log_census(monkeypatch) -> list:
+    """Log the kind and reference dimension of every program that reaches
+    the interior-point engine."""
     solve = sdp._solve_ipm
     census = []
 
@@ -230,6 +229,14 @@ def test_two_copy_member_bounds_certify_without_the_dual_program(monkeypatch) ->
         return solve(prog, *args, **kwargs)
 
     monkeypatch.setattr(sdp, "_solve_ipm", counting)
+    return census
+
+
+def test_two_copy_member_bounds_certify_without_the_dual_program(monkeypatch) -> None:
+    # Every member of the two-copy set is a unitary pair with the target, so
+    # diamond_unitary gives its distance and only the Choi bound reaches the
+    # engine, on the invariant sectors at reference dimension 1.
+    census = _log_census(monkeypatch)
     members = [identity(2), unitary_channel(PAULI[3])]
     target, pair_set = two_copy_problem(unitary_qubit(0.0, np.pi / 6, 0.0), members)
     upper, lower = approx_bounds(target, pair_set, 1.2810473988)
@@ -251,9 +258,10 @@ def test_unitary_member_outside_diamond_unitarys_check_takes_its_fixed_solve(mon
     target = unitary_qubit(0.0, np.pi / 6, 0.0)
     with pytest.raises(NotUnitaryError):
         diamond_unitary(target.kraus[0], near.kraus[0])
-    kinds = _log_kinds(monkeypatch)
+    census = _log_census(monkeypatch)
     upper, _ = approx_bounds(target, [near], 1.0)
-    assert kinds == ["sector-fixed", "sector-minimax"]
+    # the member's fixed solve, then the one-member Choi bound at reference dimension 1
+    assert census == [("sector-fixed", 2), ("sector-fixed", 1)]
     assert abs(upper - diamond_unitary(target.kraus[0], np.eye(2))) <= 1e-7
 
 
@@ -597,7 +605,14 @@ def test_multi_copy_singleton_set_collapses() -> None:
     npt.assert_allclose(res.correlated.distance, direct, atol=1e-4)
     npt.assert_allclose(res.product_value, direct, atol=1e-4)
     npt.assert_allclose(res.tensored_value, direct, atol=1e-4)
-    assert res.correlated.distance <= res.product_value <= res.tensored_value + 1e-6
+    # The midpoints of three brackets around the same value need not be
+    # ordered; every bracket holds the closed form, and the certified sides are.
+    exact = diamond_unitary(np.kron(u.kraus[0], u.kraus[0]), np.eye(4))
+    witnesses = (res.correlated.witness, res.product_witness, res.tensored_witness)
+    for witness in witnesses:
+        assert witness.primal - 1e-12 <= exact <= witness.dual + 1e-12, (witness, exact)
+    assert res.correlated.witness.primal <= res.product_witness.dual
+    assert res.product_witness.primal <= res.tensored_witness.dual
 
 
 def _log_half_steps(monkeypatch, raise_call=None) -> list:

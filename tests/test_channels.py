@@ -154,6 +154,15 @@ def test_pauli_channel_weights_on_bell_diagonal() -> None:
     properties.check_pauli_choi_bell_diagonal()
 
 
+def test_vertex_pauli_channel_is_its_unitary_channel() -> None:
+    # a zero weight adds no Kraus operator, and the Choi matrix keeps its bits
+    ch = pauli_channel([0.0, 0.0, 0.0, 1.0])
+    assert len(ch.kraus) == 1
+    four = Channel(tuple(np.sqrt(w) * s for w, s in zip([0.0, 0.0, 0.0, 1.0], PAULI)))
+    assert len(four.kraus) == 4
+    assert choi(ch).tobytes() == choi(four).tobytes()
+
+
 def test_pauli_channel_rejects_bad_weights() -> None:
     with pytest.raises(SimplexError):
         pauli_channel([0.5, 0.5, 0.5, -0.5])

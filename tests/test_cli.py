@@ -105,6 +105,20 @@ def test_approx_phase_unitary_over_identity_and_z(capsys) -> None:
     assert doc["distance"] <= doc["bounds"]["upper_bound_single"] + 1e-6
 
 
+def test_approx_vertex_pauli_members_take_the_unitary_closed_form(capsys) -> None:
+    # Pauli specs at a vertex are the unitary channels of I and Z, so their
+    # single-member bound is diamond_unitary's closed form, 2 sin(1/2)
+    target = '{"kind": "unitary", "alpha": 0, "beta": 0.5, "delta": 0}'
+    vertices = ['{"kind": "pauli", "p": [1, 0, 0, 0]}', '{"kind": "pauli", "p": [0, 0, 0, 1]}']
+    z_unitary = '{"kind": "unitary", "alpha": 0, "beta": 1.5707963267948966, "delta": 0}'
+    unitaries = [IDENTITY, z_unitary]
+    bounds = []
+    for members in (vertices, unitaries):
+        assert cli.main(["approx", target, *members, "--format", "json"]) == cli.EXIT_OK
+        bounds.append(json.loads(capsys.readouterr().out)["bounds"]["upper_bound_single"])
+    assert bounds[0] == bounds[1] == 0.9588510772084059
+
+
 def test_approx_text_output_lists_every_field(capsys) -> None:
     z_spec = '{"kind": "pauli", "p": [0, 0, 0, 1]}'
     assert cli.main(["approx", PHASE_U, IDENTITY, z_spec]) == cli.EXIT_OK

@@ -204,21 +204,21 @@ def _program_shapes():
     ]
     two_copy = _two_copy_deltas()
     return {
-        "fixed-ref2": sdp._Program([d2], 2, minimax=False),
-        "fixed-ref4": sdp._Program([d4], 4, minimax=False),
-        "minimax-ref2": sdp._Program(family, 2, minimax=True),
-        "minimax-ref1": sdp._Program(family, 1, minimax=True),
+        "one-member-ref2": sdp._Program([d2], 2),
+        "one-member-ref4": sdp._Program([d4], 4),
+        "minimax-ref2": sdp._Program(family, 2),
+        "minimax-ref1": sdp._Program(family, 1),
         "dual-ref2": sdp._DualProgram(d2, 2),
         "dual-ref4": sdp._DualProgram(d4, 4),
         # damping against Pauli channels keeps both pairs |01>, |10>; the
         # two-copy phase-gate family keeps none
-        "sector-fixed-ref2": sdp._SectorProgram(damping_family[:1], 2, minimax=False),
-        "sector-minimax-ref2": sdp._SectorProgram(damping_family, 2, minimax=True),
-        "sector-fixed-ref4": sdp._SectorProgram(two_copy[:1], 4, minimax=False),
-        "sector-minimax-ref4": sdp._SectorProgram(two_copy, 4, minimax=True),
+        "sector-one-member-ref2": sdp._SectorProgram(damping_family[:1], 2),
+        "sector-minimax-ref2": sdp._SectorProgram(damping_family, 2),
+        "sector-one-member-ref4": sdp._SectorProgram(two_copy[:1], 4),
+        "sector-minimax-ref4": sdp._SectorProgram(two_copy, 4),
         # the Choi bounds of both families
-        "sector-minimax-ref1-d2": sdp._SectorProgram(damping_family, 1, minimax=True),
-        "sector-minimax-ref1-d4": sdp._SectorProgram(two_copy, 1, minimax=True),
+        "sector-minimax-ref1-d2": sdp._SectorProgram(damping_family, 1),
+        "sector-minimax-ref1-d4": sdp._SectorProgram(two_copy, 1),
     }
 
 
@@ -312,20 +312,20 @@ def test_program_operators_are_consistent_for_every_shape() -> None:
 
 def test_warm_schur_call_allocates_no_large_temporaries() -> None:
     """At n = 16 the per-iteration Schur work lives in program-owned buffers:
-    a warm call allocates little beyond its 0.56 MiB result (271 x 271)."""
+    a warm call allocates little beyond its 0.56 MiB result (272 x 272)."""
     gen = helpers.rng(42)
     a, b = helpers.random_channel(4, 2, gen), helpers.random_channel(4, 3, gen)
     delta = choi(a) - choi(b)
-    prog = sdp._Program([delta], 4, minimax=False)
-    assert (prog.n, prog.m) == (16, 271)
+    prog = sdp._Program([delta], 4)
+    assert (prog.n, prog.m) == (16, 272)
     sizes = [blk.shape[0] for blk in _blocks(prog.slack_blocks(np.zeros(prog.m))[0])]
     x_mats = _grouped(prog, [_random_pd(s, gen) for s in sizes])
     z_mats = _grouped(prog, [_random_pd(s, gen) for s in sizes])
-    prog.schur(x_mats, z_mats, np.zeros(0))
+    prog.schur(x_mats, z_mats, np.ones(1))
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
-        prog.schur(x_mats, z_mats, np.zeros(0))
+        prog.schur(x_mats, z_mats, np.ones(1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -445,8 +445,8 @@ def test_a_failing_member_stops_alone_in_its_batch(monkeypatch) -> None:
     # A stacked Cholesky raises for the whole stack when one slice fails.
     # The failing problem must stop with its bracket at the iteration where
     # its own solve stops, and every other problem must go on as if alone.
-    healthy = [sdp._program(_pauli_deltas(a, b), 2, True) for a, b in ((0.3, 0.9), (1.2, 0.4), (0.5, 0.5))]
-    sick = sdp._program(_pauli_deltas(0.7, 0.4), 2, True)
+    healthy = [sdp._program(_pauli_deltas(a, b), 2) for a, b in ((0.3, 0.9), (1.2, 0.4), (0.5, 0.5))]
+    sick = sdp._program(_pauli_deltas(0.7, 0.4), 2)
     schur = sdp._BlockProgram.schur
 
     def poisoned(self, x_mats, z_mats, xz_scal):
@@ -471,12 +471,78 @@ def test_a_failing_member_stops_alone_in_its_batch(monkeypatch) -> None:
             assert _solution_bits(sol) == expected, i
 
 
+def _raising_after_first_solve(steps):
+    """The step generator ``steps`` up to its first solve, then a failure."""
+    yield next(steps)
+    raise NoConvergenceError("forced after the first solve")
+
+
+def test_a_raising_row_stops_alone_and_is_raised_after_its_window(monkeypatch) -> None:
+    items = [(x, 1e-7) for x in (0.4, 1.2, 1.5, 1.95)]
+    alone = [np.array(sdp._run(cli._fig1_row(item))).tobytes() for item in items]
+    finished = {}
+
+    def recorded(i, steps):
+        finished[i] = np.array((yield from steps)).tobytes()
+
+    steps = [recorded(i, cli._fig1_row(item)) for i, item in enumerate(items)]
+    steps[1] = recorded(1, _raising_after_first_solve(cli._fig1_row(items[1])))
+    monkeypatch.setattr(sdp, "_MAX_BATCH", 3)
+    with pytest.raises(NoConvergenceError, match="forced"):
+        sdp._run_all(steps)
+    # the other rows of the window finish with their solo bits, and the
+    # next window never starts
+    assert finished == {0: alone[0], 2: alone[2]}
+
+
+def test_fig1_sweep_with_a_raising_row_exits_3_and_writes_nothing(
+    tmp_path, monkeypatch, capsys
+) -> None:
+    row = cli._fig1_row
+
+    def flaky(item):
+        return _raising_after_first_solve(row(item)) if item[0] == 1.0 else row(item)
+
+    monkeypatch.setattr(cli, "_fig1_row", flaky)
+    assert cli.main(["fig1", "--grid", "3"]) == cli.EXIT_NOCONVERGENCE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "forced" in captured.err
+    out = tmp_path / "fig1.csv"
+    assert cli.main(["fig1", "--grid", "3", "--out", str(out)]) == cli.EXIT_NOCONVERGENCE
+    assert not out.exists() and "forced" in capsys.readouterr().err
+
+
+def test_dual_program_without_a_projection_certifies_no_lower_side(monkeypatch) -> None:
+    # the second pair of this draw takes the dual-program fallback at 1e-9
+    gen = helpers.rng(1001)
+    drawn = [helpers.random_channel(2, k, gen) for _ in range(2) for k in (2, 3)]
+    delta = choi(drawn[2]) - choi(drawn[3])
+    solve = sdp._solve_batch
+    kinds = []
+
+    def logged(progs, tols):
+        kinds.extend(type(prog).__name__ for prog in progs)
+        return solve(progs, tols)
+
+    monkeypatch.setattr(sdp, "_solve_batch", logged)
+    assert sdp.solve_fixed(delta, 2, 1e-9).gap <= 1e-9
+    assert kinds == ["_Program", "_DualProgram"]
+
+    def failing(self, mats, scal):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(sdp._DualProgram, "project_dual", failing)
+    sol = sdp._solve_ipm(sdp._DualProgram(delta, 2), 1e-9)
+    assert sol.witness_w is None and sol.witness_rho is None and sol.weights is None
+    assert (sol.dual, sol.iterations) == (np.inf, 1)
+    with pytest.raises(NoConvergenceError, match="above tolerance"):
+        sdp.solve_fixed(delta, 2, 1e-9)
+
+
 def test_programs_reject_malformed_shapes() -> None:
     delta = np.eye(4, dtype=complex)
-    with pytest.raises(ValueError, match="exactly one matrix"):
-        sdp._Program([delta, delta], 2, minimax=False)
     with pytest.raises(ValueError, match="not divisible"):
-        sdp._Program([delta], 3, minimax=True)
+        sdp._Program([delta], 3)
     with pytest.raises(ValueError, match="not divisible"):
         sdp._DualProgram(delta, 3)
 
@@ -670,12 +736,12 @@ def test_dual_projection_rejects_a_zero_or_nan_reference_block() -> None:
 
 
 def test_sector_program_keeps_only_pairs_with_data() -> None:
-    assert sdp._SectorProgram(_damping_deltas(0.7, 0.5), 2, True).pairs.tolist() == [1, 2]
-    two_copy = sdp._SectorProgram(_two_copy_deltas(), 4, True)
+    assert sdp._SectorProgram(_damping_deltas(0.7, 0.5), 2).pairs.tolist() == [1, 2]
+    two_copy = sdp._SectorProgram(_two_copy_deltas(), 4)
     assert two_copy.pairs.size == 0
     assert (two_copy.n, two_copy.ref, two_copy.m) == (4, 4, 20)
     # at reference dimension 1 the program has no p coordinates
-    choi_bound = sdp._SectorProgram(_two_copy_deltas(), 1, True)
+    choi_bound = sdp._SectorProgram(_two_copy_deltas(), 1)
     assert (choi_bound.n, choi_bound.ref, choi_bound.m) == (4, 1, 17)
 
 
@@ -697,24 +763,24 @@ def test_sector_results_recheck_on_the_full_space() -> None:
     pair_choi = choi(target)
     single = [identity(2), pauli_unitaries()[3]]
     base = mix(single, [0.75, 0.25])
-    # (deltas, ref_dim, minimax, tol) as the two-copy study and fig3 solve them
+    # (deltas, ref_dim, tol) as the two-copy study and fig3 solve them
     cases = [
-        (_two_copy_deltas(), 4, True, 1e-8),  # correlated
-        ([pair_choi - choi(tensor(ch, base)) for ch in single], 4, True, 1e-8),  # half-step
-        ([pair_choi - choi(tensor(base, base))], 4, False, 1e-7),  # tensored
-        (_damping_deltas(0.25, 0.5), 2, True, 1e-8),  # fig3 row
-        (_two_copy_deltas(), 1, True, 1e-8),  # the correlated Choi bound
-        (_damping_deltas(0.25, 0.5), 1, True, 1e-8),  # a damping Choi bound
+        (_two_copy_deltas(), 4, 1e-8),  # correlated
+        ([pair_choi - choi(tensor(ch, base)) for ch in single], 4, 1e-8),  # half-step
+        ([pair_choi - choi(tensor(base, base))], 4, 1e-7),  # tensored
+        (_damping_deltas(0.25, 0.5), 2, 1e-8),  # fig3 row
+        (_two_copy_deltas(), 1, 1e-8),  # the correlated Choi bound
+        (_damping_deltas(0.25, 0.5), 1, 1e-8),  # a damping Choi bound
     ]
-    for deltas, ref_dim, minimax, tol in cases:
-        assert isinstance(sdp._program(deltas, ref_dim, minimax), sdp._SectorProgram)
-        if minimax:
+    for deltas, ref_dim, tol in cases:
+        assert isinstance(sdp._program(deltas, ref_dim), sdp._SectorProgram)
+        if len(deltas) > 1:
             sol = sdp.solve_minimax(deltas, ref_dim, tol)
         else:
             sol = sdp.solve_fixed(deltas[0], ref_dim, tol)
         assert sol.gap <= tol
         _recheck_on_full_space(sol, deltas, ref_dim)
-        full = sdp._solve_ipm(sdp._Program(deltas, ref_dim, minimax), tol)
+        full = sdp._solve_ipm(sdp._Program(deltas, ref_dim), tol)
         assert max(sol.primal, full.primal) <= min(sol.dual, full.dual), (sol, full)
 
 
@@ -729,15 +795,15 @@ def test_sector_dual_bound_is_the_full_bound_of_the_lifted_duals() -> None:
     # least cost, and its bound is then lambda_max(Tr_1[X1 + X2]) of the
     # lifted duals, which satisfy X1 - X2 = Delta on the full space.
     delta = _damping_deltas(0.25, 0.5)[0]
-    prog = sdp._SectorProgram([delta], 2, minimax=False)
+    prog = sdp._SectorProgram([delta], 2)
     sec, pairs = prog.sector, prog.pairs
     x2 = (1.0 + np.abs(delta).sum()) * np.eye(2, dtype=complex)
     x1 = x2 + delta[np.ix_(sec, sec)]
     pair_duals = np.diag(np.r_[np.zeros(2 * len(pairs)), 1.0, 1.0]).astype(complex)
     duals = _grouped(prog, [x1, x2, pair_duals])
-    bound = prog.project_dual(duals, np.zeros(0))
-    # a fixed program has no weights
-    assert prog.certificate(np.zeros(prog.m), duals, np.zeros(0))[2] is None
+    bound = prog.project_dual(duals, np.ones(1))
+    # the one member takes all the weight
+    assert prog.certificate(np.zeros(prog.m), duals, np.ones(1))[2].tolist() == [1.0]
     lift1 = np.zeros((4, 4), dtype=complex)
     lift2 = np.zeros((4, 4), dtype=complex)
     lift1[np.ix_(sec, sec)] = x1
@@ -754,7 +820,7 @@ def test_sector_choi_bound_is_the_full_trace_bound_of_the_lifted_duals() -> None
     # At reference dimension 1 the full bound is Tr[X1 + X2] of the lifted
     # duals: the sum over b of the reference-d bound's terms, not their max.
     deltas = _damping_deltas(0.25, 0.5)
-    prog = sdp._program(deltas, 1, minimax=True)
+    prog = sdp._program(deltas, 1)
     assert isinstance(prog, sdp._SectorProgram) and prog.ref == 1
     sec, pairs = prog.sector, prog.pairs
     scal = np.array([3.0, 1.0])
@@ -777,7 +843,7 @@ def test_sector_choi_bound_is_the_full_trace_bound_of_the_lifted_duals() -> None
     # the solved bound re-checks on the full Delta, and brackets the full program's
     sol = sdp.solve_minimax(deltas, 1, 1e-8)
     _recheck_on_full_space(sol, deltas, 1)
-    full_sol = sdp._solve_ipm(sdp._Program(deltas, 1, True), 1e-8)
+    full_sol = sdp._solve_ipm(sdp._Program(deltas, 1), 1e-8)
     assert max(sol.primal, full_sol.primal) <= min(sol.dual, full_sol.dual)
     assert abs(sol.primal - full_sol.primal) <= 4e-8
 
