@@ -94,7 +94,9 @@ picks up roundoff infeasibility that scales like eps over the barrier
 parameter). When a fixed-objective solve needs a tighter certificate than
 that floor, ``solve_fixed`` recomputes the upper bound with program 2 on
 the full space, whose objective is again evaluated at an exactly feasible
-point, so both sides of the final certificate are exact.
+point, so both sides of the final certificate are exact. Its dual iterate
+gives a second lower bound: the best W at the iterate's reference state,
+in closed form.
 
 Batches. ``_solve_batch`` solves programs of one shape as one stack: one
 class, n, reference dimension, member count and, for program 3, kept
@@ -742,8 +744,8 @@ class _DualProgram(_BlockProgram):
         return self._start_at(y)
 
     def certificate(self, y, x_mats, x_scal):
-        """The original program's (W, rho) that the best dual iterate
-        projects to, (None, None) without one; no weights."""
+        """The original program's (W, rho) at the best dual iterate's
+        state, (None, None) without one; no weights."""
         if x_mats is None:
             return None, None, None
         _, w, rho = self._projected_pair(x_mats)
@@ -752,45 +754,37 @@ class _DualProgram(_BlockProgram):
     def project_dual(self, mats, scal):
         """Exact-feasibility projection of the dual iterate.
 
-        The dual variables of this program are the original program's
-        (rho, W) pair; projecting them onto the original feasible set gives
-        a lower bound L on the diamond norm of Delta, i.e. an upper bound
-        -L on this program's objective max(-t).
+        The reference block's dual is the original program's rho up to its
+        trace; the best W at that rho gives a lower bound L on the diamond
+        norm of Delta, i.e. an upper bound -L on this program's objective
+        max(-t).
         """
         return -self._projected_pair(mats)[0]
 
     def _projected_pair(self, mats):
-        """(L, W, rho): the original program's exactly feasible point that
-        the dual iterate projects to and its objective L, or L = -inf where
-        the reference block has no positive trace."""
-        pair = _herm(mats[0])
-        xv, xd = pair[..., 0, :, :], pair[..., 1, :, :]
+        """(L, W, rho): the original program's point at the state rho of the
+        dual iterate's reference block and its objective L, or L = -inf
+        where that block has no positive trace.
+
+        W is the best one at rho (Watrous, arXiv:1207.5726): with
+        R = I (x) sqrt(rho), W = R sign(R Delta R) R, so L is the trace norm
+        of R Delta R. I (x) rho -+ W = R (I -+ sign) R are PSD; W is scaled
+        by 1 - 1e-14 to keep them so under roundoff.
+        """
         evals, evecs = np.linalg.eigh(_herm(mats[1][..., 0, :, :]))
         evals = np.clip(evals, 0.0, None)
         tr = evals.sum(axis=-1)
         valid = tr > 0.0
-        # an invalid iterate goes on as W = 0 at the maximally mixed state
-        tr = np.where(valid, tr, 1.0)[..., None, None]
-        rho = (evecs * evals[..., None, :]) @ evecs.conj().swapaxes(-1, -2) / tr
-        rho = np.where(valid[..., None, None], rho, np.eye(self.ref) / self.ref)
-        w = np.where(valid[..., None, None], (xd - xv) / (2.0 * tr), 0.0)
-        # Restrict W to the numerical support of I (x) rho: components on the
-        # near-kernel are pure roundoff but would dominate the feasibility
-        # scaling below. The restricted W block-diagonalizes against the
-        # kernel, so the scaled pair stays exactly feasible. rho has unit
-        # trace, so its top eigenvalue is always kept.
-        lam, u = np.linalg.eigh(_herm(np.kron(np.eye(self.out), rho)))
-        keep = lam > 1e-7 * lam[..., -1:]
-        invroot = np.where(keep, 1.0 / np.sqrt(np.where(keep, lam, 1.0)), 0.0)
-        uh = u.conj().swapaxes(-1, -2)
-        wk = (uh @ w @ u) * (keep[..., :, None] & keep[..., None, :])
-        pencil = (invroot[..., :, None] * wk) * invroot[..., None, :]
-        top = np.abs(np.linalg.eigvalsh(_herm(pencil))).max(axis=-1)
-        s = np.where(top <= 1.0, 1.0, (1.0 - 1e-14) / np.maximum(top, 1.0))
-        wfeas = s[..., None, None] * (u @ wk @ uh)
-        raw = _trace_dot(self.delta, wfeas).real
-        wfeas = np.where((raw < 0.0)[..., None, None], -wfeas, wfeas)
-        return np.where(valid, np.abs(raw), -np.inf), wfeas, rho
+        # an invalid iterate goes on at the maximally mixed state
+        p = np.where(valid[..., None], evals / np.where(valid, tr, 1.0)[..., None], 1.0 / self.ref)
+        evecs = np.where(valid[..., None, None], evecs, np.eye(self.ref))
+        evecs_h = evecs.conj().swapaxes(-1, -2)
+        rho = (evecs * p[..., None, :]) @ evecs_h
+        r = np.kron(np.eye(self.out), (evecs * np.sqrt(p)[..., None, :]) @ evecs_h)
+        lam, u = np.linalg.eigh(_herm(r @ self.delta @ r))
+        sign = (u * np.where(lam < 0.0, -1.0, 1.0)[..., None, :]) @ u.conj().swapaxes(-1, -2)
+        w = (1.0 - 1e-14) * _herm(r @ sign @ r)
+        return np.where(valid, _trace_dot(self.delta, w).real, -np.inf), w, rho
 
 
 @dataclass
@@ -1187,8 +1181,8 @@ def _fixed_steps(delta, ref_dim, tol):
         return sol
     # The projected upper bound has hit its numerical floor; recompute both
     # bounds from the dual program, whose y-iterate gives an exact upper
-    # bound and whose dual iterate projects to a second lower bound with its
-    # own witness pair.
+    # bound and whose dual iterate's reference state gives a second lower
+    # bound with its own witness pair.
     dual_sol = yield _DualProgram(delta, ref_dim), tol
     lower = sol.primal
     witness_w, witness_rho = sol.witness_w, sol.witness_rho
@@ -1206,7 +1200,7 @@ def _fixed_steps(delta, ref_dim, tol):
         dual=upper,
         witness_w=witness_w,
         witness_rho=witness_rho,
-        weights=None,
+        weights=sol.weights,
         iterations=sol.iterations + dual_sol.iterations,
     )
 

@@ -163,7 +163,7 @@ def test_missing_joint_weights_raise_instead_of_returning_a_vertex(monkeypatch) 
 
     def without_weights(prog, *args, **kwargs):
         sol = solve(prog, *args, **kwargs)
-        if isinstance(prog, sdp._Program) and prog.minimax:
+        if isinstance(prog, sdp._Program) and prog.k > 1:
             sol = dataclasses.replace(sol, weights=None)
         return sol
 
@@ -176,7 +176,7 @@ def test_missing_joint_weights_raise_instead_of_returning_a_vertex(monkeypatch) 
 def _kind(prog) -> str:
     if isinstance(prog, sdp._DualProgram):
         return "dual"
-    kind = "minimax" if prog.minimax else "fixed"
+    kind = "minimax" if prog.k > 1 else "fixed"
     return f"sector-{kind}" if isinstance(prog, sdp._SectorProgram) else kind
 
 

@@ -409,7 +409,7 @@ def test_batched_solves_match_solo_solves_bit_for_bit() -> None:
     for prog, tol in (request for row in rows for request in _row_requests(row)):
         groups.setdefault(prog.shape_key(), []).append((prog, tol))
     kinds = sorted(
-        (type(group[0][0]).__name__, getattr(group[0][0], "minimax", False), len(group))
+        (type(group[0][0]).__name__, getattr(group[0][0], "k", 1) > 1, len(group))
         for group in groups.values()
     )
     assert kinds == [
@@ -525,8 +525,11 @@ def test_dual_program_without_a_projection_certifies_no_lower_side(monkeypatch) 
         return solve(progs, tols)
 
     monkeypatch.setattr(sdp, "_solve_batch", logged)
-    assert sdp.solve_fixed(delta, 2, 1e-9).gap <= 1e-9
+    sol = sdp.solve_fixed(delta, 2, 1e-9)
+    assert sol.gap <= 1e-9
     assert kinds == ["_Program", "_DualProgram"]
+    # the fallback keeps the one member's weight, as a first-solve success does
+    assert sol.weights.tolist() == [1.0]
 
     def failing(self, mats, scal):
         raise np.linalg.LinAlgError("forced")
@@ -730,6 +733,38 @@ def test_dual_projection_rejects_a_zero_or_nan_reference_block() -> None:
     eye = np.eye(4, dtype=complex)
     for ref_block in (np.zeros((2, 2), dtype=complex), np.full((2, 2), np.nan, dtype=complex)):
         assert prog.project_dual(_grouped(prog, [eye, eye, ref_block]), np.zeros(0)) == np.inf
+
+
+def test_dual_projection_takes_the_best_witness_at_the_iterates_state() -> None:
+    gen = helpers.rng(40)
+    delta = choi(helpers.random_channel(2, 2, gen)) - choi(helpers.random_channel(2, 3, gen))
+    prog = sdp._DualProgram(delta, 2)
+    ref_block = 3.0 * helpers.random_density(2, gen)  # any positive trace
+    eye = np.eye(4, dtype=complex)
+    mats = _grouped(prog, [eye, eye, ref_block])
+    bound = -prog.project_dual(mats, np.zeros(0))
+    w, rho, _ = prog.certificate(None, mats, None)
+    npt.assert_allclose(rho, ref_block / 3.0, atol=1e-15)
+    evals, evecs = np.linalg.eigh(rho)
+    root = np.kron(np.eye(2), (evecs * np.sqrt(evals)) @ evecs.conj().T)
+    assert abs(bound - trace_norm(root @ delta @ root)) <= 1e-13
+    assert np.einsum("ab,ba->", delta, w).real == bound
+    lift = np.kron(np.eye(2), rho)
+    assert np.linalg.eigvalsh(lift - w)[0] >= -1e-15
+    assert np.linalg.eigvalsh(lift + w)[0] >= -1e-15
+
+
+def test_four_dimensional_pairs_certify_at_the_floor() -> None:
+    # Pairs 6 and 9 of this draw stall above 1e-9 in the first solve. Both
+    # certify through the dual program's best witness at its state; its
+    # own W, scaled to feasibility, left their brackets 1.2e-9 and 1.6e-9 wide.
+    gen = helpers.rng(1002)
+    drawn = [(helpers.random_channel(4, 2, gen), helpers.random_channel(4, 3, gen)) for _ in range(10)]
+    for a, b in (drawn[6], drawn[9]):
+        delta = choi(a) - choi(b)
+        sol = sdp.solve_fixed(delta, 4, 1e-9)
+        assert sol.gap <= 1e-9
+        _recheck_on_full_space(sol, [delta], 4)
 
 
 # --- sector program ------------------------------------------------------------
