@@ -11,8 +11,10 @@ whose optimum is min_p ||sum_i p_i Delta_i||_diamond by duality.  Its scalar
 duals are the weights p, its primal point (W, rho) has Tr[Delta(p) W] >= t,
 and its projected dual bound caps ||Delta(p)||_diamond, so [t, dual]
 brackets both the distance at p and the simplex optimum; a single distance
-is the family of one.  If the joint bracket stalls above 1e-7, the program
-of Delta(p) alone certifies the distance, which must lie within tol of t.
+is the family of one.  If the joint bracket stalls above 1e-7, the dual
+program of Delta(p) closes it, as it closes a stalled single distance: the
+joint witness and upper side hold for Delta(p), so Delta(p) needs no primal
+solve of its own.  The distance must lie within tol of t.
 Diagonal-unitary-covariant problems (every damping row and the phase-gate
 two-copy study) are solved on their invariant sectors, with the same
 certificate on the full space.  ``approx_bounds`` adds cheap two-sided
@@ -42,7 +44,6 @@ from .channels import (
 from .diamond import (
     _ZERO_TRACE_NORM,
     DiamondResult,
-    _delta_steps,
     _diamond_of_delta,
     _zero_result,
     d_i_unitary,
@@ -103,7 +104,8 @@ def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
     tol >= 1e-6.  The joint minimax bracket [primal, dual] holds the
     distance at the returned weights, and primal bounds the simplex
     optimum, so the weights are within the gap (<= 1e-7) of optimal.  If it
-    stalls, the mixture's own solve is the witness, within tol of primal.
+    stalls, the dual program of the mixture at the weights closes the
+    bracket (``sdp._closing_steps``), which must end within tol of primal.
     """
     return sdp._run(_convex_approx_steps(target, set, tol))
 
@@ -129,10 +131,12 @@ def _convex_approx_steps(target: Channel, set, tol: float):
         raise NoConvergenceError("the joint minimax solve returned no mixture weights")
     witness = DiamondResult._of_solution(joint)
     if not witness.gap <= _INNER_TOL:
-        # The joint bracket can stall above 1e-7: the mixture's own solve
-        # certifies the distance at the weights, and t their optimality.
+        # The joint bracket can stall above 1e-7. Its witness and upper side
+        # hold for the mixture at the weights, so the dual program closes it
+        # there, and t certifies the weights' optimality.
         mixed = np.tensordot(joint.weights, delta_stack, axes=1)
-        witness = yield from _delta_steps(mixed, d, _INNER_TOL)
+        closed = yield from sdp._closing_steps(joint, mixed, d, _INNER_TOL)
+        witness = DiamondResult._of_solution(closed)
         if not witness.dual <= joint.primal + tol:
             raise NoConvergenceError(
                 f"mixture distance {witness.dual:.9f} is more than {tol:.0e} above "

@@ -148,6 +148,14 @@ def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def _weighted(pairs) -> Channel:
+    """The channel with Kraus operators sqrt(w) K over the pairs (w, K),
+    leaving out every operator that is exactly zero: a zero weight, or
+    damping's C at gamma = 0. A vertex Pauli channel, damping(1, 0) or
+    covariant(0) thus has one operator, as a unitary channel does."""
+    return Channel(tuple(m for m in (np.sqrt(w) * k for w, k in pairs) if m.any()))
+
+
 def identity(d: int = 2) -> Channel:
     """Identity channel on dimension d."""
     return Channel((np.eye(d, dtype=complex),))
@@ -215,17 +223,15 @@ def covariant(p: float, d: int = 2) -> Channel:
         basis = list(PAULI[1:])
     else:
         basis = _weyl_basis(d)
-    ks = [np.sqrt(1.0 - p) * np.eye(d, dtype=complex)]
-    ks += [np.sqrt(p / (d * d - 1)) * v for v in basis]
-    return Channel(tuple(ks))
+    return _weighted([(1.0 - p, np.eye(d, dtype=complex))] + [(p / (d * d - 1), v) for v in basis])
 
 
 def pauli_channel(p) -> Channel:
-    """Pauli channel rho -> sum_i p_i sigma_i rho sigma_i; a zero weight adds no Kraus operator."""
+    """Pauli channel rho -> sum_i p_i sigma_i rho sigma_i."""
     p = prob_vector(p)
     if p.size != 4:
         raise SimplexError(f"Pauli channel needs 4 weights, got {p.size}")
-    return Channel(tuple(np.sqrt(pi) * s for pi, s in zip(p, PAULI) if pi != 0.0))
+    return _weighted(zip(p, PAULI))
 
 
 def pauli_unitaries() -> tuple[Channel, ...]:
@@ -244,9 +250,7 @@ def damping(q: float, gamma: float) -> Channel:
     a = np.diag([1.0, np.sqrt(1.0 - gamma)]).astype(complex)
     b = np.diag([np.sqrt(1.0 - gamma), 1.0]).astype(complex)
     c = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return Channel(
-        (np.sqrt(q) * a, np.sqrt(q) * c, np.sqrt(1.0 - q) * b, np.sqrt(1.0 - q) * dagger(c))
-    )
+    return _weighted([(q, a), (q, c), (1.0 - q, b), (1.0 - q, dagger(c))])
 
 
 def mix(chs, p) -> Channel:
@@ -260,12 +264,7 @@ def mix(chs, p) -> Channel:
     d = chs[0].dim
     if any(ch.dim != d for ch in chs):
         raise DimMismatchError("mixed channel dimensions")
-    ks = []
-    for wi, ch in zip(p, chs):
-        if wi == 0.0:
-            continue
-        ks.extend(np.sqrt(wi) * k for k in ch.kraus)
-    return Channel(tuple(ks))
+    return _weighted((wi, k) for wi, ch in zip(p, chs) for k in ch.kraus)
 
 
 def tensor(a: Channel, b: Channel) -> Channel:

@@ -74,10 +74,17 @@ class PolygonRadius:
 
 
 def polygon_radius(vertices) -> PolygonRadius:
-    """Euclidean distance from 0 to the convex hull of unit-circle points."""
+    """Euclidean distance from 0 to the convex hull of unit-circle points.
+
+    Only the phases of the vertices are read: each stands for the point of
+    the unit circle at its angle. Raises RangeError without a vertex, or
+    for a NaN or infinite one.
+    """
     verts = np.asarray(vertices, dtype=complex).ravel()
     if verts.size == 0:
         raise RangeError("polygon needs at least one vertex")
+    if not np.all(np.isfinite(verts)):
+        raise RangeError("polygon vertices must be finite")
     phases = np.sort(np.angle(verts))
     gaps = np.diff(phases, append=phases[0] + 2 * np.pi)
     if gaps.max() < np.pi:
@@ -144,6 +151,8 @@ def fixed_input_bound(a: Channel, b: Channel, state: np.ndarray) -> float:
     state = np.asarray(state, dtype=complex)
     if state.shape != (a.dim, a.dim):
         raise InvalidStateError(f"state shape {state.shape} does not match dim {a.dim}")
+    if not np.all(np.isfinite(state)):
+        raise InvalidStateError("state has NaN or infinite entries")
     if np.abs(state - dagger(state)).max() > 1e-8:
         raise InvalidStateError("state is not Hermitian within 1e-8")
     if abs(np.trace(state).real - 1.0) > 1e-8:

@@ -91,12 +91,16 @@ deterministic: fixed starting point, no randomization.
 
 The projected upper bound carries a small numerical floor (the dual iterate
 picks up roundoff infeasibility that scales like eps over the barrier
-parameter). When a fixed-objective solve needs a tighter certificate than
-that floor, ``solve_fixed`` recomputes the upper bound with program 2 on
-the full space, whose objective is again evaluated at an exactly feasible
-point, so both sides of the final certificate are exact. Its dual iterate
-gives a second lower bound: the best W at the iterate's reference state,
-in closed form.
+parameter). When a bracket on the diamond norm of one Delta needs a
+tighter certificate than that floor, ``_closing_steps`` recomputes the
+upper bound with program 2 on the full space, whose objective is again
+evaluated at an exactly feasible point, so both sides of the final
+certificate are exact. Its dual iterate gives a second lower bound: the
+best W at the iterate's reference state, in closed form. A stalled
+one-member solve (``solve_fixed``) closes this way, and so does a stalled
+joint minimax solve at the mixed Delta(p) of its weights: its witness has
+Tr[Delta(p) W] >= t and its upper side bounds the norm of Delta(p). Every
+certified distance therefore takes at most two solves.
 
 Batches. ``_solve_batch`` solves programs of one shape as one stack: one
 class, n, reference dimension, member count and, for program 3, kept
@@ -1179,6 +1183,17 @@ def _fixed_steps(delta, ref_dim, tol):
     sol = yield _program([delta], ref_dim), tol
     if sol.gap <= tol:
         return sol
+    return (yield from _closing_steps(sol, delta, ref_dim, tol))
+
+
+def _closing_steps(sol, delta, ref_dim, tol):
+    """Close the bracket ``sol`` on the diamond norm of ``delta`` with the
+    dual program; raises NoConvergenceError if it stays wider than tol.
+
+    ``sol`` may come from any primal solve whose witness W is feasible with
+    Tr[delta W] >= sol.primal and whose sol.dual bounds the norm: a one-member
+    solve, or a joint minimax solve with delta mixed at its weights.
+    """
     # The projected upper bound has hit its numerical floor; recompute both
     # bounds from the dual program, whose y-iterate gives an exact upper
     # bound and whose dual iterate's reference state gives a second lower

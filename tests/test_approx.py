@@ -265,6 +265,16 @@ def test_unitary_member_outside_diamond_unitarys_check_takes_its_fixed_solve(mon
     assert abs(upper - diamond_unitary(target.kraus[0], np.eye(2))) <= 1e-7
 
 
+def test_member_with_zero_kraus_operators_takes_the_closed_form(monkeypatch) -> None:
+    # damping(1, 0) is the identity channel with one Kraus operator, so its
+    # distance is diamond_unitary's and only the Choi bound reaches the engine
+    target = unitary_qubit(0.0, 0.5, 0.0)
+    census = _log_census(monkeypatch)
+    upper, _ = approx_bounds(target, [damping(1.0, 0.0), unitary_channel(PAULI[3])], 1.0)
+    assert census == [("sector-minimax", 1)]
+    assert upper == diamond_unitary(target.kraus[0], np.eye(2)) == 0.9588510772084059
+
+
 def _widen_joint(monkeypatch, **bounds) -> list:
     """Reset the joint minimax solve's bounds; log every program kind."""
     solve = sdp._solve_ipm
@@ -281,9 +291,9 @@ def _widen_joint(monkeypatch, **bounds) -> list:
     return kinds
 
 
-def test_stalled_joint_bracket_falls_back_to_a_fixed_solve(monkeypatch) -> None:
+def test_stalled_joint_bracket_is_closed_by_the_dual_program(monkeypatch) -> None:
     # Rare rows stall the joint bracket above 1e-7 (the upper side, or both
-    # sides by a few 1e-7); a fixed solve at the weights is then the witness.
+    # sides by a few 1e-7); the dual program at the weights then closes it.
     target = unitary_qubit(0.43, 0.91, 0.27)
     plain = optimal_convex_approx(target, pauli_unitaries(), tol=1e-6)
     for stall in (
@@ -292,7 +302,7 @@ def test_stalled_joint_bracket_falls_back_to_a_fixed_solve(monkeypatch) -> None:
     ):
         kinds = _widen_joint(monkeypatch, **stall)
         res = optimal_convex_approx(target, pauli_unitaries(), tol=1e-6)
-        assert kinds[:2] == ["minimax", "fixed"]
+        assert kinds == ["minimax", "dual"]
         assert res.weights.tobytes() == plain.weights.tobytes()
         assert res.witness.gap <= 1e-7
         assert abs(res.distance - plain.distance) <= 1e-7
@@ -346,6 +356,20 @@ def test_mixture_witness_rechecks_from_its_matrices() -> None:
     res = optimal_convex_approx(near, members, 1e-6)
     assert res.witness.primal == 0.0 and not res.witness.witness_operator.any()
     _recheck_witness(near, members, res)
+
+
+def test_stalled_rows_close_with_one_dual_solve(monkeypatch) -> None:
+    # Two fig2 rows whose joint bracket stalls above 1e-7 on its own: each
+    # takes the joint solve and one dual solve, and nothing else.
+    paulis = pauli_unitaries()
+    kinds = _log_kinds(monkeypatch)
+    for row in ((np.pi / 6, np.pi / 3, 4.714680286095766), (np.pi / 6, 0.0, 5.79819173389371)):
+        kinds.clear()
+        target = unitary_qubit(*row)
+        res = optimal_convex_approx(target, paulis, 1e-6)
+        assert kinds == ["minimax", "dual"], row
+        assert res.witness.gap <= 1e-7
+        _recheck_witness(target, paulis, res)
 
 
 def test_vertex_optimal_target_matches_the_vertex_distance() -> None:
@@ -663,3 +687,24 @@ def test_rising_extrapolation_restarts_from_the_best_round(monkeypatch) -> None:
     assert res.correlated.distance <= res.product_value <= res.tensored_value + 1e-6
     assert res.product_value <= 1.3118576984 + 1e-9
 
+
+def test_rising_plain_round_stops_the_search_at_the_best_round(monkeypatch) -> None:
+    # Calls 2-3 are round 1 and calls 4-5 the plain round 2, whose second
+    # half-step (call 5) is made to rise: the search stops there.
+    target, members = _PHASE_STUDY
+    calls = _log_half_steps(monkeypatch, raise_call=5)
+    res = multi_copy_approx(target, members, 2, 1e-6)
+    assert len(calls) == 6
+    # the product weights are round 1's, and they still certify
+    assert res.product_weights[0].tobytes() == calls[2][1].weights.tobytes()
+    assert res.product_weights[1].tobytes() == calls[3][1].weights.tobytes()
+    assert res.product_witness.gap <= 1e-7
+    assert res.correlated.distance <= res.product_value <= res.tensored_value + 1e-6
+
+
+def test_secant_without_a_change_in_the_residual_is_the_plain_map() -> None:
+    # equal residuals G(q) - q in both rounds, or NaN ones: no secant step
+    q1, g1 = np.array([0.4, 0.6]), np.array([0.5, 0.5])
+    assert approx._secant((np.array([0.5, 0.5]), np.array([0.6, 0.4])), (q1, g1)) is g1
+    nan = np.array([np.nan, np.nan])
+    assert approx._secant((nan, nan), (q1, g1)) is g1

@@ -195,6 +195,27 @@ def test_damping_zero_rate_is_identity() -> None:
     assert channels_close(damping(0.3, 0.0), identity(2))
 
 
+def test_built_channels_carry_no_zero_kraus_operator() -> None:
+    # damping's C is zero at gamma = 0 whatever its weight; the Choi bits are
+    # those of the full Kraus list
+    for ch, count in (
+        (damping(1.0, 0.0), 1),
+        (damping(0.0, 0.0), 1),
+        (damping(0.3, 0.0), 2),
+        (covariant(0.0), 1),
+        (covariant(0.0, 3), 1),
+        (mix([damping(1.0, 0.0), identity(2)], [0.5, 0.5]), 2),
+    ):
+        assert len(ch.kraus) == count
+        assert all(k.any() for k in ch.kraus)
+    # (A = B = I and C = 0 at gamma = 0)
+    a, c = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+    full = Channel((np.sqrt(0.3) * a, np.sqrt(0.3) * c, np.sqrt(0.7) * a, np.sqrt(0.7) * c))
+    assert choi(damping(0.3, 0.0)).tobytes() == choi(full).tobytes()
+    # a user's own Kraus list is kept as given
+    assert len(full.kraus) == 4
+
+
 def test_damping_q_one_is_amplitude_damping() -> None:
     gamma = 0.37
     k0 = np.diag([1.0, np.sqrt(1 - gamma)])

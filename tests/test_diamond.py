@@ -119,6 +119,13 @@ def test_polygon_radius_sampling_oracle() -> None:
         assert sampled <= r + 0.05
 
 
+def test_polygon_radius_reads_only_phases_and_rejects_non_finite_vertices() -> None:
+    assert polygon_radius([3.0, -0.5]).r == polygon_radius([1.0, -1.0]).r
+    for verts in ([np.nan], [1.0, 1j, np.inf], [1.0, complex(0.0, -np.inf)], [1.0, np.nan * 1j]):
+        with pytest.raises(RangeError, match="finite"):
+            polygon_radius(verts)
+
+
 # --- d_i_unitary -------------------------------------------------------
 
 
@@ -233,6 +240,18 @@ def test_fixed_input_bound_rejects_invalid_state() -> None:
         fixed_input_bound(ch, ch, np.diag([0.7, 0.7]))
     with pytest.raises(InvalidStateError):
         fixed_input_bound(ch, ch, np.diag([1.5, -0.5]))
+
+
+def test_fixed_input_bound_rejects_non_finite_states() -> None:
+    # NaN passes the Hermiticity, trace and eigenvalue checks' comparisons,
+    # and inf entries would reach them through inf - inf
+    ch = identity(2)
+    for bad in (np.nan, np.inf, -np.inf):
+        for where in ((0, 0), (0, 1)):
+            state = np.diag([1.0, 0.0]).astype(complex)
+            state[where] = bad
+            with pytest.raises(InvalidStateError, match="NaN or infinite"):
+                fixed_input_bound(ch, ch, state)
 
 
 # --- diamond_sdp -------------------------------------------------------

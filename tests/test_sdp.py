@@ -395,9 +395,9 @@ def _solution_bits(sol: sdp.SdpSolution) -> tuple:
 def test_batched_solves_match_solo_solves_bit_for_bit() -> None:
     """A problem gives the same bits alone, in a batch, in the reversed batch
     and beside members that stop at other iterations."""
-    # The two (alpha, beta, delta) fig2 rows stall above 1e-7 and take the
-    # fixed solve at their weights, and the second one's fixed solve also
-    # takes the dual-program fallback: every follow-up solve of a row.
+    # The two (alpha, beta, delta) fig2 rows stall above 1e-7 and close
+    # their joint brackets with the dual program at their weights: every
+    # follow-up solve of a row.
     stalled = [(np.pi / 6, np.pi / 3, 4.714680286095766), (np.pi / 6, 0.0, 5.79819173389371)]
     rows = [cli._fig1_row((x, 1e-9)) for x in (0.4, 1.2, 1.5, 1.95)]
     rows += [
@@ -413,8 +413,8 @@ def test_batched_solves_match_solo_solves_bit_for_bit() -> None:
         for group in groups.values()
     )
     assert kinds == [
-        ("_DualProgram", False, 1),
-        ("_Program", False, 6),  # four fig1 rows and the stalled rows' fixed solves
+        ("_DualProgram", False, 2),  # the stalled rows' closing solves
+        ("_Program", False, 4),  # four fig1 rows
         ("_Program", True, 4),
         ("_SectorProgram", True, 3),
     ]
@@ -469,6 +469,28 @@ def test_a_failing_member_stops_alone_in_its_batch(monkeypatch) -> None:
         for i, sol in zip(order, sols):
             expected = _solution_bits(sick_alone) if i == "sick" else alone[i]
             assert _solution_bits(sol) == expected, i
+
+
+def test_a_failed_centre_ends_the_solve_with_its_bracket(monkeypatch) -> None:
+    # A singular slack matrix stops the solve in _centre; the bracket of the
+    # iterations before it is kept, and it holds the converged value.
+    prog = sdp._program(_pauli_deltas(0.7, 0.4), 2)
+    full = sdp._solve_ipm(prog, TOL)
+    centre = sdp._centre
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 4:
+            raise np.linalg.LinAlgError("singular slack")
+        return centre(*args)
+
+    monkeypatch.setattr(sdp, "_centre", failing)
+    sol = sdp._solve_ipm(prog, TOL)
+    assert sol.iterations == 4 < full.iterations
+    assert sol.gap > TOL
+    assert sol.primal <= full.primal <= full.dual <= sol.dual < np.inf
+    assert sol.witness_w is not None and sol.weights is not None
 
 
 def _raising_after_first_solve(steps):
