@@ -157,8 +157,9 @@ def approx_bounds(target: Channel, set, distance: float) -> tuple[float, float]:
     distance (a mixture can only do better) and the simplex-minimized Choi
     trace distance over the dimension, capped at ``distance``. A member
     distance is exact when the target and the member each have a single
-    Kraus operator (``diamond_unitary``); any other member costs a
-    single-member solve certified to 1e-7. The Choi bound costs one minimax
+    Kraus operator (``diamond_unitary``); any other member costs at most
+    one single-member solve certified to 1e-7 (none when the closed form
+    at the maximally mixed reference closes, see ``sdp``). The Choi bound costs one minimax
     solve at reference dimension 1, on the invariant sectors for a
     diagonal-unitary-covariant family.
     """
@@ -171,7 +172,7 @@ def approx_bounds(target: Channel, set, distance: float) -> tuple[float, float]:
 
 def _member_distance(target: Channel, member: Channel, delta: np.ndarray) -> float:
     """The diamond distance of one member: closed form for a unitary pair,
-    else the value of a single-member solve certified to 1e-7."""
+    else its distance certified to 1e-7 by ``sdp.solve_fixed``'s steps."""
     if len(target.kraus) == 1 and len(member.kraus) == 1:
         try:
             return diamond_unitary(target.kraus[0], member.kraus[0])

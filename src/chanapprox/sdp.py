@@ -55,6 +55,23 @@ certificate (witness and weights) of its best bracket.
    puts zeros. ``solve_fixed`` and ``solve_minimax`` take this form
    whenever one exact-zero test on the stacked Delta_i allows it.
 
+A fixed objective is first bracketed in closed form at the maximally mixed
+reference, before program 1 is built (``_mixed_reference_solution``).
+rho = I/d and W0 = (1 - 1e-14) sign(Delta) / d are feasible, the factor
+absorbing the roundoff of sign, and give the lower bound Tr[Delta W0]. The
+dual pair X1 = Delta_+, X2 = Delta_- gives the upper bound
+lambda_max(Tr_1[Delta_+ + Delta_-]) = lambda_max(Tr_1|Delta|), computed by
+``_fixed_upper`` as the projected bound of a dual iterate is. The two sides
+meet, up to the factor, exactly when Tr_1|Delta| is a multiple of I. That
+holds for every qubit unitary pair (Tr_1 of the projector onto
+span{vec U, vec V} is a multiple of I at d = 2); for a qubit unitary
+against the covariant family, as measured on every fig1 row; and, by
+Schur's lemma, for every Delta invariant under a unitary group that acts
+irreducibly on the input, such as the difference of two Pauli channels. A
+bracket within tol is the answer, with 0 iterations and weight 1. Any other
+Delta is solved as if the closed form had not been tried: its bracket does
+not enter the solve's best bracket.
+
 The engine follows the standard path-following scheme with the HKM search
 direction and a Mehrotra predictor-corrector step. The step length to the
 boundary of a block P along dP is -1/lambda_min(P^-1/2 dP P^-1/2), read
@@ -570,9 +587,16 @@ class _Program(_BlockProgram):
         upper bound on the program optimum at the mixture of the normalized
         scalar duals."""
         _, delta = self._mixed(scal)
-        pair = _shift_to_psd(_herm(mats[0]), delta)
-        qref = _trace_out(pair.sum(axis=-3), self.out)
-        return np.linalg.eigvalsh(_herm(qref))[..., -1]
+        return _fixed_upper(_herm(mats[0]), delta, self.out)
+
+
+def _fixed_upper(pair, delta, out: int):
+    """lambda_max(Tr_1[X1 + X2]) of the pair X1, X2 (axis -3) after
+    ``_shift_to_psd`` onto delta: a certified upper bound on the diamond
+    norm of delta (Watrous, arXiv:1207.5726)."""
+    pair = _shift_to_psd(pair, delta)
+    qref = _trace_out(pair.sum(axis=-3), out)
+    return np.linalg.eigvalsh(_herm(qref))[..., -1]
 
 
 _PAIR_SIGNS = np.array([1.0, -1.0])[:, None, None]
@@ -1171,15 +1195,45 @@ def solve_fixed(delta: np.ndarray, ref_dim: int, tol: float) -> SdpSolution:
 
     Returns a bracket with gap <= tol, falling back to the dual program when
     the first solve stops short; raises NoConvergenceError if the combined
-    bracket is still wider than tol. The first solve is the minimax program
-    of the family of one. A diagonal-unitary-covariant delta at
-    n = ref_dim^2 is solved on its sectors (program 3).
+    bracket is still wider than tol. A delta whose closed-form bracket at the
+    maximally mixed reference closes within tol is answered without a solve,
+    with iterations 0 (see the module docstring); the first solve is
+    otherwise the minimax program of the family of one. A
+    diagonal-unitary-covariant delta at n = ref_dim^2 is solved on its
+    sectors (program 3).
     """
     return _run(_fixed_steps(delta, ref_dim, tol))
 
 
+def _mixed_reference_solution(delta, ref_dim: int) -> SdpSolution:
+    """The closed-form bracket on the diamond norm of delta at rho = I/d.
+
+    Lower side: W0 = (1 - 1e-14) sign(delta) / d, feasible with rho = I/d
+    (the factor absorbs the roundoff of sign), and its value Tr[delta W0].
+    Upper side: the dual pair X1 = delta_+, X2 = delta_- through
+    ``_fixed_upper``, as a projected dual iterate.
+    """
+    delta = np.asarray(delta, dtype=complex)
+    lam, u = np.linalg.eigh(_herm(delta))
+    u_h = u.conj().T
+    parts = np.stack([u * np.maximum(lam, 0.0), u * np.maximum(-lam, 0.0)]) @ u_h
+    sign = (u * np.where(lam < 0.0, -1.0, 1.0)) @ u_h
+    w = (1.0 - 1e-14) * _herm(sign) / ref_dim
+    return SdpSolution(
+        primal=float(_trace_dot(delta, w).real),
+        dual=float(_fixed_upper(_herm(parts), delta, delta.shape[-1] // ref_dim)),
+        witness_w=w,
+        witness_rho=np.eye(ref_dim, dtype=complex) / ref_dim,
+        weights=np.ones(1),
+        iterations=0,
+    )
+
+
 def _fixed_steps(delta, ref_dim, tol):
-    """``solve_fixed`` as steps."""
+    """``solve_fixed`` as steps: none when the closed form closes."""
+    closed = _mixed_reference_solution(delta, ref_dim)
+    if closed.gap <= tol:
+        return closed
     sol = yield _program([delta], ref_dim), tol
     if sol.gap <= tol:
         return sol

@@ -21,6 +21,7 @@ from chanapprox import (
     optimal_convex_approx,
     pauli_channel,
     pauli_unitaries,
+    trace_norm,
     unitary_channel,
     unitary_qubit,
 )
@@ -231,6 +232,36 @@ def check_duc_sector_bracket_overlap(seed: int = 19, families: int = 2) -> float
     return worst
 
 
+def check_mixed_reference_bracket_is_a_true_bracket(seed: int = 20, pairs: int = 4) -> float:
+    """The closed-form bracket at the maximally mixed reference meets the
+    interior-point bracket of the same Delta.
+
+    Seeded random channel pairs at d=2 and d=4, of Kraus ranks 1 to 3, so
+    that some close (qubit unitary pairs) and most do not: the closed-form
+    lower side stays below the interior-point upper side, and the
+    interior-point lower side below the closed-form upper side, each up to a
+    roundoff of n eps ||Delta||_1. Returns the largest excess.
+    """
+    gen = helpers.rng(seed)
+    eps = np.finfo(float).eps
+    ranks = ((1, 1), (2, 3), (1, 2), (3, 3))
+    worst = 0.0
+    for d in (2, 4):
+        for i in range(pairs):
+            a, b = (helpers.random_channel(d, k, gen) for k in ranks[i % len(ranks)])
+            delta = choi(a) - choi(b)
+            closed = sdp._mixed_reference_solution(delta, d)
+            ipm = sdp._solve_ipm(sdp._program([delta], d), 1e-8)
+            roundoff = d * d * eps * trace_norm(delta)
+            excess = max(closed.primal - ipm.dual, ipm.primal - closed.dual)
+            worst = max(worst, excess)
+            assert excess <= roundoff, (
+                f"d={d} pair {i}: closed form [{closed.primal}, {closed.dual}] "
+                f"misses the solve's [{ipm.primal}, {ipm.dual}]"
+            )
+    return worst
+
+
 ALL_CHECKS = (
     check_distance_unitary_invariance,
     check_bound_ordering,
@@ -240,6 +271,7 @@ ALL_CHECKS = (
     check_covariant_commutes_with_unitaries,
     check_damping_phase_covariance,
     check_duc_sector_bracket_overlap,
+    check_mixed_reference_bracket_is_a_true_bracket,
 )
 
 

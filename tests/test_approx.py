@@ -211,9 +211,11 @@ def test_only_exactly_covariant_families_take_the_sector_program(monkeypatch) ->
     nudged = delta.copy()
     nudged[1, 2] = nudged[2, 1] = 1e-300
     assert type(sdp._program([nudged], 2)) is sdp._Program
-    # fig1 and fig2 rows are not covariant
+    # damping against a Pauli channel with unequal X and Y weights (a
+    # distance that the closed form at I/d leaves open) and fig2 rows are
+    # not covariant
     kinds = _log_kinds(monkeypatch)
-    sdp._run(cli._fig1_row((1.2, 1e-7)))
+    diamond_sdp(damping(1.0, 0.5), pauli_channel([0.7, 0.2, 0.1, 0.0]), 1e-7)
     sdp._run(cli._fig2_row((0.43, 0.91, np.pi / 8, 1e-6)))
     assert kinds == ["fixed", "minimax"]
 
@@ -244,25 +246,29 @@ def test_two_copy_member_bounds_certify_without_the_dual_program(monkeypatch) ->
     # the II member: diamond_unitary gives sqrt(3)
     assert abs(upper - np.sqrt(3.0)) <= 1e-12
     assert 0.0 < lower <= 1.2810473988
-    # a member with two Kraus operators still takes its fixed solve
+    # a member with two Kraus operators still takes its fixed solve (the
+    # closed form at I/d leaves this one open; it closes the equal mixture)
     census.clear()
-    dephased = tensor(identity(2), mix(members, [0.5, 0.5]))
+    dephased = tensor(identity(2), mix(members, [0.75, 0.25]))
     approx_bounds(target, pair_set + [dephased], 1.2810473988)
     assert census == [("sector-fixed", 4), ("sector-minimax", 1)]
 
 
 def test_unitary_member_outside_diamond_unitarys_check_takes_its_fixed_solve(monkeypatch) -> None:
-    # K^dag K - I = diag(1.5e-9, 0): within Channel's Frobenius bound of
-    # 1e-9 d, but above diamond_unitary's 1e-9 per entry
-    near = Channel((np.diag([np.sqrt(1.0 + 1.5e-9), 1.0]).astype(complex),))
-    target = unitary_qubit(0.0, np.pi / 6, 0.0)
+    # K^dag K - I = diag(1.5e-9, 0, 0, 0): within Channel's Frobenius bound
+    # of 1e-9 d, but above diamond_unitary's 1e-9 per entry. At d = 2 the
+    # closed form at I/d certifies such a member without a solve; at d = 4
+    # it leaves this one open.
+    near = Channel((np.diag([np.sqrt(1.0 + 1.5e-9), 1.0, 1.0, 1.0]).astype(complex),))
+    phase = unitary_qubit(0.0, np.pi / 6, 0.0)
+    target = tensor(phase, phase)
     with pytest.raises(NotUnitaryError):
         diamond_unitary(target.kraus[0], near.kraus[0])
     census = _log_census(monkeypatch)
     upper, _ = approx_bounds(target, [near], 1.0)
     # the member's fixed solve, then the one-member Choi bound at reference dimension 1
-    assert census == [("sector-fixed", 2), ("sector-fixed", 1)]
-    assert abs(upper - diamond_unitary(target.kraus[0], np.eye(2))) <= 1e-7
+    assert census == [("sector-fixed", 4), ("sector-fixed", 1)]
+    assert abs(upper - diamond_unitary(target.kraus[0], np.eye(4))) <= 1e-7
 
 
 def test_member_with_zero_kraus_operators_takes_the_closed_form(monkeypatch) -> None:

@@ -24,6 +24,9 @@ PAULI_ID = '{"kind": "pauli", "p": [1, 0, 0, 0]}'
 PHASE_U = '{"kind": "unitary", "alpha": 0, "beta": 0.5235987755982988, "delta": 0}'
 DAMPING = '{"kind": "damping", "q": 1, "gamma": 0.5}'
 REF_PAULI = '{"kind": "pauli", "p": [0.75, 0.125, 0.125, 0]}'
+# Against DAMPING the closed form at the maximally mixed reference leaves this
+# one open (it closes on REF_PAULI), so the diamond command reaches the solver.
+SKEW_PAULI = '{"kind": "pauli", "p": [0.7, 0.2, 0.1, 0]}'
 
 
 def _read_csv(path) -> tuple[list[str], list[list[float]]]:
@@ -182,7 +185,7 @@ def test_exit_code_no_convergence(monkeypatch, capsys) -> None:
         raise np.linalg.LinAlgError("forced")
 
     monkeypatch.setattr(sdp, "_lin_solve", singular)
-    assert cli.main(["diamond", PHASE_U, IDENTITY]) == cli.EXIT_NOCONVERGENCE
+    assert cli.main(["diamond", DAMPING, SKEW_PAULI]) == cli.EXIT_NOCONVERGENCE
     assert "above tolerance" in capsys.readouterr().err
 
 

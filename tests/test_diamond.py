@@ -10,6 +10,7 @@ from chanapprox import (
     alternating_lower_bound,
     choi,
     choi_trace_distance,
+    compose,
     covariant,
     d_i_unitary,
     damping,
@@ -21,10 +22,12 @@ from chanapprox import (
     kron,
     pauli_channel,
     polygon_radius,
+    tensor,
     trace_norm,
     unitary_channel,
     unitary_qubit,
 )
+from chanapprox import cli, sdp
 from chanapprox.approx import covariant_objective
 from chanapprox.channels import PAULI
 from chanapprox.errors import (
@@ -283,6 +286,47 @@ def test_diamond_sdp_matches_covariant_closed_form() -> None:
         npt.assert_allclose(
             res.value, covariant_objective(d_i_unitary(a, b), p), atol=1e-7
         )
+
+
+def _log_solves(monkeypatch) -> list:
+    """Log the program class of every stack that reaches the engine."""
+    solve = sdp._solve_batch
+    log = []
+
+    def logged(progs, tols):
+        log.append(type(progs[0]).__name__)
+        return solve(progs, tols)
+
+    monkeypatch.setattr(sdp, "_solve_batch", logged)
+    return log
+
+
+def test_closed_form_census_of_solves(monkeypatch) -> None:
+    """Qubit unitary pairs, unitary-vs-covariant pairs and fig1 rows close at
+    the maximally mixed reference and reach the engine 0 times; a damping vs
+    Pauli pair and a d = 4 unitary product keep their one solve each."""
+    gen = helpers.rng(57)
+    unitaries = [unitary_qubit(*gen.uniform(0.0, np.pi / 2, size=3)) for _ in range(8)]
+    closing = list(zip(unitaries[:4], unitaries[4:]))
+    closing += [(u, covariant(p)) for u, p in zip(unitaries, gen.uniform(0.0, 1.0, size=4))]
+    log = _log_solves(monkeypatch)
+    for a, b in closing:
+        assert sdp.solve_fixed(choi(a) - choi(b), 2, 1e-9).iterations == 0
+        assert diamond_sdp(a, b, 1e-9).gap <= 1e-9
+    rows = sdp._run_all([cli._fig1_row((x, 1e-9)) for x in np.linspace(0.0, 2.0, 9)])
+    assert log == []
+    for x, analytic, _, distance, gap in rows:
+        assert gap <= 1e-9 and abs(distance - analytic) <= 1e-9, x
+    u1, u2, r1, r2 = (unitary_qubit(*angles) for angles in gen.uniform(0.0, 1.5, size=(4, 3)))
+    opened = [
+        (damping(1.0, 0.5), pauli_channel([0.7, 0.2, 0.1, 0.0]), 2),
+        (tensor(u1, u2), tensor(compose(u1, r1), compose(u2, r2)), 4),
+    ]
+    for a, b, d in opened:
+        log.clear()
+        assert sdp.solve_fixed(choi(a) - choi(b), d, 1e-7).iterations > 0
+        assert diamond_sdp(a, b, 1e-7).gap <= 1e-7
+        assert log == ["_Program", "_Program"]
 
 
 def test_diamond_sdp_symmetry() -> None:

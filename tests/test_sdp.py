@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import struct
 import subprocess
@@ -16,6 +17,8 @@ import pytest
 
 from chanapprox import (
     choi,
+    compose,
+    covariant,
     damping,
     diamond_sdp,
     identity,
@@ -29,13 +32,17 @@ from chanapprox import (
 )
 from chanapprox.approx import two_copy_problem
 from chanapprox.channels import PAULI
-from chanapprox import cli, sdp
+from chanapprox import cli, diamond, sdp
 from chanapprox.errors import NoConvergenceError
 
 import helpers
 import properties
 
 TOL = 1e-8
+#: Pauli weights with X != Y: damping against this channel is not DUC, and
+#: the closed form at the maximally mixed reference leaves the damping
+#: pairs used here open (it closes some others, such as q = gamma = 0.5).
+_SKEW_PAULI = [0.7, 0.2, 0.1, 0.0]
 
 
 def _feasibility_margin(sol: sdp.SdpSolution, ref_dim: int) -> float:
@@ -392,6 +399,13 @@ def _solution_bits(sol: sdp.SdpSolution) -> tuple:
     )
 
 
+def _open_distance_row(q: float, gamma: float, tol: float):
+    """The steps of one diamond distance that the closed form at the maximally
+    mixed reference leaves open, so that it takes a one-member solve: damping
+    against a Pauli channel with unequal X and Y weights (not DUC)."""
+    return diamond._diamond_sdp_steps(damping(q, gamma), pauli_channel(_SKEW_PAULI), tol)
+
+
 def test_batched_solves_match_solo_solves_bit_for_bit() -> None:
     """A problem gives the same bits alone, in a batch, in the reversed batch
     and beside members that stop at other iterations."""
@@ -399,7 +413,7 @@ def test_batched_solves_match_solo_solves_bit_for_bit() -> None:
     # their joint brackets with the dual program at their weights: every
     # follow-up solve of a row.
     stalled = [(np.pi / 6, np.pi / 3, 4.714680286095766), (np.pi / 6, 0.0, 5.79819173389371)]
-    rows = [cli._fig1_row((x, 1e-9)) for x in (0.4, 1.2, 1.5, 1.95)]
+    rows = [_open_distance_row(q, gamma, 1e-9) for q, gamma in ((1.0, 0.3), (1.0, 0.5), (0.8, 0.5), (0.6, 0.9))]
     rows += [
         cli._fig2_row((alpha, beta, delta, 1e-6))
         for alpha, beta, delta in [(0.3, 0.9, np.pi / 8), (np.pi / 4, np.pi / 4, np.pi / 8)] + stalled
@@ -414,7 +428,7 @@ def test_batched_solves_match_solo_solves_bit_for_bit() -> None:
     )
     assert kinds == [
         ("_DualProgram", False, 2),  # the stalled rows' closing solves
-        ("_Program", False, 4),  # four fig1 rows
+        ("_Program", False, 4),  # the four distances
         ("_Program", True, 4),
         ("_SectorProgram", True, 3),
     ]
@@ -500,15 +514,15 @@ def _raising_after_first_solve(steps):
 
 
 def test_a_raising_row_stops_alone_and_is_raised_after_its_window(monkeypatch) -> None:
-    items = [(x, 1e-7) for x in (0.4, 1.2, 1.5, 1.95)]
-    alone = [np.array(sdp._run(cli._fig1_row(item))).tobytes() for item in items]
+    items = [(alpha, beta, np.pi / 8, 1e-6) for alpha, beta in ((0.3, 0.9), (1.2, 0.4), (0.5, 0.5), (0.7, 0.4))]
+    alone = [np.array(sdp._run(cli._fig2_row(item))).tobytes() for item in items]
     finished = {}
 
     def recorded(i, steps):
         finished[i] = np.array((yield from steps)).tobytes()
 
-    steps = [recorded(i, cli._fig1_row(item)) for i, item in enumerate(items)]
-    steps[1] = recorded(1, _raising_after_first_solve(cli._fig1_row(items[1])))
+    steps = [recorded(i, cli._fig2_row(item)) for i, item in enumerate(items)]
+    steps[1] = recorded(1, _raising_after_first_solve(cli._fig2_row(items[1])))
     monkeypatch.setattr(sdp, "_MAX_BATCH", 3)
     with pytest.raises(NoConvergenceError, match="forced"):
         sdp._run_all(steps)
@@ -517,20 +531,20 @@ def test_a_raising_row_stops_alone_and_is_raised_after_its_window(monkeypatch) -
     assert finished == {0: alone[0], 2: alone[2]}
 
 
-def test_fig1_sweep_with_a_raising_row_exits_3_and_writes_nothing(
+def test_sweep_with_a_raising_row_exits_3_and_writes_nothing(
     tmp_path, monkeypatch, capsys
 ) -> None:
-    row = cli._fig1_row
+    row = cli._fig4_row
 
     def flaky(item):
-        return _raising_after_first_solve(row(item)) if item[0] == 1.0 else row(item)
+        return _raising_after_first_solve(row(item)) if item[1] == 0.5 else row(item)
 
-    monkeypatch.setattr(cli, "_fig1_row", flaky)
-    assert cli.main(["fig1", "--grid", "3"]) == cli.EXIT_NOCONVERGENCE
+    monkeypatch.setattr(cli, "_fig4_row", flaky)
+    assert cli.main(["fig4", "--grid", "3"]) == cli.EXIT_NOCONVERGENCE
     captured = capsys.readouterr()
     assert captured.out == "" and "forced" in captured.err
-    out = tmp_path / "fig1.csv"
-    assert cli.main(["fig1", "--grid", "3", "--out", str(out)]) == cli.EXIT_NOCONVERGENCE
+    out = tmp_path / "fig4.csv"
+    assert cli.main(["fig4", "--grid", "3", "--out", str(out)]) == cli.EXIT_NOCONVERGENCE
     assert not out.exists() and "forced" in capsys.readouterr().err
 
 
@@ -652,6 +666,12 @@ def _worst_unitary_deltas() -> list[np.ndarray]:
     return [target - choi(ch) for ch in pauli_unitaries()]
 
 
+def _open_delta() -> np.ndarray:
+    """A Delta that the closed form at the maximally mixed reference leaves
+    open (width 0.096), so that ``solve_fixed`` reaches the engine."""
+    return choi(damping(1.0, 0.5)) - choi(pauli_channel(_SKEW_PAULI))
+
+
 def test_linalg_error_ends_the_solve_with_its_bracket(monkeypatch) -> None:
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("forced")
@@ -663,7 +683,7 @@ def test_linalg_error_ends_the_solve_with_its_bracket(monkeypatch) -> None:
     assert np.isfinite(sol.primal) and np.isfinite(sol.dual)
     assert sol.primal <= sol.dual
     with pytest.raises(NoConvergenceError, match="above tolerance"):
-        sdp.solve_fixed(deltas[0], 2, TOL)
+        sdp.solve_fixed(_open_delta(), 2, TOL)
 
 
 def test_one_cholesky_and_no_lu_solve_per_newton_system(monkeypatch) -> None:
@@ -681,10 +701,9 @@ def test_one_cholesky_and_no_lu_solve_per_newton_system(monkeypatch) -> None:
     monkeypatch.setattr(
         sdp._BlockProgram, "schur", counted("schur", sdp._BlockProgram.schur)
     )
-    delta = choi(unitary_qubit(0.3, 0.2, 0.1)) - choi(unitary_channel(PAULI[1]))
     for solve in (
         lambda: sdp.solve_minimax(_worst_unitary_deltas(), 2, TOL),
-        lambda: sdp.solve_fixed(delta, 2, TOL),
+        lambda: sdp.solve_fixed(_open_delta(), 2, TOL),
     ):
         counts.update(cholesky=0, solve=0, schur=0)
         sol = solve()
@@ -702,7 +721,7 @@ def test_failed_cholesky_ends_the_solve_with_its_bracket(monkeypatch) -> None:
     assert np.isfinite(sol.primal) and np.isfinite(sol.dual)
     assert sol.primal <= sol.dual
     with pytest.raises(NoConvergenceError, match="above tolerance"):
-        sdp.solve_fixed(deltas[0], 2, TOL)
+        sdp.solve_fixed(_open_delta(), 2, TOL)
 
 
 def test_diamond_sdp_imports_no_scipy() -> None:
@@ -787,6 +806,85 @@ def test_four_dimensional_pairs_certify_at_the_floor() -> None:
         sol = sdp.solve_fixed(delta, 4, 1e-9)
         assert sol.gap <= 1e-9
         _recheck_on_full_space(sol, [delta], 4)
+
+
+# --- closed form at the maximally mixed reference ------------------------------
+
+
+def _closing_cases() -> list:
+    """(Delta, reference dimension) pairs whose closed-form bracket at the
+    maximally mixed reference closes: qubit unitary pairs, a qubit unitary
+    against the covariant family, two Pauli channels, and an equal I/Z
+    dephasing against the two-copy phase-gate target at d = 4."""
+    gen = helpers.rng(44)
+    qubits = [unitary_qubit(*gen.uniform(0.0, np.pi / 2, size=3)) for _ in range(4)]
+    pauli = [pauli_channel(helpers.random_simplex(4, gen)) for _ in range(2)]
+    target, _ = _two_copy_pair()
+    dephased = tensor(identity(2), mix([identity(2), pauli_unitaries()[3]], [0.5, 0.5]))
+    pairs = [(qubits[0], qubits[1]), (qubits[2], qubits[3]), (qubits[0], covariant(0.4)), tuple(pauli)]
+    return [(choi(a) - choi(b), 2) for a, b in pairs] + [(choi(target) - choi(dephased), 4)]
+
+
+def test_closed_form_results_recheck_from_delta_and_their_matrices() -> None:
+    """Both sides of a closed-form result re-check from Delta, W and rho
+    alone, within an explicit roundoff allowance of n eps ||.||."""
+    eps = np.finfo(float).eps
+    for delta, ref_dim in _closing_cases():
+        sol = sdp.solve_fixed(delta, ref_dim, 1e-9)
+        assert (sol.iterations, sol.weights.tolist()) == (0, [1.0])
+        assert sol.gap <= 1e-9
+        w, rho = sol.witness_w, sol.witness_rho
+        n, out = w.shape[0], w.shape[0] // ref_dim
+        slack = n * eps * np.linalg.norm(w, 2)
+        assert abs(np.trace(rho) - 1.0) <= ref_dim * eps
+        assert np.linalg.eigvalsh(rho)[0] >= 0.0
+        lift = np.kron(np.eye(out), rho)
+        assert np.linalg.eigvalsh(lift - w)[0] >= -slack
+        assert np.linalg.eigvalsh(lift + w)[0] >= -slack
+        assert np.einsum("ab,ba->", delta, w).real >= sol.primal - slack * trace_norm(delta)
+        # X1 = Delta_+ and X2 = Delta_- are dual feasible; the reported
+        # upper side is no lower than their bound
+        evals, evecs = np.linalg.eigh(delta)
+        absolute = (evecs * np.abs(evals)) @ evecs.conj().T
+        reduced = np.trace(absolute.reshape(out, ref_dim, out, ref_dim), axis1=0, axis2=2)
+        assert sol.dual >= np.linalg.eigvalsh(reduced)[-1] - n * eps * trace_norm(delta)
+
+
+def test_an_open_closed_form_leaves_the_solve_bit_for_bit(monkeypatch) -> None:
+    """On a Delta that the closed form leaves open, the solve gives the bits
+    it gives with that bracket forced to infinite width: a one-member solve,
+    a solve that falls back to the dual program, a d = 4 unitary product, and
+    a near miss whose closed-form lower side beats the solve's."""
+    u1, u2 = (unitary_qubit(*angles) for angles in ((0.4, 1.1, 2.0), (0.9, 0.3, 4.0)))
+    r1, r2 = unitary_qubit(0.3, 0.0, 0.0), unitary_qubit(0.0, 0.5, 0.0)
+    product = choi(tensor(u1, u2)) - choi(tensor(compose(u1, r1), compose(u2, r2)))
+    fallback = choi(damping(0.7, 0.5)) - choi(pauli_channel([0.6, 0.2, 0.1, 0.1]))
+    # closes at X/Y weights 0.15/0.1; 1e-6 away the bracket is 2e-6 wide
+    near = choi(damping(1.0, 0.5)) - choi(pauli_channel([0.75 - 1e-6, 0.15 + 1e-6, 0.1, 0.0]))
+    cases = [(_open_delta(), 2, TOL), (fallback, 2, 1e-9), (product, 4, 1e-7), (near, 2, 1e-7)]
+    solve = sdp._solve_batch
+    counts = []
+
+    def counted(progs, tols):
+        counts.append(type(progs[0]).__name__)
+        return solve(progs, tols)
+
+    monkeypatch.setattr(sdp, "_solve_batch", counted)
+    before = [_solution_bits(sdp.solve_fixed(*case)) for case in cases]
+    assert counts == ["_Program", "_Program", "_DualProgram", "_Program", "_Program"]
+    closed = sdp._mixed_reference_solution
+    # a bracket merged into the solve's would move the near miss's lower side
+    assert closed(near, 2).primal > sdp.solve_fixed(near, 2, 1e-7).primal
+
+    def open_bracket(delta, ref_dim):
+        return dataclasses.replace(closed(delta, ref_dim), dual=np.inf)
+
+    monkeypatch.setattr(sdp, "_mixed_reference_solution", open_bracket)
+    assert [_solution_bits(sdp.solve_fixed(*case)) for case in cases] == before
+
+
+def test_mixed_reference_bracket_is_a_true_bracket() -> None:
+    properties.check_mixed_reference_bracket_is_a_true_bracket(pairs=2)
 
 
 # --- sector program ------------------------------------------------------------
