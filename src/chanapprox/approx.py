@@ -33,6 +33,7 @@ import numpy as np
 from . import sdp
 from .channels import (
     Channel,
+    _check_dim,
     _check_range,
     choi,
     damping,
@@ -93,6 +94,7 @@ def _simplex_deltas(target: Channel, set) -> np.ndarray:
         )
     if any(ch.dim != target.dim for ch in members):
         raise DimMismatchError("approximating set dimension differs from target")
+    _check_dim(target.dim)
     target_choi = choi(target)
     return np.stack([target_choi - choi(ch) for ch in members])
 
@@ -100,8 +102,8 @@ def _simplex_deltas(target: Channel, set) -> np.ndarray:
 def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
     """Closest convex mixture of ``set`` to ``target`` in diamond norm.
 
-    Requires matching dimensions, 1..8 set members, and a finite
-    tol >= 1e-6.  The joint minimax bracket [primal, dual] holds the
+    Requires matching dimensions of at most 4, 1..8 set members, and a
+    finite tol >= 1e-6.  The joint minimax bracket [primal, dual] holds the
     distance at the returned weights, and primal bounds the simplex
     optimum, so the weights are within the gap (<= 1e-7) of optimal.  If it
     stalls, the dual program of the mixture at the weights closes the

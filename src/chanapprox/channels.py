@@ -13,6 +13,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,6 +21,7 @@ import numpy as np
 
 from .errors import (
     DimMismatchError,
+    DimTooLargeError,
     KrausError,
     NotUnitaryError,
     RangeError,
@@ -50,6 +52,8 @@ __all__ = [
 
 _COMPLETENESS_TOL = 1e-9
 _RANGE_SLOP = 1e-12
+#: Largest channel dimension that the diamond and approximation routines take.
+_MAX_DIM = 4
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -75,6 +79,12 @@ def prob_vector(weights, tol: float = 1e-10) -> np.ndarray:
     if not abs(p.sum() - 1.0) <= tol:
         raise SimplexError(f"weights sum to {p.sum()}, expected 1")
     return p
+
+
+def _check_dim(d: int) -> None:
+    """Reject a channel dimension above ``_MAX_DIM``."""
+    if d > _MAX_DIM:
+        raise DimTooLargeError(f"dimension {d} exceeds the supported maximum {_MAX_DIM}")
 
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> float:
@@ -303,6 +313,16 @@ def _parse_matrix(entry, d: int) -> np.ndarray:
     return m[..., 0] + 1j * m[..., 1]
 
 
+def _spec_dim(value, field: str) -> int:
+    """``value`` as the dimension of spec field ``field``: an integer (not a
+    bool or a float) in 2.._MAX_DIM."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SpecParseError(f"'{field}' must be an integer, got {value!r}")
+    if not 2 <= value <= _MAX_DIM:
+        raise SpecParseError(f"'{field}': dimension {value} outside 2..{_MAX_DIM}")
+    return int(value)
+
+
 def parse_channel_spec(spec) -> Channel:
     """Build a Channel from a channel-spec document.
 
@@ -314,6 +334,10 @@ def parse_channel_spec(spec) -> Channel:
       {"kind": "kraus", "dim": d, "matrices": [[[ [re, im], ... ] ...] ...]}
       {"kind": "tensor", "factors": [spec, spec]}
       {"kind": "mix", "weights": [...], "channels": [spec, ...]}
+
+    The dimensions "d" and "dim" must be integers in 2..4, 4 being the
+    largest that any command solves, and a tensor's factors' dimensions
+    must multiply to at most 4, checked before the tensor is built.
     """
     if isinstance(spec, (str, bytes)):
         try:
@@ -329,18 +353,24 @@ def parse_channel_spec(spec) -> Channel:
         if kind == "pauli":
             return pauli_channel(spec["p"])
         if kind == "covariant":
-            return covariant(spec["p"], int(spec.get("d", 2)))
+            return covariant(spec["p"], _spec_dim(spec.get("d", 2), "d"))
         if kind == "damping":
             return damping(spec["q"], spec["gamma"])
         if kind == "kraus":
-            d = int(spec["dim"])
+            d = _spec_dim(spec["dim"], "dim")
             mats = [_parse_matrix(m, d) for m in spec["matrices"]]
             return Channel(tuple(mats))
         if kind == "tensor":
             factors = spec["factors"]
             if len(factors) != 2:
                 raise SpecParseError("tensor spec needs exactly 2 factors")
-            return tensor(parse_channel_spec(factors[0]), parse_channel_spec(factors[1]))
+            a, b = parse_channel_spec(factors[0]), parse_channel_spec(factors[1])
+            if a.dim * b.dim > _MAX_DIM:
+                raise SpecParseError(
+                    f"'factors': dimension {a.dim} x {b.dim} exceeds the supported "
+                    f"maximum {_MAX_DIM}"
+                )
+            return tensor(a, b)
         if kind == "mix":
             chs = [parse_channel_spec(s) for s in spec["channels"]]
             return mix(chs, spec["weights"])

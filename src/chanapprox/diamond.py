@@ -14,17 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .channels import Channel, _check_range, apply_channel, choi
+from .channels import Channel, _check_dim, _check_range, apply_channel, choi
 from .errors import (
     DimMismatchError,
-    DimTooLargeError,
     InvalidStateError,
     NotUnitaryError,
     RangeError,
 )
 from .linalg import dagger, trace_norm
 
-_MAX_DIM = 4
 #: Shared with approx's exact-member test, so a member's distance is its witness's.
 _ZERO_TRACE_NORM = 1e-12
 
@@ -196,10 +194,7 @@ def _checked_delta(a: Channel, b: Channel, tol: float) -> np.ndarray:
     """choi(a) - choi(b), once ``diamond_sdp`` accepts its arguments."""
     if a.dim != b.dim:
         raise DimMismatchError(f"channel dims differ: {a.dim} vs {b.dim}")
-    if a.dim > _MAX_DIM:
-        raise DimTooLargeError(
-            f"dimension {a.dim} exceeds the supported maximum {_MAX_DIM}"
-        )
+    _check_dim(a.dim)
     if not 1e-9 <= tol < np.inf:
         raise RangeError(f"tolerance {tol:g} must be finite and at least 1e-9")
     return choi(a) - choi(b)

@@ -1,36 +1,39 @@
 """Dense primal-dual interior-point solver for the package's block SDPs.
 
 Every program has one shape: maximize b.y over a real vector y subject to
-positive-semidefinite block slacks and k >= 0 nonnegative scalar slacks,
+a signed pair of n x n blocks, one reference block and k >= 0 scalar rows,
 
-    S_b(y) = C_b - A_b(y) >= 0,        s(y) = -G y >= 0,
-    A_b(y) = sign_b H(y) + sum_l y[off_b + l] F_{b,l},
+    S_j(y) = C_j - sign_j H(y) - sum_l y[off + l] F_l >= 0     (j = 1, 2),
+    S_ref(y) = C_ref - sum_l y[off_ref + l] F_ref,l >= 0,
+    s(y) = -G y >= 0,
 
 where H(y) is the Hermitian n x n matrix whose coordinates in an
-orthonormal basis are y[:n^2], sign_b is +1 or -1 on n x n blocks (0 on
-the others) and F_b is a dense generator stack for the other coordinates.
-``_BlockProgram`` implements the slacks, A^T(y), its adjoint A(X) and the
-Schur matrix once from the data (C_b, sign_b, F_b, G); each program adds
-only its starting point, its shape key, its dual projection and the
-certificate (witness and weights) of its best bracket.
+orthonormal basis are y[:n^2] and sign_j is +1 or -1. The pair's
+generators F act on the other coordinates; the reference block's F_ref
+may act on any. Either stack may be empty. ``_BlockProgram`` implements
+the slacks, A^T(y), its adjoint A(X) and the Schur matrix once from the
+data (C, sign, F, C_ref, F_ref, G); each program adds only its starting
+point, its shape key, its dual projection and the certificate (witness and
+weights) of its best bracket.
 
 1. Minimax over a family {Delta_i} of Hermitian matrices on a doubled
    space, reference dimension d: maximize t subject to Tr[Delta_i W] >= t,
    I (x) rho -+ W >= 0 and rho >= 0 with Tr rho = 1. y = (W, traceless
-   part of rho, t); C = (I/d, I/d, I/d); signs +1, -1, 0; generators
-   -I (x) F_l, -I (x) F_l, -F_l over an orthonormal traceless basis F_l;
-   G has one row (-coords(Delta_i), 0, 1) per member. The nonnegative
-   scalar duals, normalized, are the optimal mixture weights of min over
-   the simplex of the diamond norm of the mixed Delta. A fixed objective
+   part of rho, t); the pair has C = (I/d, I/d), signs +1, -1 and
+   generators -I (x) F_l over an orthonormal traceless basis F_l, the
+   reference block C = I/d and generators -F_l; G has one row
+   (-coords(Delta_i), 0, 1) per member. The nonnegative scalar duals,
+   normalized, are the optimal mixture weights of min over the simplex of
+   the diamond norm of the mixed Delta. A fixed objective
    (the diamond norm of one Delta) is the family of one. At d = 1 the
    reference block is the constant [1] with no generators, the constraint
    reads -I <= W <= I, and the optimum is min over the simplex of the
    trace norm of the mixed Delta.
 2. The dual of the one-member program (Watrous, arXiv:1207.5726): minimize
    t subject to V >= 0, Delta + V >= 0 and t I - Tr_1[Delta + 2 V] >= 0.
-   y = (V, -t); C = (0, Delta, -Tr_1[Delta]); signs -1, -1, 0; the
-   reference block's generators are 2 Tr_1[E_j] over the basis matrices
-   E_j, then I.
+   y = (V, -t); the pair has C = (0, Delta), signs -1, -1 and no
+   generators; the reference block has C = -Tr_1[Delta] and generators
+   2 Tr_1[E_j] over the basis matrices E_j, then I.
 3. Program 1 on the invariant sectors of a diagonal-unitary-covariant
    family at n = d^2, whose every Delta_i is exactly zero outside the
    |aa><bb| entries and the diagonal, at reference dimension d or 1.
@@ -41,10 +44,10 @@ certificate (witness and weights) of its best bracket.
    (Gatermann & Parrilo, J. Pure Appl. Algebra 2004; Singh & Nechita,
    Quantum 2021). A pair is kept only if some Delta_i has a nonzero
    |ab><ab| entry: otherwise w_ab = 0 loses nothing. y = (W_0, the kept
-   w_ab, traceless part of p, t) with n = d; blocks diag(p) -+ W_0 with
-   signs +1, -1, and one diagonal block holding p_b - w_ab, p_b + w_ab and
-   p_b, whose C and generators are diagonal, so its iterates stay
-   diagonal; b and G are those of 1 on these coordinates. At reference
+   w_ab, traceless part of p, t) with n = d; the pair diag(p) -+ W_0 with
+   signs +1, -1, and as reference block one diagonal block holding
+   p_b - w_ab, p_b + w_ab and p_b, whose C and generators are diagonal,
+   so its iterates stay diagonal; b and G are those of 1 on these coordinates. At reference
    dimension 1, p is the constant [1]: the blocks are I -+ W_0 and
    1 -+ w_ab, with no p coordinates. Both sides answer for the full
    program: the witness is W lifted with zeros off the sectors and
@@ -79,20 +82,20 @@ from one eigendecomposition of P (Toh, Todd & Tutuncu, SDPT3, 1999).
 
 The Schur matrix M_ij = sum_s Re Tr[A_s,i X_s A_s,j Z_s] is closed-form on
 the Hermitian coordinates, where A_s,i = sign_s E_i with sign_s^2 = 1 on
-each n x n block s (Fujisawa, Kojima & Nakata, Math. Program. 1997,
-formulas F1-F3). Each basis matrix E_i has at most two nonzero entries, so
-M_ij = Re Tr[E_j R_i^T] with R_i[c, d] = sum_s sum_ab (E_i)_ab X_s[b, c]
-Z_s[d, a], a sum of at most two outer products per block. E_j is Hermitian, so also
-M_ij = Re Tr[E_j W_i^T] / 2 with W_i = R_i + R_i^H: column j reads one
-diagonal or upper-triangle entry of the Hermitian W_i. All n^2 matrices W_i
-are one batched product of rows gathered from the X_s and Z_s, with inner
-dimension 4 per signed block: O(n^4) work, where n^2 products X_s E_j Z_s
-took O(n^5). The gathered rows, the W_i, their upper triangles and M
-before symmetrization live in buffers that a program allocates once per
-stack shape (3 MB at n = 16); a program therefore serves one solve at a
-time, and separate programs solve concurrently. Arrays of that size
-allocated per iteration instead are returned to the system by glibc and
-faulted in again on every use.
+the two blocks s of the pair (Fujisawa, Kojima & Nakata, Math. Program.
+1997, formulas F1-F3). Each basis matrix E_i has at most two nonzero
+entries, so M_ij = Re Tr[E_j R_i^T] with R_i[c, d] = sum_s sum_ab (E_i)_ab
+X_s[b, c] Z_s[d, a], a sum of at most two outer products per block. E_j is
+Hermitian, so also M_ij = Re Tr[E_j W_i^T] / 2 with W_i = R_i + R_i^H:
+column j reads one diagonal or upper-triangle entry of the Hermitian W_i.
+All n^2 matrices W_i are one batched product of rows gathered from the X_s
+and Z_s, with inner dimension 8 (4 per block of the pair): O(n^4) work,
+where n^2 products X_s E_j Z_s took O(n^5). The gathered rows, the W_i,
+their upper triangles and M before symmetrization live in buffers that a
+program allocates once per stack shape (3 MB at n = 16); a program
+therefore serves one solve at a time, and separate programs solve
+concurrently. Arrays of that size allocated per iteration instead are
+returned to the system by glibc and faulted in again on every use.
 
 Each iteration factors the Schur matrix M once: M = L L^T by Cholesky after
 a 1e-13 trace-relative ridge, then L^-1 by halves, so the predictor and the
@@ -121,8 +124,8 @@ certified distance therefore takes at most two solves.
 
 Batches. ``_solve_batch`` solves programs of one shape as one stack: one
 class, n, reference dimension, member count and, for program 3, kept
-pairs (``shape_key``). ``_stack`` gives their per-problem data (b, G, every
-C_b and the members Delta_i) a leading axis; every map above takes and
+pairs (``shape_key``). ``_stack`` gives their per-problem data (b, G, both
+C and the members Delta_i) a leading axis; every map above takes and
 returns stacks, and every step below acts on them, so ``_solve_ipm`` is the
 stack of one and there is one engine. The equal-size blocks of a program
 share their calls (two n x n blocks: one eigh, inv or matmul), and so do
@@ -291,40 +294,35 @@ class _BlockProgram:
     A program sets ``n``, ``nw`` (= n^2), ``m`` and ``b``, then passes
     ``_set_data`` its data:
 
-    ``groups``: one ``(C, signs, off, gens)`` per run of equal-size PSD
-        blocks that share their generators, C and the iterates of a group
-        stacked on axis -3, so that block j of the group has
+    ``pair``: ``(C, signs, off, gens)`` of the two n x n blocks, C stacked
+        as (2, n, n), so that block j has
         A_j(y) = signs[j] * H(y[:nw]) + sum_l y[off + l] gens[l] and
-        S_j(y) = C[j] - A_j(y); signs are 0 on blocks that are not n x n,
-        a group of more than one block is signed, gens may be empty, and
-        gens on a signed group act only on coordinates >= nw;
+        S_j(y) = C[j] - A_j(y), with gens acting only on coordinates >= nw;
+    ``ref``: ``(C, off, gens)`` of the reference block, C as (1, s, s), with
+        A(y) = sum_l y[off + l] gens[l] and S(y) = C[0] - A(y);
     ``g_rows``: the (k, m) scalar row matrix G with s(y) = -G y (k may be 0).
 
-    Every map takes and returns one array per group, with leading axes over
-    problems. A program made by ``_stack`` carries one such axis on its
-    per-problem data: ``b``, ``g_rows``, every C (``c``) and the names in
-    ``_members``. ``schur`` allocates its work buffers once per stack
-    shape, so a program object serves one solve at a time.
+    Either generator stack may be empty. Every map takes and returns the
+    matrices as ``[pair, ref]``, with leading axes over problems. A program
+    made by ``_stack`` carries one such axis on its per-problem data: ``b``,
+    ``g_rows``, both C (``c``) and the names in ``_members``. ``schur``
+    allocates its work buffers once per stack shape, so a program object
+    serves one solve at a time.
     """
 
     _members: tuple[str, ...] = ()
 
-    def _set_data(self, groups, g_rows):
-        self.c = [c for c, *_ in groups]
-        # rows[l] @ X.ravel() = Tr[gens[l] X]
-        self.groups = [
-            (
-                np.array(signs)[:, None, None],
-                any(signs),
-                off,
-                gens,
-                gens.transpose(0, 2, 1).reshape(len(gens), c.shape[-1] ** 2),
-            )
-            for c, signs, off, gens in groups
+    def _set_data(self, pair, ref, g_rows):
+        (pair_c, signs, pair_off, pair_gens), (ref_c, ref_off, ref_gens) = pair, ref
+        self.c = [pair_c, ref_c]
+        self.signs = np.array(signs)[:, None, None]
+        # per block: (off, gens, rows) with rows[l] @ X.ravel() = Tr[gens[l] X]
+        self.spans = [
+            (off, gens, gens.transpose(0, 2, 1).reshape(len(gens), gens.shape[-1] ** 2))
+            for off, gens in ((pair_off, pair_gens), (ref_off, ref_gens))
         ]
         self.g_rows = g_rows
-        self.block_trace = sum(c.shape[0] * c.shape[-1] for c in self.c) + len(g_rows)
-        self.signed = sum(len(c) for c, (_, signed, *_) in zip(self.c, self.groups) if signed)
+        self.block_trace = 2 * self.n + ref_c.shape[-1] + len(g_rows)
         self._buffers = {}
 
     def _start_at(self, y):
@@ -343,43 +341,31 @@ class _BlockProgram:
     def adjoint_blocks(self, y):
         """Linear map A^T(y); slack_blocks(y) = slack_blocks(0) - adjoint_blocks(y)."""
         lead = y.shape[:-1]
+        pair, ref = [
+            (y[..., None, off : off + len(gens)] @ gens.reshape(rows.shape)).reshape(
+                lead + (1,) + gens.shape[1:]
+            )
+            for off, gens, rows in self.spans
+        ]
         h = expand_coords(y[..., : self.nw], self.n)[..., None, :, :]
-        mats = []
-        for c, (signs, signed, off, gens, _) in zip(self.c, self.groups):
-            l, s = len(gens), c.shape[-1]
-            if l:
-                span = y[..., None, off : off + l] @ gens.reshape(l, s * s)
-                a = span.reshape(lead + (1, s, s))
-                if signed:
-                    a = a + signs * h
-            elif signed:
-                a = signs * h
-            else:
-                a = np.zeros(lead + (1, s, s), dtype=complex)
-            mats.append(a)
-        return mats, (self.g_rows @ y[..., None])[..., 0]
+        return [pair + self.signs * h, ref], (self.g_rows @ y[..., None])[..., 0]
 
     def apply(self, mats, scal):
         """Adjoint of adjoint_blocks: A(X) as a vector in y-space."""
         out = (scal[..., None, :] @ self.g_rows)[..., 0, :]
-        h = 0.0
-        for mat, (signs, signed, off, gens, rows) in zip(mats, self.groups):
-            if signed:
-                h = h + (signs * mat).sum(axis=-3)
-            l = len(gens)
-            if l:
-                vec = mat.sum(axis=-3).reshape(mat.shape[:-3] + (-1, 1))
-                out[..., off : off + l] += (rows @ vec)[..., 0].real
-        out[..., : self.nw] += extract_coords(h)
+        for mat, (off, gens, rows) in zip(mats, self.spans):
+            vec = mat.sum(axis=-3).reshape(mat.shape[:-3] + (-1, 1))
+            out[..., off : off + len(gens)] += (rows @ vec)[..., 0].real
+        out[..., : self.nw] += extract_coords((self.signs * mats[0]).sum(axis=-3))
         return out
 
     def _schur_buffers(self, lead):
         """The work buffers of ``schur`` for iterates with leading axes ``lead``."""
         if lead not in self._buffers:
-            n, nw, k = self.n, self.nw, 4 * self.signed
+            n, nw = self.n, self.nw
             self._buffers[lead] = (
-                np.empty(lead + (nw, k, n), dtype=complex),
-                np.empty(lead + (nw, k, n), dtype=complex),
+                np.empty(lead + (nw, 8, n), dtype=complex),
+                np.empty(lead + (nw, 8, n), dtype=complex),
                 np.empty(lead + (nw, nw), dtype=complex),
                 np.empty(lead + (nw, (nw - n) // 2), dtype=complex),
                 np.empty(lead + (self.m, self.m)),
@@ -397,25 +383,17 @@ class _BlockProgram:
         n, nw = self.n, self.nw
         npair = (nw - n) // 2
         lead = x_mats[0].shape[:-3]
-        left_rows, right_rows, coef, upper_cols = _schur_gathers(n, self.signed)
+        left_rows, right_rows, coef, upper_cols = _schur_gathers(n)
         left, right, w, upper, m = self._schur_buffers(lead)
-        signed = [(x, z) for x, z, (_, s, *_) in zip(x_mats, z_mats, self.groups) if s]
+        x, z = x_mats[0], z_mats[0]
 
-        def rows_of(mats):  # the rows of every signed block, in order
-            return [a.reshape(lead + (-1, n)) for a in mats]
+        def rows_of(*mats):  # the rows of both blocks of the pair, in order
+            return np.concatenate([a.reshape(lead + (-1, n)) for a in mats], axis=-2)
 
-        left_src = np.concatenate(
-            rows_of(x for x, _ in signed) + rows_of(z.conj().swapaxes(-1, -2) for _, z in signed),
-            axis=-2,
-        )
         # mode="clip": with the default mode, np.take fills a copy of ``out``
-        np.take(left_src, left_rows, axis=-2, out=left, mode="clip")
+        np.take(rows_of(x, z.conj().swapaxes(-1, -2)), left_rows, axis=-2, out=left, mode="clip")
         left *= coef
-        right_src = np.concatenate(
-            rows_of(z.swapaxes(-1, -2) for _, z in signed) + rows_of(x.conj() for x, _ in signed),
-            axis=-2,
-        )
-        np.take(right_src, right_rows, axis=-2, out=right, mode="clip")
+        np.take(rows_of(z.swapaxes(-1, -2), x.conj()), right_rows, axis=-2, out=right, mode="clip")
         np.matmul(left.swapaxes(-1, -2), right, out=w.reshape(lead + (nw, n, n)))
         np.take(w, upper_cols, axis=-1, out=upper, mode="clip")
         np.multiply(w[..., :: n + 1].real, 1.0 / _SQRT2, out=m[..., :nw, :n])
@@ -425,20 +403,15 @@ class _BlockProgram:
         m[..., nw:, :] = 0.0
         if len(self.g_rows):
             m += self.g_rows.swapaxes(-1, -2) @ (xz_scal[..., :, None] * self.g_rows)
-        cross = {}  # sign * X F Z summed over the groups that share a span
-        for x, z, (signs, is_signed, off, gens, rows) in zip(x_mats, z_mats, self.groups):
+        for x, z, (off, gens, rows), signs in zip(x_mats, z_mats, self.spans, (self.signs, None)):
             l = len(gens)
-            if not l:
-                continue
             t = x[..., :, None, :, :] @ gens @ z[..., :, None, :, :]
-            flat = t.sum(axis=-4).reshape(lead + (l, -1))
+            flat = t.sum(axis=-4).reshape(lead + (l, rows.shape[-1]))
             m[..., off : off + l, off : off + l] += (rows @ flat.swapaxes(-1, -2)).real
-            if is_signed:
-                cross[off, l] = (signs[:, None] * t).sum(axis=-4) + cross.get((off, l), 0.0)
-        for (off, l), t in cross.items():
-            c = extract_coords(t)
-            m[..., off : off + l, :nw] += c
-            m[..., :nw, off : off + l] += c.swapaxes(-1, -2)
+            if signs is not None:  # the pair's cross terms sign * X F Z
+                c = extract_coords((signs[:, None] * t).sum(axis=-4))
+                m[..., off : off + l, :nw] += c
+                m[..., :nw, off : off + l] += c.swapaxes(-1, -2)
         out = m.swapaxes(-1, -2).copy()
         out += m
         out *= 0.5
@@ -470,17 +443,17 @@ def _stack(progs):
 
 
 @lru_cache(maxsize=None)
-def _schur_gathers(n: int, signed: int):
+def _schur_gathers(n: int):
     """Read-only index and coefficient tables of the closed-form Schur block.
 
     Term t of basis matrix E_i is (E_i)_ab e_ab: t = 0 only for e_aa, and
     t = 0, 1 for (a, b) = (p, q), (q, p) of a pair p < q. Column
-    k = (h, t, s) of ``left_rows`` and ``right_rows`` indexes the
-    concatenated sources of ``schur``: for h = 0, row b of X_s and row a of
-    Z_s^T, scaled by ``coef`` = (E_i)_ab / sqrt2 (the 1/sqrt2 normalizes
-    the columns j); for h = 1, row a of Z_s^H and row b of conj(X_s),
-    scaled by its conjugate. ``upper_cols`` are the flat positions of the
-    upper triangle of an n x n matrix.
+    k = (h, t, s) of ``left_rows`` and ``right_rows``, over the two blocks
+    s of the pair, indexes the concatenated sources of ``schur``: for h = 0,
+    row b of X_s and row a of Z_s^T, scaled by ``coef`` = (E_i)_ab / sqrt2
+    (the 1/sqrt2 normalizes the columns j); for h = 1, row a of Z_s^H and
+    row b of conj(X_s), scaled by its conjugate. ``upper_cols`` are the
+    flat positions of the upper triangle of an n x n matrix.
     """
     iu, ju = _pair_indices(n)
     r = np.arange(n)
@@ -494,15 +467,15 @@ def _schur_gathers(n: int, signed: int):
             np.concatenate([np.zeros(n), half, -0.5j * np.ones(npair)]),
         ]
     )
-    block = n * np.arange(signed)[:, None, None]
+    block = n * np.arange(2)[:, None, None]
 
-    def columns(rows):  # (2, n^2) rows of the terms -> (n^2, 2 * signed)
+    def columns(rows):  # (2, n^2) rows of the terms -> (n^2, 4)
         return (rows + block).transpose(2, 1, 0).reshape(n * n, -1)
 
-    other = n * signed  # the h = 1 sources follow the h = 0 ones
+    other = 2 * n  # the h = 1 sources follow the h = 0 ones
     left_rows = np.concatenate([columns(second), columns(first) + other], axis=1)
     right_rows = np.concatenate([columns(first), columns(second) + other], axis=1)
-    coef = np.repeat(coef.T, signed, axis=1)
+    coef = np.repeat(coef.T, 2, axis=1)
     coef = np.concatenate([coef, coef.conj()], axis=1)[:, :, None]
     upper_cols = iu * n + ju
     for arr in (left_rows, right_rows, coef, upper_cols):
@@ -527,11 +500,11 @@ class _Program(_BlockProgram):
         fbasis = _traceless_stack(ref_dim)
         lifted = -np.kron(np.eye(self.out)[None], fbasis)
         eye = np.eye(n, dtype=complex)
-        groups = [
+        self._set_data(
             (np.stack([eye, eye]) / ref_dim, (1.0, -1.0), nw, lifted),
-            (np.eye(ref_dim, dtype=complex)[None] / ref_dim, (0.0,), nw, -fbasis),
-        ]
-        self._set_data(groups, self._objective(extract_coords(self.deltas)))
+            (np.eye(ref_dim, dtype=complex)[None] / ref_dim, nw, -fbasis),
+            self._objective(extract_coords(self.deltas)),
+        )
 
     def _set_members(self, deltas, ref_dim):
         self.deltas = np.stack([np.asarray(d, dtype=complex) for d in deltas])
@@ -669,11 +642,11 @@ class _SectorProgram(_Program):
         diag_gens[npair:, r, r] = -f[:, ref_of_diag]
         sector_gens = -f[:, ref_of[sec], None] * np.eye(d, dtype=complex)
         eye = np.eye(d, dtype=complex)
-        groups = [
+        self._set_data(
             (np.stack([eye, eye]) / ref_dim, (1.0, -1.0), nw + npair, sector_gens),
-            (np.eye(size, dtype=complex)[None] / ref_dim, (0.0,), nw, diag_gens),
-        ]
-        self._set_data(groups, self._objective(coef))
+            (np.eye(size, dtype=complex)[None] / ref_dim, nw, diag_gens),
+            self._objective(coef),
+        )
 
     def shape_key(self):
         return super().shape_key() + (tuple(self.pairs),)
@@ -750,14 +723,14 @@ class _DualProgram(_BlockProgram):
             [2.0 * _trace_out(_herm_basis_stack(n), self.out), np.eye(ref_dim)[None]]
         )
         self.tr1_delta = _trace_out(self.delta, self.out)
-        groups = [
-            (np.stack([np.zeros_like(self.delta), self.delta]), (-1.0, -1.0), nw,
-             np.zeros((0, n, n), dtype=complex)),
-            (-self.tr1_delta[None], (0.0,), 0, gens),
-        ]
         self.b = np.zeros(self.m)
         self.b[-1] = 1.0  # t is stored negated, so max b.y = max(-t)
-        self._set_data(groups, np.zeros((0, self.m)))
+        self._set_data(
+            (np.stack([np.zeros_like(self.delta), self.delta]), (-1.0, -1.0), nw,
+             np.zeros((0, n, n), dtype=complex)),
+            (-self.tr1_delta[None], 0, gens),
+            np.zeros((0, self.m)),
+        )
 
     def shape_key(self):
         return (type(self), self.n, self.ref)
@@ -990,17 +963,17 @@ def _split(stage, prog, *args):
     """``stage(prog, *args)`` over a stack of problems. When a LinAlgError
     stops it, the stack is split in halves until each failing problem runs
     alone. Returns the output over the problems that ran through and their
-    mask, or None when all did."""
+    mask."""
+    count = len(prog.b)
     try:
-        return stage(prog, *args), None
+        return stage(prog, *args), np.ones(count, dtype=bool)
     except np.linalg.LinAlgError:
-        count = len(prog.b)
         if count == 1:
             return None, np.zeros(1, dtype=bool)
     parts, masks = [], []
     for idx in np.array_split(np.arange(count), 2):
         part, ok = _split(stage, *_take((prog, *args), idx))
-        masks.append(np.ones(len(idx), dtype=bool) if ok is None else ok)
+        masks.append(ok)
         if part is not None:
             parts.append(part)
     return (_cat(parts) if parts else None), np.concatenate(masks)
@@ -1072,7 +1045,7 @@ def _solve_batch(progs, tols) -> list[SdpSolution]:
         for j in better.nonzero()[0]:
             best_y[r.ids[j]] = (r.y, j)
         dual, ok = _split(type(r.prog).project_dual, r.prog, r.x_mats, r.x_scal)
-        if ok is not None and stop(~ok, iterations):
+        if stop(~ok, iterations):
             break
         better = dual < r.best_dual
         r.best_dual = np.fmin(r.best_dual, dual)
@@ -1094,7 +1067,7 @@ def _solve_batch(progs, tols) -> list[SdpSolution]:
             break
 
         centre, ok = _split(_centre, r.prog, r.x_mats, r.x_scal, r.s_mats, r.s_scal)
-        if ok is not None and stop(~ok, iterations):
+        if stop(~ok, iterations):
             break
         r.z_mats, r.z_scal, r.mu = centre
         r.mu_stall = (r.mu_stall + 1) * ((r.mu > 0.9 * r.prev_mu) & r.stuck)
@@ -1105,7 +1078,7 @@ def _solve_batch(progs, tols) -> list[SdpSolution]:
         step, ok = _split(
             _newton, r.prog, r.y, r.x_mats, r.x_scal, r.s_mats, r.s_scal, r.z_mats, r.z_scal, r.mu
         )
-        if ok is not None and stop(~ok, iterations):
+        if stop(~ok, iterations):
             break
         # The step's Schur arrays stay alive until the next step has made its
         # own: freed first, the 0.6 MB arrays of an n = 16 program let glibc

@@ -26,6 +26,7 @@ from chanapprox import (
     unitary_channel,
     unitary_qubit,
 )
+from chanapprox import channels
 from chanapprox.channels import PAULI, prob_vector
 from chanapprox.errors import (
     DimMismatchError,
@@ -141,6 +142,8 @@ def test_covariant_rejects_out_of_range() -> None:
         covariant(-0.1)
     with pytest.raises(RangeError):
         covariant(1.1)
+    with pytest.raises(RangeError):
+        covariant(0.5, d=1)
 
 
 def test_covariant_commutes_with_unitaries() -> None:
@@ -173,6 +176,12 @@ def test_pauli_channel_rejects_bad_weights() -> None:
             pauli_channel(bad)
     with pytest.raises(SimplexError):
         prob_vector([np.nan, 1.0])
+    with pytest.raises(SimplexError):
+        pauli_channel([0.5, 0.3, 0.2])
+    with pytest.raises(SimplexError):
+        prob_vector([])
+    with pytest.raises(SimplexError):
+        prob_vector([[0.5, 0.5]])
 
 
 def test_pauli_unitaries_are_the_paulis() -> None:
@@ -296,6 +305,8 @@ def test_unitary_channel_rejects_non_unitary() -> None:
         unitary_channel(np.array([[1.0, 0.0], [0.0, 0.5]]))
     with pytest.raises(NotUnitaryError):
         unitary_channel(np.full((2, 2), np.nan))
+    with pytest.raises(NotUnitaryError):
+        unitary_channel(np.eye(2, 3))
 
 
 def test_unitary_qubit_matches_matrix() -> None:
@@ -325,11 +336,15 @@ def test_mix_rejects_bad_weights() -> None:
     for bad in ([np.nan, 1, 0, 0], [np.inf, 1, 0, 0]):
         with pytest.raises(SimplexError):
             mix(pauli_unitaries(), bad)
+    with pytest.raises(SimplexError):
+        mix(pauli_unitaries(), [0.5, 0.5])
 
 
 def test_mix_rejects_dim_mismatch() -> None:
     with pytest.raises(DimMismatchError):
         mix([identity(2), identity(3)], [0.5, 0.5])
+    with pytest.raises(DimMismatchError):
+        mix([], [])
 
 
 def test_tensor_of_phase_unitaries() -> None:
@@ -398,6 +413,7 @@ def test_channels_close_tolerance() -> None:
     assert channels_close(a, a)
     assert not channels_close(a, b)
     assert channels_close(a, b, tol=1e-3)
+    assert not channels_close(identity(2), identity(3), tol=np.inf)
 
 
 # --- channel-spec parsing ---------------------------------------------
@@ -452,7 +468,7 @@ def test_parse_mix_spec() -> None:
     assert channels_close(ch, pauli_channel([0.25, 0.0, 0.0, 0.75]))
 
 
-def test_parse_rejects_malformed_specs() -> None:
+def test_parse_rejects_malformed_specs(monkeypatch) -> None:
     with pytest.raises(SpecParseError):
         parse_channel_spec("not json at all {")
     with pytest.raises(SpecParseError):
@@ -467,3 +483,20 @@ def test_parse_rejects_malformed_specs() -> None:
         parse_channel_spec({"kind": "kraus", "dim": 2, "matrices": [[[1, 0], [0, 1]]]})
     with pytest.raises(SpecParseError):
         parse_channel_spec({"kind": "tensor", "factors": [{"kind": "covariant", "p": 0.1}]})
+    # dimensions are integers in 2..4, named by their field
+    for d in (2.7, 2.0, True, "abc", None, 1, 5):
+        with pytest.raises(SpecParseError, match="'d'"):
+            parse_channel_spec({"kind": "covariant", "p": 0.5, "d": d})
+    for d in (2.0, "2", 1, 5):
+        with pytest.raises(SpecParseError, match="'dim'"):
+            parse_channel_spec({"kind": "kraus", "dim": d, "matrices": []})
+    # a tensor above dimension 4 is rejected before its product is built
+    built = []
+    monkeypatch.setattr(
+        channels, "tensor", lambda a, b: built.append((a.dim, b.dim)) or tensor(a, b)
+    )
+    pair = {"kind": "tensor", "factors": [{"kind": "damping", "q": 1, "gamma": 0.5}] * 2}
+    for factors in ([pair, {"kind": "damping", "q": 1, "gamma": 0.5}], [pair, pair]):
+        with pytest.raises(SpecParseError, match="'factors'"):
+            parse_channel_spec({"kind": "tensor", "factors": factors})
+    assert built == [(2, 2)] * 3

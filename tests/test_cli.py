@@ -169,6 +169,18 @@ def test_exit_code_parse_errors(tmp_path, capsys) -> None:
     nan_pauli = '{"kind": "pauli", "p": [NaN, 0, 0, 1]}'
     assert cli.main(["diamond", nan_pauli, PAULI_ID]) == cli.EXIT_PARSE
     assert "invalid 'pauli' spec" in capsys.readouterr().err
+    # spec dimensions above 4 or not integers are named in the message
+    too_big = '{"kind": "covariant", "p": 0.3, "d": 5}'
+    assert cli.main(["approx", too_big, too_big]) == cli.EXIT_PARSE
+    assert "'d': dimension 5" in capsys.readouterr().err
+    fractional = '{"kind": "covariant", "p": 0.5, "d": 2.7}'
+    assert cli.main(["diamond", fractional, IDENTITY]) == cli.EXIT_PARSE
+    assert "'d' must be an integer" in capsys.readouterr().err
+    damp = '{"kind": "damping", "q": 1, "gamma": 0.5}'
+    pair = f'{{"kind": "tensor", "factors": [{damp}, {damp}]}}'
+    nested = f'{{"kind": "tensor", "factors": [{pair}, {damp}]}}'
+    assert cli.main(["diamond", nested, nested]) == cli.EXIT_PARSE
+    assert "'factors': dimension 4 x 2" in capsys.readouterr().err
 
 
 def test_exit_code_no_convergence(monkeypatch, capsys) -> None:

@@ -28,9 +28,10 @@ from chanapprox import (
     unitary_qubit,
 )
 from chanapprox import cli, sdp
-from chanapprox.approx import covariant_objective
+from chanapprox.approx import approx_bounds, covariant_objective, optimal_convex_approx
 from chanapprox.channels import PAULI
 from chanapprox.errors import (
+    DimMismatchError,
     DimTooLargeError,
     InvalidStateError,
     NotUnitaryError,
@@ -85,6 +86,10 @@ def test_diamond_unitary_rejects_non_unitary() -> None:
             diamond_unitary(bad, np.eye(2))
         with pytest.raises(NotUnitaryError):
             diamond_unitary(np.eye(2), bad)
+    with pytest.raises(DimMismatchError):
+        diamond_unitary(np.eye(2), np.eye(3))
+    with pytest.raises(NotUnitaryError):
+        diamond_unitary(np.eye(2, 3), np.eye(2, 3))
 
 
 # --- polygon_radius ----------------------------------------------------
@@ -127,6 +132,8 @@ def test_polygon_radius_reads_only_phases_and_rejects_non_finite_vertices() -> N
     for verts in ([np.nan], [1.0, 1j, np.inf], [1.0, complex(0.0, -np.inf)], [1.0, np.nan * 1j]):
         with pytest.raises(RangeError, match="finite"):
             polygon_radius(verts)
+    with pytest.raises(RangeError, match="at least one vertex"):
+        polygon_radius([])
 
 
 # --- d_i_unitary -------------------------------------------------------
@@ -160,6 +167,8 @@ def test_d_i_unitary_range_checks() -> None:
 def test_choi_trace_distance_equal_channels() -> None:
     ch = damping(0.4, 0.6)
     assert choi_trace_distance(ch, ch) == 0.0
+    with pytest.raises(DimMismatchError):
+        choi_trace_distance(ch, identity(3))
 
 
 def test_choi_trace_distance_definition() -> None:
@@ -243,6 +252,10 @@ def test_fixed_input_bound_rejects_invalid_state() -> None:
         fixed_input_bound(ch, ch, np.diag([0.7, 0.7]))
     with pytest.raises(InvalidStateError):
         fixed_input_bound(ch, ch, np.diag([1.5, -0.5]))
+    with pytest.raises(InvalidStateError, match="shape"):
+        fixed_input_bound(ch, ch, np.diag([1.0, 0.0, 0.0]))
+    with pytest.raises(DimMismatchError):
+        fixed_input_bound(ch, identity(3), np.diag([1.0, 0.0]))
 
 
 def test_fixed_input_bound_rejects_non_finite_states() -> None:
@@ -392,6 +405,12 @@ def test_diamond_sdp_witness_invariants() -> None:
 def test_diamond_sdp_rejects_large_dims() -> None:
     with pytest.raises(DimTooLargeError):
         diamond_sdp(identity(5), identity(5), tol=1e-7)
+    # approximations take the same cap, checked before any Choi matrix
+    target, members = covariant(0.3, 5), [identity(5), covariant(0.6, 5)]
+    with pytest.raises(DimTooLargeError, match="dimension 5"):
+        optimal_convex_approx(target, members, 1e-6)
+    with pytest.raises(DimTooLargeError, match="dimension 5"):
+        approx_bounds(target, members, 0.5)
 
 
 def test_diamond_sdp_rejects_tiny_tolerance() -> None:
@@ -417,6 +436,8 @@ def test_alternating_lower_bound_stays_below_primal() -> None:
         assert lb <= res.primal + 1e-7
         # it should also be a decent bound, not vacuous
         assert lb >= choi_trace_distance(a, b) - 1e-6
+    with pytest.raises(DimMismatchError):
+        alternating_lower_bound(identity(2), identity(3))
 
 
 # --- discrimination_probability -----------------------------------------

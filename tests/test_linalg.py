@@ -197,6 +197,8 @@ def test_partial_trace_preserves_trace() -> None:
 def test_partial_trace_rejects_bad_dims() -> None:
     with pytest.raises(DimMismatchError):
         partial_trace(np.eye(6), (2, 2), 1)
+    with pytest.raises(DimMismatchError, match="traced_factor"):
+        partial_trace(np.eye(6), (2, 3), 3)
 
 
 # --- spectral_norm ----------------------------------------------------
