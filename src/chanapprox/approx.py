@@ -163,8 +163,11 @@ def approx_bounds(target: Channel, set, distance: float) -> tuple[float, float]:
     one single-member solve certified to 1e-7 (none when the closed form
     at the maximally mixed reference closes, see ``sdp``). The Choi bound costs one minimax
     solve at reference dimension 1, on the invariant sectors for a
-    diagonal-unitary-covariant family.
+    diagonal-unitary-covariant family. A NaN, infinite or negative
+    ``distance`` raises ``RangeError`` before any solve.
     """
+    if not 0.0 <= distance < np.inf:
+        raise RangeError(f"distance {distance!r} must be finite and nonnegative")
     members = list(set)
     delta_stack = _simplex_deltas(target, members)
     upper = min(_member_distance(target, ch, delta) for ch, delta in zip(members, delta_stack))

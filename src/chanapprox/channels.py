@@ -107,8 +107,8 @@ class Channel:
         d = None
         for k in self.kraus:
             k = np.asarray(k, dtype=complex)
-            if k.ndim != 2 or k.shape[0] != k.shape[1]:
-                raise KrausError(f"Kraus operator has shape {k.shape}, expected square")
+            if k.ndim != 2 or not 0 < k.shape[0] == k.shape[1]:
+                raise KrausError(f"Kraus operator has shape {k.shape}, expected nonempty square")
             if not np.all(np.isfinite(k)):
                 raise KrausError("Kraus operator has NaN or infinite entries")
             if d is None:
@@ -227,6 +227,8 @@ def covariant(p: float, d: int = 2) -> Channel:
     traceless orthogonal unitary basis (the Pauli basis for d=2).
     """
     p = _check_range("p", p, 0.0, 1.0)
+    if not _is_integer(d):
+        raise RangeError(f"dimension d={d!r} must be an integer")
     if d < 2:
         raise RangeError(f"dimension d={d} must be >= 2")
     if d == 2:
@@ -313,10 +315,15 @@ def _parse_matrix(entry, d: int) -> np.ndarray:
     return m[..., 0] + 1j * m[..., 1]
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, not a bool or a float."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _spec_dim(value, field: str) -> int:
     """``value`` as the dimension of spec field ``field``: an integer (not a
     bool or a float) in 2.._MAX_DIM."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_integer(value):
         raise SpecParseError(f"'{field}' must be an integer, got {value!r}")
     if not 2 <= value <= _MAX_DIM:
         raise SpecParseError(f"'{field}': dimension {value} outside 2..{_MAX_DIM}")

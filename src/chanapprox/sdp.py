@@ -1,18 +1,19 @@
 """Dense primal-dual interior-point solver for the package's block SDPs.
 
 Every program has one shape: maximize b.y over a real vector y subject to
-a signed pair of n x n blocks, one reference block and k >= 0 scalar rows,
+a signed pair of n x n blocks, a list of further blocks r and k >= 0
+scalar rows,
 
     S_j(y) = C_j - sign_j H(y) - sum_l y[off + l] F_l >= 0     (j = 1, 2),
-    S_ref(y) = C_ref - sum_l y[off_ref + l] F_ref,l >= 0,
-    s(y) = -G y >= 0,
+    S_r(y) = C_r - sum_l y[off_r + l] F_r,l >= 0,
+    s(y) = h - G y >= 0,
 
 where H(y) is the Hermitian n x n matrix whose coordinates in an
 orthonormal basis are y[:n^2] and sign_j is +1 or -1. The pair's
-generators F act on the other coordinates; the reference block's F_ref
-may act on any. Either stack may be empty. ``_BlockProgram`` implements
+generators F act on the other coordinates; a further block's F_r may act
+on any. Any generator stack may be empty. ``_BlockProgram`` implements
 the slacks, A^T(y), its adjoint A(X) and the Schur matrix once from the
-data (C, sign, F, C_ref, F_ref, G); each program adds only its starting
+data (C, sign, F, C_r, F_r, h, G); each program adds only its starting
 point, its shape key, its dual projection and the certificate (witness and
 weights) of its best bracket.
 
@@ -20,20 +21,21 @@ weights) of its best bracket.
    space, reference dimension d: maximize t subject to Tr[Delta_i W] >= t,
    I (x) rho -+ W >= 0 and rho >= 0 with Tr rho = 1. y = (W, traceless
    part of rho, t); the pair has C = (I/d, I/d), signs +1, -1 and
-   generators -I (x) F_l over an orthonormal traceless basis F_l, the
-   reference block C = I/d and generators -F_l; G has one row
-   (-coords(Delta_i), 0, 1) per member. The nonnegative scalar duals,
-   normalized, are the optimal mixture weights of min over the simplex of
-   the diamond norm of the mixed Delta. A fixed objective
-   (the diamond norm of one Delta) is the family of one. At d = 1 the
-   reference block is the constant [1] with no generators, the constraint
-   reads -I <= W <= I, and the optimum is min over the simplex of the
-   trace norm of the mixed Delta.
+   generators -I (x) F_l over an orthonormal traceless basis F_l, and one
+   further block, the reference block rho, with C = I/d and generators
+   -F_l; h = 0 and G has one row (-coords(Delta_i), 0, 1) per member. The
+   members' scalar duals, normalized, are the optimal mixture weights of
+   min over the simplex of the diamond norm of the mixed Delta. A fixed
+   objective (the diamond norm of one Delta) is the family of one. At
+   d = 1 the reference block is the constant [1] with no generators, the
+   constraint reads -I <= W <= I, and the optimum is min over the simplex
+   of the trace norm of the mixed Delta.
 2. The dual of the one-member program (Watrous, arXiv:1207.5726): minimize
    t subject to V >= 0, Delta + V >= 0 and t I - Tr_1[Delta + 2 V] >= 0.
    y = (V, -t); the pair has C = (0, Delta), signs -1, -1 and no
-   generators; the reference block has C = -Tr_1[Delta] and generators
-   2 Tr_1[E_j] over the basis matrices E_j, then I.
+   generators; the one further block, t I - Tr_1[Delta + 2 V], has
+   C = -Tr_1[Delta] and generators 2 Tr_1[E_j] over the basis matrices
+   E_j, then I. There are no scalar rows.
 3. Program 1 on the invariant sectors of a diagonal-unitary-covariant
    family at n = d^2, whose every Delta_i is exactly zero outside the
    |aa><bb| entries and the diagonal, at reference dimension d or 1.
@@ -45,15 +47,18 @@ weights) of its best bracket.
    Quantum 2021). A pair is kept only if some Delta_i has a nonzero
    |ab><ab| entry: otherwise w_ab = 0 loses nothing. y = (W_0, the kept
    w_ab, traceless part of p, t) with n = d; the pair diag(p) -+ W_0 with
-   signs +1, -1, and as reference block one diagonal block holding
-   p_b - w_ab, p_b + w_ab and p_b, whose C and generators are diagonal,
-   so its iterates stay diagonal; b and G are those of 1 on these coordinates. At reference
-   dimension 1, p is the constant [1]: the blocks are I -+ W_0 and
-   1 -+ w_ab, with no p coordinates. Both sides answer for the full
-   program: the witness is W lifted with zeros off the sectors and
-   rho = diag(p), and the bound is lambda_max(Tr_1[X1 + X2]) of the lifted
-   duals, max_b [(X1 + X2)_bb + sum_{a != b} (x-_ab + x+_ab)] over the
-   reference index b of each entry, so a sum over b at reference
+   signs +1, -1 and no further block. Every other constraint is a
+   nonnegative scalar, so a scalar row: after the members' rows of 1 (on
+   these coordinates, h = 0), p_b - w_ab and p_b + w_ab for each kept pair,
+   b the reference index of |ab>, then p_b for each b, all with h one over
+   the reference dimension. The p_b rows are implied by the pair but keep
+   the path short: without them fig3 takes 10087 iterations, not 9554. At
+   reference dimension 1, p is the constant [1]: the pair is I -+ W_0 and
+   the rows 1 -+ w_ab and 1, with no p coordinates. Both sides answer for
+   the full program: the witness is W lifted with zeros off the sectors
+   and rho = diag(p), and the bound is lambda_max(Tr_1[X1 + X2]) of the
+   lifted duals, max_b [(X1 + X2)_bb + sum_{a != b} (x-_ab + x+_ab)] over
+   the reference index b of each entry, so a sum over b at reference
    dimension 1; it is valid because Delta is exactly zero where the lift
    puts zeros. ``solve_fixed`` and ``solve_minimax`` take this form
    whenever one exact-zero test on the stacked Delta_i allows it.
@@ -123,27 +128,27 @@ Tr[Delta(p) W] >= t and its upper side bounds the norm of Delta(p). Every
 certified distance therefore takes at most two solves.
 
 Batches. ``_solve_batch`` solves programs of one shape as one stack: one
-class, n, reference dimension, member count and, for program 3, kept
-pairs (``shape_key``). ``_stack`` gives their per-problem data (b, G, both
-C and the members Delta_i) a leading axis; every map above takes and
-returns stacks, and every step below acts on them, so ``_solve_ipm`` is the
-stack of one and there is one engine. The equal-size blocks of a program
-share their calls (two n x n blocks: one eigh, inv or matmul), and so do
-X and S in the step length. Each problem keeps the stop rules and the best
-bracket of a solve of its own, and leaves the stack at the iteration where
-that solve stops. A stacked ``np.linalg`` call raises ``LinAlgError`` for
-the whole stack when one slice fails, so a failed stage of the iteration
-runs again on halves of the stack until each failing problem is alone;
-only those stop. Results do not depend on the batch: every per-problem
-product is one slice of a stacked call, (B, 1, l) @ (l, s) and never the
-2-D (B, l) @ (l, s), whose blocked kernel sums in another order, and a
-stacked eigh, eigvalsh, inv, cholesky or matmul gives each slice the bits
-of the same call on that slice alone (einsum over a stack does not, so
-traces and mixtures are matmul products). A problem therefore gets the
-same bits alone, in any batch and at any place in it. ``_run_all`` drives step
-generators, each of which yields the programs its answer needs and
-receives their solutions; in windows of ``_MAX_BATCH`` generators it
-solves the programs pending in a round grouped by shape.
+class, n, reference dimension, member count and, for program 3, kept pairs
+(``shape_key``). ``_stack`` gives their per-problem data (b, G, every C and
+the members Delta_i) a leading axis, and h, fixed by the shape, is shared;
+every map above takes and returns stacks, and every step below acts on
+them, so ``_solve_ipm`` is the stack of one and there is one engine. The
+equal-size blocks of a program share their calls (two n x n blocks: one
+eigh, inv or matmul), and so do X and S in the step length. Each problem
+keeps the stop rules and the best bracket of a solve of its own, and leaves
+the stack at the iteration where that solve stops. A stacked ``np.linalg``
+call raises ``LinAlgError`` for the whole stack when one slice fails, so a
+failed stage of the iteration runs again on halves of the stack until each
+failing problem is alone; only those stop. Results do not depend on the
+batch: every per-problem product is one slice of a stacked call, (B, 1, l)
+@ (l, s) and never the 2-D (B, l) @ (l, s), whose blocked kernel sums in
+another order, and a stacked eigh, eigvalsh, inv, cholesky or matmul gives
+each slice the bits of the same call on that slice alone (einsum over a
+stack does not, so traces and mixtures are matmul products). A problem
+therefore gets the same bits alone, in any batch and at any place in it.
+``_run_all`` drives step generators, each of which yields the programs its
+answer needs and receives their solutions; in windows of ``_MAX_BATCH``
+generators it solves the programs pending in a round grouped by shape.
 """
 
 from __future__ import annotations
@@ -167,12 +172,6 @@ _MAX_BATCH = 64
 # Orthonormal real coordinates for Hermitian matrices.
 
 
-@lru_cache(maxsize=None)
-def _pair_indices(n: int):
-    iu, ju = np.triu_indices(n, 1)
-    return iu, ju
-
-
 def extract_coords(t: np.ndarray) -> np.ndarray:
     """Coordinates Re Tr[E_k t] in the orthonormal Hermitian basis.
 
@@ -192,7 +191,7 @@ def _extract_tables(n: int):
     """Every coordinate of extract_coords is (first + sign * second) /
     divisor over the real and imaginary parts of the entries, interleaved:
     Re t_ii, then (Re t_ij + Re t_ji) / sqrt2, (Im t_ij - Im t_ji) / sqrt2."""
-    iu, ju = _pair_indices(n)
+    iu, ju = np.triu_indices(n, 1)
     r = np.arange(n)
     # positions of Re t_aa, Re t_ij and Re t_ji; Im follows each Re
     diag, upper, lower = 2 * (r * n + r), 2 * (iu * n + ju), 2 * (ju * n + iu)
@@ -217,7 +216,7 @@ def _expand_tables(n: int):
     """For the real and the imaginary part (last axis) of every entry of an
     n x n Hermitian matrix: the coordinate it is read from and its scale,
     +-1/sqrt2 off the diagonal and 0 for the diagonal's imaginary part."""
-    iu, ju = _pair_indices(n)
+    iu, ju = np.triu_indices(n, 1)
     npair = iu.size
     k = np.arange(npair)
     r = np.arange(n)
@@ -246,7 +245,7 @@ def _herm_basis_stack(n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _traceless_stack(d: int) -> np.ndarray:
     """Orthonormal basis of traceless Hermitian d x d matrices, (d^2-1, d, d)."""
-    iu, ju = _pair_indices(d)
+    iu, ju = np.triu_indices(d, 1)
     npair = iu.size
     f = np.zeros((d * d - 1, d, d), dtype=complex)
     for l in range(1, d):
@@ -298,37 +297,40 @@ class _BlockProgram:
         as (2, n, n), so that block j has
         A_j(y) = signs[j] * H(y[:nw]) + sum_l y[off + l] gens[l] and
         S_j(y) = C[j] - A_j(y), with gens acting only on coordinates >= nw;
-    ``ref``: ``(C, off, gens)`` of the reference block, C as (1, s, s), with
-        A(y) = sum_l y[off + l] gens[l] and S(y) = C[0] - A(y);
-    ``g_rows``: the (k, m) scalar row matrix G with s(y) = -G y (k may be 0).
+    ``others``: a list of ``(C, off, gens)``, one per further block, C as
+        (1, s, s), with A(y) = sum_l y[off + l] gens[l] and S(y) = C[0] - A(y);
+    ``rows``: ``(h, G)`` of the k scalar rows s(y) = h - G y, h of length k
+        and G as (k, m) (k may be 0).
 
-    Either generator stack may be empty. Every map takes and returns the
-    matrices as ``[pair, ref]``, with leading axes over problems. A program
-    made by ``_stack`` carries one such axis on its per-problem data: ``b``,
-    ``g_rows``, both C (``c``) and the names in ``_members``. ``schur``
-    allocates its work buffers once per stack shape, so a program object
-    serves one solve at a time.
+    Any generator stack may be empty. Every map takes and returns the
+    matrices as ``[pair, *others]``, with leading axes over problems. A
+    program made by ``_stack`` carries one such axis on its per-problem
+    data: ``b``, ``g_rows``, every C (``c``) and the names in ``_members``;
+    ``h`` is fixed by the shape and shared. ``schur`` allocates its work
+    buffers once per stack shape, so a program object serves one solve at
+    a time.
     """
 
     _members: tuple[str, ...] = ()
 
-    def _set_data(self, pair, ref, g_rows):
-        (pair_c, signs, pair_off, pair_gens), (ref_c, ref_off, ref_gens) = pair, ref
-        self.c = [pair_c, ref_c]
+    def _set_data(self, pair, others, rows):
+        pair_c, signs, pair_off, pair_gens = pair
+        blocks = [(pair_c, pair_off, pair_gens)] + others
+        self.c = [c for c, _, _ in blocks]
         self.signs = np.array(signs)[:, None, None]
         # per block: (off, gens, rows) with rows[l] @ X.ravel() = Tr[gens[l] X]
         self.spans = [
             (off, gens, gens.transpose(0, 2, 1).reshape(len(gens), gens.shape[-1] ** 2))
-            for off, gens in ((pair_off, pair_gens), (ref_off, ref_gens))
+            for _, off, gens in blocks
         ]
-        self.g_rows = g_rows
-        self.block_trace = 2 * self.n + ref_c.shape[-1] + len(g_rows)
+        self.h, self.g_rows = rows
+        self.block_trace = sum(c.shape[-3] * c.shape[-1] for c in self.c) + len(self.h)
         self._buffers = {}
 
     def _start_at(self, y):
         """Starting point: y with identity matrix duals and unit scalar duals."""
         mats = [np.broadcast_to(np.eye(c.shape[-1], dtype=complex), c.shape).copy() for c in self.c]
-        return y, mats, np.ones(len(self.g_rows))
+        return y, mats, np.ones(len(self.h))
 
     def take(self, idx):
         """The stacked program of the problems ``idx`` of this one."""
@@ -336,19 +338,20 @@ class _BlockProgram:
 
     def slack_blocks(self, y):
         adj_mats, adj_scal = self.adjoint_blocks(y)
-        return [c - a for c, a in zip(self.c, adj_mats)], -adj_scal
+        return [c - a for c, a in zip(self.c, adj_mats)], self.h - adj_scal
 
     def adjoint_blocks(self, y):
         """Linear map A^T(y); slack_blocks(y) = slack_blocks(0) - adjoint_blocks(y)."""
         lead = y.shape[:-1]
-        pair, ref = [
+        mats = [
             (y[..., None, off : off + len(gens)] @ gens.reshape(rows.shape)).reshape(
                 lead + (1,) + gens.shape[1:]
             )
             for off, gens, rows in self.spans
         ]
-        h = expand_coords(y[..., : self.nw], self.n)[..., None, :, :]
-        return [pair + self.signs * h, ref], (self.g_rows @ y[..., None])[..., 0]
+        herm = expand_coords(y[..., : self.nw], self.n)[..., None, :, :]
+        mats[0] = mats[0] + self.signs * herm
+        return mats, (self.g_rows @ y[..., None])[..., 0]
 
     def apply(self, mats, scal):
         """Adjoint of adjoint_blocks: A(X) as a vector in y-space."""
@@ -403,13 +406,13 @@ class _BlockProgram:
         m[..., nw:, :] = 0.0
         if len(self.g_rows):
             m += self.g_rows.swapaxes(-1, -2) @ (xz_scal[..., :, None] * self.g_rows)
-        for x, z, (off, gens, rows), signs in zip(x_mats, z_mats, self.spans, (self.signs, None)):
+        for i, (x, z, (off, gens, rows)) in enumerate(zip(x_mats, z_mats, self.spans)):
             l = len(gens)
             t = x[..., :, None, :, :] @ gens @ z[..., :, None, :, :]
             flat = t.sum(axis=-4).reshape(lead + (l, rows.shape[-1]))
             m[..., off : off + l, off : off + l] += (rows @ flat.swapaxes(-1, -2)).real
-            if signs is not None:  # the pair's cross terms sign * X F Z
-                c = extract_coords((signs[:, None] * t).sum(axis=-4))
+            if i == 0:  # the pair's cross terms sign * X F Z
+                c = extract_coords((self.signs[:, None] * t).sum(axis=-4))
                 m[..., off : off + l, :nw] += c
                 m[..., :nw, off : off + l] += c.swapaxes(-1, -2)
         out = m.swapaxes(-1, -2).copy()
@@ -455,7 +458,7 @@ def _schur_gathers(n: int):
     row b of conj(X_s), scaled by its conjugate. ``upper_cols`` are the
     flat positions of the upper triangle of an n x n matrix.
     """
-    iu, ju = _pair_indices(n)
+    iu, ju = np.triu_indices(n, 1)
     r = np.arange(n)
     npair = iu.size
     first = np.stack([np.concatenate([r, iu, iu]), np.concatenate([r, ju, ju])])
@@ -502,8 +505,8 @@ class _Program(_BlockProgram):
         eye = np.eye(n, dtype=complex)
         self._set_data(
             (np.stack([eye, eye]) / ref_dim, (1.0, -1.0), nw, lifted),
-            (np.eye(ref_dim, dtype=complex)[None] / ref_dim, nw, -fbasis),
-            self._objective(extract_coords(self.deltas)),
+            [(np.eye(ref_dim, dtype=complex)[None] / ref_dim, nw, -fbasis)],
+            (np.zeros(self.k), self._objective(extract_coords(self.deltas))),
         )
 
     def _set_members(self, deltas, ref_dim):
@@ -549,7 +552,9 @@ class _Program(_BlockProgram):
         return w, rho, weights
 
     def _mixed(self, scal):
-        """(weights, Delta): the normalized scalar duals and their mixture."""
+        """(weights, Delta): the members' normalized scalar duals and their
+        mixture. The members' rows are the first k."""
+        scal = scal[..., : self.k]
         x = scal / scal.sum(-1, keepdims=True)  # the engine keeps every scalar dual >= 1e-300
         n = self.deltas.shape[-1]
         flat = self.deltas.reshape(self.deltas.shape[:-2] + (n * n,))
@@ -622,30 +627,24 @@ class _SectorProgram(_Program):
         self.per_ref = (self.pair_ref[:, None] == np.arange(ref_dim)).astype(float)
         self.m = nw + npair + ref_dim
         sec = self.sector
-        coef = np.concatenate(
-            [
-                extract_coords(self.deltas[:, sec[:, None], sec]),
-                self.deltas[:, pairs, pairs].real,
-            ],
-            axis=1,
-        )
+        sector_coef = extract_coords(self.deltas[:, sec[:, None], sec])
+        coef = np.concatenate([sector_coef, self.deltas[:, pairs, pairs].real], axis=1)
         # (ref_dim - 1, ref_dim)
         f = _traceless_stack(ref_dim)[: ref_dim - 1].diagonal(axis1=1, axis2=2).real
-        # one diagonal block: p_b - w_ab and p_b + w_ab per pair, then p_b
-        ref_of_diag = np.concatenate([self.pair_ref, self.pair_ref, np.arange(ref_dim)])
-        size = len(ref_of_diag)
-        diag_gens = np.zeros((npair + ref_dim - 1, size, size), dtype=complex)
+        # scalar rows after the members': p_b - w_ab and p_b + w_ab per pair, then p_b
+        ref_of_rows = np.concatenate([self.pair_ref, self.pair_ref, np.arange(ref_dim)])
+        bounds = np.zeros((len(ref_of_rows), self.m))
         j = np.arange(npair)
-        diag_gens[j, j, j] = 1.0
-        diag_gens[j, npair + j, npair + j] = -1.0
-        r = np.arange(size)
-        diag_gens[npair:, r, r] = -f[:, ref_of_diag]
+        bounds[j, nw + j] = 1.0
+        bounds[npair + j, nw + j] = -1.0
+        bounds[:, nw + npair : -1] = -f[:, ref_of_rows].T
         sector_gens = -f[:, ref_of[sec], None] * np.eye(d, dtype=complex)
         eye = np.eye(d, dtype=complex)
+        h = np.concatenate([np.zeros(self.k), np.full(len(bounds), 1.0 / ref_dim)])
         self._set_data(
             (np.stack([eye, eye]) / ref_dim, (1.0, -1.0), nw + npair, sector_gens),
-            (np.eye(size, dtype=complex)[None] / ref_dim, nw, diag_gens),
-            self._objective(coef),
+            [],
+            (h, np.concatenate([self._objective(coef), bounds])),
         )
 
     def shape_key(self):
@@ -657,14 +656,15 @@ class _SectorProgram(_Program):
         w = np.zeros((self.nw, self.nw), dtype=complex)
         w[self.sector[:, None], self.sector] = expand_coords(y[: self.nw], self.n)
         w[self.pairs, self.pairs] = y[self.nw : self.nw + npair]
-        p = self.slack_blocks(y)[0][1][0].diagonal()[2 * npair :]
-        return w, np.diag(p)
+        p = self.slack_blocks(y)[1][self.k + 2 * npair :]
+        return w, np.diag(p).astype(complex)
 
     def project_dual(self, mats, scal):
         """Exact-feasibility projection of the lifted dual iterate.
 
         The lifted X1 and X2 are the sector blocks plus the pair duals x-_ab
-        and x+_ab on the diagonal, zero elsewhere. Delta is exactly zero off
+        and x+_ab on the diagonal, zero elsewhere: the scalar duals of the
+        p_b - w_ab and p_b + w_ab rows. Delta is exactly zero off
         the sectors, so X1 - X2 = Delta holds block by block: the sector
         blocks as in program 1, and each pair as x-+_ab = (s +- Delta_ab)/2
         with s = max(x-_ab + x+_ab, |Delta_ab| + 2e-15), both nonnegative.
@@ -676,7 +676,7 @@ class _SectorProgram(_Program):
         sec, pairs = self.sector, self.pairs
         pair = _shift_to_psd(_herm(mats[0]), delta[..., sec[:, None], sec])
         npair = len(pairs)
-        duals = mats[1][..., 0, :, :].diagonal(axis1=-2, axis2=-1).real
+        duals = scal[..., self.k :]
         least = np.abs(delta[..., pairs, pairs].real) + 2e-15
         s = np.maximum(duals[..., :npair] + duals[..., npair : 2 * npair], least)
         sector = pair.sum(axis=-3).diagonal(axis1=-2, axis2=-1).real
@@ -728,8 +728,8 @@ class _DualProgram(_BlockProgram):
         self._set_data(
             (np.stack([np.zeros_like(self.delta), self.delta]), (-1.0, -1.0), nw,
              np.zeros((0, n, n), dtype=complex)),
-            (-self.tr1_delta[None], 0, gens),
-            np.zeros((0, self.m)),
+            [(-self.tr1_delta[None], 0, gens)],
+            (np.zeros(0), np.zeros((0, self.m))),
         )
 
     def shape_key(self):
@@ -850,10 +850,8 @@ def _max_step(roots, scal, d_mats, d_scal):
         axis=-1,
     ).min(axis=-1)
     alpha = np.divide(-1.0, lmin, out=np.full(lead, np.inf), where=lmin < 0.0)
-    if d_scal.shape[-1]:
-        ratio = np.divide(scal, -d_scal, out=np.full(d_scal.shape, np.inf), where=d_scal < 0.0)
-        alpha = np.minimum(alpha, ratio.min(axis=-1))
-    return alpha
+    ratio = np.divide(scal, -d_scal, out=np.full(d_scal.shape, np.inf), where=d_scal < 0.0)
+    return np.minimum(alpha, ratio.min(axis=-1, initial=np.inf))
 
 
 def _tri_inv(low):

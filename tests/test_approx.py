@@ -140,7 +140,7 @@ def test_three_member_adaptive_grid_oracle() -> None:
     assert res.distance <= best + 1e-4
 
 
-def test_approx_input_validation() -> None:
+def test_approx_input_validation(monkeypatch) -> None:
     with pytest.raises(RangeError):
         optimal_convex_approx(identity(2), [], tol=1e-6)
     with pytest.raises(RangeError):
@@ -154,6 +154,12 @@ def test_approx_input_validation() -> None:
             multi_copy_approx(identity(2), [identity(2)], copies=2, tol=bad_tol)
     with pytest.raises(DimMismatchError):
         optimal_convex_approx(identity(2), [identity(3)], tol=1e-6)
+    # a NaN, infinite or negative distance is rejected before any solve
+    census = _log_census(monkeypatch)
+    for bad_distance in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(RangeError):
+            approx_bounds(unitary_qubit(0.3, 0.2, 0.1), pauli_unitaries(), bad_distance)
+    assert census == []
 
 
 def test_missing_joint_weights_raise_instead_of_returning_a_vertex(monkeypatch) -> None:

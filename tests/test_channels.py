@@ -52,6 +52,11 @@ def test_channel_rejects_empty_kraus() -> None:
 def test_channel_rejects_non_square_kraus() -> None:
     with pytest.raises(KrausError):
         Channel((np.zeros((2, 3)),))
+    # a 0 x 0 operator is square but acts on no space
+    with pytest.raises(KrausError):
+        Channel((np.zeros((0, 0)),))
+    with pytest.raises(KrausError):
+        identity(0)
 
 
 def test_channel_rejects_mixed_dims() -> None:
@@ -144,6 +149,10 @@ def test_covariant_rejects_out_of_range() -> None:
         covariant(1.1)
     with pytest.raises(RangeError):
         covariant(0.5, d=1)
+    # d must be an integer, as in a channel spec
+    for bad_d in (2.5, 2.0, True):
+        with pytest.raises(RangeError):
+            covariant(0.3, bad_d)
 
 
 def test_covariant_commutes_with_unitaries() -> None:

@@ -276,6 +276,9 @@ def test_program_operators_are_consistent_for_every_shape() -> None:
     gen = helpers.rng(36)
     for name, prog in _program_shapes().items():
         zero_mats, zero_scal = prog.slack_blocks(np.zeros(prog.m))
+        # s(0) = h; a sector program's only matrix group is its pair
+        npt.assert_array_equal(zero_scal, prog.h)
+        assert len(zero_mats) == (1 if name.startswith("sector") else 2), name
         sizes = [blk.shape[0] for blk in _blocks(zero_mats)]
         k = zero_scal.size
         y = gen.normal(size=prog.m)
@@ -954,11 +957,12 @@ def test_sector_dual_bound_is_the_full_bound_of_the_lifted_duals() -> None:
     sec, pairs = prog.sector, prog.pairs
     x2 = (1.0 + np.abs(delta).sum()) * np.eye(2, dtype=complex)
     x1 = x2 + delta[np.ix_(sec, sec)]
-    pair_duals = np.diag(np.r_[np.zeros(2 * len(pairs)), 1.0, 1.0]).astype(complex)
-    duals = _grouped(prog, [x1, x2, pair_duals])
-    bound = prog.project_dual(duals, np.ones(1))
+    # the member's weight, then every pair dual and the p_b duals
+    scal = np.r_[1.0, np.zeros(2 * len(pairs)), 1.0, 1.0]
+    duals = _grouped(prog, [x1, x2])
+    bound = prog.project_dual(duals, scal)
     # the one member takes all the weight
-    assert prog.certificate(np.zeros(prog.m), duals, np.ones(1))[2].tolist() == [1.0]
+    assert prog.certificate(np.zeros(prog.m), duals, scal)[2].tolist() == [1.0]
     lift1 = np.zeros((4, 4), dtype=complex)
     lift2 = np.zeros((4, 4), dtype=complex)
     lift1[np.ix_(sec, sec)] = x1
@@ -978,12 +982,13 @@ def test_sector_choi_bound_is_the_full_trace_bound_of_the_lifted_duals() -> None
     prog = sdp._program(deltas, 1)
     assert isinstance(prog, sdp._SectorProgram) and prog.ref == 1
     sec, pairs = prog.sector, prog.pairs
-    scal = np.array([3.0, 1.0])
-    delta = (scal[0] * deltas[0] + scal[1] * deltas[1]) / scal.sum()
+    weights = np.array([3.0, 1.0])
+    delta = (weights[0] * deltas[0] + weights[1] * deltas[1]) / weights.sum()
     x2 = (1.0 + np.abs(delta).sum()) * np.eye(2, dtype=complex)
     x1 = x2 + delta[np.ix_(sec, sec)]
-    pair_duals = np.diag(np.r_[np.zeros(2 * len(pairs)), 1.0]).astype(complex)
-    bound = prog.project_dual(_grouped(prog, [x1, x2, pair_duals]), scal)
+    # the member weights, then every pair dual and the p_b dual
+    scal = np.r_[weights, np.zeros(2 * len(pairs)), 1.0]
+    bound = prog.project_dual(_grouped(prog, [x1, x2]), scal)
     lift1 = np.zeros((4, 4), dtype=complex)
     lift2 = np.zeros((4, 4), dtype=complex)
     lift1[np.ix_(sec, sec)] = x1
