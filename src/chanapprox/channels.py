@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -246,8 +246,10 @@ def pauli_channel(p) -> Channel:
     return _weighted(zip(p, PAULI))
 
 
+@lru_cache(maxsize=None)
 def pauli_unitaries() -> tuple[Channel, ...]:
-    """The four Pauli conjugation channels (identity, X, Y, Z)."""
+    """The four Pauli conjugation channels (identity, X, Y, Z), built once:
+    a Channel is frozen and its Kraus operators are read-only."""
     return tuple(unitary_channel(s) for s in PAULI)
 
 

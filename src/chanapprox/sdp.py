@@ -64,21 +64,28 @@ weights) of its best bracket.
    whenever one exact-zero test on the stacked Delta_i allows it.
 
 A fixed objective is first bracketed in closed form at the maximally mixed
-reference, before program 1 is built (``_mixed_reference_solution``).
-rho = I/d and W0 = (1 - 1e-14) sign(Delta) / d are feasible, the factor
-absorbing the roundoff of sign, and give the lower bound Tr[Delta W0]. The
-dual pair X1 = Delta_+, X2 = Delta_- gives the upper bound
-lambda_max(Tr_1[Delta_+ + Delta_-]) = lambda_max(Tr_1|Delta|), computed by
-``_fixed_upper`` as the projected bound of a dual iterate is. The two sides
-meet, up to the factor, exactly when Tr_1|Delta| is a multiple of I. That
-holds for every qubit unitary pair (Tr_1 of the projector onto
-span{vec U, vec V} is a multiple of I at d = 2); for a qubit unitary
-against the covariant family, as measured on every fig1 row; and, by
-Schur's lemma, for every Delta invariant under a unitary group that acts
-irreducibly on the input, such as the difference of two Pauli channels. A
-bracket within tol is the answer, with 0 iterations and weight 1. Any other
-Delta is solved as if the closed form had not been tried: its bracket does
-not enter the solve's best bracket.
+reference, before program 1 is built (``_mixed_reference_solution``), and
+so is a family at given weights p. rho = I/d and
+W0 = (1 - 1e-14) (2 P+ - I) / d, P+ the projector onto the positive
+eigenspace of Delta(p) = sum_i p_i Delta_i, are feasible, the factor
+absorbing the roundoff of the eigenvectors, and give the lower bound
+min_i Tr[Delta_i W0]. The kernel of Delta(p) goes to -1, where a member of
+zero weight gains; for one Delta, W0 = (1 - 1e-14) sign(Delta) / d. The
+dual pair X1 = Delta(p)_+, X2 = Delta(p)_- gives the upper bound
+lambda_max(Tr_1|Delta(p)|), computed by ``_fixed_upper`` as the projected
+bound of a dual iterate is. Neither side needs p to be optimal: the width
+of the bracket is the proof (weak duality; Watrous, arXiv:1207.5726). For
+one Delta the two sides meet, up to the factor, exactly when Tr_1|Delta| is
+a multiple of I. That holds for every qubit unitary pair (Tr_1 of the
+projector onto span{vec U, vec V} is a multiple of I at d = 2); for a qubit
+unitary against the covariant family, as measured on every fig1 row; and,
+by Schur's lemma, for every Delta invariant under a unitary group that acts
+irreducibly on the input, such as the difference of two Pauli channels.
+For a qubit unitary against Pauli unitaries they meet at the water-filling
+weights of ``approx`` (every fig2 row, within 3e-13). A bracket within tol
+is the answer, with 0 iterations. Any other Delta is solved as if the
+closed form had not been tried: its bracket does not enter the solve's
+best bracket.
 
 The engine follows the standard path-following scheme with the HKM search
 direction and a Mehrotra predictor-corrector step. The step length to the
@@ -404,7 +411,7 @@ class _BlockProgram:
         np.negative(upper.imag, out=m[..., :nw, n + npair : nw])
         m[..., :nw, nw:] = 0.0
         m[..., nw:, :] = 0.0
-        if len(self.g_rows):
+        if self.h.size:  # h is shared by a stack; g_rows has a leading axis
             m += self.g_rows.swapaxes(-1, -2) @ (xz_scal[..., :, None] * self.g_rows)
         for i, (x, z, (off, gens, rows)) in enumerate(zip(x_mats, z_mats, self.spans)):
             l = len(gens)
@@ -1176,33 +1183,47 @@ def solve_fixed(delta: np.ndarray, ref_dim: int, tol: float) -> SdpSolution:
     return _run(_fixed_steps(delta, ref_dim, tol))
 
 
-def _mixed_reference_solution(delta, ref_dim: int) -> SdpSolution:
-    """The closed-form bracket on the diamond norm of delta at rho = I/d.
+def _mixed_reference_solution(deltas, weights, ref_dim: int) -> SdpSolution:
+    """The closed-form bracket at rho = I/d on the minimax program of the
+    family ``deltas`` at the mixture ``weights``; a single distance is the
+    family of one at weight 1.
 
-    Lower side: W0 = (1 - 1e-14) sign(delta) / d, feasible with rho = I/d
-    (the factor absorbs the roundoff of sign), and its value Tr[delta W0].
-    Upper side: the dual pair X1 = delta_+, X2 = delta_- through
-    ``_fixed_upper``, as a projected dual iterate.
+    Lower side: W = (1 - 1e-14) (2 P+ - I) / d with P+ the projector onto
+    the positive eigenspace of Delta(p) = sum_i p_i Delta_i, feasible with
+    rho = I/d (the factor absorbs the roundoff of the eigenvectors), and its
+    value min_i Tr[Delta_i W]. The kernel goes to -1: Tr[Delta(p) W] does
+    not see it, but a member of zero weight does, and for a qubit unitary
+    against Pauli unitaries that member gains exactly there. A family's
+    kernel is every eigenvalue within n eps of the largest modulus, whose
+    sign is roundoff; a single Delta sends only exact zeros to -1, since
+    the sign of a roundoff eigenvalue is then never the worse. Upper side:
+    the dual pair X1 = Delta(p)_+, X2 = Delta(p)_- through ``_fixed_upper``,
+    as a projected dual iterate.
     """
-    delta = np.asarray(delta, dtype=complex)
+    deltas = np.asarray(deltas, dtype=complex)
+    weights = np.asarray(weights, dtype=float)
+    k, n = deltas.shape[0], deltas.shape[-1]
+    delta = (weights @ deltas.reshape(k, -1)).reshape(n, n)
     lam, u = np.linalg.eigh(_herm(delta))
     u_h = u.conj().T
     parts = np.stack([u * np.maximum(lam, 0.0), u * np.maximum(-lam, 0.0)]) @ u_h
-    sign = (u * np.where(lam < 0.0, -1.0, 1.0)) @ u_h
+    kernel = 0.0 if k == 1 else n * np.finfo(float).eps * np.abs(lam).max()
+    sign = (u * np.where(lam > kernel, 1.0, -1.0)) @ u_h
     w = (1.0 - 1e-14) * _herm(sign) / ref_dim
     return SdpSolution(
-        primal=float(_trace_dot(delta, w).real),
-        dual=float(_fixed_upper(_herm(parts), delta, delta.shape[-1] // ref_dim)),
+        # Tr[Delta_i W] as _trace_dot's stacked product, one per member
+        primal=float((deltas.reshape(k, 1, -1) @ w.T.reshape(-1, 1)).real.min()),
+        dual=float(_fixed_upper(_herm(parts), delta, n // ref_dim)),
         witness_w=w,
         witness_rho=np.eye(ref_dim, dtype=complex) / ref_dim,
-        weights=np.ones(1),
+        weights=weights,
         iterations=0,
     )
 
 
 def _fixed_steps(delta, ref_dim, tol):
     """``solve_fixed`` as steps: none when the closed form closes."""
-    closed = _mixed_reference_solution(delta, ref_dim)
+    closed = _mixed_reference_solution(np.asarray(delta)[None], np.ones(1), ref_dim)
     if closed.gap <= tol:
         return closed
     sol = yield _program([delta], ref_dim), tol

@@ -70,10 +70,12 @@ def test_hull_interior_target_has_near_zero_distance() -> None:
 
 
 def test_worst_unitary_over_paulis() -> None:
+    # the README's quick start, which the Pauli-set route closes
     target = unitary_qubit(np.pi / 4, np.pi / 4, np.pi / 4)
     res = optimal_convex_approx(target, pauli_unitaries(), tol=1e-6)
-    npt.assert_allclose(res.distance, 1.5, atol=1e-5)
-    npt.assert_allclose(res.weights, np.full(4, 0.25), atol=1e-4)
+    assert res.iterations == 0
+    npt.assert_allclose(res.distance, 1.5, atol=1e-12)
+    npt.assert_allclose(res.weights, np.full(4, 0.25), atol=1e-12)
 
 
 def test_phase_unitary_over_identity_and_z() -> None:
@@ -199,9 +201,15 @@ def _log_kinds(monkeypatch) -> list:
     return kinds
 
 
+def _non_pauli_set() -> list:
+    """Three Pauli unitaries and a phase gate: no Pauli-set route, so a
+    unitary target's mixture takes the joint minimax solve."""
+    return [*pauli_unitaries()[:3], unitary_qubit(0.0, 1.3, 0.0)]
+
+
 def test_non_member_target_costs_one_minimax_solve(monkeypatch) -> None:
     kinds = _log_kinds(monkeypatch)
-    res = optimal_convex_approx(unitary_qubit(0.43, 0.91, 0.27), pauli_unitaries(), tol=1e-6)
+    res = optimal_convex_approx(unitary_qubit(0.43, 0.91, 0.27), _non_pauli_set(), tol=1e-6)
     assert res.iterations > 0
     assert kinds == ["minimax"]
     kinds.clear()
@@ -218,11 +226,13 @@ def test_only_exactly_covariant_families_take_the_sector_program(monkeypatch) ->
     nudged[1, 2] = nudged[2, 1] = 1e-300
     assert type(sdp._program([nudged], 2)) is sdp._Program
     # damping against a Pauli channel with unequal X and Y weights (a
-    # distance that the closed form at I/d leaves open) and fig2 rows are
-    # not covariant
+    # distance that the closed form at I/d leaves open), fig2 rows and a
+    # unitary target against a non-Pauli set are not covariant
+    fig2 = choi(unitary_qubit(0.43, 0.91, np.pi / 8))
+    assert type(sdp._program([fig2 - choi(ch) for ch in pauli_unitaries()], 2)) is sdp._Program
     kinds = _log_kinds(monkeypatch)
     diamond_sdp(damping(1.0, 0.5), pauli_channel([0.7, 0.2, 0.1, 0.0]), 1e-7)
-    sdp._run(cli._fig2_row((0.43, 0.91, np.pi / 8, 1e-6)))
+    optimal_convex_approx(unitary_qubit(0.43, 0.91, np.pi / 8), _non_pauli_set(), 1e-6)
     assert kinds == ["fixed", "minimax"]
 
 
@@ -280,9 +290,11 @@ def test_unitary_member_outside_diamond_unitarys_check_takes_its_fixed_solve(mon
 def test_member_with_zero_kraus_operators_takes_the_closed_form(monkeypatch) -> None:
     # damping(1, 0) is the identity channel with one Kraus operator, so its
     # distance is diamond_unitary's and only the Choi bound reaches the engine
+    # (with a Pauli Z member instead of the phase gate, the Choi bound
+    # would take the Pauli-set route and no solve at all)
     target = unitary_qubit(0.0, 0.5, 0.0)
     census = _log_census(monkeypatch)
-    upper, _ = approx_bounds(target, [damping(1.0, 0.0), unitary_channel(PAULI[3])], 1.0)
+    upper, _ = approx_bounds(target, [damping(1.0, 0.0), unitary_qubit(0.0, 1.5, 0.0)], 1.0)
     assert census == [("sector-minimax", 1)]
     assert upper == diamond_unitary(target.kraus[0], np.eye(2)) == 0.9588510772084059
 
@@ -307,13 +319,13 @@ def test_stalled_joint_bracket_is_closed_by_the_dual_program(monkeypatch) -> Non
     # Rare rows stall the joint bracket above 1e-7 (the upper side, or both
     # sides by a few 1e-7); the dual program at the weights then closes it.
     target = unitary_qubit(0.43, 0.91, 0.27)
-    plain = optimal_convex_approx(target, pauli_unitaries(), tol=1e-6)
+    plain = optimal_convex_approx(target, _non_pauli_set(), tol=1e-6)
     for stall in (
         {"dual": lambda sol: sol.primal + 2e-7},
         {"primal": lambda sol: sol.primal - 5e-7, "dual": lambda sol: sol.dual + 5e-7},
     ):
         kinds = _widen_joint(monkeypatch, **stall)
-        res = optimal_convex_approx(target, pauli_unitaries(), tol=1e-6)
+        res = optimal_convex_approx(target, _non_pauli_set(), tol=1e-6)
         assert kinds == ["minimax", "dual"]
         assert res.weights.tobytes() == plain.weights.tobytes()
         assert res.witness.gap <= 1e-7
@@ -326,12 +338,16 @@ def test_joint_bound_far_below_the_distance_raises_and_approx_exits_3(monkeypatc
     # are not certified near-optimal
     _widen_joint(monkeypatch, primal=lambda sol: sol.dual - 2e-6)
     with pytest.raises(NoConvergenceError, match="above the certified optimum"):
-        optimal_convex_approx(unitary_qubit(0.43, 0.91, 0.27), pauli_unitaries(), tol=1e-6)
+        optimal_convex_approx(unitary_qubit(0.43, 0.91, 0.27), _non_pauli_set(), tol=1e-6)
     # a looser tol accepts the same weights
-    loose = optimal_convex_approx(unitary_qubit(0.43, 0.91, 0.27), pauli_unitaries(), tol=1e-5)
+    loose = optimal_convex_approx(unitary_qubit(0.43, 0.91, 0.27), _non_pauli_set(), tol=1e-5)
     assert loose.witness.gap <= 1e-7
+    # the identity and a phase gate: no Pauli-set route
     phase = '{"kind": "unitary", "alpha": 0, "beta": 0.5, "delta": 0}'
-    members = ['{"kind": "pauli", "p": [1, 0, 0, 0]}', '{"kind": "pauli", "p": [0, 0, 0, 1]}']
+    members = [
+        '{"kind": "pauli", "p": [1, 0, 0, 0]}',
+        '{"kind": "unitary", "alpha": 0, "beta": 1.3, "delta": 0}',
+    ]
     assert cli.main(["approx", phase, *members]) == cli.EXIT_NOCONVERGENCE
     assert "above the certified optimum" in capsys.readouterr().err
 
@@ -352,36 +368,142 @@ def _recheck_witness(target, members, res) -> None:
 
 def test_mixture_witness_rechecks_from_its_matrices() -> None:
     paulis = pauli_unitaries()
-    # a fig2 row and a fig3 row: the damping weights (1-2p, p, p, 0) mix
-    # the four Paulis into the same channel as the two-endpoint mixture
-    for fig2_target in (
-        unitary_qubit(0.43, 0.91, np.pi / 8),
-        # rows whose joint bracket stalls: its upper side, then both sides
-        unitary_qubit(np.pi / 6, np.pi / 3, 1.5 * np.pi + 0.0023),
-        unitary_qubit(np.pi / 6, 0.0, 5.79819173389371),
-    ):
-        _recheck_witness(fig2_target, paulis, optimal_convex_approx(fig2_target, paulis, 1e-6))
+    # a unitary target against a non-Pauli set and a fig3 row: the damping
+    # weights (1-2p, p, p, 0) mix the four Paulis into the same channel as
+    # the two-endpoint mixture (the stalled fig2 rows are rechecked below)
+    target = unitary_qubit(0.43, 0.91, np.pi / 8)
+    members = _non_pauli_set()
+    _recheck_witness(target, members, optimal_convex_approx(target, members, 1e-6))
     _recheck_witness(damping(0.7, 0.5), paulis, pauli_distance_damping(0.7, 0.5))
     # near a member the joint lower bound dips below 0; W = 0 attains the 0
     near = unitary_qubit(3e-13, 0.0, 0.0)
-    members = [identity(2), unitary_channel(PAULI[1])]
+    members = [identity(2), unitary_qubit(0.3, 0.2, 0.1)]
     res = optimal_convex_approx(near, members, 1e-6)
+    assert res.iterations > 0
     assert res.witness.primal == 0.0 and not res.witness.witness_operator.any()
     _recheck_witness(near, members, res)
 
 
+# fig2 rows whose joint bracket stalls above 1e-7 on its own: the upper
+# side, then both sides; the Pauli-set route closes both
+_STALLED_FIG2_ROWS = (
+    (np.pi / 6, np.pi / 3, 4.714680286095766),
+    (np.pi / 6, 0.0, 5.79819173389371),
+)
+
+
+def _without_pauli_route(monkeypatch) -> None:
+    """Send Pauli-set problems to the joint minimax solve, as any other set."""
+    monkeypatch.setattr(approx, "_pauli_mixture", lambda *args: None)
+
+
 def test_stalled_rows_close_with_one_dual_solve(monkeypatch) -> None:
-    # Two fig2 rows whose joint bracket stalls above 1e-7 on its own: each
-    # takes the joint solve and one dual solve, and nothing else.
+    # Through the engine, each stalled row takes the joint solve and one
+    # dual solve, and nothing else.
     paulis = pauli_unitaries()
+    _without_pauli_route(monkeypatch)
     kinds = _log_kinds(monkeypatch)
-    for row in ((np.pi / 6, np.pi / 3, 4.714680286095766), (np.pi / 6, 0.0, 5.79819173389371)):
+    for row in _STALLED_FIG2_ROWS:
         kinds.clear()
         target = unitary_qubit(*row)
         res = optimal_convex_approx(target, paulis, 1e-6)
         assert kinds == ["minimax", "dual"], row
         assert res.witness.gap <= 1e-7
         _recheck_witness(target, paulis, res)
+
+
+def test_stalled_rows_close_in_closed_form(monkeypatch) -> None:
+    paulis = pauli_unitaries()
+    kinds = _log_kinds(monkeypatch)
+    # a row next to the first, whose joint bracket closes on its own
+    for row in _STALLED_FIG2_ROWS + ((np.pi / 6, np.pi / 3, 1.5 * np.pi + 0.0023),):
+        target = unitary_qubit(*row)
+        res = optimal_convex_approx(target, paulis, 1e-6)
+        assert res.iterations == 0 and res.witness.gap <= 1e-12
+        _recheck_witness(target, paulis, res)
+    assert kinds == []
+
+
+# --- the Pauli-set route ----------------------------------------------------
+
+
+def _recheck_pauli_route(target, members, res) -> None:
+    """Re-check a closed Pauli-set certificate from its matrices alone: W is
+    strictly feasible at rho = I/2, every member's Tr[Delta_i W] reaches the
+    lower side, and the upper side is lambda_max(Tr_out|Delta(p)|) of the
+    mixture at the weights."""
+    cert = res.witness
+    assert res.iterations == 0 and cert.gap <= 1e-12
+    assert np.all(res.weights >= 0.0) and abs(res.weights.sum() - 1.0) <= 1e-12
+    _recheck_witness(target, members, res)
+    rho, w = cert.witness_state, cert.witness_operator
+    npt.assert_array_equal(rho, np.eye(2) / 2)
+    # the margin 1e-14 / 2 stands above the eigensolver's roundoff
+    lift = np.kron(np.eye(2), rho)
+    assert min(np.linalg.eigvalsh(lift - w)[0], np.linalg.eigvalsh(lift + w)[0]) >= 1e-15
+    for ch in members:
+        assert np.einsum("ab,ba->", choi(target) - choi(ch), w).real >= cert.primal - 1e-12
+    delta = choi(target) - sum(p * choi(ch) for p, ch in zip(res.weights, members))
+    lam, u = np.linalg.eigh(delta)
+    magnitude = (u * np.abs(lam)) @ u.conj().T
+    reduced = np.trace(magnitude.reshape(2, 2, 2, 2), axis1=0, axis2=2)
+    assert abs(np.linalg.eigvalsh(reduced)[-1] - cert.dual) <= 1e-12
+
+
+def test_pauli_route_closes_inside_the_engine_bracket_on_every_subset(monkeypatch) -> None:
+    # random targets, and a phase rotation whose overlaps with X and Y are
+    # zero, so that Delta(p) has a kernel that the lower side must send to -1
+    gen = helpers.rng(70)
+    targets = [unitary_channel(helpers.random_unitary(2, gen)) for _ in range(3)]
+    targets.append(unitary_qubit(0.0, 0.3, 0.0))
+    paulis = pauli_unitaries()
+    subsets = [c for k in range(1, 5) for c in itertools.combinations(range(4), k)]
+    for target in targets:
+        for subset in subsets:
+            members = [paulis[i] for i in subset]
+            kinds = _log_kinds(monkeypatch)
+            res = optimal_convex_approx(target, members, 1e-6)
+            assert kinds == [], subset
+            monkeypatch.undo()
+            _recheck_pauli_route(target, members, res)
+            deltas = approx._simplex_deltas(target, members)
+            engine = sdp._solve_ipm(sdp._program(deltas, 2), 1e-8)
+            assert engine.primal - 1e-12 <= res.witness.primal, subset
+            assert res.witness.dual <= engine.dual + 1e-12, subset
+
+
+def test_pauli_route_needs_a_unitary_target_and_distinct_pauli_members() -> None:
+    paulis = pauli_unitaries()
+    target = unitary_qubit(0.43, 0.91, 0.27)
+    deltas = approx._simplex_deltas(target, paulis)
+    assert approx._pauli_mixture(target, paulis, deltas) is not None
+    # a vertex Pauli spec is the Pauli unitary, bit for bit
+    vertices = [pauli_channel(np.eye(4)[i]) for i in range(4)]
+    assert approx._pauli_mixture(target, vertices, deltas) is not None
+    for other_target, members in (
+        (damping(0.7, 0.5), paulis),  # not unitary
+        (tensor(target, target), [tensor(p, p) for p in paulis]),  # not a qubit
+        (target, [paulis[0], paulis[0]]),  # a repeated member
+        (target, _non_pauli_set()),
+    ):
+        deltas = approx._simplex_deltas(other_target, members)
+        assert approx._pauli_mixture(other_target, members, deltas) is None
+
+
+def test_pauli_set_bounds_take_no_solve(monkeypatch) -> None:
+    # Every member distance is a unitary pair's closed form, and the Choi
+    # bound reads the route's lower side: 2 W is feasible at reference
+    # dimension 1, where the trace program has the same optimum.
+    target = unitary_qubit(0.43, 0.91, 0.27)
+    paulis = pauli_unitaries()
+    engine = sdp.solve_minimax(approx._simplex_deltas(target, paulis), 1, 1e-8)
+    census = _log_census(monkeypatch)
+    res = optimal_convex_approx(target, paulis, 1e-6)
+    upper, lower = approx_bounds(target, paulis, res.distance)
+    assert census == []
+    assert lower == min(res.witness.primal, res.distance)
+    assert abs(lower - engine.primal / 2) <= 1e-7
+    assert lower <= res.distance <= upper
 
 
 def test_vertex_optimal_target_matches_the_vertex_distance() -> None:

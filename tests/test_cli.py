@@ -123,7 +123,10 @@ def test_approx_vertex_pauli_members_take_the_unitary_closed_form(capsys) -> Non
 
 
 def test_approx_text_output_lists_every_field(capsys) -> None:
-    z_spec = '{"kind": "pauli", "p": [0, 0, 0, 1]}'
+    # Z as a unitary spec: its Choi matrix differs from the Pauli Z's in
+    # the last bits, so the mixture takes the joint solve, not the
+    # Pauli-set route
+    z_spec = '{"kind": "unitary", "alpha": 0, "beta": 1.5707963267948966, "delta": 0}'
     assert cli.main(["approx", PHASE_U, IDENTITY, z_spec]) == cli.EXIT_OK
     out = capsys.readouterr().out
     lines = dict(line.split(": ", 1) for line in out.strip().splitlines())
@@ -145,6 +148,19 @@ def test_approx_text_output_lists_every_field(capsys) -> None:
     assert lower <= distance <= upper + 1e-6
     assert 0.0 <= float(lines["certificate gap"]) <= 1e-6
     assert int(lines["iterations"]) > 0
+
+
+def test_approx_over_the_pauli_vertices_takes_no_iteration(capsys) -> None:
+    # the README's worst-case unitary against the four vertex Pauli specs:
+    # the Pauli-set route closes it, and every bound is in closed form
+    angle = 0.7853981633974483
+    target = json.dumps({"kind": "unitary", "alpha": angle, "beta": angle, "delta": angle})
+    vertices = [json.dumps({"kind": "pauli", "p": row.tolist()}) for row in np.eye(4)]
+    assert cli.main(["approx", target, *vertices]) == cli.EXIT_OK
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.strip().splitlines())
+    assert lines["iterations"] == "0"
+    assert float(lines["certificate gap"]) <= 1e-12
+    assert abs(float(lines["distance"]) - 1.5) <= 1e-12
 
 
 # --- exit codes ------------------------------------------------------------

@@ -32,7 +32,7 @@ from chanapprox import (
 )
 from chanapprox.approx import two_copy_problem
 from chanapprox.channels import PAULI
-from chanapprox import cli, diamond, sdp
+from chanapprox import approx, cli, diamond, sdp
 from chanapprox.errors import NoConvergenceError
 
 import helpers
@@ -409,12 +409,15 @@ def _open_distance_row(q: float, gamma: float, tol: float):
     return diamond._diamond_sdp_steps(damping(q, gamma), pauli_channel(_SKEW_PAULI), tol)
 
 
-def test_batched_solves_match_solo_solves_bit_for_bit() -> None:
+def test_batched_solves_match_solo_solves_bit_for_bit(monkeypatch) -> None:
     """A problem gives the same bits alone, in a batch, in the reversed batch
     and beside members that stop at other iterations."""
-    # The two (alpha, beta, delta) fig2 rows stall above 1e-7 and close
-    # their joint brackets with the dual program at their weights: every
-    # follow-up solve of a row.
+    # The Pauli-set route answers fig2 rows in closed form; with it off,
+    # they take the joint minimax solve as any other set does. The two
+    # (alpha, beta, delta) rows stall above 1e-7 and close their joint
+    # brackets with the dual program at their weights: every follow-up
+    # solve of a row.
+    monkeypatch.setattr(approx, "_pauli_mixture", lambda *args: None)
     stalled = [(np.pi / 6, np.pi / 3, 4.714680286095766), (np.pi / 6, 0.0, 5.79819173389371)]
     rows = [_open_distance_row(q, gamma, 1e-9) for q, gamma in ((1.0, 0.3), (1.0, 0.5), (0.8, 0.5), (0.6, 0.9))]
     rows += [
@@ -517,15 +520,15 @@ def _raising_after_first_solve(steps):
 
 
 def test_a_raising_row_stops_alone_and_is_raised_after_its_window(monkeypatch) -> None:
-    items = [(alpha, beta, np.pi / 8, 1e-6) for alpha, beta in ((0.3, 0.9), (1.2, 0.4), (0.5, 0.5), (0.7, 0.4))]
-    alone = [np.array(sdp._run(cli._fig2_row(item))).tobytes() for item in items]
+    items = [(q, gamma, 1e-6) for q, gamma in ((0.3, 0.9), (1.0, 0.4), (0.5, 0.5), (0.7, 0.4))]
+    alone = [np.array(sdp._run(cli._fig3_row(item))).tobytes() for item in items]
     finished = {}
 
     def recorded(i, steps):
         finished[i] = np.array((yield from steps)).tobytes()
 
-    steps = [recorded(i, cli._fig2_row(item)) for i, item in enumerate(items)]
-    steps[1] = recorded(1, _raising_after_first_solve(cli._fig2_row(items[1])))
+    steps = [recorded(i, cli._fig3_row(item)) for i, item in enumerate(items)]
+    steps[1] = recorded(1, _raising_after_first_solve(cli._fig3_row(items[1])))
     monkeypatch.setattr(sdp, "_MAX_BATCH", 3)
     with pytest.raises(NoConvergenceError, match="forced"):
         sdp._run_all(steps)
@@ -877,10 +880,10 @@ def test_an_open_closed_form_leaves_the_solve_bit_for_bit(monkeypatch) -> None:
     assert counts == ["_Program", "_Program", "_DualProgram", "_Program", "_Program"]
     closed = sdp._mixed_reference_solution
     # a bracket merged into the solve's would move the near miss's lower side
-    assert closed(near, 2).primal > sdp.solve_fixed(near, 2, 1e-7).primal
+    assert closed([near], [1.0], 2).primal > sdp.solve_fixed(near, 2, 1e-7).primal
 
-    def open_bracket(delta, ref_dim):
-        return dataclasses.replace(closed(delta, ref_dim), dual=np.inf)
+    def open_bracket(deltas, weights, ref_dim):
+        return dataclasses.replace(closed(deltas, weights, ref_dim), dual=np.inf)
 
     monkeypatch.setattr(sdp, "_mixed_reference_solution", open_bracket)
     assert [_solution_bits(sdp.solve_fixed(*case)) for case in cases] == before
