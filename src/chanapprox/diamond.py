@@ -208,7 +208,13 @@ def diamond_sdp(a: Channel, b: Channel, tol: float = 1e-7) -> DiamondResult:
     of the certified two-sided bounds (gap <= tol). The interior-point
     iterations may be 0: a pair whose closed-form bracket at the maximally
     mixed input closes within tol (every qubit unitary pair, for one) is
-    certified by W = sign(Delta)/d and rho = I/d without a solve.
+    certified by W = sign(Delta)/d and rho = I/d without a solve. A pair
+    whose Choi difference is not diagonal-unitary-covariant then iterates
+    rho <- Tr_out|R Delta R| / ||R Delta R||_1, R = I (x) sqrt(rho), and is
+    certified without a solve by the first full-rank rho whose bracket
+    closes (most damping-vs-Pauli pairs and most d = 4 product pairs). The
+    interior-point engine runs only on the pairs both leave open, such as
+    those whose optimal input state is rank deficient.
     """
     return _diamond_of_delta(_checked_delta(a, b, tol), a.dim, tol)
 

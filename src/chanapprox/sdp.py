@@ -83,9 +83,24 @@ by Schur's lemma, for every Delta invariant under a unitary group that acts
 irreducibly on the input, such as the difference of two Pauli channels.
 For a qubit unitary against Pauli unitaries they meet at the water-filling
 weights of ``approx`` (every fig2 row, within 3e-13). A bracket within tol
-is the answer, with 0 iterations. Any other Delta is solved as if the
-closed form had not been tried: its bracket does not enter the solve's
-best bracket.
+is the answer, with 0 iterations.
+
+A single Delta whose closed form stays open, and which program 3 does not
+take (it is not DUC), goes on to a short iteration over the reference
+state (``_reference_iteration``) whose iteration 0 is that closed form. At
+a full-rank rho, with R = I (x) sqrt(rho), W = (1 - 1e-14) R sign(R Delta R)
+R gives the lower side ||R Delta R||_1 (``_best_at_state``, which the dual
+program's projection shares), and the dual pair X+- = R^-1 (R Delta R)_+-
+R^-1 gives the upper side lambda_max(Tr_1[X+ + X-]) through
+``_fixed_upper``. The two meet where Tr_1|R Delta R| = ||R Delta R||_1 rho,
+the fixed point of rho <- Tr_1|R Delta R| / ||R Delta R||_1 (Blahut 1972;
+Arimoto 1972). The first iterate whose own bracket is within tol is the
+answer, again with 0 iterations: ``SdpSolution.iterations`` counts
+interior-point iterations only. The iteration gives up on a singular or
+non-finite rho (a rank-deficient optimum cannot close this way) and, from
+iteration 5, when the gap's contraction over the last 5 iterations
+predicts more than 100 in all. Any Delta left open is solved as if neither
+had been tried: no bracket of theirs enters the solve's best bracket.
 
 The engine follows the standard path-following scheme with the HKM search
 direction and a Mehrotra predictor-corrector step. The step length to the
@@ -128,11 +143,11 @@ tighter certificate than that floor, ``_closing_steps`` recomputes the
 upper bound with program 2 on the full space, whose objective is again
 evaluated at an exactly feasible point, so both sides of the final
 certificate are exact. Its dual iterate gives a second lower bound: the
-best W at the iterate's reference state, in closed form. A stalled
-one-member solve (``solve_fixed``) closes this way, and so does a stalled
-joint minimax solve at the mixed Delta(p) of its weights: its witness has
-Tr[Delta(p) W] >= t and its upper side bounds the norm of Delta(p). Every
-certified distance therefore takes at most two solves.
+best W at the iterate's reference state, in closed form (``_best_at_state``).
+A stalled one-member solve (``solve_fixed``) closes this way, and so does a
+stalled joint minimax solve at the mixed Delta(p) of its weights: its
+witness has Tr[Delta(p) W] >= t and its upper side bounds the norm of
+Delta(p). Every certified distance therefore takes at most two solves.
 
 Batches. ``_solve_batch`` solves programs of one shape as one stack: one
 class, n, reference dimension, member count and, for program 3, kept pairs
@@ -161,6 +176,7 @@ generators it solves the programs pending in a round grouped by shape.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -173,6 +189,7 @@ _SQRT2 = np.sqrt(2.0)
 _MAX_ITER = 100
 _TRI_INV_BASE = 64
 _MAX_BATCH = 64
+_REFERENCE_CAP = 100
 
 
 # ---------------------------------------------------------------------------
@@ -692,18 +709,21 @@ class _SectorProgram(_Program):
 
 
 def _program(deltas, ref_dim: int) -> _Program:
-    """The sector program when n = d^2, the reference dimension is d or 1 and
-    every member is exactly zero off the sectors; the full program otherwise."""
+    """The sector program when ``_sectored``, the full program otherwise."""
     deltas = np.stack([np.asarray(d, dtype=complex) for d in deltas])
+    return (_SectorProgram if _sectored(deltas, ref_dim) else _Program)(deltas, ref_dim)
+
+
+def _sectored(deltas, ref_dim: int) -> bool:
+    """Whether the stack ``deltas`` is a DUC family: n = d^2, the reference
+    dimension is d or 1 and every member is exactly zero off the sectors."""
     d = math.isqrt(deltas.shape[-1])
-    if (
+    return (
         d > 1
         and d * d == deltas.shape[-1]
         and ref_dim in (d, 1)
         and not deltas[:, ~_sector_mask(d)].any()
-    ):
-        return _SectorProgram(deltas, ref_dim)
-    return _Program(deltas, ref_dim)
+    )
 
 
 class _DualProgram(_BlockProgram):
@@ -770,34 +790,45 @@ class _DualProgram(_BlockProgram):
         return -self._projected_pair(mats)[0]
 
     def _projected_pair(self, mats):
-        """(L, W, rho): the original program's point at the state rho of the
-        dual iterate's reference block and its objective L, or L = -inf
-        where that block has no positive trace.
+        """(L, W, rho): ``_best_at_state`` of the dual iterate's reference
+        block, with L = -inf where that block has no positive trace."""
+        return _best_at_state(self.delta, mats[1][..., 0, :, :], self.out)[:3]
 
-        W is the best one at rho (Watrous, arXiv:1207.5726): with
-        R = I (x) sqrt(rho), W = R sign(R Delta R) R, so L is the trace norm
-        of R Delta R. I (x) rho -+ W = R (I -+ sign) R are PSD; W is scaled
-        by 1 - 1e-14 to keep them so under roundoff.
-        """
-        evals, evecs = np.linalg.eigh(_herm(mats[1][..., 0, :, :]))
-        evals = np.clip(evals, 0.0, None)
-        tr = evals.sum(axis=-1)
-        valid = tr > 0.0
-        # an invalid iterate goes on at the maximally mixed state
-        p = np.where(valid[..., None], evals / np.where(valid, tr, 1.0)[..., None], 1.0 / self.ref)
-        evecs = np.where(valid[..., None, None], evecs, np.eye(self.ref))
-        evecs_h = evecs.conj().swapaxes(-1, -2)
-        rho = (evecs * p[..., None, :]) @ evecs_h
-        r = np.kron(np.eye(self.out), (evecs * np.sqrt(p)[..., None, :]) @ evecs_h)
-        lam, u = np.linalg.eigh(_herm(r @ self.delta @ r))
-        sign = (u * np.where(lam < 0.0, -1.0, 1.0)[..., None, :]) @ u.conj().swapaxes(-1, -2)
-        w = (1.0 - 1e-14) * _herm(r @ sign @ r)
-        return np.where(valid, _trace_dot(self.delta, w).real, -np.inf), w, rho
+
+def _best_at_state(delta, block, out: int):
+    """The best point of program 1 at the state of the Hermitian reference
+    block ``block``: (L, W, rho, p, v, lam, u).
+
+    rho is ``block`` with its negative eigenvalues clipped and its trace
+    normalized, rho = v diag(p) v^H, or I/d where that trace is not
+    positive (then L = -inf). W is the best witness at rho (Watrous,
+    arXiv:1207.5726): with R = I (x) sqrt(rho), R Delta R = u diag(lam) u^H
+    and W = R sign(R Delta R) R, so L = Tr[Delta W] is the trace norm of
+    R Delta R. I (x) rho -+ W = R (I -+ sign) R are PSD; W is scaled by
+    1 - 1e-14 to keep them so under roundoff. Takes stacks.
+    """
+    ref = block.shape[-1]
+    evals, evecs = np.linalg.eigh(_herm(block))
+    evals = np.clip(evals, 0.0, None)
+    tr = evals.sum(axis=-1)
+    valid = tr > 0.0
+    # an invalid block goes on at the maximally mixed state
+    p = np.where(valid[..., None], evals / np.where(valid, tr, 1.0)[..., None], 1.0 / ref)
+    evecs = np.where(valid[..., None, None], evecs, np.eye(ref))
+    evecs_h = evecs.conj().swapaxes(-1, -2)
+    rho = (evecs * p[..., None, :]) @ evecs_h
+    r = np.kron(np.eye(out), (evecs * np.sqrt(p)[..., None, :]) @ evecs_h)
+    lam, u = np.linalg.eigh(_herm(r @ delta @ r))
+    sign = (u * np.where(lam < 0.0, -1.0, 1.0)[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    w = (1.0 - 1e-14) * _herm(r @ sign @ r)
+    value = np.where(valid, _trace_dot(delta, w).real, -np.inf)
+    return value, w, rho, p, evecs, lam, u
 
 
 @dataclass
 class SdpSolution:
-    """Certified solution of one program instance."""
+    """Certified solution of one program instance; ``iterations`` counts
+    interior-point iterations, 0 for a bracket found without a solve."""
 
     primal: float
     dual: float
@@ -1173,12 +1204,15 @@ def solve_fixed(delta: np.ndarray, ref_dim: int, tol: float) -> SdpSolution:
 
     Returns a bracket with gap <= tol, falling back to the dual program when
     the first solve stops short; raises NoConvergenceError if the combined
-    bracket is still wider than tol. A delta whose closed-form bracket at the
-    maximally mixed reference closes within tol is answered without a solve,
-    with iterations 0 (see the module docstring); the first solve is
-    otherwise the minimax program of the family of one. A
-    diagonal-unitary-covariant delta at n = ref_dim^2 is solved on its
-    sectors (program 3).
+    bracket is still wider than tol. ``iterations`` counts interior-point
+    iterations, so it is 0 for a delta answered without a solve (see the
+    module docstring): one whose closed-form bracket at the maximally mixed
+    reference closes within tol, or, unless delta is
+    diagonal-unitary-covariant, one that the iteration over the reference
+    state then closes. The engine runs only when both leave delta open: the
+    minimax program of the family of one, or for a
+    diagonal-unitary-covariant delta at n = ref_dim^2 its sectors
+    (program 3).
     """
     return _run(_fixed_steps(delta, ref_dim, tol))
 
@@ -1222,14 +1256,65 @@ def _mixed_reference_solution(deltas, weights, ref_dim: int) -> SdpSolution:
 
 
 def _fixed_steps(delta, ref_dim, tol):
-    """``solve_fixed`` as steps: none when the closed form closes."""
-    closed = _mixed_reference_solution(np.asarray(delta)[None], np.ones(1), ref_dim)
+    """``solve_fixed`` as steps: none when the closed form or the reference
+    iteration closes."""
+    delta = np.asarray(delta)
+    closed = _mixed_reference_solution(delta[None], np.ones(1), ref_dim)
     if closed.gap <= tol:
         return closed
+    if not _sectored(delta[None], ref_dim):
+        iterated = _reference_iteration(delta, ref_dim, tol, closed.gap)
+        if iterated is not None:
+            return iterated
     sol = yield _program([delta], ref_dim), tol
     if sol.gap <= tol:
         return sol
     return (yield from _closing_steps(sol, delta, ref_dim, tol))
+
+
+def _reference_iteration(delta, ref_dim: int, tol: float, gap: float):
+    """The first iterate of rho <- Tr_1|R Delta R| / ||R Delta R||_1, with
+    R = I (x) sqrt(rho), whose own bracket is within tol; None when the
+    iteration gives up.
+
+    Iteration 0 is ``_mixed_reference_solution`` at rho = I/d, whose gap is
+    ``gap``; so iteration 1 is at rho = Tr_1|Delta| / ||Delta||_1. At each
+    iterate, ``_best_at_state`` gives the lower side L and the witness
+    (W, rho), and the dual pair X+- = R^-1 (R Delta R)_+- R^-1, with
+    X+ - X- = Delta, gives the upper side lambda_max(Tr_1[X+ + X-]) through
+    ``_fixed_upper``. The two sides meet where Tr_1|R Delta R| = L rho,
+    the fixed point of this Blahut-Arimoto-style map (Blahut 1972; Arimoto
+    1972). The iteration gives up on a non-finite or singular rho (a
+    rank-deficient optimum cannot close this way; a non-finite block makes
+    L = -inf), and, from iteration 5, when the contraction of the gap over
+    the last 5 iterations predicts more than ``_REFERENCE_CAP`` iterations
+    in all.
+    """
+    delta = np.asarray(delta, dtype=complex)
+    out = delta.shape[-1] // ref_dim
+    lam, u = np.linalg.eigh(_herm(delta))
+    gaps = [gap]
+    for k in itertools.count(1):
+        block = _trace_out((u * np.abs(lam)) @ u.conj().T, out)
+        lower, w, rho, p, v, lam, u = _best_at_state(delta, block, out)
+        if not (np.isfinite(lower) and p[0] > 0.0):
+            return None
+        # R^-1 u, with R^-1 = I (x) rho^-1/2 acting on the reference index;
+        # X+- = (R^-1 u) lam_+- (R^-1 u)^H
+        root_inv_u = ((v / np.sqrt(p)) @ v.conj().T @ u.reshape(out, ref_dim, -1)).reshape(u.shape)
+        parts = np.stack([root_inv_u * np.maximum(lam, 0.0), root_inv_u * np.maximum(-lam, 0.0)])
+        upper = _fixed_upper(_herm(parts @ root_inv_u.conj().T), delta, out)
+        gap = float(upper - lower)
+        if gap <= tol:
+            return SdpSolution(float(lower), float(upper), w, rho, np.ones(1), 0)
+        gaps.append(gap)
+        if k >= 5:
+            # give up unless the last 5 iterations' rate closes by
+            # _REFERENCE_CAP; at k = _REFERENCE_CAP this reads gap <= tol,
+            # so the iteration stops there at the latest
+            rate = gap / gaps[-6]
+            if not (rate < 1.0 and gap * rate ** ((_REFERENCE_CAP - k) / 5) <= tol):
+                return None
 
 
 def _closing_steps(sol, delta, ref_dim, tol):

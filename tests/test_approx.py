@@ -226,12 +226,13 @@ def test_only_exactly_covariant_families_take_the_sector_program(monkeypatch) ->
     nudged[1, 2] = nudged[2, 1] = 1e-300
     assert type(sdp._program([nudged], 2)) is sdp._Program
     # damping against a Pauli channel with unequal X and Y weights (a
-    # distance that the closed form at I/d leaves open), fig2 rows and a
-    # unitary target against a non-Pauli set are not covariant
+    # distance that the closed form at I/d and the reference iteration leave
+    # open), fig2 rows and a unitary target against a non-Pauli set are not
+    # covariant
     fig2 = choi(unitary_qubit(0.43, 0.91, np.pi / 8))
     assert type(sdp._program([fig2 - choi(ch) for ch in pauli_unitaries()], 2)) is sdp._Program
     kinds = _log_kinds(monkeypatch)
-    diamond_sdp(damping(1.0, 0.5), pauli_channel([0.7, 0.2, 0.1, 0.0]), 1e-7)
+    diamond_sdp(damping(1.0, 0.9), pauli_channel([0.7, 0.2, 0.1, 0.0]), 1e-7)
     optimal_convex_approx(unitary_qubit(0.43, 0.91, np.pi / 8), _non_pauli_set(), 1e-6)
     assert kinds == ["fixed", "minimax"]
 

@@ -24,8 +24,10 @@ PAULI_ID = '{"kind": "pauli", "p": [1, 0, 0, 0]}'
 PHASE_U = '{"kind": "unitary", "alpha": 0, "beta": 0.5235987755982988, "delta": 0}'
 DAMPING = '{"kind": "damping", "q": 1, "gamma": 0.5}'
 REF_PAULI = '{"kind": "pauli", "p": [0.75, 0.125, 0.125, 0]}'
-# Against DAMPING the closed form at the maximally mixed reference leaves this
-# one open (it closes on REF_PAULI), so the diamond command reaches the solver.
+# Against STEEP_DAMPING, whose optimal input state is pure, neither the closed
+# form at the maximally mixed reference nor the reference iteration closes
+# this one, so the diamond command reaches the solver.
+STEEP_DAMPING = '{"kind": "damping", "q": 1, "gamma": 0.9}'
 SKEW_PAULI = '{"kind": "pauli", "p": [0.7, 0.2, 0.1, 0]}'
 
 
@@ -213,7 +215,7 @@ def test_exit_code_no_convergence(monkeypatch, capsys) -> None:
         raise np.linalg.LinAlgError("forced")
 
     monkeypatch.setattr(sdp, "_lin_solve", singular)
-    assert cli.main(["diamond", DAMPING, SKEW_PAULI]) == cli.EXIT_NOCONVERGENCE
+    assert cli.main(["diamond", STEEP_DAMPING, SKEW_PAULI]) == cli.EXIT_NOCONVERGENCE
     assert "above tolerance" in capsys.readouterr().err
 
 

@@ -317,7 +317,9 @@ def _log_solves(monkeypatch) -> list:
 def test_closed_form_census_of_solves(monkeypatch) -> None:
     """Qubit unitary pairs, unitary-vs-covariant pairs and fig1 rows close at
     the maximally mixed reference and reach the engine 0 times; a damping vs
-    Pauli pair and a d = 4 unitary product keep their one solve each."""
+    Pauli pair and a d = 4 unitary product close in the reference iteration
+    and reach it 0 times; pairs whose optimal reference state is rank
+    deficient keep their one solve each."""
     gen = helpers.rng(57)
     unitaries = [unitary_qubit(*gen.uniform(0.0, np.pi / 2, size=3)) for _ in range(8)]
     closing = list(zip(unitaries[:4], unitaries[4:]))
@@ -331,9 +333,19 @@ def test_closed_form_census_of_solves(monkeypatch) -> None:
     for x, analytic, _, distance, gap in rows:
         assert gap <= 1e-9 and abs(distance - analytic) <= 1e-9, x
     u1, u2, r1, r2 = (unitary_qubit(*angles) for angles in gen.uniform(0.0, 1.5, size=(4, 3)))
-    opened = [
-        (damping(1.0, 0.5), pauli_channel([0.7, 0.2, 0.1, 0.0]), 2),
+    skew = pauli_channel([0.7, 0.2, 0.1, 0.0])
+    iterated = [
+        (damping(1.0, 0.5), skew, 2),
         (tensor(u1, u2), tensor(compose(u1, r1), compose(u2, r2)), 4),
+    ]
+    for a, b, d in iterated:
+        log.clear()
+        assert sdp.solve_fixed(choi(a) - choi(b), d, 1e-7).iterations == 0
+        assert diamond_sdp(a, b, 1e-7).gap <= 1e-7
+        assert log == []
+    opened = [
+        (damping(1.0, 0.9), skew, 2),
+        (tensor(damping(1.0, 0.9), identity(2)), tensor(skew, identity(2)), 4),
     ]
     for a, b, d in opened:
         log.clear()

@@ -42,6 +42,7 @@ TOL = 1e-8
 #: Pauli weights with X != Y: damping against this channel is not DUC, and
 #: the closed form at the maximally mixed reference leaves the damping
 #: pairs used here open (it closes some others, such as q = gamma = 0.5).
+#: The reference iteration closes most of them; it gives up at gamma = 0.9.
 _SKEW_PAULI = [0.7, 0.2, 0.1, 0.0]
 
 
@@ -404,8 +405,9 @@ def _solution_bits(sol: sdp.SdpSolution) -> tuple:
 
 def _open_distance_row(q: float, gamma: float, tol: float):
     """The steps of one diamond distance that the closed form at the maximally
-    mixed reference leaves open, so that it takes a one-member solve: damping
-    against a Pauli channel with unequal X and Y weights (not DUC)."""
+    mixed reference leaves open, so that it takes a one-member solve when the
+    reference iteration is off: damping against a Pauli channel with unequal
+    X and Y weights (not DUC)."""
     return diamond._diamond_sdp_steps(damping(q, gamma), pauli_channel(_SKEW_PAULI), tol)
 
 
@@ -418,6 +420,9 @@ def test_batched_solves_match_solo_solves_bit_for_bit(monkeypatch) -> None:
     # brackets with the dual program at their weights: every follow-up
     # solve of a row.
     monkeypatch.setattr(approx, "_pauli_mixture", lambda *args: None)
+    # The reference iteration closes the four distances; with it off, they
+    # take their one-member solves.
+    monkeypatch.setattr(sdp, "_reference_iteration", lambda *args: None)
     stalled = [(np.pi / 6, np.pi / 3, 4.714680286095766), (np.pi / 6, 0.0, 5.79819173389371)]
     rows = [_open_distance_row(q, gamma, 1e-9) for q, gamma in ((1.0, 0.3), (1.0, 0.5), (0.8, 0.5), (0.6, 0.9))]
     rows += [
@@ -673,9 +678,10 @@ def _worst_unitary_deltas() -> list[np.ndarray]:
 
 
 def _open_delta() -> np.ndarray:
-    """A Delta that the closed form at the maximally mixed reference leaves
-    open (width 0.096), so that ``solve_fixed`` reaches the engine."""
-    return choi(damping(1.0, 0.5)) - choi(pauli_channel(_SKEW_PAULI))
+    """A Delta that the closed form at the maximally mixed reference and the
+    reference iteration leave open, so that ``solve_fixed`` reaches the
+    engine: its optimal reference state is pure, and the iteration gives up."""
+    return choi(damping(1.0, 0.9)) - choi(pauli_channel(_SKEW_PAULI))
 
 
 def test_linalg_error_ends_the_solve_with_its_bracket(monkeypatch) -> None:
@@ -860,7 +866,9 @@ def test_an_open_closed_form_leaves_the_solve_bit_for_bit(monkeypatch) -> None:
     """On a Delta that the closed form leaves open, the solve gives the bits
     it gives with that bracket forced to infinite width: a one-member solve,
     a solve that falls back to the dual program, a d = 4 unitary product, and
-    a near miss whose closed-form lower side beats the solve's."""
+    a near miss whose closed-form lower side beats the solve's. The reference
+    iteration, which closes the last three, is off."""
+    monkeypatch.setattr(sdp, "_reference_iteration", lambda *args: None)
     u1, u2 = (unitary_qubit(*angles) for angles in ((0.4, 1.1, 2.0), (0.9, 0.3, 4.0)))
     r1, r2 = unitary_qubit(0.3, 0.0, 0.0), unitary_qubit(0.0, 0.5, 0.0)
     product = choi(tensor(u1, u2)) - choi(tensor(compose(u1, r1), compose(u2, r2)))
@@ -891,6 +899,190 @@ def test_an_open_closed_form_leaves_the_solve_bit_for_bit(monkeypatch) -> None:
 
 def test_mixed_reference_bracket_is_a_true_bracket() -> None:
     properties.check_mixed_reference_bracket_is_a_true_bracket(pairs=2)
+
+
+# --- reference iteration -------------------------------------------------------
+
+
+def _nearly_pure_iterated_cases() -> list:
+    """(Delta, reference dimension) pairs that the reference iteration closes
+    at 1e-7 and at 1e-9 at a nearly pure state (least eigenvalue below 1e-5):
+    damping against a skew Pauli channel, and a d = 4 unitary product."""
+    u1, u2 = (unitary_qubit(*angles) for angles in ((0.4, 1.1, 2.0), (0.9, 0.3, 4.0)))
+    r1, r2 = unitary_qubit(0.3, 0.0, 0.0), unitary_qubit(0.0, 0.5, 0.0)
+    pairs = [
+        (damping(1.0, 0.5), pauli_channel(_SKEW_PAULI)),
+        (tensor(u1, u2), tensor(compose(u1, r1), compose(u2, r2))),
+    ]
+    return [(choi(a) - choi(b), a.dim) for a, b in pairs]
+
+
+def _well_conditioned_iterated_cases() -> list:
+    """(Delta, reference dimension) pairs that the reference iteration closes
+    at 1e-7 and at 1e-9 at a state whose least eigenvalue is above 0.2:
+    damping against Pauli channels, and two d = 4 noisy products."""
+    pairs = [
+        (damping(0.6, 0.9), pauli_channel(_SKEW_PAULI)),
+        (damping(0.7, 0.5), pauli_channel([0.6, 0.2, 0.1, 0.1])),
+    ]
+    for (q, gamma, p), w1, w2 in (
+        ((0.4, 0.6, 0.3), [0.3, 0.3, 0.2, 0.2], [0.25, 0.35, 0.25, 0.15]),
+        ((0.6, 0.2, 0.3), [0.2, 0.3, 0.3, 0.2], [0.3, 0.3, 0.3, 0.1]),
+    ):
+        pairs.append((tensor(damping(q, gamma), covariant(p)), tensor(pauli_channel(w1), pauli_channel(w2))))
+    return [(choi(a) - choi(b), a.dim) for a, b in pairs]
+
+
+def _rebuilt_upper(delta: np.ndarray, rho: np.ndarray, ref_dim: int) -> tuple[float, float]:
+    """The upper side at rho rebuilt with NumPy alone, and its roundoff
+    allowance.
+
+    With R = I (x) sqrt(rho): X- = R^-1 (R Delta R)_- R^-1 and X+ = X- + Delta,
+    both raised by one multiple of I until PSD (Weyl), give the bound
+    lambda_max(Tr_1[X+ + X-]). R^-1 scales the roundoff of the rebuild by up
+    to 1 / lambda_min(rho), so the allowance is n eps ||Delta|| / lambda_min(rho).
+    """
+    n = delta.shape[0]
+    out = n // ref_dim
+    evals, evecs = np.linalg.eigh(rho)
+    root = np.kron(np.eye(out), (evecs * np.sqrt(evals)) @ evecs.conj().T)
+    root_inv = np.kron(np.eye(out), (evecs / np.sqrt(evals)) @ evecs.conj().T)
+    lam, u = np.linalg.eigh(root @ delta @ root)
+    x_minus = root_inv @ (u * np.maximum(-lam, 0.0)) @ u.conj().T @ root_inv
+    x_plus = x_minus + delta
+    lift = max(0.0, -np.linalg.eigvalsh(x_plus)[0], -np.linalg.eigvalsh(x_minus)[0])
+    reduced = np.trace((x_plus + x_minus).reshape(out, ref_dim, out, ref_dim), axis1=0, axis2=2)
+    bound = np.linalg.eigvalsh(reduced)[-1] + 2 * out * lift
+    return bound, n * np.finfo(float).eps * np.linalg.norm(delta, 2) / evals[0]
+
+
+def _count_solves(monkeypatch) -> list:
+    """Log the size of every stack that reaches the engine."""
+    solve = sdp._solve_batch
+    stacks = []
+
+    def counted(progs, tols):
+        stacks.append(len(progs))
+        return solve(progs, tols)
+
+    monkeypatch.setattr(sdp, "_solve_batch", counted)
+    return stacks
+
+
+def test_reference_iteration_results_recheck_from_delta_and_their_matrices(monkeypatch) -> None:
+    """A Delta that the closed form at I/d leaves open and the reference
+    iteration closes takes no solve. Both sides re-check from Delta, W and rho
+    alone: the lower side within n eps ||.||, the upper side rebuilt from rho
+    within ``_rebuilt_upper``'s allowance. The bracket meets the engine's."""
+    eps = np.finfo(float).eps
+    stacks = _count_solves(monkeypatch)
+    for delta, ref_dim in _nearly_pure_iterated_cases() + _well_conditioned_iterated_cases():
+        for tol in (1e-7, 1e-9):
+            assert sdp._mixed_reference_solution([delta], [1.0], ref_dim).gap > tol
+            sol = sdp.solve_fixed(delta, ref_dim, tol)
+            assert stacks == []
+            assert (sol.iterations, sol.weights.tolist()) == (0, [1.0])
+            assert sol.primal <= sol.dual <= sol.primal + tol
+            w, rho = sol.witness_w, sol.witness_rho
+            n, out = w.shape[0], w.shape[0] // ref_dim
+            slack = n * eps * np.linalg.norm(w, 2)
+            assert abs(np.trace(rho) - 1.0) <= ref_dim * eps
+            assert np.linalg.eigvalsh(rho)[0] > 0.0
+            lift = np.kron(np.eye(out), rho)
+            assert np.linalg.eigvalsh(lift - w)[0] >= -slack
+            assert np.linalg.eigvalsh(lift + w)[0] >= -slack
+            assert np.einsum("ab,ba->", delta, w).real >= sol.primal - slack * trace_norm(delta)
+            bound, allowance = _rebuilt_upper(delta, rho, ref_dim)
+            assert sol.dual >= bound - allowance
+            ipm = sdp._solve_ipm(sdp._program([delta], ref_dim), tol)
+            stacks.clear()
+            roundoff = n * eps * trace_norm(delta)
+            assert sol.primal <= ipm.dual + roundoff and ipm.primal <= sol.dual + roundoff
+
+
+def test_reference_iteration_witness_is_strictly_feasible_at_a_well_conditioned_state() -> None:
+    """At a closing state whose least eigenvalue is above 0.2, the 1 - 1e-14
+    factor on W leaves I (x) rho -+ W at least 2e-15 above singular, beyond
+    the roundoff of W, so neither has a negative eigenvalue."""
+    for delta, ref_dim in _well_conditioned_iterated_cases():
+        for tol in (1e-7, 1e-9):
+            sol = sdp.solve_fixed(delta, ref_dim, tol)
+            assert np.linalg.eigvalsh(sol.witness_rho)[0] > 0.2
+            lift = np.kron(np.eye(delta.shape[0] // ref_dim), sol.witness_rho)
+            assert np.linalg.eigvalsh(lift - sol.witness_w)[0] >= 0.0
+            assert np.linalg.eigvalsh(lift + sol.witness_w)[0] >= 0.0
+
+
+def _count_iterates(monkeypatch) -> list:
+    """Log every iterate of the reference iteration: the calls of
+    ``_best_at_state`` on one block (the dual program's are stacked)."""
+    best = sdp._best_at_state
+    iterates = []
+
+    def counted(delta, block, out):
+        if block.ndim == 2:
+            iterates.append(1)
+        return best(delta, block, out)
+
+    monkeypatch.setattr(sdp, "_best_at_state", counted)
+    return iterates
+
+
+def test_an_input_the_reference_iteration_leaves_open_gets_the_engines_bits(monkeypatch) -> None:
+    """Pairs whose optimal reference state is rank deficient, and a noisy
+    product whose gap contracts too slowly: the iteration gives up well
+    before its cap of 100 iterations, and the solve then gives the bits it
+    gives with the iteration off."""
+    skew = pauli_channel(_SKEW_PAULI)
+    noisy = choi(tensor(damping(0.8, 0.4), covariant(0.3))) - choi(
+        tensor(pauli_channel([0.5, 0.2, 0.2, 0.1]), pauli_channel([0.4, 0.3, 0.2, 0.1]))
+    )
+    steep = choi(tensor(damping(1.0, 0.9), identity(2))) - choi(tensor(skew, identity(2)))
+    cases = [(_open_delta(), 2, 1e-7), (_open_delta(), 2, 1e-9), (steep, 4, 1e-7), (noisy, 4, 1e-7)]
+    iterates = _count_iterates(monkeypatch)
+    before = []
+    for case in cases:
+        iterates.clear()
+        sol = sdp.solve_fixed(*case)
+        assert sol.iterations > 0 and 5 <= len(iterates) < 50
+        before.append(_solution_bits(sol))
+    monkeypatch.setattr(sdp, "_reference_iteration", lambda *args: None)
+    assert [_solution_bits(sdp.solve_fixed(*case)) for case in cases] == before
+
+
+def test_a_singular_state_ends_the_reference_iteration(monkeypatch) -> None:
+    """Delta = D (x) |0><0| (not DUC: D is not diagonal) puts the first
+    iterate at the pure state |0><0|, where the iteration stops at once; the
+    engine certifies ||D||_1 at that state."""
+    d_out = np.array([[0.5, 0.3], [0.3, -0.25]], dtype=complex)
+    delta = np.kron(d_out, np.diag([1.0, 0.0]))
+    assert not sdp._sectored(delta[None], 2)
+    iterates = _count_iterates(monkeypatch)
+    sol = sdp.solve_fixed(delta, 2, 1e-7)
+    assert len(iterates) == 1 and sol.iterations > 0
+    assert abs(0.5 * (sol.primal + sol.dual) - trace_norm(d_out)) <= 1e-7
+
+
+def test_a_duc_delta_never_enters_the_reference_iteration(monkeypatch, capsys) -> None:
+    """A DUC Delta keeps its sector program: damping against the identity,
+    which the closed form at I/d leaves open, and every distance of the
+    ``twocopy`` study. A non-DUC Delta does enter."""
+    iterate = sdp._reference_iteration
+    entered = []
+
+    def logged(*args):
+        entered.append(args[1])
+        return iterate(*args)
+
+    monkeypatch.setattr(sdp, "_reference_iteration", logged)
+    duc = choi(damping(1.0, 1.0)) - choi(identity(2))
+    assert sdp._mixed_reference_solution([duc], [1.0], 2).gap > 1e-7
+    assert sdp.solve_fixed(duc, 2, 1e-7).iterations > 0
+    assert cli.main(["twocopy", "--format", "json"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert entered == []
+    sdp.solve_fixed(_open_delta(), 2, 1e-7)
+    assert entered == [2]
 
 
 # --- sector program ------------------------------------------------------------
