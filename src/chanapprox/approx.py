@@ -211,7 +211,7 @@ def approx_bounds(target: Channel, set, distance: float) -> tuple[float, float]:
         # d W is feasible at reference dimension 1, with value d t
         lower = closed.primal
     else:
-        lower = sdp.solve_minimax(delta_stack, 1, 1e-8).primal / target.dim
+        lower = sdp._solve_ipm(sdp._program(delta_stack, 1), 1e-8).primal / target.dim
     return upper, min(max(0.0, lower), distance)
 
 

@@ -28,7 +28,7 @@ from .errors import (
     SimplexError,
     SpecParseError,
 )
-from .linalg import dagger, kron
+from .linalg import _require_finite, dagger, kron
 
 __all__ = [
     "Channel",
@@ -148,8 +148,12 @@ def choi(ch: Channel) -> np.ndarray:
 
 
 def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel to a matrix: sum_k K_k rho K_k^dag."""
-    rho = np.asarray(rho, dtype=complex)
+    """Apply the channel to a matrix: sum_k K_k rho K_k^dag.
+
+    A rho of the wrong shape raises DimMismatchError, and one with a NaN or
+    infinite entry RangeError.
+    """
+    rho = _require_finite(np.asarray(rho, dtype=complex))
     if rho.shape != (ch.dim, ch.dim):
         raise DimMismatchError(f"state shape {rho.shape} != channel dim {ch.dim}")
     out = np.zeros_like(rho)
@@ -297,8 +301,10 @@ def channels_close(a: Channel, b: Channel, tol: float = 1e-8) -> bool:
     """Channel equality test: Frobenius distance of Choi operators <= tol.
 
     Kraus representations are non-unique, so equality is never decided on
-    the Kraus lists themselves.
+    the Kraus lists themselves.  A NaN or negative tol raises RangeError.
     """
+    if not tol >= 0.0:
+        raise RangeError(f"tol must be nonnegative, got {tol!r}")
     if a.dim != b.dim:
         return False
     return bool(np.linalg.norm(a.choi - b.choi) <= tol)

@@ -6,9 +6,12 @@ Output conventions
 CSV output has a comma-separated header row followed by data rows whose
 floats are printed with 12 significant digits, so identical invocations
 produce byte-identical files.  Wall-clock times are never written to CSV.
-JSON output is a record (or list of records) that echoes the inputs and
-carries a ``convention`` field stating the Choi-matrix ordering, so a
-record is interpretable without reading the source.
+JSON output of ``diamond`` and ``approx`` is one record, and of
+``twocopy`` a list of three: each echoes its inputs and gives the
+distance, its bounds, certificate gap and wall time.  A sweep's JSON
+holds its columns and rows.  Both carry a ``convention`` field stating
+the Choi-matrix ordering, so the output is interpretable without reading
+the source.
 
 Every emitted distance row embeds its certificate gap.  A sweep row whose
 gap exceeds the requested tolerance, or that violates a bound the sweep
@@ -31,7 +34,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,28 +75,16 @@ class SweepInvariantError(RuntimeError):
     """A sweep row violated a promised bound or certificate threshold."""
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    """One computed distance with its inputs, certificate, and timing."""
-
-    label: str
-    inputs: dict
-    distance: float
-    weights: tuple[float, ...] | None
-    bounds: dict
-    gap: float
-    wall_time: float
-
-    def to_json(self) -> dict:
-        doc: dict = {"label": self.label, "inputs": self.inputs}
-        doc["distance"] = self.distance
-        if self.weights is not None:
-            doc["weights"] = list(self.weights)
-        doc["bounds"] = self.bounds
-        doc["gap"] = self.gap
-        doc["wall_time_s"] = self.wall_time
-        doc["convention"] = _CONVENTION
-        return doc
+def _record(label: str, inputs: dict, res, wall_time: float, weights=None, **bounds) -> dict:
+    """The JSON record of the certified distance ``res`` (a ``DiamondResult``):
+    its inputs, mixture weights if any, ``bounds`` followed by the
+    certificate's primal and dual sides, its gap and its wall time."""
+    doc: dict = {"label": label, "inputs": inputs, "distance": res.value}
+    if weights is not None:
+        doc["weights"] = [float(w) for w in weights]
+    doc["bounds"] = {**bounds, "primal": res.primal, "dual": res.dual}
+    doc.update(gap=res.gap, wall_time_s=wall_time, convention=_CONVENTION)
+    return doc
 
 
 def _fmt(x) -> str:
@@ -180,7 +170,9 @@ def _load_channel_spec(text: str):
 
 
 def _fig1_row(item):
-    """(x, analytic D, optimal p, certified SDP D, gap) for one shift x."""
+    """(x, analytic D, optimal p, certified SDP D, gap) for one shift x: the
+    closed-form covariant approximation of the unitary at x, and the
+    certified SDP distance at its optimal mixing weight."""
     x, sdp_tol = item
     value, p_opt = covariance_distance_x(x)
     alpha = float(np.arcsin(np.clip(x / 2.0, -1.0, 1.0)))
@@ -200,7 +192,8 @@ def _fig2_row(item):
 
 
 def _fig3_row(item):
-    """(q, gamma, structured Pauli distance, gap) for one damping channel.
+    """(q, gamma, structured Pauli distance, gap) for one damping channel:
+    its distance to the closest Pauli channel with weights (1-2p, p, p, 0).
 
     The fig3 and fig4 rows reach ``approx.pauli_distance_damping`` through
     this module's ``pauli_distance_damping``, bound to its step form.
@@ -211,7 +204,8 @@ def _fig3_row(item):
 
 
 def _fig4_row(item):
-    """(gamma, distance, lower, upper, gap) for one damping strength."""
+    """(gamma, distance, lower, upper, gap) for one damping strength, with
+    the closed-form bracket [lower, upper] of the fig3 distance."""
     q, gamma, tol = item
     res = yield from pauli_distance_damping(q, gamma, tol)
     lower, upper = damping_bounds(q, gamma)
@@ -245,17 +239,9 @@ def cmd_diamond(args) -> int:
     start = time.perf_counter()
     res = diamond_sdp(chan_a, chan_b, args.tol)
     elapsed = time.perf_counter() - start
-    record = ResultRecord(
-        label="diamond",
-        inputs={"a": doc_a, "b": doc_b, "tol": args.tol},
-        distance=res.value,
-        weights=None,
-        bounds={"primal": res.primal, "dual": res.dual},
-        gap=res.gap,
-        wall_time=elapsed,
-    )
     if args.format == "json":
-        _emit(_json_text(record.to_json()), args.out)
+        inputs = {"a": doc_a, "b": doc_b, "tol": args.tol}
+        _emit(_json_text(_record("diamond", inputs, res, elapsed)), args.out)
     else:
         lines = [
             f"diamond distance: {_fmt(res.value)}",
@@ -276,22 +262,11 @@ def cmd_approx(args) -> int:
     res = optimal_convex_approx(target, members, tol)
     upper, lower = approx_bounds(target, members, res.distance)
     elapsed = time.perf_counter() - start
-    record = ResultRecord(
-        label="approx",
-        inputs={"target": doc_target, "set": docs, "tol": tol},
-        distance=res.distance,
-        weights=tuple(float(w) for w in res.weights),
-        bounds={
-            "upper_bound_single": upper,
-            "lower_bound_choi": lower,
-            "primal": res.witness.primal,
-            "dual": res.witness.dual,
-        },
-        gap=res.witness.gap,
-        wall_time=elapsed,
-    )
     if args.format == "json":
-        _emit(_json_text(record.to_json()), args.out)
+        inputs = {"target": doc_target, "set": docs, "tol": tol}
+        bounds = {"upper_bound_single": upper, "lower_bound_choi": lower}
+        record = _record("approx", inputs, res.witness, elapsed, res.weights, **bounds)
+        _emit(_json_text(record), args.out)
     else:
         lines = [
             f"distance: {_fmt(res.distance)}",
@@ -329,15 +304,7 @@ def cmd_twocopy(args) -> int:
             ("tensored", mc.tensored_witness, mc.single.weights, {}),
         )
         records = [
-            ResultRecord(
-                label=f"twocopy-{name}",
-                inputs={"copies": 2, "tol": tol},
-                distance=res.value,
-                weights=tuple(float(w) for w in weights),
-                bounds={**extra, "primal": res.primal, "dual": res.dual},
-                gap=res.gap,
-                wall_time=elapsed,
-            ).to_json()
+            _record(f"twocopy-{name}", {"copies": 2, "tol": tol}, res, elapsed, weights, **extra)
             for name, res, weights, extra in rows
         ]
         _emit(_json_text(records), args.out)
@@ -355,100 +322,87 @@ def cmd_twocopy(args) -> int:
     return EXIT_OK
 
 
-def cmd_fig1(args) -> int:
-    """Covariant-approximation sweep: analytic curve vs certified SDP.
+# ---------------------------------------------------------------------------
+# Figure sweeps, each described once: the subcommand help, the axes
+# (name, start, stop), the header, the default --grid, the fixed flag
+# (name, default, help) or None, whether the tolerance is clamped up to
+# _APPROX_TOL_FLOOR, the builder of a row worker's item from the parsed
+# arguments, a grid point and the tolerance, and the extra row check.
+# ---------------------------------------------------------------------------
 
-    Emits x, the closed-form distance and optimal mixing weight, the
-    certified SDP distance at that weight, and the certificate gap, for
-    x on a uniform grid over [0, 2].
-    """
-    return _run_sweep(
-        args,
-        _fig1_row,
+_SWEEPS = {
+    "fig1": dict(
+        help="covariant-approximation curve: analytic vs certified SDP",
         axes=(("x", 0.0, 2.0),),
         header=("x", "distance_analytic", "p_opt", "distance_sdp", "gap"),
-        tol=args.tol,
+        grid="201",
+        flag=None,
+        clamp=False,
         # Solve tighter than the row threshold so endpoint rows are exact to
         # well below the sweep tolerance.
-        item=lambda point, tol: (*point, max(1e-9, 0.01 * tol)),
+        item=lambda args, point, tol: (*point, max(1e-9, 0.01 * tol)),
         check=_fig1_check,
-    )
-
-
-def cmd_fig2(args) -> int:
-    """Pauli-mixture distance over a grid of qubit unitaries.
-
-    Sweeps the two rotation angles alpha, beta over [0, pi/2] at fixed
-    third angle delta (default pi/8) and emits the optimal mixture
-    distance with its certificate gap.
-    """
-    return _run_sweep(
-        args,
-        _fig2_row,
+    ),
+    "fig2": dict(
+        help="Pauli-mixture distance over a grid of qubit unitaries",
         axes=(("alpha", 0.0, np.pi / 2.0), ("beta", 0.0, np.pi / 2.0)),
         header=("alpha", "beta", "distance", "gap"),
-        tol=max(args.tol, _APPROX_TOL_FLOOR),
-        item=lambda point, tol: (*point, args.delta, tol),
-    )
-
-
-def cmd_fig3(args) -> int:
-    """Structured Pauli distance over the damping-channel parameter square.
-
-    Sweeps q, gamma over [0, 1] and emits the distance of the closest
-    Pauli channel with weights (1-2p, p, p, 0), with certificate gaps.
-    """
-    return _run_sweep(
-        args,
-        _fig3_row,
+        grid="41x41",
+        flag=("--delta", np.pi / 8.0, "fixed third rotation angle (default pi/8)"),
+        clamp=True,
+        item=lambda args, point, tol: (*point, args.delta, tol),
+        check=None,
+    ),
+    "fig3": dict(
+        help="structured Pauli distance over the damping parameter square",
         axes=(("q", 0.0, 1.0), ("gamma", 0.0, 1.0)),
         header=("q", "gamma", "distance", "gap"),
-        tol=max(args.tol, _APPROX_TOL_FLOOR),
-        item=lambda point, tol: (*point, tol),
-    )
-
-
-def cmd_fig4(args) -> int:
-    """Distance vs damping strength at fixed q, with analytic bracket.
-
-    Emits gamma, the structured Pauli distance, the closed-form lower and
-    upper bounds, and the certificate gap.  Every row must satisfy
-    lower <= distance <= upper; a violation aborts the sweep.
-    """
-    return _run_sweep(
-        args,
-        _fig4_row,
+        grid="33x33",
+        flag=None,
+        clamp=True,
+        item=lambda args, point, tol: (*point, tol),
+        check=None,
+    ),
+    "fig4": dict(
+        help="damping distance vs gamma with analytic bracket",
         axes=(("gamma", 0.0, 1.0),),
         header=("gamma", "distance", "lower", "upper", "gap"),
-        tol=max(args.tol, _APPROX_TOL_FLOOR),
-        item=lambda point, tol: (args.q, *point, tol),
+        grid="101",
+        flag=("--q", 0.7, "fixed rotation parameter of the damping channel (default 0.7)"),
+        clamp=True,
+        item=lambda args, point, tol: (args.q, *point, tol),
         check=_fig4_check,
-    )
+    ),
+}
 
 
-def _run_sweep(args, worker, axes, header, tol, item, check=None) -> int:
-    """Compute one figure's rows over the ``--grid``, check them, then emit.
+def _run_sweep(args) -> int:
+    """Compute the rows of the sweep ``args.command`` over the ``--grid``,
+    check them, then emit.
 
-    ``axes`` holds ``(name, start, stop)`` for each linearly spaced axis;
-    each axis needs at least 2 points.  ``item(point, tol)`` turns one
-    grid point into the argument of the row worker ``worker``, a step
-    generator whose rows start with the point and end with the
-    certificate gap; ``_map_rows`` solves the rows in batches.  ``tol``
-    must be finite and ``>= 1e-9`` (the certification floor of the
-    fixed-pair solver).  A gap not at most ``tol`` (NaN included), or a violation
-    named by ``check(row, tol)``, aborts the sweep before anything is
-    written.
+    Each axis needs at least 2 points.  The row worker ``_figN_row`` is
+    looked up in this module when the sweep runs, so a substitute bound to
+    that name (the benchmark tracer's, a test's) computes the rows; it is a
+    step generator whose rows start with the grid point and end with the
+    certificate gap, and ``_map_rows`` solves the rows in batches.  The
+    tolerance must be finite and ``>= 1e-9`` (the certification floor of
+    the fixed-pair solver).  A gap not at most the tolerance (NaN
+    included), or a violation named by the sweep's check, aborts the sweep
+    before anything is written.
     """
+    sweep = _SWEEPS[args.command]
+    axes, header, check = sweep["axes"], sweep["header"], sweep["check"]
     counts = _parse_grid(args.grid, len(axes))
     for (name, *_), count in zip(axes, counts):
         if count < 2:
             raise SpecParseError(f"axis {name}: count must be at least 2, got {count}")
     workers = _worker_count(args.parallel)
+    tol = max(args.tol, _APPROX_TOL_FLOOR) if sweep["clamp"] else args.tol
     if not 1e-9 <= tol < np.inf:
         raise SpecParseError(f"tolerance must be finite and at least 1e-9, got {tol}")
     grids = [np.linspace(lo, hi, n).tolist() for (_, lo, hi), n in zip(axes, counts)]
-    items = [item(point, tol) for point in itertools.product(*grids)]
-    rows = _map_rows(worker, items, workers)
+    items = [sweep["item"](args, point, tol) for point in itertools.product(*grids)]
+    rows = _map_rows(globals()[f"_{args.command}_row"], items, workers)
     for row in rows:
         if not (row[-1] <= tol):
             violation = f"certificate gap {row[-1]:.3e} exceeds tolerance {tol:.3e}"
@@ -520,24 +474,6 @@ def _add_output_flags(sub, formats: tuple[str, ...], default_format: str) -> Non
     )
 
 
-def _add_sweep_flags(sub, grid: str) -> None:
-    _add_output_flags(sub, ("csv", "json"), "csv")
-    sub.add_argument(
-        "--grid",
-        default=grid,
-        help=f"grid size: N for one sweep axis, NxM for two (default {grid})",
-    )
-    sub.add_argument(
-        "--parallel",
-        nargs="?",
-        const="auto",
-        default=None,
-        help="compute rows in a process pool (optionally give a worker "
-        "count, capped at the number of rows; output is byte-identical to "
-        "a serial run)",
-    )
-
-
 _SPEC_HELP = (
     "channel spec: inline JSON or a path to a JSON file, e.g. "
     '\'{"kind": "unitary", "alpha": 0.3, "beta": 0.0, "delta": 0.0}\''
@@ -576,43 +512,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, ("text", "json"), "text")
     p.set_defaults(func=cmd_twocopy)
 
-    p = sub.add_parser(
-        "fig1",
-        help="covariant-approximation curve: analytic vs certified SDP",
-    )
-    _add_sweep_flags(p, "201")
-    p.set_defaults(func=cmd_fig1)
-
-    p = sub.add_parser(
-        "fig2", help="Pauli-mixture distance over a grid of qubit unitaries"
-    )
-    p.add_argument(
-        "--delta",
-        type=float,
-        default=np.pi / 8.0,
-        help="fixed third rotation angle (default pi/8)",
-    )
-    _add_sweep_flags(p, "41x41")
-    p.set_defaults(func=cmd_fig2)
-
-    p = sub.add_parser(
-        "fig3",
-        help="structured Pauli distance over the damping parameter square",
-    )
-    _add_sweep_flags(p, "33x33")
-    p.set_defaults(func=cmd_fig3)
-
-    p = sub.add_parser(
-        "fig4", help="damping distance vs gamma with analytic bracket"
-    )
-    p.add_argument(
-        "--q",
-        type=float,
-        default=0.7,
-        help="fixed rotation parameter of the damping channel (default 0.7)",
-    )
-    _add_sweep_flags(p, "101")
-    p.set_defaults(func=cmd_fig4)
+    for name, sweep in _SWEEPS.items():
+        p = sub.add_parser(name, help=sweep["help"])
+        if sweep["flag"]:
+            flag, default, text = sweep["flag"]
+            p.add_argument(flag, type=float, default=default, help=text)
+        _add_output_flags(p, ("csv", "json"), "csv")
+        p.add_argument(
+            "--grid",
+            default=sweep["grid"],
+            help=f"grid size: N for one sweep axis, NxM for two (default {sweep['grid']})",
+        )
+        p.add_argument(
+            "--parallel",
+            nargs="?",
+            const="auto",
+            default=None,
+            help="compute rows in a process pool (optionally give a worker "
+            "count, capped at the number of rows; output is byte-identical to "
+            "a serial run)",
+        )
+        p.set_defaults(func=_run_sweep)
 
     return parser
 

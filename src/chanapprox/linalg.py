@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatchError, NonSquareError, NotHermitianError
+from .errors import DimMismatchError, NonSquareError, NotHermitianError, RangeError
 
 __all__ = [
     "HermEigen",
@@ -47,15 +47,27 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
+def _require_finite(a: np.ndarray) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise RangeError("matrix has NaN or infinite entries")
+    return a
+
+
 def _require_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
-    return a
+    return _require_finite(a)
 
 
 def is_hermitian(a: np.ndarray, tol: float = _HERM_TOL) -> bool:
-    """True if a is Hermitian within tol, relative to max(1, ||a||_F)."""
+    """True if a is Hermitian within tol, relative to max(1, ||a||_F).
+
+    A non-square a raises NonSquareError; a NaN or infinite entry of a, or
+    a NaN or negative tol, raises RangeError.
+    """
+    if not tol >= 0.0:
+        raise RangeError(f"tol must be nonnegative, got {tol!r}")
     a = _require_square(a)
     scale = max(1.0, np.linalg.norm(a))
     return np.linalg.norm(a - a.conj().T) <= tol * scale
@@ -65,9 +77,10 @@ def herm_eig(h: np.ndarray) -> HermEigen:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     The input is symmetrized internally; asymmetry beyond 1e-10 (relative
-    Frobenius, floored at 1) raises NotHermitianError.
+    Frobenius, floored at 1) raises NotHermitianError, and a non-square or
+    non-finite input is rejected as by ``is_hermitian``.
     """
-    h = _require_square(h)
+    h = np.asarray(h)
     if not is_hermitian(h):
         raise NotHermitianError("matrix is not Hermitian within 1e-10")
     sym = 0.5 * (h + h.conj().T)
@@ -79,17 +92,18 @@ def trace_norm(a: np.ndarray) -> float:
     """Sum of singular values ||a||_1.
 
     For Hermitian input this reduces to the sum of absolute eigenvalues,
-    which is the cheaper and more accurate path.
+    which is the cheaper and more accurate path.  A non-square or
+    non-finite a is rejected as by ``is_hermitian``.
     """
-    a = _require_square(a)
+    a = np.asarray(a)
     if is_hermitian(a):
         return float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (a + a.conj().T)))))
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value of a."""
-    return float(np.linalg.norm(np.asarray(a), 2))
+    """Largest singular value of a; a NaN or infinite entry raises RangeError."""
+    return float(np.linalg.norm(_require_finite(np.asarray(a)), 2))
 
 
 def partial_trace(
@@ -98,7 +112,8 @@ def partial_trace(
     """Partial trace of a matrix on a two-factor tensor-product space.
 
     factor_dims gives the dimensions (d1, d2) of the factors; traced_factor
-    selects the factor to trace out, counted from 1.
+    selects the factor to trace out, counted from 1.  A non-square m raises
+    NonSquareError, and a NaN or infinite entry of m RangeError.
     """
     m = _require_square(m)
     d1, d2 = factor_dims

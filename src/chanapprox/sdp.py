@@ -60,8 +60,8 @@ weights) of its best bracket.
    lifted duals, max_b [(X1 + X2)_bb + sum_{a != b} (x-_ab + x+_ab)] over
    the reference index b of each entry, so a sum over b at reference
    dimension 1; it is valid because Delta is exactly zero where the lift
-   puts zeros. ``solve_fixed`` and ``solve_minimax`` take this form
-   whenever one exact-zero test on the stacked Delta_i allows it.
+   puts zeros. ``_program`` builds this form whenever one exact-zero test
+   on the stacked Delta_i allows it.
 
 A fixed objective is first bracketed in closed form at the maximally mixed
 reference, before program 1 is built (``_mixed_reference_solution``), and
@@ -1349,17 +1349,3 @@ def _closing_steps(sol, delta, ref_dim, tol):
         weights=sol.weights,
         iterations=sol.iterations + dual_sol.iterations,
     )
-
-
-def solve_minimax(deltas, ref_dim: int, tol: float) -> SdpSolution:
-    """max_t { t <= Tr[delta_i W] } over the same feasible set as solve_fixed.
-
-    The optimum equals min over the simplex of the fixed-objective value of
-    the mixed delta (its trace norm at ref_dim = 1); SdpSolution.weights are
-    the optimal mixture weights, normalized (None if no dual iterate gave a
-    finite bound). Returns the best certified bracket found and never
-    raises: a gap above tol is left for the caller to judge. A
-    diagonal-unitary-covariant family at n = ref_dim^2 is solved on its
-    sectors (program 3).
-    """
-    return _solve_ipm(_program(deltas, ref_dim), tol)

@@ -497,7 +497,7 @@ def test_pauli_set_bounds_take_no_solve(monkeypatch) -> None:
     # dimension 1, where the trace program has the same optimum.
     target = unitary_qubit(0.43, 0.91, 0.27)
     paulis = pauli_unitaries()
-    engine = sdp.solve_minimax(approx._simplex_deltas(target, paulis), 1, 1e-8)
+    engine = sdp._solve_ipm(sdp._program(approx._simplex_deltas(target, paulis), 1), 1e-8)
     census = _log_census(monkeypatch)
     res = optimal_convex_approx(target, paulis, 1e-6)
     upper, lower = approx_bounds(target, paulis, res.distance)

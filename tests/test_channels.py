@@ -84,6 +84,12 @@ def test_apply_channel_rejects_dim_mismatch() -> None:
         apply_channel(identity(2), np.eye(3))
 
 
+def test_apply_channel_rejects_non_finite_entries() -> None:
+    for bad in (np.nan, np.inf):
+        with pytest.raises(RangeError, match="NaN or infinite"):
+            apply_channel(damping(0.5, 0.5), np.diag([1.0, bad]))
+
+
 # --- Choi matrices ----------------------------------------------------
 
 
@@ -423,6 +429,12 @@ def test_channels_close_tolerance() -> None:
     assert not channels_close(a, b)
     assert channels_close(a, b, tol=1e-3)
     assert not channels_close(identity(2), identity(3), tol=np.inf)
+
+
+def test_channels_close_rejects_a_nan_or_negative_tol() -> None:
+    for tol in (np.nan, -1e-8):
+        with pytest.raises(RangeError, match="tol"):
+            channels_close(identity(2), identity(2), tol=tol)
 
 
 # --- channel-spec parsing ---------------------------------------------

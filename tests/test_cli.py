@@ -561,6 +561,59 @@ def test_module_entry_point_runs_in_subprocess(capsys) -> None:
     assert b"error:" in proc.stderr
 
 
+# --- parser and sweep runner -------------------------------------------------
+
+_OUTPUT_DEFAULTS = {"tol": 1e-7, "out": None}
+_SWEEP_DEFAULTS = {**_OUTPUT_DEFAULTS, "format": "csv", "parallel": None}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["diamond", "A", "B"], {"a": "A", "b": "B", **_OUTPUT_DEFAULTS, "format": "text"}),
+        (
+            ["approx", "T", "M"],
+            {"target": "T", "members": ["M"], **_OUTPUT_DEFAULTS, "format": "text"},
+        ),
+        (["twocopy"], {**_OUTPUT_DEFAULTS, "format": "text"}),
+        (["fig1"], {**_SWEEP_DEFAULTS, "grid": "201"}),
+        (["fig2"], {**_SWEEP_DEFAULTS, "delta": np.pi / 8.0, "grid": "41x41"}),
+        (["fig3"], {**_SWEEP_DEFAULTS, "grid": "33x33"}),
+        (["fig4"], {**_SWEEP_DEFAULTS, "q": 0.7, "grid": "101"}),
+    ],
+)
+def test_bare_subcommand_parses_to_its_defaults(argv, expected) -> None:
+    args = vars(cli.build_parser().parse_args(argv))
+    assert callable(args.pop("func"))
+    assert args == {"command": argv[0], **expected}
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["fig1", "--grid", "3"], 3),
+        (["fig2", "--grid", "2x3"], 6),
+        (["fig3", "--grid", "3x2"], 6),
+        (["fig4", "--grid", "4"], 4),
+    ],
+)
+def test_sweep_runs_the_row_worker_bound_when_it_runs(tmp_path, monkeypatch, argv, count) -> None:
+    # a worker bound to its module name when the sweep runs, as the
+    # benchmark tracer binds its wrappers, computes every row
+    name = f"_{argv[0]}_row"
+    worker, items = getattr(cli, name), []
+
+    def counting(item):
+        items.append(item)
+        return (yield from worker(item))
+
+    monkeypatch.setattr(cli, name, counting)
+    out = tmp_path / "rows.csv"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+    assert len(items) == len(set(items)) == count
+    assert len(out.read_text().splitlines()) == 1 + count
+
+
 # --- benchmark tracer --------------------------------------------------------
 
 

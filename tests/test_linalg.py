@@ -10,6 +10,7 @@ from chanapprox import (
     HermEigen,
     dagger,
     herm_eig,
+    is_hermitian,
     kron,
     partial_trace,
     spectral_norm,
@@ -19,6 +20,7 @@ from chanapprox.errors import (
     DimMismatchError,
     NonSquareError,
     NotHermitianError,
+    RangeError,
 )
 
 import helpers
@@ -125,6 +127,21 @@ def test_herm_eig_rejects_non_hermitian() -> None:
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_herm_eig_rejects_non_finite_entries() -> None:
+    for bad in (np.nan, np.inf):
+        with pytest.raises(RangeError, match="NaN or infinite"):
+            herm_eig(np.diag([1.0, bad]))
+
+
+def test_is_hermitian_rejects_non_finite_entries_and_a_nan_or_negative_tol() -> None:
+    with pytest.raises(RangeError, match="NaN or infinite"):
+        is_hermitian(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    for tol in (np.nan, -1e-12):
+        with pytest.raises(RangeError, match="tol"):
+            is_hermitian(np.eye(2), tol=tol)
+    assert is_hermitian(np.eye(2), tol=0.0)
+
+
 # --- trace_norm -------------------------------------------------------
 
 
@@ -165,6 +182,13 @@ def test_trace_norm_rejects_non_square() -> None:
         trace_norm(np.zeros((2, 3)))
 
 
+def test_trace_norm_rejects_non_finite_entries() -> None:
+    # Hermitian and non-Hermitian inputs alike, before any eigen or SVD call
+    for a in (np.diag([np.nan, 1.0]), np.array([[0.0, np.inf], [0.0, 0.0]])):
+        with pytest.raises(RangeError, match="NaN or infinite"):
+            trace_norm(a)
+
+
 # --- partial_trace ----------------------------------------------------
 
 
@@ -201,6 +225,13 @@ def test_partial_trace_rejects_bad_dims() -> None:
         partial_trace(np.eye(6), (2, 3), 3)
 
 
+def test_partial_trace_rejects_non_finite_entries() -> None:
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = complex(np.nan, 0.0)
+    with pytest.raises(RangeError, match="NaN or infinite"):
+        partial_trace(m, (2, 2), 1)
+
+
 # --- spectral_norm ----------------------------------------------------
 
 
@@ -217,3 +248,9 @@ def test_spectral_norm_gram_oracle() -> None:
     a = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
     top = float(herm_eig(dagger(a) @ a).values[0])
     npt.assert_allclose(spectral_norm(a) ** 2, top, rtol=1e-10)
+
+
+def test_spectral_norm_rejects_non_finite_entries() -> None:
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(RangeError, match="NaN or infinite"):
+            spectral_norm(np.array([[1.0, 0.0], [bad, 1.0]]))

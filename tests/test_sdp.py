@@ -117,7 +117,7 @@ def test_solve_fixed_is_deterministic() -> None:
 def test_solve_minimax_finds_equal_weights_for_worst_unitary() -> None:
     target = choi(unitary_qubit(np.pi / 4, np.pi / 4, np.pi / 4))
     deltas = [target - choi(ch) for ch in pauli_unitaries()]
-    sol = sdp.solve_minimax(deltas, 2, TOL)
+    sol = sdp._solve_ipm(sdp._program(deltas, 2), TOL)
     npt.assert_allclose([sol.primal, sol.dual], 1.5, atol=1e-6)
     npt.assert_allclose(sol.weights, np.full(4, 0.25), atol=1e-4)
     assert sol.gap <= TOL
@@ -128,7 +128,7 @@ def test_solve_minimax_weights_reproduce_fixed_value() -> None:
     target = helpers.random_channel(2, 3, gen)
     members = [helpers.random_channel(2, 2, gen) for _ in range(3)]
     deltas = [choi(target) - choi(m) for m in members]
-    sol = sdp.solve_minimax(deltas, 2, TOL)
+    sol = sdp._solve_ipm(sdp._program(deltas, 2), TOL)
     mixed_delta = choi(target) - choi(mix(members, sol.weights))
     fixed = sdp.solve_fixed(mixed_delta, 2, TOL)
     # the minimax optimum is attainable by its own weights, and no weight
@@ -143,7 +143,7 @@ def test_solve_minimax_trace_matches_grid_minimum() -> None:
     members = [helpers.random_channel(2, 2, gen) for _ in range(2)]
     deltas = [choi(target) - choi(m) for m in members]
     # the trace-norm minimax is the minimax program at reference dimension 1
-    sol = sdp.solve_minimax(deltas, 1, TOL)
+    sol = sdp._solve_ipm(sdp._program(deltas, 1), TOL)
 
     def norm_at(w: float) -> float:
         return trace_norm(w * deltas[0] + (1 - w) * deltas[1])
@@ -690,7 +690,7 @@ def test_linalg_error_ends_the_solve_with_its_bracket(monkeypatch) -> None:
 
     deltas = _worst_unitary_deltas()
     monkeypatch.setattr(sdp, "_lin_solve", singular)
-    sol = sdp.solve_minimax(deltas, 2, TOL)
+    sol = sdp._solve_ipm(sdp._program(deltas, 2), TOL)
     assert sol.iterations == 1
     assert np.isfinite(sol.primal) and np.isfinite(sol.dual)
     assert sol.primal <= sol.dual
@@ -714,7 +714,7 @@ def test_one_cholesky_and_no_lu_solve_per_newton_system(monkeypatch) -> None:
         sdp._BlockProgram, "schur", counted("schur", sdp._BlockProgram.schur)
     )
     for solve in (
-        lambda: sdp.solve_minimax(_worst_unitary_deltas(), 2, TOL),
+        lambda: sdp._solve_ipm(sdp._program(_worst_unitary_deltas(), 2), TOL),
         lambda: sdp.solve_fixed(_open_delta(), 2, TOL),
     ):
         counts.update(cholesky=0, solve=0, schur=0)
@@ -728,7 +728,7 @@ def test_one_cholesky_and_no_lu_solve_per_newton_system(monkeypatch) -> None:
 def test_failed_cholesky_ends_the_solve_with_its_bracket(monkeypatch) -> None:
     monkeypatch.setattr(sdp._BlockProgram, "schur", lambda self, *args: -np.eye(self.m))
     deltas = _worst_unitary_deltas()
-    sol = sdp.solve_minimax(deltas, 2, TOL)
+    sol = sdp._solve_ipm(sdp._program(deltas, 2), TOL)
     assert sol.iterations == 1
     assert np.isfinite(sol.primal) and np.isfinite(sol.dual)
     assert sol.primal <= sol.dual
@@ -758,7 +758,7 @@ def test_diamond_sdp_imports_no_scipy() -> None:
 
 def test_mu_floor_stops_the_solve_without_dividing_by_zero(monkeypatch) -> None:
     monkeypatch.setattr(sdp, "_block_ip", lambda *args: 0.0)
-    assert sdp.solve_minimax(_worst_unitary_deltas(), 2, TOL).iterations == 1
+    assert sdp._solve_ipm(sdp._program(_worst_unitary_deltas(), 2), TOL).iterations == 1
 
 
 def test_mu_stall_ends_a_solve_that_cannot_move(monkeypatch) -> None:
@@ -767,14 +767,14 @@ def test_mu_stall_ends_a_solve_that_cannot_move(monkeypatch) -> None:
     # the first iteration sets the lower bound, the next six leave mu as it is.
     monkeypatch.setattr(sdp, "_max_step", lambda roots, scal, *args: np.zeros(scal.shape[:-1]))
     monkeypatch.setattr(sdp._Program, "project_dual", lambda self, *args: np.inf)
-    sol = sdp.solve_minimax(_worst_unitary_deltas(), 2, TOL)
+    sol = sdp._solve_ipm(sdp._program(_worst_unitary_deltas(), 2), TOL)
     assert sol.iterations == 7
     assert (sol.primal, sol.dual, sol.weights) == (-1.0, np.inf, None)
 
 
 def test_iteration_cap_ends_the_solve(monkeypatch) -> None:
     monkeypatch.setattr(sdp, "_MAX_ITER", 2)
-    sol = sdp.solve_minimax(_worst_unitary_deltas(), 2, TOL)
+    sol = sdp._solve_ipm(sdp._program(_worst_unitary_deltas(), 2), TOL)
     assert sol.iterations == 2
     assert sol.gap > TOL
 
@@ -1128,7 +1128,7 @@ def test_sector_results_recheck_on_the_full_space() -> None:
     for deltas, ref_dim, tol in cases:
         assert isinstance(sdp._program(deltas, ref_dim), sdp._SectorProgram)
         if len(deltas) > 1:
-            sol = sdp.solve_minimax(deltas, ref_dim, tol)
+            sol = sdp._solve_ipm(sdp._program(deltas, ref_dim), tol)
         else:
             sol = sdp.solve_fixed(deltas[0], ref_dim, tol)
         assert sol.gap <= tol
@@ -1196,7 +1196,7 @@ def test_sector_choi_bound_is_the_full_trace_bound_of_the_lifted_duals() -> None
     full = float(np.linalg.eigvalsh(sdp._trace_out(lift1 + lift2, 4))[-1])
     assert abs(bound - full) <= 1e-12, (bound, full)
     # the solved bound re-checks on the full Delta, and brackets the full program's
-    sol = sdp.solve_minimax(deltas, 1, 1e-8)
+    sol = sdp._solve_ipm(sdp._program(deltas, 1), 1e-8)
     _recheck_on_full_space(sol, deltas, 1)
     full_sol = sdp._solve_ipm(sdp._Program(deltas, 1), 1e-8)
     assert max(sol.primal, full_sol.primal) <= min(sol.dual, full_sol.dual)
