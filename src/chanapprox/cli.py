@@ -537,9 +537,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process for ``main``. Parsing
+    leaves the parser unchanged. The subcommand functions (``cmd_diamond``
+    and the rest) are bound when it is built, but each looks up the names
+    it calls in this module when it runs, so such a name rebound after the
+    first call (a test's substitute, the benchmark tracer's wrapper) still
+    takes effect."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NoConvergenceError as exc:

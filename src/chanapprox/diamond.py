@@ -21,7 +21,7 @@ from .errors import (
     NotUnitaryError,
     RangeError,
 )
-from .linalg import dagger, trace_norm
+from .linalg import _nearest_hull_point, dagger, trace_norm
 
 #: Shared with approx's exact-member test, so a member's distance is its witness's.
 _ZERO_TRACE_NORM = 1e-12
@@ -83,18 +83,8 @@ def polygon_radius(vertices) -> PolygonRadius:
         raise RangeError("polygon needs at least one vertex")
     if not np.all(np.isfinite(verts)):
         raise RangeError("polygon vertices must be finite")
-    phases = np.sort(np.angle(verts))
-    gaps = np.diff(phases, append=phases[0] + 2 * np.pi)
-    if gaps.max() < np.pi:
-        return PolygonRadius(vertices=verts, r=0.0)
-    pts = np.exp(1j * phases)
-    r = np.inf
-    for a, b in zip(pts, np.roll(pts, -1)):
-        seg = b - a
-        den = abs(seg) ** 2
-        t = 0.0 if den == 0.0 else min(1.0, max(0.0, -(a.conjugate() * seg).real / den))
-        r = min(r, abs(a + t * seg))
-    return PolygonRadius(vertices=verts, r=float(r))
+    point, _, _ = _nearest_hull_point(np.angle(verts))
+    return PolygonRadius(vertices=verts, r=float(abs(point)))
 
 
 def diamond_unitary(v: np.ndarray, z: np.ndarray) -> float:
@@ -177,17 +167,23 @@ def _zero_result(delta: np.ndarray, ref_dim: int) -> DiamondResult:
     )
 
 
-def _diamond_of_delta(delta: np.ndarray, ref_dim: int, tol: float) -> DiamondResult:
-    """Certified diamond norm of the Hermitian map with Choi matrix delta."""
-    return sdp._run(_delta_steps(delta, ref_dim, tol))
+def _diamond_of_delta(delta: np.ndarray, ref_dim: int, tol: float, kraus=None) -> DiamondResult:
+    """Certified diamond norm of the Hermitian map with Choi matrix delta;
+    ``kraus`` as for ``sdp._fixed_steps``."""
+    return sdp._run(_delta_steps(delta, ref_dim, tol, kraus))
 
 
-def _delta_steps(delta: np.ndarray, ref_dim: int, tol: float):
+def _delta_steps(delta: np.ndarray, ref_dim: int, tol: float, kraus=None):
     """``_diamond_of_delta`` as steps (see ``sdp._run_all``): zero below
     the trace-norm floor, otherwise the steps of ``sdp.solve_fixed``."""
     if trace_norm(delta) <= _ZERO_TRACE_NORM:
         return _zero_result(delta, ref_dim)
-    return DiamondResult._of_solution((yield from sdp._fixed_steps(delta, ref_dim, tol)))
+    return DiamondResult._of_solution((yield from sdp._fixed_steps(delta, ref_dim, tol, kraus)))
+
+
+def _single_kraus(a: Channel, b: Channel):
+    """(K, L) when each channel has exactly one Kraus operator, else None."""
+    return (a.kraus[0], b.kraus[0]) if len(a.kraus) == len(b.kraus) == 1 else None
 
 
 def _checked_delta(a: Channel, b: Channel, tol: float) -> np.ndarray:
@@ -209,20 +205,26 @@ def diamond_sdp(a: Channel, b: Channel, tol: float = 1e-7) -> DiamondResult:
     iterations may be 0: a pair whose closed-form bracket at the maximally
     mixed input closes within tol (every qubit unitary pair, for one) is
     certified by W = sign(Delta)/d and rho = I/d without a solve. A pair
-    whose Choi difference is not diagonal-unitary-covariant then iterates
+    of channels with one Kraus operator each (unitary pairs at d = 3 and
+    d = 4, such as products of qubit unitaries) is then bracketed in
+    closed form from the convex hull of the eigenvalues of V^H U, U and V
+    the polar factors of the Kraus operators (``sdp._unitary_pair_solution``),
+    again without a solve. A pair still open whose Choi difference is not
+    diagonal-unitary-covariant then iterates
     rho <- Tr_out|R Delta R| / ||R Delta R||_1, R = I (x) sqrt(rho), and is
     certified without a solve by the first full-rank rho whose bracket
-    closes (most damping-vs-Pauli pairs and most d = 4 product pairs). The
-    interior-point engine runs only on the pairs both leave open, such as
-    those whose optimal input state is rank deficient.
+    closes (most damping-vs-Pauli pairs and about half the d = 4 noisy
+    product pairs). The interior-point engine runs only on the pairs all
+    of these leave open, such as those whose optimal input state is rank
+    deficient.
     """
-    return _diamond_of_delta(_checked_delta(a, b, tol), a.dim, tol)
+    return _diamond_of_delta(_checked_delta(a, b, tol), a.dim, tol, _single_kraus(a, b))
 
 
 def _diamond_sdp_steps(a: Channel, b: Channel, tol: float):
     """``diamond_sdp`` as steps (see ``sdp._run_all``); the arguments are
     checked when it is called."""
-    return _delta_steps(_checked_delta(a, b, tol), a.dim, tol)
+    return _delta_steps(_checked_delta(a, b, tol), a.dim, tol, _single_kraus(a, b))
 
 
 def discrimination_probability(diamond_value: float) -> float:

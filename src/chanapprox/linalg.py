@@ -106,6 +106,40 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(_require_finite(np.asarray(a)), 2))
 
 
+def _nearest_hull_point(phases: np.ndarray):
+    """The point of the convex hull of the unit-circle points e^{i phases}
+    nearest the origin, as (point, idx, weights): point is the convex
+    combination of the points ``idx`` (indices into ``phases``) with the
+    weights ``weights``.
+
+    Outside the hull the point lies on the chord between two neighbouring
+    phases, at weights (1 - t, t). When no gap between neighbouring phases
+    reaches pi, the origin lies inside and the point is 0j, the mixture of
+    the triangle around it at barycentric weights: a point's weight is the
+    sine of the arc between the other two.
+    """
+    order = np.argsort(phases)
+    phases = phases[order]
+    gaps = np.diff(phases, append=phases[0] + 2 * np.pi)
+    if gaps.max() < np.pi:
+        # the last phase within pi of the first and the next one bound a
+        # triangle with the first, none of whose arcs exceeds pi
+        j = int(np.searchsorted(phases - phases[0], np.pi)) - 1
+        tri = phases[[0, j, j + 1]]
+        weights = np.sin(np.roll(tri, -2) - np.roll(tri, -1))
+        return 0j, order[[0, j, j + 1]], weights / weights.sum()
+    pts = np.exp(1j * phases)
+    point, best = np.inf, None
+    for i, (a, b) in enumerate(zip(pts, np.roll(pts, -1))):
+        seg = b - a
+        den = abs(seg) ** 2
+        t = 0.0 if den == 0.0 else min(1.0, max(0.0, -(a.conjugate() * seg).real / den))
+        if abs(a + t * seg) < abs(point):
+            point, best = a + t * seg, (i, t)
+    i, t = best
+    return point, order[[i, (i + 1) % len(order)]], np.array([1.0 - t, t])
+
+
 def partial_trace(
     m: np.ndarray, factor_dims: tuple[int, int], traced_factor: int
 ) -> np.ndarray:

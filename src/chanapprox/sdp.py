@@ -85,6 +85,19 @@ For a qubit unitary against Pauli unitaries they meet at the water-filling
 weights of ``approx`` (every fig2 row, within 3e-13). A bracket within tol
 is the answer, with 0 iterations.
 
+A Delta of two channels with one Kraus operator each, K and L, whose
+closed form stays open, is bracketed next from the eigenvalues of
+W = V^H U, U and V the polar factors of K and L
+(``_unitary_pair_solution``; Acin, PRL 87, 177901, 2001). The lower side
+is ``_best_at_state`` at the reference state that puts the weights of the
+point z of the eigenvalues' convex hull nearest 0 on W's eigenvectors; the
+upper side is 2 sqrt(1 - m^2), m the least eigenvalue of the Hermitian
+part of e^-i theta W, theta the angle of z, with allowances for roundoff
+and for the distance of K and L from U and V. It needs no inverse of rho,
+so a singular state is fine. A bracket within tol is the answer, with 0
+iterations; a wider one goes on as below. ``solve_fixed`` takes no Kraus
+operators, so it never tries this bracket.
+
 A single Delta whose closed form stays open, and which program 3 does not
 take (it is not DUC), goes on to a short iteration over the reference
 state (``_reference_iteration``) whose iteration 0 is that closed form. At
@@ -184,6 +197,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NoConvergenceError
+from .linalg import _nearest_hull_point
 
 _SQRT2 = np.sqrt(2.0)
 _MAX_ITER = 100
@@ -1255,13 +1269,19 @@ def _mixed_reference_solution(deltas, weights, ref_dim: int) -> SdpSolution:
     )
 
 
-def _fixed_steps(delta, ref_dim, tol):
-    """``solve_fixed`` as steps: none when the closed form or the reference
-    iteration closes."""
+def _fixed_steps(delta, ref_dim, tol, kraus=None):
+    """``solve_fixed`` as steps: none when a closed form or the reference
+    iteration closes. ``kraus``, the single Kraus operators (K, L) of two
+    channels with delta = choi(K) - choi(L), lets the bracket of
+    ``_unitary_pair_solution`` try before the iteration."""
     delta = np.asarray(delta)
     closed = _mixed_reference_solution(delta[None], np.ones(1), ref_dim)
     if closed.gap <= tol:
         return closed
+    if kraus is not None:
+        paired = _unitary_pair_solution(delta, kraus)
+        if paired.gap <= tol:
+            return paired
     if not _sectored(delta[None], ref_dim):
         iterated = _reference_iteration(delta, ref_dim, tol, closed.gap)
         if iterated is not None:
@@ -1270,6 +1290,49 @@ def _fixed_steps(delta, ref_dim, tol):
     if sol.gap <= tol:
         return sol
     return (yield from _closing_steps(sol, delta, ref_dim, tol))
+
+
+def _unitary_pair_solution(delta, kraus) -> SdpSolution:
+    """The closed-form bracket on the diamond norm of delta = choi(K) -
+    choi(L) for the single Kraus operators (K, L) = ``kraus`` of two
+    channels, near-unitary ones included.
+
+    For unitaries U, V the norm is max over states sigma of
+    2 sqrt(1 - |Tr[sigma W]|^2), W = V^H U, attained where Tr[sigma W] is
+    the point z of the convex hull of W's eigenvalues nearest 0 (Acin, PRL
+    87, 177901, 2001; Watrous, The Theory of Quantum Information, 2018,
+    section 3.3). U and V are the polar factors of K and L. Lower side:
+    ``_best_at_state`` at the reference state rho = sigma^T with
+    sigma = sum_k p_k e_k e_k^H, where p_k are the weights of z on the
+    eigenvectors e_k (this Choi convention puts the input on the reference
+    factor transposed); rho may be singular. Upper side: with theta the
+    angle of z and m = lambda_min((e^-i theta W + e^i theta W^H) / 2) minus
+    8 n eps, |Tr[sigma W]| >= Tr[sigma H_theta] >= m for every sigma, so
+    2 sqrt(1 - m^2) bounds the norm where m > 0 and 2 does otherwise. The
+    8 n eps is a Weyl allowance for the roundoff of the polar factors, of W
+    and of eigvalsh, each a few n eps in norm. A Kraus operator K = U (I + E)
+    with ||E|| = eps_K = max_i |s_i(K) - 1| moves the norm by at most
+    eps_K (2 + eps_K), since ||K X K^H - U X U^H||_1 <= (2 ||E|| + ||E||^2)
+    ||X||_1; each channel adds that allowance to the upper side. Both sides
+    meet at z up to these allowances, and the bracket is the certificate.
+    """
+    polar, slack = [], 0.0
+    for k in kraus:
+        left, sing, right = np.linalg.svd(k)
+        polar.append(left @ right)
+        defect = np.abs(sing - 1.0).max()
+        slack += defect * (2.0 + defect)
+    w = polar[1].conj().T @ polar[0]
+    n = w.shape[0]
+    lam, vecs = np.linalg.eig(w)
+    point, idx, p = _nearest_hull_point(np.angle(lam))
+    m = np.linalg.eigvalsh(_herm(np.exp(-1j * np.angle(point)) * w))[0]
+    m -= 8 * n * np.finfo(float).eps
+    upper = (2.0 * math.sqrt((1.0 - m) * (1.0 + m)) if m > 0.0 else 2.0) + slack
+    e = vecs[:, idx]  # unit columns
+    sigma = (e * p) @ e.conj().T
+    lower, w_opt, rho = _best_at_state(delta, sigma.T, n)[:3]
+    return SdpSolution(float(lower), float(upper), w_opt, rho, np.ones(1), 0)
 
 
 def _reference_iteration(delta, ref_dim: int, tol: float, gap: float):

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from chanapprox import (
+    Channel,
     alternating_lower_bound,
     choi,
     choi_trace_distance,
@@ -314,11 +315,27 @@ def _log_solves(monkeypatch) -> list:
     return log
 
 
+def _log_calls(monkeypatch, name: str, log: list) -> list:
+    """Append ``name`` to ``log`` at every call of ``sdp``'s function ``name``."""
+    fn = getattr(sdp, name)
+
+    def logged(*args):
+        log.append(name)
+        return fn(*args)
+
+    monkeypatch.setattr(sdp, name, logged)
+    return log
+
+
 def test_closed_form_census_of_solves(monkeypatch) -> None:
     """Qubit unitary pairs, unitary-vs-covariant pairs and fig1 rows close at
-    the maximally mixed reference and reach the engine 0 times; a damping vs
-    Pauli pair and a d = 4 unitary product close in the reference iteration
-    and reach it 0 times; pairs whose optimal reference state is rank
+    the maximally mixed reference and reach the engine 0 times. A damping vs
+    Pauli pair closes in the reference iteration, both as ``solve_fixed`` of
+    its Choi difference and through ``diamond_sdp``. A d = 4 unitary product
+    closes in the reference iteration as ``solve_fixed`` of its Choi
+    difference, which carries no Kraus operators, and in the unitary-pair
+    bracket through ``diamond_sdp``, which runs no reference iteration. None
+    of these reaches the engine. Pairs whose optimal reference state is rank
     deficient keep their one solve each."""
     gen = helpers.rng(57)
     unitaries = [unitary_qubit(*gen.uniform(0.0, np.pi / 2, size=3)) for _ in range(8)]
@@ -338,11 +355,17 @@ def test_closed_form_census_of_solves(monkeypatch) -> None:
         (damping(1.0, 0.5), skew, 2),
         (tensor(u1, u2), tensor(compose(u1, r1), compose(u2, r2)), 4),
     ]
+    iterations = _log_calls(monkeypatch, "_reference_iteration", [])
     for a, b, d in iterated:
         log.clear()
         assert sdp.solve_fixed(choi(a) - choi(b), d, 1e-7).iterations == 0
         assert diamond_sdp(a, b, 1e-7).gap <= 1e-7
         assert log == []
+    # one iteration for each solve_fixed, one for the damping pair's diamond_sdp
+    assert len(iterations) == 3
+    iterations.clear()
+    assert diamond_sdp(*iterated[1][:2], 1e-7).gap <= 1e-12
+    assert log == [] and iterations == []
     opened = [
         (damping(1.0, 0.9), skew, 2),
         (tensor(damping(1.0, 0.9), identity(2)), tensor(skew, identity(2)), 4),
@@ -352,6 +375,107 @@ def test_closed_form_census_of_solves(monkeypatch) -> None:
         assert sdp.solve_fixed(choi(a) - choi(b), d, 1e-7).iterations > 0
         assert diamond_sdp(a, b, 1e-7).gap <= 1e-7
         assert log == ["_Program", "_Program"]
+
+
+# --- the unitary-pair bracket ------------------------------------------
+
+
+def _pair_upper(u: np.ndarray, v: np.ndarray, theta: float) -> float:
+    """The upper side of the unitary pair (U, V) at the phase theta, from U,
+    V and theta alone: 2 sqrt(1 - m^2), m = lambda_min of H = (e^-i theta W
+    + e^i theta W^H) / 2 with W = V^H U, since |Tr[sigma W]| >= Tr[sigma H]
+    >= m for every state sigma; 2 where m <= 0."""
+    h = np.exp(-1j * theta) * (v.conj().T @ u)
+    m = np.linalg.eigvalsh(0.5 * (h + h.conj().T))[0]
+    return 2.0 * float(np.sqrt(1.0 - m * m)) if m > 0.0 else 2.0
+
+
+def _check_pair_result(a, b, u, v, res, slack: float = 0.0) -> None:
+    """Re-check a result of the unitary-pair bracket for the channels a, b
+    whose Kraus operators have the polar factors u, v. Upper side: from u, v
+    and the phase theta of Tr[rho^T V^H U] at the returned state, with one
+    eigvalsh, to n eps, plus the defect allowance ``slack``. Lower side: the
+    returned W attains the primal and is feasible at the returned rho."""
+    n, eps = u.shape[0], np.finfo(float).eps
+    rho, w = res.witness_state, res.witness_operator
+    theta = float(np.angle(np.trace(rho.T @ v.conj().T @ u)))
+    assert res.dual >= _pair_upper(u, v, theta) + slack - n * eps
+    delta = choi(a) - choi(b)
+    assert abs(np.trace(delta @ w).real - res.primal) <= n * n * eps
+    for sign in (1.0, -1.0):
+        assert np.linalg.eigvalsh(np.kron(np.eye(n), rho) - sign * w)[0] >= -n * n * eps
+    assert res.primal <= res.dual
+
+
+def _pair_routes(monkeypatch) -> list:
+    """Log the unitary-pair brackets, the reference iterations and the
+    engine stacks of the calls that follow."""
+    log = _log_solves(monkeypatch)
+    for name in ("_unitary_pair_solution", "_reference_iteration"):
+        _log_calls(monkeypatch, name, log)
+    return log
+
+
+def _assert_pair_bracket(log: list, u, v, distance: float) -> None:
+    """diamond_sdp of the unitary channels u, v at tol 1e-9 closes in the
+    unitary-pair bracket (``log`` from ``_pair_routes``) at ``distance``,
+    within 1e-12, and re-checks."""
+    a, b = unitary_channel(u), unitary_channel(v)
+    log.clear()
+    res = diamond_sdp(a, b, 1e-9)
+    assert log == ["_unitary_pair_solution"]
+    assert res.gap <= 1e-12 and abs(res.value - distance) <= 1e-12
+    _check_pair_result(a, b, u, v, res)
+
+
+def test_unitary_pair_with_the_origin_inside_the_hull_is_at_distance_two(monkeypatch) -> None:
+    # the phases 0, 2, 4, 5 leave no gap of pi: the bracket mixes a triangle
+    # of eigenvectors around 0, and the upper side is 2
+    gen = helpers.rng(58)
+    basis = helpers.random_unitary(4, gen)
+    w = basis @ np.diag(np.exp(1j * np.array([0.0, 2.0, 4.0, 5.0]))) @ basis.conj().T
+    v = helpers.random_unitary(4, gen)
+    _assert_pair_bracket(_pair_routes(monkeypatch), v @ w, v, 2.0)
+
+
+def test_unitary_pair_with_a_degenerate_w(monkeypatch) -> None:
+    # W = diag(1, 1, 1, e^{i phi}) in a random basis: the nearest hull point
+    # is the midpoint of 1 and e^{i phi}, on one eigenvector of the threefold
+    # eigenvalue. (diag(1, 1, e^{i phi}, e^{i phi}) puts that midpoint at
+    # Tr W / 4, so it closes at the maximally mixed reference instead.)
+    gen = helpers.rng(59)
+    phi = 1.0
+    basis = helpers.random_unitary(4, gen)
+    w = basis @ np.diag([1.0, 1.0, 1.0, np.exp(1j * phi)]) @ basis.conj().T
+    v = helpers.random_unitary(4, gen)
+    _assert_pair_bracket(_pair_routes(monkeypatch), v @ w, v, 2.0 * np.sin(phi / 2.0))
+    assert abs(diamond_unitary(v @ w, v) - 2.0 * np.sin(phi / 2.0)) <= 1e-12
+
+
+def test_qutrit_unitary_pair_closes_in_the_pair_bracket(monkeypatch) -> None:
+    gen = helpers.rng(60)
+    log = _pair_routes(monkeypatch)
+    for _ in range(4):
+        u, v = helpers.random_unitary(3, gen), helpers.random_unitary(3, gen)
+        _assert_pair_bracket(log, u, v, diamond_unitary(u, v))
+
+
+def test_scaled_kraus_operator_adds_its_defect_to_the_upper_side(monkeypatch) -> None:
+    # K = (1 + delta) U is inside Channel's completeness tolerance of 1e-9 d
+    # (||K^H K - I||_F = 4 delta (1 + delta / 2) at d = 4), yet its distance
+    # from V exceeds the unitary pair's by about delta times it: a bracket
+    # without the allowance delta (2 + delta) would put its upper side below
+    # its lower one
+    gen = helpers.rng(61)
+    scale = 9e-10
+    u, v = helpers.random_unitary(4, gen), helpers.random_unitary(4, gen)
+    a, b = Channel(((1.0 + scale) * u,)), unitary_channel(v)
+    log = _pair_routes(monkeypatch)
+    res = diamond_sdp(a, b, 1e-7)
+    assert log == ["_unitary_pair_solution"]
+    assert res.gap <= 1e-7
+    assert res.primal >= diamond_unitary(u, v) * (1.0 + 0.5 * scale)
+    _check_pair_result(a, b, u, v, res, slack=scale * (2.0 + scale))
 
 
 def test_diamond_sdp_symmetry() -> None:
