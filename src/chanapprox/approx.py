@@ -26,13 +26,14 @@ u = vec(U)/sqrt2 and q_i = |<beta_i|u>|^2, Delta(p)/2 = |u><u| -
 sum_i p_i |beta_i><beta_i| has one positive eigenvalue mu, the largest root
 of sum_i q_i/(mu + p_i) = 1, and the distance at p is 2 mu.  Its minimum
 over the simplex is a water-filling (``_water_fill``), and
-``sdp._mixed_reference_solution`` certifies those weights at rho = I/2.  A
-bracket within 1e-7 is the answer, with 0 iterations; any other input
-takes the joint solve.  Every row of the default fig2 grid closes, at
-delta = pi/8, 0, 1 and pi/4, with gaps of at most 2.9e-13 against about
-1e-8 from the solve, and distances within 5.3e-9 of the solve's; the
-default sweep runs 4.7x faster in-process on 2 cores, 3.9x with
---parallel 2.
+``sdp._mixed_reference_solution`` certifies those weights at rho = I/2, as
+a bracket request that a sweep window answers for all its rows in one
+stacked evaluation.  A bracket within 1e-7 is the answer, with 0
+iterations; any other input takes the joint solve.  Every row of the
+default fig2 grid closes, at delta = pi/8, 0, 1 and pi/4, with gaps of at
+most 2.9e-13 against about 1e-8 from the solve, and distances within
+5.3e-9 of the solve's; the default sweep runs 4.7x faster in-process on 2
+cores than through the solve, 3.9x with --parallel 2.
 
 ``approx_bounds`` adds cheap two-sided bounds: each member's distance
 (closed form for a unitary pair, else a single-member solve), and the Choi
@@ -66,6 +67,7 @@ from .diamond import (
     _ZERO_TRACE_NORM,
     DiamondResult,
     _diamond_of_delta,
+    _maybe_zero,
     _zero_result,
     d_i_unitary,
     diamond_unitary,
@@ -143,8 +145,9 @@ def _convex_approx_steps(target: Channel, set, tol: float):
     d = target.dim
 
     # Exact membership: all weight on the matching member, distance zero.
+    frobenius = np.linalg.norm(delta_stack, axis=(-2, -1))
     for i, delta in enumerate(delta_stack):
-        if trace_norm(delta) <= _ZERO_TRACE_NORM:
+        if _maybe_zero(frobenius[i]) and trace_norm(delta) <= _ZERO_TRACE_NORM:
             return ApproxResult(
                 weights=prob_vector(np.eye(len(delta_stack))[i]),
                 distance=0.0,
@@ -152,15 +155,17 @@ def _convex_approx_steps(target: Channel, set, tol: float):
                 iterations=0,
             )
 
-    closed = _pauli_mixture(target, members, delta_stack)
-    if closed is not None:
-        witness = DiamondResult._of_solution(closed)
-        return ApproxResult(
-            weights=prob_vector(closed.weights),
-            distance=witness.value,
-            witness=witness,
-            iterations=0,
-        )
+    request = _pauli_mixture(target, members, delta_stack)
+    if request is not None:
+        closed = yield request, None
+        if closed.gap <= _INNER_TOL:
+            witness = DiamondResult._of_solution(closed)
+            return ApproxResult(
+                weights=prob_vector(closed.weights),
+                distance=witness.value,
+                witness=witness,
+                iterations=0,
+            )
 
     joint = yield sdp._program(delta_stack, d), 1e-8
     if joint.weights is None:
@@ -206,8 +211,9 @@ def approx_bounds(target: Channel, set, distance: float) -> tuple[float, float]:
     members = list(set)
     delta_stack = _simplex_deltas(target, members)
     upper = min(_member_distance(target, ch, delta) for ch, delta in zip(members, delta_stack))
-    closed = _pauli_mixture(target, members, delta_stack)
-    if closed is not None:
+    request = _pauli_mixture(target, members, delta_stack)
+    closed = None if request is None else sdp._answer(request, None)
+    if closed is not None and closed.gap <= _INNER_TOL:
         # d W is feasible at reference dimension 1, with value d t
         lower = closed.primal
     else:
@@ -219,10 +225,11 @@ def approx_bounds(target: Channel, set, distance: float) -> tuple[float, float]:
 _BELL = np.stack([s.reshape(-1) for s in PAULI]) / np.sqrt(2.0)
 
 
-def _pauli_mixture(target: Channel, members, delta_stack) -> sdp.SdpSolution | None:
-    """The closed-form certificate of a qubit unitary target against distinct
-    Pauli unitaries (module docstring), or None: for any other problem, or
-    when its bracket at rho = I/2 is wider than 1e-7.
+def _pauli_mixture(target: Channel, members, delta_stack) -> sdp._Bracket | None:
+    """The request for the closed-form bracket at rho = I/2 of a qubit
+    unitary target against distinct Pauli unitaries, at the water-filling
+    weights (module docstring), or None for any other problem. The bracket
+    is the certificate when it is within 1e-7.
 
     A member is a Pauli unitary when its Choi matrix is exactly that of one.
     """
@@ -235,8 +242,7 @@ def _pauli_mixture(target: Channel, members, delta_stack) -> sdp.SdpSolution | N
     if not found.any(axis=1).all() or len(set(directions)) != len(members):
         return None
     q = np.abs(_BELL.conj() @ target.kraus[0].reshape(-1)) ** 2 / 2.0
-    closed = sdp._mixed_reference_solution(delta_stack, _water_fill(q, directions), 2)
-    return closed if closed.gap <= _INNER_TOL else None
+    return sdp._Bracket(delta_stack, _water_fill(q, directions), 2)
 
 
 def _water_fill(q: np.ndarray, directions) -> np.ndarray:

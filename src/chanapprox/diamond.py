@@ -167,6 +167,14 @@ def _zero_result(delta: np.ndarray, ref_dim: int) -> DiamondResult:
     )
 
 
+def _maybe_zero(frobenius) -> bool:
+    """False when a Frobenius norm proves a trace norm above
+    _ZERO_TRACE_NORM, without an eigensolve: ||.||_F <= ||.||_1, and the
+    factor 2 absorbs roundoff. NaN and inf answer True, so that they reach
+    ``trace_norm``'s guard."""
+    return not (2 * _ZERO_TRACE_NORM < frobenius < np.inf)
+
+
 def _diamond_of_delta(delta: np.ndarray, ref_dim: int, tol: float, kraus=None) -> DiamondResult:
     """Certified diamond norm of the Hermitian map with Choi matrix delta;
     ``kraus`` as for ``sdp._fixed_steps``."""
@@ -176,7 +184,7 @@ def _diamond_of_delta(delta: np.ndarray, ref_dim: int, tol: float, kraus=None) -
 def _delta_steps(delta: np.ndarray, ref_dim: int, tol: float, kraus=None):
     """``_diamond_of_delta`` as steps (see ``sdp._run_all``): zero below
     the trace-norm floor, otherwise the steps of ``sdp.solve_fixed``."""
-    if trace_norm(delta) <= _ZERO_TRACE_NORM:
+    if _maybe_zero(np.linalg.norm(delta)) and trace_norm(delta) <= _ZERO_TRACE_NORM:
         return _zero_result(delta, ref_dim)
     return DiamondResult._of_solution((yield from sdp._fixed_steps(delta, ref_dim, tol, kraus)))
 

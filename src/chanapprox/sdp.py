@@ -65,7 +65,9 @@ weights) of its best bracket.
 
 A fixed objective is first bracketed in closed form at the maximally mixed
 reference, before program 1 is built (``_mixed_reference_solution``), and
-so is a family at given weights p. rho = I/d and
+so is a family at given weights p. The bracket is a request, as a program
+is (see Batches below), so a sweep evaluates the brackets of a window in
+one stack. rho = I/d and
 W0 = (1 - 1e-14) (2 P+ - I) / d, P+ the projector onto the positive
 eigenspace of Delta(p) = sum_i p_i Delta_i, are feasible, the factor
 absorbing the roundoff of the eigenvectors, and give the lower bound
@@ -181,9 +183,15 @@ another order, and a stacked eigh, eigvalsh, inv, cholesky or matmul gives
 each slice the bits of the same call on that slice alone (einsum over a
 stack does not, so traces and mixtures are matmul products). A problem
 therefore gets the same bits alone, in any batch and at any place in it.
-``_run_all`` drives step generators, each of which yields the programs its
-answer needs and receives their solutions; in windows of ``_MAX_BATCH``
-generators it solves the programs pending in a round grouped by shape.
+``_run_all`` drives step generators, each of which yields the requests its
+answer needs and receives their solutions: engine programs, and closed-form
+brackets at rho = I/d (``_Bracket``). In windows of ``_MAX_BATCH``
+generators it answers the requests pending in a round grouped by shape,
+each kind in its own way: the programs of one shape as one stack of
+``_solve_batch``, the brackets of one member count, n and reference
+dimension as one call of ``_mixed_reference_solution``, which never enters
+the engine. Each of its steps is a stacked call and each family keeps its
+own kernel threshold, so a bracket too has the bits it has alone.
 """
 
 from __future__ import annotations
@@ -1152,17 +1160,27 @@ def _solve_ipm(prog, gap_tol: float) -> SdpSolution:
 
 # ---------------------------------------------------------------------------
 # Step generators. A routine that needs solves is written once as a
-# generator that yields (program, gap_tol) for each solve and receives its
-# SdpSolution; ``_run`` answers one generator solve by solve, ``_run_all``
-# answers many together in batches.
+# generator that yields a request for each and receives its SdpSolution: an
+# engine program with its gap target, (program, gap_tol), or a closed-form
+# bracket, (_Bracket, None). ``_run`` answers one generator request by
+# request, ``_run_all`` answers many together in stacks.
+
+
+def _answer(item, tol) -> SdpSolution:
+    """The answer to one request alone: a bracket as a stack of one, a
+    program by ``_solve_ipm``."""
+    if isinstance(item, _Bracket):
+        return _brackets([item])[0]
+    return _solve_ipm(item, tol)
 
 
 def _run(steps):
-    """The result of one step generator, each program it yields solved alone."""
+    """The result of one step generator, each request it yields answered
+    alone (``_answer``)."""
     try:
         request = next(steps)
         while True:
-            request = steps.send(_solve_ipm(*request))
+            request = steps.send(_answer(*request))
     except StopIteration as finished:
         return finished.value
 
@@ -1172,9 +1190,11 @@ def _run_all(steps) -> list:
 
     The generators run in windows of ``_MAX_BATCH``, which bounds both the
     stacks and the pending state. In a window, each round advances every
-    generator to its next request, then solves the pending programs of each
-    ``shape_key`` as one stack. A generator that raises stops alone; after
-    its window, the first exception in generator order is raised.
+    generator to its next request, then answers the pending requests of
+    each ``shape_key`` together: bracket requests by one evaluation of
+    ``_mixed_reference_solution`` (``_brackets``), programs as one stack of
+    ``_solve_batch``. A generator that raises stops alone; after its window,
+    the first exception in generator order is raised.
     """
     results = []
     for lo in range(0, len(steps), _MAX_BATCH):
@@ -1196,10 +1216,14 @@ def _run_all(steps) -> list:
         while pending:
             requests, pending = pending, {}
             groups = {}
-            for i, (prog, _) in requests.items():
-                groups.setdefault(prog.shape_key(), []).append(i)
+            for i, (item, _) in requests.items():
+                groups.setdefault(item.shape_key(), []).append(i)
             for ids in groups.values():
-                sols = _solve_batch(*zip(*(requests[i] for i in ids)))
+                items, tols = zip(*(requests[i] for i in ids))
+                if isinstance(items[0], _Bracket):
+                    sols = _brackets(items)
+                else:
+                    sols = _solve_batch(items, tols)
                 for i, sol in zip(ids, sols):
                     advance(i, sol)
         for exc in failures:
@@ -1231,10 +1255,10 @@ def solve_fixed(delta: np.ndarray, ref_dim: int, tol: float) -> SdpSolution:
     return _run(_fixed_steps(delta, ref_dim, tol))
 
 
-def _mixed_reference_solution(deltas, weights, ref_dim: int) -> SdpSolution:
-    """The closed-form bracket at rho = I/d on the minimax program of the
-    family ``deltas`` at the mixture ``weights``; a single distance is the
-    family of one at weight 1.
+def _mixed_reference_solution(deltas, weights, ref_dim: int) -> list[SdpSolution]:
+    """The closed-form brackets at rho = I/d on the minimax programs of the
+    families ``deltas`` (B, k, n, n) at the mixtures ``weights`` (B, k), one
+    per problem; a single distance is the family of one at weight 1.
 
     Lower side: W = (1 - 1e-14) (2 P+ - I) / d with P+ the projector onto
     the positive eigenspace of Delta(p) = sum_i p_i Delta_i, feasible with
@@ -1242,40 +1266,68 @@ def _mixed_reference_solution(deltas, weights, ref_dim: int) -> SdpSolution:
     value min_i Tr[Delta_i W]. The kernel goes to -1: Tr[Delta(p) W] does
     not see it, but a member of zero weight does, and for a qubit unitary
     against Pauli unitaries that member gains exactly there. A family's
-    kernel is every eigenvalue within n eps of the largest modulus, whose
-    sign is roundoff; a single Delta sends only exact zeros to -1, since
-    the sign of a roundoff eigenvalue is then never the worse. Upper side:
-    the dual pair X1 = Delta(p)_+, X2 = Delta(p)_- through ``_fixed_upper``,
-    as a projected dual iterate.
+    kernel is every eigenvalue within n eps of its own largest modulus,
+    whose sign is roundoff; a single Delta sends only exact zeros to -1,
+    since the sign of a roundoff eigenvalue is then never the worse. Upper
+    side: the dual pair X1 = Delta(p)_+, X2 = Delta(p)_- through
+    ``_fixed_upper``, as a projected dual iterate. Every step is a stacked
+    call, so a problem gets the bits it gets in a stack of one.
     """
     deltas = np.asarray(deltas, dtype=complex)
     weights = np.asarray(weights, dtype=float)
-    k, n = deltas.shape[0], deltas.shape[-1]
-    delta = (weights @ deltas.reshape(k, -1)).reshape(n, n)
+    count, k, n = deltas.shape[0], deltas.shape[1], deltas.shape[-1]
+    flat = deltas.reshape(count, k, -1)
+    delta = (weights[:, None, :] @ flat).reshape(count, n, n)
     lam, u = np.linalg.eigh(_herm(delta))
-    u_h = u.conj().T
-    parts = np.stack([u * np.maximum(lam, 0.0), u * np.maximum(-lam, 0.0)]) @ u_h
-    kernel = 0.0 if k == 1 else n * np.finfo(float).eps * np.abs(lam).max()
-    sign = (u * np.where(lam > kernel, 1.0, -1.0)) @ u_h
+    u_h = u.conj().swapaxes(-1, -2)
+    halves = np.stack([np.maximum(lam, 0.0), np.maximum(-lam, 0.0)], axis=1)
+    parts = (u[:, None] * halves[..., None, :]) @ u_h[:, None]
+    kernel = 0.0
+    if k > 1:  # per family, never across the stack
+        kernel = n * np.finfo(float).eps * np.abs(lam).max(axis=-1, keepdims=True)
+    sign = (u * np.where(lam > kernel, 1.0, -1.0)[:, None, :]) @ u_h
     w = (1.0 - 1e-14) * _herm(sign) / ref_dim
-    return SdpSolution(
-        # Tr[Delta_i W] as _trace_dot's stacked product, one per member
-        primal=float((deltas.reshape(k, 1, -1) @ w.T.reshape(-1, 1)).real.min()),
-        dual=float(_fixed_upper(_herm(parts), delta, n // ref_dim)),
-        witness_w=w,
-        witness_rho=np.eye(ref_dim, dtype=complex) / ref_dim,
-        weights=weights,
-        iterations=0,
-    )
+    # Tr[Delta_i W] as _trace_dot's stacked product, one per member
+    w_t = w.swapaxes(-1, -2).reshape(count, 1, -1, 1)
+    primal = (flat[:, :, None, :] @ w_t).real.min(axis=(1, 2, 3))
+    dual = _fixed_upper(_herm(parts), delta, n // ref_dim)
+    return [
+        SdpSolution(float(lo), float(up), wi, np.eye(ref_dim, dtype=complex) / ref_dim, p, 0)
+        for lo, up, wi, p in zip(primal, dual, w, weights)
+    ]
+
+
+class _Bracket:
+    """A request for ``_mixed_reference_solution`` of one family ``deltas``
+    at ``weights``. A step generator yields it as (request, None), as it
+    yields an engine program with its gap target; requests with one
+    ``shape_key`` (member count k, n and reference dimension) are answered
+    by one stacked evaluation, never by the engine."""
+
+    def __init__(self, deltas, weights, ref_dim: int):
+        self.deltas = np.asarray(deltas, dtype=complex)
+        self.weights = np.asarray(weights, dtype=float)
+        self.ref = ref_dim
+
+    def shape_key(self):
+        return (type(self), *self.deltas.shape[:2], self.ref)
+
+
+def _brackets(requests) -> list[SdpSolution]:
+    """The answers of same-shape bracket requests, in one evaluation."""
+    deltas = _stacked([r.deltas for r in requests])
+    weights = _stacked([r.weights for r in requests])
+    return _mixed_reference_solution(deltas, weights, requests[0].ref)
 
 
 def _fixed_steps(delta, ref_dim, tol, kraus=None):
-    """``solve_fixed`` as steps: none when a closed form or the reference
-    iteration closes. ``kraus``, the single Kraus operators (K, L) of two
-    channels with delta = choi(K) - choi(L), lets the bracket of
+    """``solve_fixed`` as steps: the bracket request at rho = I/d, then no
+    solve when a closed form or the reference iteration closes. ``kraus``,
+    the single Kraus operators (K, L) of two channels with
+    delta = choi(K) - choi(L), lets the bracket of
     ``_unitary_pair_solution`` try before the iteration."""
     delta = np.asarray(delta)
-    closed = _mixed_reference_solution(delta[None], np.ones(1), ref_dim)
+    closed = yield _Bracket(delta[None], np.ones(1), ref_dim), None
     if closed.gap <= tol:
         return closed
     if kraus is not None:

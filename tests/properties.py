@@ -250,7 +250,7 @@ def check_mixed_reference_bracket_is_a_true_bracket(seed: int = 20, pairs: int =
         for i in range(pairs):
             a, b = (helpers.random_channel(d, k, gen) for k in ranks[i % len(ranks)])
             delta = choi(a) - choi(b)
-            closed = sdp._mixed_reference_solution([delta], [1.0], d)
+            (closed,) = sdp._mixed_reference_solution([[delta]], [[1.0]], d)
             ipm = sdp._solve_ipm(sdp._program([delta], d), 1e-8)
             roundoff = d * d * eps * trace_norm(delta)
             excess = max(closed.primal - ipm.dual, ipm.primal - closed.dual)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -22,13 +24,14 @@ from chanapprox import (
     identity,
     kron,
     pauli_channel,
+    pauli_unitaries,
     polygon_radius,
     tensor,
     trace_norm,
     unitary_channel,
     unitary_qubit,
 )
-from chanapprox import cli, sdp
+from chanapprox import approx, cli, diamond, sdp
 from chanapprox.approx import approx_bounds, covariant_objective, optimal_convex_approx
 from chanapprox.channels import PAULI
 from chanapprox.errors import (
@@ -281,6 +284,28 @@ def test_diamond_sdp_identical_channels() -> None:
     assert res.gap <= 1e-7
 
 
+def test_zero_test_prefilter_keeps_the_trace_norm_floor(monkeypatch) -> None:
+    """The zero and exact-member tests skip ``trace_norm`` only where the
+    Frobenius norm proves the trace norm above the floor (||.||_F <=
+    ||.||_1). A Delta whose Frobenius norm is below the floor and whose
+    trace norm is above it is not zero, alone or as the one member of an
+    approximating set; an exact member still gives the zero result, and NaN
+    or inf still reaches the finite-input guard."""
+    delta = np.diag([0.6e-12, 0.6e-12, 0.0, 0.0]).astype(complex)
+    assert np.linalg.norm(delta) < diamond._ZERO_TRACE_NORM < trace_norm(delta)
+    res = diamond._diamond_of_delta(delta, 2, 1e-7)
+    assert res.primal >= 0.5e-12 and res.value > 0.0
+    for bad in (np.nan, np.inf):
+        with pytest.raises(RangeError, match="NaN or infinite"):
+            diamond._diamond_of_delta(np.full((4, 4), bad, dtype=complex), 2, 1e-7)
+    exact = optimal_convex_approx(identity(2), [unitary_channel(PAULI[1]), identity(2)], 1e-6)
+    assert exact.distance == 0.0 and exact.weights.tolist() == [0.0, 1.0]
+    assert not exact.witness.witness_operator.any()
+    monkeypatch.setattr(approx, "_simplex_deltas", lambda target, members: delta[None])
+    res = optimal_convex_approx(identity(2), [identity(2)], 1e-6)
+    assert res.distance >= 0.5e-12 and res.witness.witness_operator.any()
+
+
 def test_diamond_sdp_matches_unitary_closed_form() -> None:
     gen = helpers.rng(50)
     for _ in range(20):
@@ -327,7 +352,7 @@ def _log_calls(monkeypatch, name: str, log: list) -> list:
     return log
 
 
-def test_closed_form_census_of_solves(monkeypatch) -> None:
+def test_closed_form_census_of_solves(monkeypatch, capsys) -> None:
     """Qubit unitary pairs, unitary-vs-covariant pairs and fig1 rows close at
     the maximally mixed reference and reach the engine 0 times. A damping vs
     Pauli pair closes in the reference iteration, both as ``solve_fixed`` of
@@ -335,8 +360,10 @@ def test_closed_form_census_of_solves(monkeypatch) -> None:
     closes in the reference iteration as ``solve_fixed`` of its Choi
     difference, which carries no Kraus operators, and in the unitary-pair
     bracket through ``diamond_sdp``, which runs no reference iteration. None
-    of these reaches the engine. Pairs whose optimal reference state is rank
-    deficient keep their one solve each."""
+    of these reaches the engine, nor does the default fig1 sweep, which asks
+    for one stacked bracket per window of rows, fig2 or the Pauli-set
+    bounds. Pairs whose optimal reference state is rank deficient keep their
+    one solve each."""
     gen = helpers.rng(57)
     unitaries = [unitary_qubit(*gen.uniform(0.0, np.pi / 2, size=3)) for _ in range(8)]
     closing = list(zip(unitaries[:4], unitaries[4:]))
@@ -349,6 +376,18 @@ def test_closed_form_census_of_solves(monkeypatch) -> None:
     assert log == []
     for x, analytic, _, distance, gap in rows:
         assert gap <= 1e-9 and abs(distance - analytic) <= 1e-9, x
+    # the default fig1 grid asks for one stacked bracket per window of rows,
+    # and fig2 and the Pauli-set bounds take no solve either
+    brackets = _log_calls(monkeypatch, "_mixed_reference_solution", [])
+    assert cli.main(["fig1"]) == cli.EXIT_OK
+    assert len(brackets) == math.ceil(201 / sdp._MAX_BATCH) == 4
+    assert cli.main(["fig2", "--grid", "5x5"]) == cli.EXIT_OK
+    assert len(brackets) == 5
+    target = unitary_qubit(0.43, 0.91, 0.27)
+    res = optimal_convex_approx(target, pauli_unitaries(), 1e-6)
+    approx_bounds(target, pauli_unitaries(), res.distance)
+    capsys.readouterr()
+    assert log == []
     u1, u2, r1, r2 = (unitary_qubit(*angles) for angles in gen.uniform(0.0, 1.5, size=(4, 3)))
     skew = pauli_channel([0.7, 0.2, 0.1, 0.0])
     iterated = [

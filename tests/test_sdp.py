@@ -383,13 +383,15 @@ def test_concurrent_solves_match_serial_bits() -> None:
 
 def _row_requests(steps) -> list:
     """The (program, gap_tol) of every solve a sweep row's step generator
-    needs, each answered by a solve of its own."""
+    needs, each answered by a solve of its own; its bracket requests are
+    answered alone and left out."""
     requests = []
     try:
         request = next(steps)
         while True:
-            requests.append(request)
-            request = steps.send(sdp._solve_ipm(*request))
+            if not isinstance(request[0], sdp._Bracket):
+                requests.append(request)
+            request = steps.send(sdp._answer(*request))
     except StopIteration:
         return requests
 
@@ -458,6 +460,71 @@ def test_batched_solves_match_solo_solves_bit_for_bit(monkeypatch) -> None:
             mixed = sdp._solve_batch(loose, loose_tols)
             assert len({sol.iterations for sol in mixed}) > 1
             assert _solution_bits(mixed[i]) == alone[i]
+
+
+def _result_bits(res) -> tuple:
+    """Every float and array of a ``DiamondResult`` or an ``ApproxResult``."""
+    cert = getattr(res, "witness", res)
+    weights = getattr(res, "weights", None)
+    return (
+        struct.pack("<4d", cert.value, cert.primal, cert.dual, getattr(res, "distance", cert.value)),
+        cert.witness_state.tobytes(),
+        cert.witness_operator.tobytes(),
+        None if weights is None else weights.tobytes(),
+        getattr(res, "iterations", 0),
+    )
+
+
+def test_stacked_brackets_match_solo_brackets_bit_for_bit(monkeypatch) -> None:
+    """A window of fig1 results and one of fig2 results close in the closed
+    form at the maximally mixed reference. Each gives the same bits alone
+    (``_run``), in its window (``_run_all``) and in the reversed window; a
+    window evaluates the brackets of each shape once, and the engine never
+    runs. x = 0 and alpha = beta = 0 are exact members; x = 2 is the fig1
+    row at distance 2 from the identity."""
+    xs = np.linspace(0.0, 2.0, 9)
+    fig2 = [(a, b, np.pi / 8) for a in (0.0, 0.7, np.pi / 2) for b in (0.0, 1.1)]
+
+    def rows():
+        """The steps of the fig1 and fig2 results, as cli's row workers build them."""
+        steps = [
+            diamond._diamond_sdp_steps(
+                unitary_qubit(float(np.arcsin(x / 2.0)), 0.0, 0.0),
+                covariant(approx.covariance_distance_x(x)[1]),
+                1e-9,
+            )
+            for x in xs
+        ]
+        paulis = pauli_unitaries()
+        return steps + [approx._convex_approx_steps(unitary_qubit(*r), paulis, 1e-6) for r in fig2]
+
+    alone = [_result_bits(sdp._run(steps)) for steps in rows()]
+    stacks = []
+    bracket = sdp._mixed_reference_solution
+
+    def logged(deltas, weights, ref_dim):
+        stacks.append(len(deltas))
+        return bracket(deltas, weights, ref_dim)
+
+    monkeypatch.setattr(sdp, "_mixed_reference_solution", logged)
+    solves = _count_solves(monkeypatch)
+    assert [_result_bits(res) for res in sdp._run_all(rows())] == alone
+    # the exact members ask for no bracket: 8 fig1 rows and 5 fig2 rows
+    assert stacks == [8, 5] and solves == []
+    assert [_result_bits(res) for res in sdp._run_all(rows()[::-1])] == alone[::-1]
+    assert stacks == [8, 5, 5, 8]
+    assert all(bits[-1] == 0 for bits in alone)
+    for bits in (alone[0], alone[len(xs)]):
+        assert bits[0] == struct.pack("<4d", 0.0, 0.0, 0.0, 0.0)
+    assert struct.unpack("<4d", alone[len(xs) - 1][0])[0] == pytest.approx(4.0 / 3.0, abs=1e-9)
+    # A family's kernel is its own: an eigenvalue of 1e-14 is above it at
+    # scale 1, and below that of a family 1e3 times larger in the stack.
+    family = np.stack([np.diag([1.0, 1e-14, -1.0, -0.5]), np.eye(4)]).astype(complex)
+    small, large = (sdp._Bracket(scale * family, [1.0, 0.0], 2) for scale in (1.0, 1e3))
+    (solo,) = bracket([small.deltas], [small.weights], 2)
+    for stack in ([small, large], [large, small]):
+        sols = sdp._brackets(stack)
+        assert _solution_bits(sols[stack.index(small)]) == _solution_bits(solo)
 
 
 def _pauli_deltas(alpha: float, beta: float) -> np.ndarray:
@@ -888,13 +955,17 @@ def test_an_open_closed_form_leaves_the_solve_bit_for_bit(monkeypatch) -> None:
     assert counts == ["_Program", "_Program", "_DualProgram", "_Program", "_Program"]
     closed = sdp._mixed_reference_solution
     # a bracket merged into the solve's would move the near miss's lower side
-    assert closed([near], [1.0], 2).primal > sdp.solve_fixed(near, 2, 1e-7).primal
+    assert closed([[near]], [[1.0]], 2)[0].primal > sdp.solve_fixed(near, 2, 1e-7).primal
+    opened = []
 
     def open_bracket(deltas, weights, ref_dim):
-        return dataclasses.replace(closed(deltas, weights, ref_dim), dual=np.inf)
+        opened.append(len(deltas))
+        return [dataclasses.replace(sol, dual=np.inf) for sol in closed(deltas, weights, ref_dim)]
 
     monkeypatch.setattr(sdp, "_mixed_reference_solution", open_bracket)
     assert [_solution_bits(sdp.solve_fixed(*case)) for case in cases] == before
+    # each case asked for its bracket, as a stack of one
+    assert opened == [1] * len(cases)
 
 
 def test_mixed_reference_bracket_is_a_true_bracket() -> None:
@@ -978,7 +1049,7 @@ def test_reference_iteration_results_recheck_from_delta_and_their_matrices(monke
     stacks = _count_solves(monkeypatch)
     for delta, ref_dim in _nearly_pure_iterated_cases() + _well_conditioned_iterated_cases():
         for tol in (1e-7, 1e-9):
-            assert sdp._mixed_reference_solution([delta], [1.0], ref_dim).gap > tol
+            assert sdp._mixed_reference_solution([[delta]], [[1.0]], ref_dim)[0].gap > tol
             sol = sdp.solve_fixed(delta, ref_dim, tol)
             assert stacks == []
             assert (sol.iterations, sol.weights.tolist()) == (0, [1.0])
@@ -1076,7 +1147,7 @@ def test_a_duc_delta_never_enters_the_reference_iteration(monkeypatch, capsys) -
 
     monkeypatch.setattr(sdp, "_reference_iteration", logged)
     duc = choi(damping(1.0, 1.0)) - choi(identity(2))
-    assert sdp._mixed_reference_solution([duc], [1.0], 2).gap > 1e-7
+    assert sdp._mixed_reference_solution([[duc]], [[1.0]], 2)[0].gap > 1e-7
     assert sdp.solve_fixed(duc, 2, 1e-7).iterations > 0
     assert cli.main(["twocopy", "--format", "json"]) == cli.EXIT_OK
     capsys.readouterr()
