@@ -235,14 +235,22 @@ def _pauli_mixture(target: Channel, members, delta_stack) -> sdp._Bracket | None
     """
     if target.dim != 2 or len(target.kraus) != 1:
         return None
-    paulis = np.stack([ch.choi for ch in pauli_unitaries()])
     # (member, Pauli) pairs of equal Choi matrices
-    found = (np.stack([ch.choi for ch in members])[:, None] == paulis).all(axis=(-2, -1))
+    found = (np.stack([ch.choi for ch in members])[:, None] == _pauli_chois()).all(axis=(-2, -1))
     directions = found.argmax(axis=1)
     if not found.any(axis=1).all() or len(set(directions)) != len(members):
         return None
     q = np.abs(_BELL.conj() @ target.kraus[0].reshape(-1)) ** 2 / 2.0
     return sdp._Bracket(delta_stack, _water_fill(q, directions), 2)
+
+
+@lru_cache(maxsize=None)
+def _pauli_chois() -> np.ndarray:
+    """The Choi matrices of the four Pauli unitaries, (4, 4, 4), built once
+    and read-only."""
+    chois = np.stack([ch.choi for ch in pauli_unitaries()])
+    chois.setflags(write=False)
+    return chois
 
 
 def _water_fill(q: np.ndarray, directions) -> np.ndarray:

@@ -29,7 +29,20 @@ weights) of its best bracket.
    objective (the diamond norm of one Delta) is the family of one. At
    d = 1 the reference block is the constant [1] with no generators, the
    constraint reads -I <= W <= I, and the optimum is min over the simplex
-   of the trace norm of the mixed Delta.
+   of the trace norm of the mixed Delta. When every Delta_i is exactly
+   real (the Choi differences of channels with real Kraus operators, such
+   as damping and Pauli channels and their products), complex conjugation
+   maps a feasible (W, rho) to a feasible (conj W, conj rho) of the same
+   value, so the average (Re W, Re rho) is optimal: the optimum is real
+   symmetric (Gatermann & Parrilo, J. Pure Appl. Algebra 2004). The
+   program is then solved on real symmetric W and rho: y = (the n(n+1)/2
+   diagonal and real upper coordinates of W, the d(d+1)/2 - 1 real
+   traceless coordinates of rho, t), the leading coordinates of both bases,
+   so m = 146 instead of 272 at n = 16. Nothing is lost, and both sides
+   hold on the complex space: the real witness is feasible there, and the
+   projected dual bound needs only X1 - X2 = Delta with X1, X2 >= 0
+   (Watrous, arXiv:1207.5726). One exact test of the stacked imaginary
+   parts selects this form.
 2. The dual of the one-member program (Watrous, arXiv:1207.5726): minimize
    t subject to V >= 0, Delta + V >= 0 and t I - Tr_1[Delta + 2 V] >= 0.
    y = (V, -t); the pair has C = (0, Delta), signs -1, -1 and no
@@ -130,11 +143,13 @@ entries, so M_ij = Re Tr[E_j R_i^T] with R_i[c, d] = sum_s sum_ab (E_i)_ab
 X_s[b, c] Z_s[d, a], a sum of at most two outer products per block. E_j is
 Hermitian, so also M_ij = Re Tr[E_j W_i^T] / 2 with W_i = R_i + R_i^H:
 column j reads one diagonal or upper-triangle entry of the Hermitian W_i.
-All n^2 matrices W_i are one batched product of rows gathered from the X_s
-and Z_s, with inner dimension 8 (4 per block of the pair): O(n^4) work,
-where n^2 products X_s E_j Z_s took O(n^5). The gathered rows, the W_i,
-their upper triangles and M before symmetrization live in buffers that a
-program allocates once per stack shape (3 MB at n = 16); a program
+All nh matrices W_i, one per coordinate (n^2, or n(n+1)/2 for a real
+program, which reads no imaginary column), are one batched product of rows
+gathered from the X_s and Z_s, with inner dimension 8 (4 per block of the
+pair): O(n^4) work, where n^2 products X_s E_j Z_s took O(n^5). The
+gathered rows, the W_i, their upper triangles and M before symmetrization
+live in buffers that a program allocates once per stack shape (3.2 MB at
+n = 16, 1.6 MB for a real program); a program
 therefore serves one solve at a time, and separate programs solve
 concurrently. Arrays of that size allocated per iteration instead are
 returned to the system by glibc and faulted in again on every use.
@@ -165,11 +180,12 @@ witness has Tr[Delta(p) W] >= t and its upper side bounds the norm of
 Delta(p). Every certified distance therefore takes at most two solves.
 
 Batches. ``_solve_batch`` solves programs of one shape as one stack: one
-class, n, reference dimension, member count and, for program 3, kept pairs
-(``shape_key``). ``_stack`` gives their per-problem data (b, G, every C and
-the members Delta_i) a leading axis, and h, fixed by the shape, is shared;
-every map above takes and returns stacks, and every step below acts on
-them, so ``_solve_ipm`` is the stack of one and there is one engine. The
+class, n, reference dimension, member count, real or complex form and, for
+program 3, kept pairs (``shape_key``). ``_stack`` gives their per-problem
+data (b, G, every C and the members Delta_i) a leading axis, and h, fixed
+by the shape, is shared; every map above takes and returns stacks, and
+every step below acts on them, so ``_solve_ipm`` is the stack of one and
+there is one engine. The
 equal-size blocks of a program share their calls (two n x n blocks: one
 eigh, inv or matmul), and so do X and S in the step length. Each problem
 keeps the stop rules and the best bracket of a solve of its own, and leaves
@@ -252,16 +268,19 @@ def _extract_tables(n: int):
 
 def expand_coords(w: np.ndarray, n: int) -> np.ndarray:
     """Hermitian matrix with the given basis coordinates; a stack of
-    coordinate vectors gives one matrix per vector."""
-    source, scale = _expand_tables(n)
+    coordinate vectors gives one matrix per vector. A leading part of the
+    coordinates sets the rest to zero: the first n(n+1)/2 give a real
+    symmetric matrix."""
+    source, scale = _expand_tables(n, w.shape[-1])
     return (w.take(source, axis=-1) * scale).view(complex)[..., 0]
 
 
 @lru_cache(maxsize=None)
-def _expand_tables(n: int):
+def _expand_tables(n: int, count: int):
     """For the real and the imaginary part (last axis) of every entry of an
     n x n Hermitian matrix: the coordinate it is read from and its scale,
-    +-1/sqrt2 off the diagonal and 0 for the diagonal's imaginary part."""
+    +-1/sqrt2 off the diagonal and 0 for the diagonal's imaginary part and
+    for every coordinate from ``count`` on."""
     iu, ju = np.triu_indices(n, 1)
     npair = iu.size
     k = np.arange(npair)
@@ -275,6 +294,9 @@ def _expand_tables(n: int):
     source[iu, ju, 1] = source[ju, iu, 1] = n + npair + k
     scale[iu, ju, 1] = 1.0 / _SQRT2
     scale[ju, iu, 1] = -1.0 / _SQRT2
+    dropped = source >= count
+    source[dropped] = 0
+    scale[dropped] = 0.0
     for arr in (source, scale):
         arr.setflags(write=False)
     return source, scale
@@ -336,13 +358,15 @@ def _trace_out(a: np.ndarray, out: int) -> np.ndarray:
 class _BlockProgram:
     """Linear maps shared by every program, driven by its data.
 
-    A program sets ``n``, ``nw`` (= n^2), ``m`` and ``b``, then passes
-    ``_set_data`` its data:
+    A program sets ``n``, ``nh``, ``m`` and ``b``, then passes ``_set_data``
+    its data. ``nh`` counts the Hermitian coordinates of H: n^2, or
+    n(n+1)/2 for a real program, whose H is real symmetric (the leading
+    coordinates of ``extract_coords``).
 
     ``pair``: ``(C, signs, off, gens)`` of the two n x n blocks, C stacked
         as (2, n, n), so that block j has
-        A_j(y) = signs[j] * H(y[:nw]) + sum_l y[off + l] gens[l] and
-        S_j(y) = C[j] - A_j(y), with gens acting only on coordinates >= nw;
+        A_j(y) = signs[j] * H(y[:nh]) + sum_l y[off + l] gens[l] and
+        S_j(y) = C[j] - A_j(y), with gens acting only on coordinates >= nh;
     ``others``: a list of ``(C, off, gens)``, one per further block, C as
         (1, s, s), with A(y) = sum_l y[off + l] gens[l] and S(y) = C[0] - A(y);
     ``rows``: ``(h, G)`` of the k scalar rows s(y) = h - G y, h of length k
@@ -395,7 +419,7 @@ class _BlockProgram:
             )
             for off, gens, rows in self.spans
         ]
-        herm = expand_coords(y[..., : self.nw], self.n)[..., None, :, :]
+        herm = expand_coords(y[..., : self.nh], self.n)[..., None, :, :]
         mats[0] = mats[0] + self.signs * herm
         return mats, (self.g_rows @ y[..., None])[..., 0]
 
@@ -405,18 +429,18 @@ class _BlockProgram:
         for mat, (off, gens, rows) in zip(mats, self.spans):
             vec = mat.sum(axis=-3).reshape(mat.shape[:-3] + (-1, 1))
             out[..., off : off + len(gens)] += (rows @ vec)[..., 0].real
-        out[..., : self.nw] += extract_coords((self.signs * mats[0]).sum(axis=-3))
+        out[..., : self.nh] += extract_coords((self.signs * mats[0]).sum(axis=-3))[..., : self.nh]
         return out
 
     def _schur_buffers(self, lead):
         """The work buffers of ``schur`` for iterates with leading axes ``lead``."""
         if lead not in self._buffers:
-            n, nw = self.n, self.nw
+            n, nh = self.n, self.nh
             self._buffers[lead] = (
-                np.empty(lead + (nw, 8, n), dtype=complex),
-                np.empty(lead + (nw, 8, n), dtype=complex),
-                np.empty(lead + (nw, nw), dtype=complex),
-                np.empty(lead + (nw, (nw - n) // 2), dtype=complex),
+                np.empty(lead + (nh, 8, n), dtype=complex),
+                np.empty(lead + (nh, 8, n), dtype=complex),
+                np.empty(lead + (nh, n * n), dtype=complex),
+                np.empty(lead + (nh, n * (n - 1) // 2), dtype=complex),
                 np.empty(lead + (self.m, self.m)),
             )
         return self._buffers[lead]
@@ -426,11 +450,11 @@ class _BlockProgram:
 
         The block of the Hermitian coordinates is the closed form of the
         module docstring: ``left`` and ``right`` hold the gathered rows,
-        ``w`` the n^2 matrices W_i, ``upper`` their upper triangles. Only
+        ``w`` the nh matrices W_i, ``upper`` their upper triangles. Only
         the returned matrix is allocated per call.
         """
-        n, nw = self.n, self.nw
-        npair = (nw - n) // 2
+        n, nh = self.n, self.nh
+        npair = n * (n - 1) // 2
         lead = x_mats[0].shape[:-3]
         left_rows, right_rows, coef, upper_cols = _schur_gathers(n)
         left, right, w, upper, m = self._schur_buffers(lead)
@@ -440,16 +464,18 @@ class _BlockProgram:
             return np.concatenate([a.reshape(lead + (-1, n)) for a in mats], axis=-2)
 
         # mode="clip": with the default mode, np.take fills a copy of ``out``
-        np.take(rows_of(x, z.conj().swapaxes(-1, -2)), left_rows, axis=-2, out=left, mode="clip")
-        left *= coef
-        np.take(rows_of(z.swapaxes(-1, -2), x.conj()), right_rows, axis=-2, out=right, mode="clip")
-        np.matmul(left.swapaxes(-1, -2), right, out=w.reshape(lead + (nw, n, n)))
+        # the tables' first nh rows: the E_i of the program's coordinates
+        np.take(rows_of(x, z.conj().swapaxes(-1, -2)), left_rows[:nh], axis=-2, out=left, mode="clip")
+        left *= coef[:nh]
+        np.take(rows_of(z.swapaxes(-1, -2), x.conj()), right_rows[:nh], axis=-2, out=right, mode="clip")
+        np.matmul(left.swapaxes(-1, -2), right, out=w.reshape(lead + (nh, n, n)))
         np.take(w, upper_cols, axis=-1, out=upper, mode="clip")
-        np.multiply(w[..., :: n + 1].real, 1.0 / _SQRT2, out=m[..., :nw, :n])
-        np.copyto(m[..., :nw, n : n + npair], upper.real)
-        np.negative(upper.imag, out=m[..., :nw, n + npair : nw])
-        m[..., :nw, nw:] = 0.0
-        m[..., nw:, :] = 0.0
+        np.multiply(w[..., :: n + 1].real, 1.0 / _SQRT2, out=m[..., :nh, :n])
+        np.copyto(m[..., :nh, n : n + npair], upper.real)
+        if nh > n + npair:  # the imaginary coordinates of a complex program
+            np.negative(upper.imag, out=m[..., :nh, n + npair : nh])
+        m[..., :nh, nh:] = 0.0
+        m[..., nh:, :] = 0.0
         if self.h.size:  # h is shared by a stack; g_rows has a leading axis
             m += self.g_rows.swapaxes(-1, -2) @ (xz_scal[..., :, None] * self.g_rows)
         for i, (x, z, (off, gens, rows)) in enumerate(zip(x_mats, z_mats, self.spans)):
@@ -458,9 +484,9 @@ class _BlockProgram:
             flat = t.sum(axis=-4).reshape(lead + (l, rows.shape[-1]))
             m[..., off : off + l, off : off + l] += (rows @ flat.swapaxes(-1, -2)).real
             if i == 0:  # the pair's cross terms sign * X F Z
-                c = extract_coords((self.signs[:, None] * t).sum(axis=-4))
-                m[..., off : off + l, :nw] += c
-                m[..., :nw, off : off + l] += c.swapaxes(-1, -2)
+                c = extract_coords((self.signs[:, None] * t).sum(axis=-4))[..., :nh]
+                m[..., off : off + l, :nh] += c
+                m[..., :nh, off : off + l] += c.swapaxes(-1, -2)
         out = m.swapaxes(-1, -2).copy()
         out += m
         out *= 0.5
@@ -534,9 +560,11 @@ def _schur_gathers(n: int):
 
 class _Program(_BlockProgram):
     """The minimax program over a family (see module docstring); a fixed
-    objective is the family of one."""
+    objective is the family of one. ``real`` when every member is exactly
+    real: W and rho are then real symmetric."""
 
     _members = ("deltas",)
+    real = False  # program 3 keeps this default
 
     def __init__(self, deltas, ref_dim: int):
         self._set_members(deltas, ref_dim)
@@ -544,15 +572,19 @@ class _Program(_BlockProgram):
         if n % ref_dim:
             raise ValueError("matrix dim not divisible by reference dim")
         self.out = n // ref_dim
-        self.nw = nw = n * n
-        self.m = nw + ref_dim * ref_dim
+        self.real = not self.deltas.imag.any()
+        # the real coordinates lead in both bases
+        self.nh = nh = n * (n + 1) // 2 if self.real else n * n
         fbasis = _traceless_stack(ref_dim)
+        if self.real:
+            fbasis = fbasis[: ref_dim * (ref_dim + 1) // 2 - 1]
+        self.m = nh + len(fbasis) + 1
         lifted = -np.kron(np.eye(self.out)[None], fbasis)
         eye = np.eye(n, dtype=complex)
         self._set_data(
-            (np.stack([eye, eye]) / ref_dim, (1.0, -1.0), nw, lifted),
-            [(np.eye(ref_dim, dtype=complex)[None] / ref_dim, nw, -fbasis)],
-            (np.zeros(self.k), self._objective(extract_coords(self.deltas))),
+            (np.stack([eye, eye]) / ref_dim, (1.0, -1.0), nh, lifted),
+            [(np.eye(ref_dim, dtype=complex)[None] / ref_dim, nh, -fbasis)],
+            (np.zeros(self.k), self._objective(extract_coords(self.deltas)[:, :nh])),
         )
 
     def _set_members(self, deltas, ref_dim):
@@ -569,7 +601,7 @@ class _Program(_BlockProgram):
 
     def shape_key(self):
         """Programs with equal keys stack (see ``_solve_batch``)."""
-        return (type(self), self.n, self.ref, self.k)
+        return (type(self), self.n, self.ref, self.k, self.real)
 
     def _objective(self, coef):
         """Set b = e_t; return G, so that s_i = coef_i . y[:j] - t for the
@@ -588,7 +620,7 @@ class _Program(_BlockProgram):
 
     def witness(self, y):
         """(W, rho); rho is the reference block's slack I/d + traceless part."""
-        return expand_coords(y[: self.nw], self.n), self.slack_blocks(y)[0][1][0]
+        return expand_coords(y[: self.nh], self.n), self.slack_blocks(y)[0][1][0]
 
     def certificate(self, y, x_mats, x_scal):
         """(W, rho, weights) of a best bracket: the witness at y and the
@@ -659,7 +691,7 @@ class _SectorProgram(_Program):
     def __init__(self, deltas, ref_dim: int):
         self._set_members(deltas, ref_dim)
         self.n = d = math.isqrt(self.deltas.shape[-1])
-        self.nw = nw = d * d
+        self.nh = nw = d * d
         out_idx, in_idx = np.divmod(np.arange(nw), d)
         self.sector = np.flatnonzero(out_idx == in_idx)  # |aa>, a = 0..d-1
         off = np.flatnonzero(out_idx != in_idx)
@@ -698,10 +730,10 @@ class _SectorProgram(_Program):
 
     def witness(self, y):
         """(W, rho) on the full space: W is zero off the sectors, rho is diagonal."""
-        npair = len(self.pairs)
-        w = np.zeros((self.nw, self.nw), dtype=complex)
-        w[self.sector[:, None], self.sector] = expand_coords(y[: self.nw], self.n)
-        w[self.pairs, self.pairs] = y[self.nw : self.nw + npair]
+        nw, npair = self.nh, len(self.pairs)
+        w = np.zeros((nw, nw), dtype=complex)
+        w[self.sector[:, None], self.sector] = expand_coords(y[:nw], self.n)
+        w[self.pairs, self.pairs] = y[nw : nw + npair]
         p = self.slack_blocks(y)[1][self.k + 2 * npair :]
         return w, np.diag(p).astype(complex)
 
@@ -765,7 +797,7 @@ class _DualProgram(_BlockProgram):
         if n % ref_dim:
             raise ValueError("matrix dim not divisible by reference dim")
         self.out = n // ref_dim
-        self.nw = nw = n * n
+        self.nh = nw = n * n
         self.m = nw + 1
         # 2 Tr_1[E_j] for every basis matrix, then I for the stored -t
         gens = np.concatenate(

@@ -37,6 +37,13 @@ def random_channel(d: int, kraus_count: int, gen: np.random.Generator) -> Channe
     return Channel(tuple(q[i * d : (i + 1) * d, :] for i in range(kraus_count)))
 
 
+def random_real_channel(d: int, kraus_count: int, gen: np.random.Generator) -> Channel:
+    """Random channel with real Kraus operators, via a random real isometry:
+    its Choi matrix is exactly real."""
+    q, _ = np.linalg.qr(gen.normal(size=(d * kraus_count, d)))
+    return Channel(tuple(q[i * d : (i + 1) * d, :] for i in range(kraus_count)))
+
+
 def random_simplex(k: int, gen: np.random.Generator) -> np.ndarray:
     """Uniform (Dirichlet) random point on the probability simplex."""
     return gen.dirichlet(np.ones(k))

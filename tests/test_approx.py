@@ -489,6 +489,11 @@ def test_pauli_route_needs_a_unitary_target_and_distinct_pauli_members() -> None
     ):
         deltas = approx._simplex_deltas(other_target, members)
         assert approx._pauli_mixture(other_target, members, deltas) is None
+    # the Pauli Choi matrices the members are matched against: built once,
+    # read-only
+    chois = approx._pauli_chois()
+    assert chois is approx._pauli_chois() and not chois.flags.writeable
+    npt.assert_array_equal(chois, np.stack([ch.choi for ch in paulis]))
 
 
 def test_pauli_set_bounds_take_no_solve(monkeypatch) -> None:

@@ -197,6 +197,21 @@ def _two_copy_deltas() -> list[np.ndarray]:
     return [choi(target) - choi(ch) for ch in members]
 
 
+def _real_product_delta() -> np.ndarray:
+    """A noisy two-qubit product pair, not DUC, whose Choi difference is
+    exactly real; the reference iteration leaves it open."""
+    a = tensor(damping(0.8, 0.7), covariant(0.2))
+    b = tensor(pauli_channel([0.7, 0.2, 0.1, 0.0]), pauli_channel([0.5, 0.3, 0.1, 0.1]))
+    return choi(a) - choi(b)
+
+
+def _twisted(delta: np.ndarray, phases) -> np.ndarray:
+    """(I (x) V) delta (I (x) V)^H for V = diag(exp(i phases)) on the
+    reference factor: the same diamond norm, and complex for real delta."""
+    lift = np.kron(np.eye(delta.shape[0] // len(phases)), np.diag(np.exp(1j * np.asarray(phases))))
+    return lift @ delta @ lift.conj().T
+
+
 def _program_shapes():
     gen = helpers.rng(35)
 
@@ -211,6 +226,10 @@ def _program_shapes():
         choi(damping(0.7, 0.5)) - choi(pauli_channel([0.9, 0.0, 0.0, 0.1]))
     ]
     two_copy = _two_copy_deltas()
+    real_family = [
+        choi(damping(0.7, 0.5)) - choi(pauli_channel(p))
+        for p in (_SKEW_PAULI, [0.5, 0.1, 0.3, 0.1], [0.2, 0.3, 0.4, 0.1])
+    ]
     return {
         "one-member-ref2": sdp._Program([d2], 2),
         "one-member-ref4": sdp._Program([d4], 4),
@@ -227,6 +246,11 @@ def _program_shapes():
         # the Choi bounds of both families
         "sector-minimax-ref1-d2": sdp._SectorProgram(damping_family, 1),
         "sector-minimax-ref1-d4": sdp._SectorProgram(two_copy, 1),
+        # exactly real families: W and rho real symmetric
+        "real-one-member-ref2": sdp._Program(real_family[:1], 2),
+        "real-one-member-ref4": sdp._Program([_real_product_delta()], 4),
+        "real-minimax-ref2": sdp._Program(real_family, 2),
+        "real-minimax-ref1": sdp._Program(real_family, 1),
     }
 
 
@@ -276,6 +300,7 @@ def test_program_operators_are_consistent_for_every_shape() -> None:
     """slack = C - A^T(y), <A^T(y), X> = y . A(X), and schur matches brute force."""
     gen = helpers.rng(36)
     for name, prog in _program_shapes().items():
+        assert getattr(prog, "real", False) == name.startswith("real"), name
         zero_mats, zero_scal = prog.slack_blocks(np.zeros(prog.m))
         # s(0) = h; a sector program's only matrix group is its pair
         npt.assert_array_equal(zero_scal, prog.h)
@@ -323,24 +348,26 @@ def test_program_operators_are_consistent_for_every_shape() -> None:
 
 def test_warm_schur_call_allocates_no_large_temporaries() -> None:
     """At n = 16 the per-iteration Schur work lives in program-owned buffers:
-    a warm call allocates little beyond its 0.56 MiB result (272 x 272)."""
+    a warm call allocates little beyond its result, 0.56 MiB (272 x 272) for
+    a complex program and 0.16 MiB (146 x 146) for a real one; the bound
+    scales with the result."""
     gen = helpers.rng(42)
     a, b = helpers.random_channel(4, 2, gen), helpers.random_channel(4, 3, gen)
-    delta = choi(a) - choi(b)
-    prog = sdp._Program([delta], 4)
-    assert (prog.n, prog.m) == (16, 272)
-    sizes = [blk.shape[0] for blk in _blocks(prog.slack_blocks(np.zeros(prog.m))[0])]
-    x_mats = _grouped(prog, [_random_pd(s, gen) for s in sizes])
-    z_mats = _grouped(prog, [_random_pd(s, gen) for s in sizes])
-    prog.schur(x_mats, z_mats, np.ones(1))
-    tracemalloc.start()
-    try:
-        start, _ = tracemalloc.get_traced_memory()
+    for delta, m in ((choi(a) - choi(b), 272), (_real_product_delta(), 146)):
+        prog = sdp._Program([delta], 4)
+        assert (prog.n, prog.m) == (16, m)
+        sizes = [blk.shape[0] for blk in _blocks(prog.slack_blocks(np.zeros(prog.m))[0])]
+        x_mats = _grouped(prog, [_random_pd(s, gen) for s in sizes])
+        z_mats = _grouped(prog, [_random_pd(s, gen) for s in sizes])
         prog.schur(x_mats, z_mats, np.ones(1))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - start < 1.5 * 2**20, peak - start
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            prog.schur(x_mats, z_mats, np.ones(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 1.5 * 2**20 * (m / 272) ** 2, (m, peak - start)
 
 
 def test_concurrent_solves_match_serial_bits() -> None:
@@ -1273,3 +1300,89 @@ def test_sector_choi_bound_is_the_full_trace_bound_of_the_lifted_duals() -> None
     assert max(sol.primal, full_sol.primal) <= min(sol.dual, full_sol.dual)
     assert abs(sol.primal - full_sol.primal) <= 4e-8
 
+
+
+# --- real programs -------------------------------------------------------------
+
+
+def test_program_takes_the_real_form_exactly_when_no_member_has_an_imaginary_entry() -> None:
+    delta = _real_product_delta()
+    prog = sdp._program([delta], 4)
+    assert type(prog) is sdp._Program and prog.real
+    assert (prog.nh, prog.m) == (136, 146)
+    # one imaginary entry of 1e-300 (and its Hermitian mirror) keeps the full form
+    tiny = delta.astype(complex)
+    tiny[0, 1] += 1e-300j
+    tiny[1, 0] -= 1e-300j
+    for family in ([tiny], [delta, tiny]):
+        full = sdp._program(family, 4)
+        assert type(full) is sdp._Program and not full.real
+        assert (full.nh, full.m) == (256, 272)
+    # a qubit damping pair: m = 13 instead of 20, at reference dimension 1
+    # m = 11 instead of 17
+    qubit = choi(damping(1.0, 0.9)) - choi(pauli_channel(_SKEW_PAULI))
+    assert [sdp._program([qubit], ref).m for ref in (2, 1)] == [13, 11]
+    assert [sdp._program([_twisted(qubit, [0.0, 0.4])], ref).m for ref in (2, 1)] == [20, 17]
+    # a real DUC family still solves on its sectors
+    assert not _damping_deltas(0.7, 0.5)[0].imag.any()
+    for ref in (2, 1):
+        assert type(sdp._program(_damping_deltas(0.7, 0.5), ref)) is sdp._SectorProgram
+
+
+def test_real_and_complex_programs_of_one_shape_never_share_a_stack(monkeypatch) -> None:
+    """Equal n, reference dimension and member count, but one real and one
+    complex form: the runner stacks each form alone, and every problem keeps
+    the bits it has alone."""
+    delta = choi(damping(1.0, 0.9)) - choi(pauli_channel(_SKEW_PAULI))
+    twisted = _twisted(delta, [0.3, 1.1])
+    progs = [sdp._program([d], 2) for d in (delta, twisted, twisted, delta)]
+    assert [p.real for p in progs] == [True, False, False, True]
+    assert len({(type(p), p.n, p.ref, p.k) for p in progs}) == 1
+    alone = [_solution_bits(sdp._solve_ipm(p, 1e-8)) for p in progs]
+    stacks = []
+    solve_batch = sdp._solve_batch
+
+    def recording(items, tols):
+        stacks.append([p.real for p in items])
+        return solve_batch(items, tols)
+
+    monkeypatch.setattr(sdp, "_solve_batch", recording)
+
+    def steps(prog):
+        return (yield prog, 1e-8)
+
+    sols = sdp._run_all([steps(p) for p in progs])
+    assert sorted(stacks) == [[False, False], [True, True]]
+    assert [_solution_bits(sol) for sol in sols] == alone
+
+
+def test_real_program_results_recheck_on_the_complex_space() -> None:
+    """20 random real pairs at d = 2 and at d = 4: the real program returns a
+    real symmetric (W, rho) feasible for the complex program, and its
+    distance agrees with the complex program on a complex Delta of equal
+    norm."""
+    tol = 1e-7
+    gen = helpers.rng(46)
+    for d in (2, 4):
+        n = d * d
+        eps = n * np.finfo(float).eps
+        for _ in range(20):
+            a, b = helpers.random_real_channel(d, 2, gen), helpers.random_real_channel(d, 3, gen)
+            delta = choi(a) - choi(b)
+            prog = sdp._program([delta], d)
+            assert prog.real
+            sol = sdp._solve_ipm(prog, tol)
+            w, rho = sol.witness_w, sol.witness_rho
+            for mat in (w, rho):
+                assert not mat.imag.any() and np.array_equal(mat, mat.T)
+            lift = np.kron(np.eye(d), rho)
+            assert np.linalg.eigvalsh(lift - w)[0] >= -eps
+            assert np.linalg.eigvalsh(lift + w)[0] >= -eps
+            assert np.einsum("ab,ba->", delta, w).real >= sol.primal - eps
+            twisted = _twisted(delta, 2 * np.pi * gen.uniform(size=d))
+            full = sdp._program([twisted], d)
+            assert twisted.imag.any() and not full.real
+            full_sol = sdp._solve_ipm(full, tol)
+            assert sol.gap <= tol and full_sol.gap <= tol, (sol, full_sol)
+            assert max(sol.primal, full_sol.primal) <= min(sol.dual, full_sol.dual)
+            assert abs(sol.primal - full_sol.primal) <= tol
