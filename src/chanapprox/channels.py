@@ -28,7 +28,8 @@ from .errors import (
     SimplexError,
     SpecParseError,
 )
-from .linalg import _require_finite, dagger, kron
+# kron is not called here; the name stays because perfbench/tracing.py wraps channels.kron
+from .linalg import _require_finite, dagger, kron  # noqa: F401
 
 __all__ = [
     "Channel",
@@ -286,8 +287,14 @@ def mix(chs, p) -> Channel:
 
 
 def tensor(a: Channel, b: Channel) -> Channel:
-    """Tensor product channel acting on the product space."""
-    return Channel(tuple(kron(ka, kb) for ka in a.kraus for kb in b.kraus))
+    """Tensor product channel acting on the product space: the Kraus
+    operators kron(K_a, K_b) over a's operators, then b's, all formed in one
+    broadcast product (np.kron's bits; einsum's complex product rounds
+    differently)."""
+    ka, kb = np.stack(a.kraus), np.stack(b.kraus)
+    prods = ka[:, None, :, None, :, None] * kb[None, :, None, :, None, :]
+    d = a.dim * b.dim
+    return Channel(tuple(prods.reshape(-1, d, d)))
 
 
 def compose(outer: Channel, inner: Channel) -> Channel:

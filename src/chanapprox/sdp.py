@@ -42,7 +42,11 @@ weights) of its best bracket.
    hold on the complex space: the real witness is feasible there, and the
    projected dual bound needs only X1 - X2 = Delta with X1, X2 >= 0
    (Watrous, arXiv:1207.5726). One exact test of the stacked imaginary
-   parts selects this form.
+   parts selects this form. Its members, blocks C, generators, starting
+   point and Schur buffers are then float64 arrays, so every iterate stays
+   real and each eigh, inv and matmul of the solve runs in real arithmetic;
+   the witness becomes complex128 once, in ``certificate``. Program 3 and
+   program 2 stay complex on real data.
 2. The dual of the one-member program (Watrous, arXiv:1207.5726): minimize
    t subject to V >= 0, Delta + V >= 0 and t I - Tr_1[Delta + 2 V] >= 0.
    y = (V, -t); the pair has C = (0, Delta), signs -1, -1 and no
@@ -129,6 +133,12 @@ non-finite rho (a rank-deficient optimum cannot close this way) and, from
 iteration 5, when the gap's contraction over the last 5 iterations
 predicts more than 100 in all. Any Delta left open is solved as if neither
 had been tried: no bracket of theirs enters the solve's best bracket.
+An exactly real Delta (the test of program 1) enters the iteration, and
+then program 1, as a float64 array, so each iterate's eigensolves are
+real; the closed forms at I/d and of unitary pairs and the dual program
+keep complex arithmetic, so every result that closes at I/d keeps the bits
+of the complex route. The iteration hands back its witness as complex128,
+as the engine does.
 
 The engine follows the standard path-following scheme with the HKM search
 direction and a Mehrotra predictor-corrector step. The step length to the
@@ -149,7 +159,7 @@ gathered from the X_s and Z_s, with inner dimension 8 (4 per block of the
 pair): O(n^4) work, where n^2 products X_s E_j Z_s took O(n^5). The
 gathered rows, the W_i, their upper triangles and M before symmetrization
 live in buffers that a program allocates once per stack shape (3.2 MB at
-n = 16, 1.6 MB for a real program); a program
+n = 16, 0.86 MB for a real program, whose buffers are float64); a program
 therefore serves one solve at a time, and separate programs solve
 concurrently. Arrays of that size allocated per iteration instead are
 returned to the system by glibc and faulted in again on every use.
@@ -240,19 +250,23 @@ def extract_coords(t: np.ndarray) -> np.ndarray:
     Basis order: the n diagonal units e_ii, then (e_ij + e_ji)/sqrt2 and
     i(e_ij - e_ji)/sqrt2 over the upper triangle. For Hermitian t this is
     the isometric real vectorization (inverse of expand_coords). A stack
-    of matrices gives one coordinate vector per matrix.
+    of matrices gives one coordinate vector per matrix. A real t gives only
+    the leading n(n+1)/2 coordinates: its imaginary ones are zero.
     """
     n = t.shape[-1]
-    first, second, sign, divisor = _extract_tables(n)
-    parts = np.ascontiguousarray(t).view(float).reshape(t.shape[:-2] + (2 * n * n,))
+    real = t.dtype.kind != "c"
+    first, second, sign, divisor = _extract_tables(n, real)
+    width = n * n if real else 2 * n * n  # complex: real and imaginary parts interleaved
+    parts = np.ascontiguousarray(t).view(float).reshape(t.shape[:-2] + (width,))
     return (parts.take(first, axis=-1) + sign * parts.take(second, axis=-1)) / divisor
 
 
 @lru_cache(maxsize=None)
-def _extract_tables(n: int):
+def _extract_tables(n: int, real: bool):
     """Every coordinate of extract_coords is (first + sign * second) /
     divisor over the real and imaginary parts of the entries, interleaved:
-    Re t_ii, then (Re t_ij + Re t_ji) / sqrt2, (Im t_ij - Im t_ji) / sqrt2."""
+    Re t_ii, then (Re t_ij + Re t_ji) / sqrt2, (Im t_ij - Im t_ji) / sqrt2.
+    ``real``: the leading coordinates, over the entries of a real t."""
     iu, ju = np.triu_indices(n, 1)
     r = np.arange(n)
     # positions of Re t_aa, Re t_ij and Re t_ji; Im follows each Re
@@ -261,6 +275,10 @@ def _extract_tables(n: int):
     second = np.concatenate([diag, lower, lower + 1])
     sign = np.concatenate([np.zeros(n), np.ones(iu.size), -np.ones(iu.size)])
     divisor = np.concatenate([np.ones(n), np.full(2 * iu.size, _SQRT2)])
+    if real:
+        count = n + iu.size
+        first, second = first[:count] // 2, second[:count] // 2
+        sign, divisor = sign[:count], divisor[:count]
     for arr in (first, second, sign, divisor):
         arr.setflags(write=False)
     return first, second, sign, divisor
@@ -269,9 +287,12 @@ def _extract_tables(n: int):
 def expand_coords(w: np.ndarray, n: int) -> np.ndarray:
     """Hermitian matrix with the given basis coordinates; a stack of
     coordinate vectors gives one matrix per vector. A leading part of the
-    coordinates sets the rest to zero: the first n(n+1)/2 give a real
-    symmetric matrix."""
-    source, scale = _expand_tables(n, w.shape[-1])
+    coordinates sets the rest to zero: at most the first n(n+1)/2 give a
+    real symmetric matrix, as a real array."""
+    count = w.shape[-1]
+    source, scale = _expand_tables(n, count)
+    if 2 * count <= n * (n + 1):
+        return w.take(source[..., 0], axis=-1) * scale[..., 0]
     return (w.take(source, axis=-1) * scale).view(complex)[..., 0]
 
 
@@ -378,10 +399,12 @@ class _BlockProgram:
     data: ``b``, ``g_rows``, every C (``c``) and the names in ``_members``;
     ``h`` is fixed by the shape and shared. ``schur`` allocates its work
     buffers once per stack shape, so a program object serves one solve at
-    a time.
+    a time. A ``real`` program's data, iterates and buffers are all real
+    (float64); every map follows the dtype of its input.
     """
 
     _members: tuple[str, ...] = ()
+    real = False
 
     def _set_data(self, pair, others, rows):
         pair_c, signs, pair_off, pair_gens = pair
@@ -399,7 +422,7 @@ class _BlockProgram:
 
     def _start_at(self, y):
         """Starting point: y with identity matrix duals and unit scalar duals."""
-        mats = [np.broadcast_to(np.eye(c.shape[-1], dtype=complex), c.shape).copy() for c in self.c]
+        mats = [np.broadcast_to(np.eye(c.shape[-1], dtype=c.dtype), c.shape).copy() for c in self.c]
         return y, mats, np.ones(len(self.h))
 
     def take(self, idx):
@@ -436,11 +459,12 @@ class _BlockProgram:
         """The work buffers of ``schur`` for iterates with leading axes ``lead``."""
         if lead not in self._buffers:
             n, nh = self.n, self.nh
+            dtype = float if self.real else complex
             self._buffers[lead] = (
-                np.empty(lead + (nh, 8, n), dtype=complex),
-                np.empty(lead + (nh, 8, n), dtype=complex),
-                np.empty(lead + (nh, n * n), dtype=complex),
-                np.empty(lead + (nh, n * (n - 1) // 2), dtype=complex),
+                np.empty(lead + (nh, 8, n), dtype=dtype),
+                np.empty(lead + (nh, 8, n), dtype=dtype),
+                np.empty(lead + (nh, n * n), dtype=dtype),
+                np.empty(lead + (nh, n * (n - 1) // 2), dtype=dtype),
                 np.empty(lead + (self.m, self.m)),
             )
         return self._buffers[lead]
@@ -466,7 +490,7 @@ class _BlockProgram:
         # mode="clip": with the default mode, np.take fills a copy of ``out``
         # the tables' first nh rows: the E_i of the program's coordinates
         np.take(rows_of(x, z.conj().swapaxes(-1, -2)), left_rows[:nh], axis=-2, out=left, mode="clip")
-        left *= coef[:nh]
+        left *= coef[:nh].real if self.real else coef[:nh]  # a real program's rows have real coef
         np.take(rows_of(z.swapaxes(-1, -2), x.conj()), right_rows[:nh], axis=-2, out=right, mode="clip")
         np.matmul(left.swapaxes(-1, -2), right, out=w.reshape(lead + (nh, n, n)))
         np.take(w, upper_cols, axis=-1, out=upper, mode="clip")
@@ -561,10 +585,10 @@ def _schur_gathers(n: int):
 class _Program(_BlockProgram):
     """The minimax program over a family (see module docstring); a fixed
     objective is the family of one. ``real`` when every member is exactly
-    real: W and rho are then real symmetric."""
+    real: W and rho are then real symmetric, and the program's data and
+    iterates are real arrays (program 3 keeps the default, complex)."""
 
     _members = ("deltas",)
-    real = False  # program 3 keeps this default
 
     def __init__(self, deltas, ref_dim: int):
         self._set_members(deltas, ref_dim)
@@ -577,13 +601,15 @@ class _Program(_BlockProgram):
         self.nh = nh = n * (n + 1) // 2 if self.real else n * n
         fbasis = _traceless_stack(ref_dim)
         if self.real:
-            fbasis = fbasis[: ref_dim * (ref_dim + 1) // 2 - 1]
+            self.deltas = self.deltas.real.copy()
+            fbasis = fbasis[: ref_dim * (ref_dim + 1) // 2 - 1].real
+        dtype = self.deltas.dtype
         self.m = nh + len(fbasis) + 1
         lifted = -np.kron(np.eye(self.out)[None], fbasis)
-        eye = np.eye(n, dtype=complex)
+        eye = np.eye(n, dtype=dtype)
         self._set_data(
             (np.stack([eye, eye]) / ref_dim, (1.0, -1.0), nh, lifted),
-            [(np.eye(ref_dim, dtype=complex)[None] / ref_dim, nh, -fbasis)],
+            [(np.eye(ref_dim, dtype=dtype)[None] / ref_dim, nh, -fbasis)],
             (np.zeros(self.k), self._objective(extract_coords(self.deltas)[:, :nh])),
         )
 
@@ -623,11 +649,12 @@ class _Program(_BlockProgram):
         return expand_coords(y[: self.nh], self.n), self.slack_blocks(y)[0][1][0]
 
     def certificate(self, y, x_mats, x_scal):
-        """(W, rho, weights) of a best bracket: the witness at y and the
-        normalized scalar duals of the best dual iterate (None without one)."""
+        """(W, rho, weights) of a best bracket: the witness at y, complex
+        also for a real program, and the normalized scalar duals of the best
+        dual iterate (None without one)."""
         w, rho = self.witness(y)
         weights = None if x_scal is None else self._mixed(x_scal)[0]
-        return w, rho, weights
+        return np.asarray(w, dtype=complex), np.asarray(rho, dtype=complex), weights
 
     def _mixed(self, scal):
         """(weights, Delta): the members' normalized scalar duals and their
@@ -764,7 +791,7 @@ class _SectorProgram(_Program):
 
 def _program(deltas, ref_dim: int) -> _Program:
     """The sector program when ``_sectored``, the full program otherwise."""
-    deltas = np.stack([np.asarray(d, dtype=complex) for d in deltas])
+    deltas = np.stack([np.asarray(d) for d in deltas])
     return (_SectorProgram if _sectored(deltas, ref_dim) else _Program)(deltas, ref_dim)
 
 
@@ -1357,7 +1384,8 @@ def _fixed_steps(delta, ref_dim, tol, kraus=None):
     solve when a closed form or the reference iteration closes. ``kraus``,
     the single Kraus operators (K, L) of two channels with
     delta = choi(K) - choi(L), lets the bracket of
-    ``_unitary_pair_solution`` try before the iteration."""
+    ``_unitary_pair_solution`` try before the iteration. An exactly real
+    delta goes on to the iteration and the engine as a real array."""
     delta = np.asarray(delta)
     closed = yield _Bracket(delta[None], np.ones(1), ref_dim), None
     if closed.gap <= tol:
@@ -1366,6 +1394,8 @@ def _fixed_steps(delta, ref_dim, tol, kraus=None):
         paired = _unitary_pair_solution(delta, kraus)
         if paired.gap <= tol:
             return paired
+    if not delta.imag.any():  # the test of _Program: both routes then run in float64
+        delta = delta.real.copy()
     if not _sectored(delta[None], ref_dim):
         iterated = _reference_iteration(delta, ref_dim, tol, closed.gap)
         if iterated is not None:
@@ -1437,7 +1467,6 @@ def _reference_iteration(delta, ref_dim: int, tol: float, gap: float):
     the last 5 iterations predicts more than ``_REFERENCE_CAP`` iterations
     in all.
     """
-    delta = np.asarray(delta, dtype=complex)
     out = delta.shape[-1] // ref_dim
     lam, u = np.linalg.eigh(_herm(delta))
     gaps = [gap]
@@ -1452,7 +1481,8 @@ def _reference_iteration(delta, ref_dim: int, tol: float, gap: float):
         parts = np.stack([root_inv_u * np.maximum(lam, 0.0), root_inv_u * np.maximum(-lam, 0.0)])
         upper = _fixed_upper(_herm(parts @ root_inv_u.conj().T), delta, out)
         gap = float(upper - lower)
-        if gap <= tol:
+        if gap <= tol:  # a real delta's witness is handed back complex, as the engine's
+            w, rho = np.asarray(w, dtype=complex), np.asarray(rho, dtype=complex)
             return SdpSolution(float(lower), float(upper), w, rho, np.ones(1), 0)
         gaps.append(gap)
         if k >= 5:

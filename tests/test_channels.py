@@ -373,6 +373,25 @@ def test_tensor_of_phase_unitaries() -> None:
     )
 
 
+def test_tensor_kraus_operators_are_the_kronecker_products_bit_for_bit() -> None:
+    """One broadcast product forms every kron(K_a, K_b), in the order of a
+    loop over a's operators, then b's, with np.kron's bits; so the Choi
+    matrix has them too."""
+    gen = helpers.rng(27)
+    pairs = [
+        (helpers.random_channel(2, 2, gen), helpers.random_channel(2, 3, gen)),
+        (damping(0.8, 0.7), covariant(0.2)),
+        (unitary_qubit(0.3, 0.5, 0.1), helpers.random_channel(2, 4, gen)),
+    ]
+    for a, b in pairs:
+        t = tensor(a, b)
+        expected = [np.kron(ka, kb) for ka in a.kraus for kb in b.kraus]
+        assert len(t.kraus) == len(expected)
+        for k, e in zip(t.kraus, expected):
+            assert k.dtype == np.complex128 and k.tobytes() == e.tobytes()
+        assert t.choi.tobytes() == Channel(tuple(expected)).choi.tobytes()
+
+
 def test_tensor_choi_permutation_oracle() -> None:
     gen = helpers.rng(25)
     a = helpers.random_channel(2, 2, gen)

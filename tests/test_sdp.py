@@ -254,8 +254,11 @@ def _program_shapes():
     }
 
 
-def _random_pd(size: int, gen: np.random.Generator) -> np.ndarray:
-    g = gen.normal(size=(size, size)) + 1j * gen.normal(size=(size, size))
+def _random_pd(size: int, gen: np.random.Generator, real: bool = False) -> np.ndarray:
+    """A random positive-definite matrix, real symmetric when ``real``."""
+    g = gen.normal(size=(size, size))
+    if not real:
+        g = g + 1j * gen.normal(size=(size, size))
     return g @ g.conj().T / size + 0.1 * np.eye(size)
 
 
@@ -283,11 +286,13 @@ def _grouped(prog, blocks) -> list[np.ndarray]:
 
 
 def _brute_schur(prog, x_mats, z_mats, xz_scal) -> np.ndarray:
-    """The Schur matrix from A^T(e_i) of every unit vector, dense."""
+    """The Schur matrix from A^T(e_i) of every unit vector, dense, on the
+    complex space whatever the dtype of the program."""
     units = [prog.adjoint_blocks(e) for e in np.eye(prog.m)]
     brute = np.zeros((prog.m, prog.m))
     for b, (x, z) in enumerate(zip(x_mats, z_mats)):
-        gens = np.stack([_blocks(u[0])[b] for u in units])
+        x, z = x.astype(complex), z.astype(complex)
+        gens = np.stack([_blocks(u[0])[b] for u in units]).astype(complex)
         t = np.matmul(np.matmul(x, gens), z)
         flat = gens.reshape(prog.m, -1)
         brute += (flat @ t.transpose(0, 2, 1).reshape(prog.m, -1).T).real
@@ -297,10 +302,12 @@ def _brute_schur(prog, x_mats, z_mats, xz_scal) -> np.ndarray:
 
 
 def test_program_operators_are_consistent_for_every_shape() -> None:
-    """slack = C - A^T(y), <A^T(y), X> = y . A(X), and schur matches brute force."""
+    """slack = C - A^T(y), <A^T(y), X> = y . A(X), and schur matches brute
+    force; a real program's iterates are real symmetric, as in the engine."""
     gen = helpers.rng(36)
     for name, prog in _program_shapes().items():
-        assert getattr(prog, "real", False) == name.startswith("real"), name
+        real = name.startswith("real")
+        assert prog.real == real, name
         zero_mats, zero_scal = prog.slack_blocks(np.zeros(prog.m))
         # s(0) = h; a sector program's only matrix group is its pair
         npt.assert_array_equal(zero_scal, prog.h)
@@ -308,8 +315,8 @@ def test_program_operators_are_consistent_for_every_shape() -> None:
         sizes = [blk.shape[0] for blk in _blocks(zero_mats)]
         k = zero_scal.size
         y = gen.normal(size=prog.m)
-        x_mats = [_random_pd(s, gen) for s in sizes]
-        z_mats = [_random_pd(s, gen) for s in sizes]
+        x_mats = [_random_pd(s, gen, real) for s in sizes]
+        z_mats = [_random_pd(s, gen, real) for s in sizes]
         x_scal = gen.uniform(0.5, 2.0, size=k)
         z_scal = gen.uniform(0.5, 2.0, size=k)
 
@@ -338,8 +345,8 @@ def test_program_operators_are_consistent_for_every_shape() -> None:
         # a second call on fresh iterates reuses the program's buffers but
         # leaves the first returned matrix as it was
         kept = fast.copy()
-        x_mats = [_random_pd(s, gen) for s in sizes]
-        z_mats = [_random_pd(s, gen) for s in sizes]
+        x_mats = [_random_pd(s, gen, real) for s in sizes]
+        z_mats = [_random_pd(s, gen, real) for s in sizes]
         xz_scal = gen.uniform(0.5, 2.0, size=k)
         second = prog.schur(_grouped(prog, x_mats), _grouped(prog, z_mats), xz_scal)
         _assert_rel(second, _brute_schur(prog, x_mats, z_mats, xz_scal), _norm(second))
@@ -357,8 +364,8 @@ def test_warm_schur_call_allocates_no_large_temporaries() -> None:
         prog = sdp._Program([delta], 4)
         assert (prog.n, prog.m) == (16, m)
         sizes = [blk.shape[0] for blk in _blocks(prog.slack_blocks(np.zeros(prog.m))[0])]
-        x_mats = _grouped(prog, [_random_pd(s, gen) for s in sizes])
-        z_mats = _grouped(prog, [_random_pd(s, gen) for s in sizes])
+        x_mats = _grouped(prog, [_random_pd(s, gen, prog.real) for s in sizes])
+        z_mats = _grouped(prog, [_random_pd(s, gen, prog.real) for s in sizes])
         prog.schur(x_mats, z_mats, np.ones(1))
         tracemalloc.start()
         try:
@@ -1356,33 +1363,163 @@ def test_real_and_complex_programs_of_one_shape_never_share_a_stack(monkeypatch)
     assert [_solution_bits(sol) for sol in sols] == alone
 
 
-def test_real_program_results_recheck_on_the_complex_space() -> None:
-    """20 random real pairs at d = 2 and at d = 4: the real program returns a
-    real symmetric (W, rho) feasible for the complex program, and its
-    distance agrees with the complex program on a complex Delta of equal
-    norm."""
+def _recheck_real_result(
+    sol, delta: np.ndarray, d: int, tol: float, twisted_sol, asym: float = 0.0
+) -> None:
+    """A real Delta's result re-checked on the complex space: a real (W, rho)
+    symmetric up to ``asym``, I (x) rho -+ W >= -n eps,
+    Tr[Delta W] >= primal - n eps, and a distance within tol of
+    ``twisted_sol``, the result on a complex Delta of equal norm."""
+    eps = d * d * np.finfo(float).eps
+    w, rho = sol.witness_w, sol.witness_rho
+    for mat in (w, rho):
+        assert mat.dtype == np.complex128
+        assert not mat.imag.any() and np.abs(mat - mat.T).max() <= asym
+    lift = np.kron(np.eye(d), rho)
+    assert np.linalg.eigvalsh(lift - w)[0] >= -eps
+    assert np.linalg.eigvalsh(lift + w)[0] >= -eps
+    assert np.einsum("ab,ba->", delta, w).real >= sol.primal - eps
+    assert sol.gap <= tol and twisted_sol.gap <= tol, (sol, twisted_sol)
+    assert max(sol.primal, twisted_sol.primal) <= min(sol.dual, twisted_sol.dual)
+    assert abs(sol.primal - twisted_sol.primal) <= tol
+
+
+def test_real_program_results_recheck_on_the_complex_space(monkeypatch) -> None:
+    """20 random real pairs at d = 2 and at d = 4 through the real program,
+    and the real pairs that the reference iteration closes in float64 at
+    d = 2 and d = 4: each result is a real symmetric (W, rho) feasible for
+    the complex program, exactly symmetric from the engine, and its distance
+    agrees with the complex route on a complex Delta of equal norm."""
     tol = 1e-7
     gen = helpers.rng(46)
     for d in (2, 4):
-        n = d * d
-        eps = n * np.finfo(float).eps
         for _ in range(20):
             a, b = helpers.random_real_channel(d, 2, gen), helpers.random_real_channel(d, 3, gen)
             delta = choi(a) - choi(b)
             prog = sdp._program([delta], d)
             assert prog.real
-            sol = sdp._solve_ipm(prog, tol)
-            w, rho = sol.witness_w, sol.witness_rho
-            for mat in (w, rho):
-                assert not mat.imag.any() and np.array_equal(mat, mat.T)
-            lift = np.kron(np.eye(d), rho)
-            assert np.linalg.eigvalsh(lift - w)[0] >= -eps
-            assert np.linalg.eigvalsh(lift + w)[0] >= -eps
-            assert np.einsum("ab,ba->", delta, w).real >= sol.primal - eps
             twisted = _twisted(delta, 2 * np.pi * gen.uniform(size=d))
             full = sdp._program([twisted], d)
             assert twisted.imag.any() and not full.real
-            full_sol = sdp._solve_ipm(full, tol)
-            assert sol.gap <= tol and full_sol.gap <= tol, (sol, full_sol)
-            assert max(sol.primal, full_sol.primal) <= min(sol.dual, full_sol.dual)
-            assert abs(sol.primal - full_sol.primal) <= tol
+            _recheck_real_result(sdp._solve_ipm(prog, tol), delta, d, tol, sdp._solve_ipm(full, tol))
+    stacks = _count_solves(monkeypatch)
+    cases = _nearly_pure_iterated_cases() + _well_conditioned_iterated_cases()
+    real = [(delta, d) for delta, d in cases if not delta.imag.any()]
+    assert sorted(d for _, d in real) == [2, 2, 2, 4, 4]
+    for delta, d in real:
+        sol = sdp.solve_fixed(delta, d, tol)
+        twisted = sdp.solve_fixed(_twisted(delta, 2 * np.pi * gen.uniform(size=d)), d, tol)
+        assert stacks == [] and sol.iterations == twisted.iterations == 0
+        # W is symmetrized; rho = V diag(p) V^T is symmetric up to n eps
+        _recheck_real_result(sol, delta, d, tol, twisted, asym=d * d * np.finfo(float).eps)
+
+
+def test_real_coordinates_are_the_leading_complex_ones_bit_for_bit() -> None:
+    """extract_coords of a real symmetric t gives the leading n(n+1)/2 of the
+    coordinates of t as a complex array, and expand_coords of them gives t's
+    real array; the full coordinates still give a complex array."""
+    gen = helpers.rng(47)
+    for n in (2, 4, 16):
+        t = _random_pd(n, gen, real=True)
+        full = sdp.extract_coords(t.astype(complex))
+        lead = sdp.extract_coords(t)
+        count = n * (n + 1) // 2
+        assert lead.shape == (count,) and lead.tobytes() == full[:count].tobytes()
+        assert not full[count:].any()
+        back = sdp.expand_coords(lead, n)
+        assert back.dtype == np.float64
+        assert back.tobytes() == sdp.expand_coords(full, n).real.copy().tobytes()
+        npt.assert_allclose(back, t, rtol=0, atol=1e-14 * n)
+        assert sdp.expand_coords(full, n).dtype == np.complex128
+
+
+def _dtypes(arrays) -> set:
+    return {np.dtype(a.dtype) for a in arrays}
+
+
+def test_the_program_dtype_follows_the_family(monkeypatch) -> None:
+    """An exactly real family's program holds float64 data (members, C
+    blocks, generators, start point and Schur buffers) and its iterates stay
+    float64 through a solve; a complex family, and a Delta with one 1e-300j
+    entry, stay complex128. Program 3 stays complex on a real family."""
+    real, cplx = np.dtype(np.float64), np.dtype(np.complex128)
+    delta = _real_product_delta()
+    tiny = delta.astype(complex)
+    tiny[0, 1] += 1e-300j
+    tiny[1, 0] -= 1e-300j
+    qubit = choi(damping(1.0, 0.9)) - choi(pauli_channel(_SKEW_PAULI))
+    cases = [
+        ([delta], 4, real),
+        ([qubit], 2, real),
+        ([qubit], 1, real),
+        ([tiny], 4, cplx),
+        ([delta, tiny], 4, cplx),
+        ([_twisted(qubit, [0.0, 0.4])], 2, cplx),
+        (_damping_deltas(0.7, 0.5), 2, cplx),
+    ]
+    seen = []
+    schur = sdp._BlockProgram.schur
+
+    def recording(self, x_mats, z_mats, xz_scal):
+        seen.append(_dtypes(x_mats + z_mats) | _dtypes(self._schur_buffers(x_mats[0].shape[:-3])[:4]))
+        return schur(self, x_mats, z_mats, xz_scal)
+
+    monkeypatch.setattr(sdp._BlockProgram, "schur", recording)
+    for family, ref, dtype in cases:
+        prog = sdp._program(family, ref)
+        assert prog.real == (dtype == real)
+        assert _dtypes([prog.deltas, *prog.c]) == {dtype}
+        assert _dtypes(gens for _, gens, _ in prog.spans) == {dtype}
+        y, mats, _ = prog.start()
+        assert y.dtype == real and _dtypes(mats) == {dtype}
+        assert _dtypes(prog._schur_buffers((1,))[:4]) == {dtype}
+        seen.clear()
+        sol = sdp._solve_ipm(prog, 1e-7)
+        assert sol.iterations > 0 and seen and all(s == {dtype} for s in seen)
+        assert _dtypes([sol.witness_w, sol.witness_rho]) == {cplx}
+
+
+def test_the_reference_iteration_runs_in_float64_on_a_real_delta(monkeypatch) -> None:
+    """Every iterate of a real Delta's reference iteration is a float64
+    eigensolve; a complex Delta's stay complex128. Both hand back complex
+    witnesses."""
+    best = sdp._best_at_state
+    seen = []
+
+    def recording(delta, block, out):
+        seen.append(_dtypes([delta, block]))
+        return best(delta, block, out)
+
+    monkeypatch.setattr(sdp, "_best_at_state", recording)
+    for delta, d in _nearly_pure_iterated_cases() + _well_conditioned_iterated_cases():
+        seen.clear()
+        sol = sdp.solve_fixed(delta, d, 1e-7)
+        dtype = np.dtype(np.complex128 if delta.imag.any() else np.float64)
+        assert sol.iterations == 0 and seen and all(s == {dtype} for s in seen)
+        assert _dtypes([sol.witness_w, sol.witness_rho]) == {np.dtype(np.complex128)}
+
+
+def test_diamond_sdp_witnesses_are_complex128_on_every_route(monkeypatch) -> None:
+    """Real and complex pairs alike, closed at I/d, by the reference iteration
+    or by the engine: the witness state and operator are complex128."""
+    stacks = _count_solves(monkeypatch)
+    gen = helpers.rng(48)
+    skew = pauli_channel(_SKEW_PAULI)
+    u1, u2 = (unitary_qubit(*angles) for angles in ((0.4, 1.1, 2.0), (0.9, 0.3, 4.0)))
+    cases = [
+        # (pair, Delta real, engine runs)
+        ((damping(0.5, 0.5), skew), True, False),
+        ((u1, u2), False, False),
+        ((damping(0.6, 0.9), skew), True, False),
+        ((damping(1.0, 0.9), pauli_channel([0.7, 0.2, 0.1, 0.0])), True, True),
+        ((tensor(damping(0.8, 0.7), covariant(0.2)),
+          tensor(pauli_channel([0.7, 0.2, 0.1, 0.0]), pauli_channel([0.5, 0.3, 0.1, 0.1]))), True, True),
+        ((helpers.random_channel(2, 2, gen), helpers.random_channel(2, 3, gen)), False, True),
+    ]
+    for (a, b), is_real, engine in cases:
+        assert (not (choi(a) - choi(b)).imag.any()) == is_real
+        stacks.clear()
+        res = diamond_sdp(a, b, 1e-7)
+        assert bool(stacks) == engine, (a, b)
+        assert res.gap <= 1e-7
+        assert _dtypes([res.witness_state, res.witness_operator]) == {np.dtype(np.complex128)}
