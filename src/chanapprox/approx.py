@@ -35,12 +35,15 @@ most 2.9e-13 against about 1e-8 from the solve, and distances within
 5.3e-9 of the solve's; the default sweep runs 4.7x faster in-process on 2
 cores than through the solve, 3.9x with --parallel 2.
 
-``approx_bounds`` adds cheap two-sided bounds: each member's distance
-(closed form for a unitary pair, else a single-member solve), and the Choi
+``approx_bounds`` adds cheap two-sided bounds: each member's certified
+``diamond_sdp`` distance (a closed-form bracket for a unitary pair, near-
+unitary ones included, else at most a single-member solve), and the Choi
 trace bound, which is the same minimax program at reference dimension 1
 (there -I <= W <= I, and the optimum is min_p ||sum_i p_i Delta_i||_1).  At
 rho = I/d, d W is feasible there with value d t, so a closed Pauli-set
-problem reads t as its Choi bound and takes no solve.
+problem reads t as its Choi bound and takes no solve.  Every routine here
+that needs a solve is a step generator that ``sdp._run`` or
+``sdp._run_all`` drives.
 """
 
 from __future__ import annotations
@@ -70,9 +73,9 @@ from .diamond import (
     _maybe_zero,
     _zero_result,
     d_i_unitary,
-    diamond_unitary,
+    diamond_sdp,
 )
-from .errors import DimMismatchError, NoConvergenceError, NotUnitaryError, RangeError
+from .errors import DimMismatchError, NoConvergenceError, RangeError
 from .linalg import trace_norm
 
 _MAX_SET = 8
@@ -196,12 +199,13 @@ def approx_bounds(target: Channel, set, distance: float) -> tuple[float, float]:
 
     Returns ``(upper_bound_single, lower_bound_choi)``: the best single-member
     distance (a mixture can only do better) and the simplex-minimized Choi
-    trace distance over the dimension, capped at ``distance``. A member
-    distance is exact when the target and the member each have a single
-    Kraus operator (``diamond_unitary``); any other member costs at most
-    one single-member solve certified to 1e-7 (none when the closed form
-    at the maximally mixed reference closes, see ``sdp``). The Choi bound costs one minimax
-    solve at reference dimension 1, on the invariant sectors for a
+    trace distance over the dimension, capped at ``distance``. A member's
+    distance is its ``diamond_sdp`` value at tol 1e-7, within that of the
+    exact distance: a pair of single-Kraus channels (unitary ones, and
+    near-unitary ones within ``Channel``'s completeness check) closes in a
+    closed-form bracket without a solve, and any other member costs at
+    most one single-member solve. The Choi bound costs one minimax solve
+    at reference dimension 1, on the invariant sectors for a
     diagonal-unitary-covariant family, and none when the Pauli-set closed
     form closes (module docstring). A NaN, infinite or negative
     ``distance`` raises ``RangeError`` before any solve.
@@ -210,15 +214,22 @@ def approx_bounds(target: Channel, set, distance: float) -> tuple[float, float]:
         raise RangeError(f"distance {distance!r} must be finite and nonnegative")
     members = list(set)
     delta_stack = _simplex_deltas(target, members)
-    upper = min(_member_distance(target, ch, delta) for ch, delta in zip(members, delta_stack))
-    request = _pauli_mixture(target, members, delta_stack)
-    closed = None if request is None else sdp._answer(request, None)
-    if closed is not None and closed.gap <= _INNER_TOL:
-        # d W is feasible at reference dimension 1, with value d t
-        lower = closed.primal
-    else:
-        lower = sdp._solve_ipm(sdp._program(delta_stack, 1), 1e-8).primal / target.dim
+    upper = min(diamond_sdp(target, ch, _INNER_TOL).value for ch in members)
+    lower = sdp._run(_choi_bound_steps(target, members, delta_stack))
     return upper, min(max(0.0, lower), distance)
+
+
+def _choi_bound_steps(target: Channel, members, delta_stack):
+    """The Choi trace bound of ``approx_bounds``, uncapped, as steps (see
+    ``sdp._run_all``): the lower side of a closed Pauli-set bracket, else
+    the minimax solve at reference dimension 1 over the dimension."""
+    request = _pauli_mixture(target, members, delta_stack)
+    if request is not None:
+        closed = yield request, None
+        if closed.gap <= _INNER_TOL:
+            # d W is feasible at reference dimension 1, with value d t
+            return closed.primal
+    return (yield sdp._program(delta_stack, 1), 1e-8).primal / target.dim
 
 
 # The Bell vectors vec(sigma_i) / sqrt2 of the Pauli matrices, as rows.
@@ -281,19 +292,6 @@ def _water_fill(q: np.ndarray, directions) -> np.ndarray:
     weights = np.zeros(len(order))
     weights[order[:k]] = np.maximum((1.0 + k * mu) * share - mu, 0.0)
     return weights / weights.sum()
-
-
-def _member_distance(target: Channel, member: Channel, delta: np.ndarray) -> float:
-    """The diamond distance of one member: closed form for a unitary pair,
-    else its distance certified to 1e-7 by ``sdp.solve_fixed``'s steps."""
-    if len(target.kraus) == 1 and len(member.kraus) == 1:
-        try:
-            return diamond_unitary(target.kraus[0], member.kraus[0])
-        except NotUnitaryError:
-            # Channel accepts a Frobenius defect of 1e-9 d in sum K^dag K;
-            # diamond_unitary allows at most 1e-9 per entry.
-            pass
-    return _diamond_of_delta(delta, target.dim, _INNER_TOL).value
 
 
 # ---------------------------------------------------------------------------

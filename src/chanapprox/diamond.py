@@ -175,15 +175,19 @@ def _maybe_zero(frobenius) -> bool:
     return not (2 * _ZERO_TRACE_NORM < frobenius < np.inf)
 
 
-def _diamond_of_delta(delta: np.ndarray, ref_dim: int, tol: float, kraus=None) -> DiamondResult:
-    """Certified diamond norm of the Hermitian map with Choi matrix delta;
-    ``kraus`` as for ``sdp._fixed_steps``."""
-    return sdp._run(_delta_steps(delta, ref_dim, tol, kraus))
+def _diamond_of_delta(delta: np.ndarray, ref_dim: int, tol: float) -> DiamondResult:
+    """Certified diamond norm of the Hermitian map with Choi matrix delta:
+    zero below the trace-norm floor, otherwise the route of
+    ``sdp.solve_fixed``. A bare Choi matrix carries no Kraus operators, so
+    the unitary-pair bracket is not tried; the distance between two
+    channels goes through ``diamond_sdp``, which tries it."""
+    return sdp._run(_delta_steps(delta, ref_dim, tol))
 
 
 def _delta_steps(delta: np.ndarray, ref_dim: int, tol: float, kraus=None):
     """``_diamond_of_delta`` as steps (see ``sdp._run_all``): zero below
-    the trace-norm floor, otherwise the steps of ``sdp.solve_fixed``."""
+    the trace-norm floor, otherwise the steps of ``sdp._fixed_steps``, with
+    ``kraus`` as there."""
     if _maybe_zero(np.linalg.norm(delta)) and trace_norm(delta) <= _ZERO_TRACE_NORM:
         return _zero_result(delta, ref_dim)
     return DiamondResult._of_solution((yield from sdp._fixed_steps(delta, ref_dim, tol, kraus)))
@@ -224,9 +228,11 @@ def diamond_sdp(a: Channel, b: Channel, tol: float = 1e-7) -> DiamondResult:
     closes (most damping-vs-Pauli pairs and about half the d = 4 noisy
     product pairs). The interior-point engine runs only on the pairs all
     of these leave open, such as those whose optimal input state is rank
-    deficient.
+    deficient. The result is ``sdp._run`` of ``_diamond_sdp_steps``, so it
+    has the same bits as in any window of a sweep. ``approx_bounds`` takes
+    each member's distance from here.
     """
-    return _diamond_of_delta(_checked_delta(a, b, tol), a.dim, tol, _single_kraus(a, b))
+    return sdp._run(_diamond_sdp_steps(a, b, tol))
 
 
 def _diamond_sdp_steps(a: Channel, b: Channel, tol: float):

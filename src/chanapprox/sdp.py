@@ -218,6 +218,11 @@ each kind in its own way: the programs of one shape as one stack of
 dimension as one call of ``_mixed_reference_solution``, which never enters
 the engine. Each of its steps is a stacked call and each family keeps its
 own kernel threshold, so a bracket too has the bits it has alone.
+``_run`` drives one generator, answering each request as it comes: a
+bracket as a stack of one, a program by ``_solve_ipm``, the stack of one.
+Every routine of ``diamond`` and ``approx`` that needs a solve is such a
+generator, so neither answers a request itself, and one result has the
+same bits from ``_run`` as from any window of ``_run_all``.
 """
 
 from __future__ import annotations
@@ -881,12 +886,13 @@ def _best_at_state(delta, block, out: int):
     block ``block``: (L, W, rho, p, v, lam, u).
 
     rho is ``block`` with its negative eigenvalues clipped and its trace
-    normalized, rho = v diag(p) v^H, or I/d where that trace is not
-    positive (then L = -inf). W is the best witness at rho (Watrous,
-    arXiv:1207.5726): with R = I (x) sqrt(rho), R Delta R = u diag(lam) u^H
-    and W = R sign(R Delta R) R, so L = Tr[Delta W] is the trace norm of
-    R Delta R. I (x) rho -+ W = R (I -+ sign) R are PSD; W is scaled by
-    1 - 1e-14 to keep them so under roundoff. Takes stacks.
+    normalized, rho = v diag(p) v^H made exactly Hermitian, or I/d where
+    that trace is not positive (then L = -inf). W is the best witness at
+    rho (Watrous, arXiv:1207.5726): with R = I (x) sqrt(rho),
+    R Delta R = u diag(lam) u^H and W = R sign(R Delta R) R, so
+    L = Tr[Delta W] is the trace norm of R Delta R. I (x) rho -+ W =
+    R (I -+ sign) R are PSD; W is scaled by 1 - 1e-14 to keep them so
+    under roundoff. Takes stacks.
     """
     ref = block.shape[-1]
     evals, evecs = np.linalg.eigh(_herm(block))
@@ -897,7 +903,7 @@ def _best_at_state(delta, block, out: int):
     p = np.where(valid[..., None], evals / np.where(valid, tr, 1.0)[..., None], 1.0 / ref)
     evecs = np.where(valid[..., None, None], evecs, np.eye(ref))
     evecs_h = evecs.conj().swapaxes(-1, -2)
-    rho = (evecs * p[..., None, :]) @ evecs_h
+    rho = _herm((evecs * p[..., None, :]) @ evecs_h)
     r = np.kron(np.eye(out), (evecs * np.sqrt(p)[..., None, :]) @ evecs_h)
     lam, u = np.linalg.eigh(_herm(r @ delta @ r))
     sign = (u * np.where(lam < 0.0, -1.0, 1.0)[..., None, :]) @ u.conj().swapaxes(-1, -2)
@@ -1225,21 +1231,14 @@ def _solve_ipm(prog, gap_tol: float) -> SdpSolution:
 # request, ``_run_all`` answers many together in stacks.
 
 
-def _answer(item, tol) -> SdpSolution:
-    """The answer to one request alone: a bracket as a stack of one, a
-    program by ``_solve_ipm``."""
-    if isinstance(item, _Bracket):
-        return _brackets([item])[0]
-    return _solve_ipm(item, tol)
-
-
 def _run(steps):
     """The result of one step generator, each request it yields answered
-    alone (``_answer``)."""
+    alone: a bracket as a stack of one, a program by ``_solve_ipm``."""
     try:
-        request = next(steps)
+        item, tol = next(steps)
         while True:
-            request = steps.send(_answer(*request))
+            sol = _brackets([item])[0] if isinstance(item, _Bracket) else _solve_ipm(item, tol)
+            item, tol = steps.send(sol)
     except StopIteration as finished:
         return finished.value
 

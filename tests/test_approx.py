@@ -253,14 +253,15 @@ def _log_census(monkeypatch) -> list:
 
 def test_two_copy_member_bounds_certify_without_the_dual_program(monkeypatch) -> None:
     # Every member of the two-copy set is a unitary pair with the target, so
-    # diamond_unitary gives its distance and only the Choi bound reaches the
-    # engine, on the invariant sectors at reference dimension 1.
+    # diamond_sdp's closed-form pair bracket gives its distance and only the
+    # Choi bound reaches the engine, on the invariant sectors at reference
+    # dimension 1.
     census = _log_census(monkeypatch)
     members = [identity(2), unitary_channel(PAULI[3])]
     target, pair_set = two_copy_problem(unitary_qubit(0.0, np.pi / 6, 0.0), members)
     upper, lower = approx_bounds(target, pair_set, 1.2810473988)
     assert census == [("sector-minimax", 1)]
-    # the II member: diamond_unitary gives sqrt(3)
+    # the II member: sqrt(3), within the bracket's gap of diamond_unitary's
     assert abs(upper - np.sqrt(3.0)) <= 1e-12
     assert 0.0 < lower <= 1.2810473988
     # a member with two Kraus operators still takes its fixed solve (the
@@ -271,11 +272,41 @@ def test_two_copy_member_bounds_certify_without_the_dual_program(monkeypatch) ->
     assert census == [("sector-fixed", 4), ("sector-minimax", 1)]
 
 
-def test_unitary_member_outside_diamond_unitarys_check_takes_its_fixed_solve(monkeypatch) -> None:
+def _unitary_family(d: int, seed: int) -> list:
+    """A random unitary channel U, then U e^{i s H} for random Hermitian H
+    of unit norm at s = 0.3, 0.6 and 1.2: members at distances below 2."""
+    gen = helpers.rng(seed)
+    u = helpers.random_unitary(d, gen)
+    family = [unitary_channel(u)]
+    for s in (0.3, 0.6, 1.2):
+        h = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+        lam, v = np.linalg.eigh(h + h.conj().T)
+        family.append(unitary_channel(u @ (v * np.exp(1j * s * lam / np.abs(lam).max())) @ v.conj().T))
+    return family
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_single_kraus_member_bounds_take_no_member_solve(monkeypatch, d) -> None:
+    # each member is a unitary pair with the target: the bracket at I/d
+    # (every qubit pair) or the eigenvalue-hull bracket of the pair certifies
+    # its diamond_sdp distance, within 1e-12 of diamond_unitary's; only the
+    # Choi bound, at reference dimension 1, reaches the engine
+    target, *members = _unitary_family(d, 300 + d)
+    census = _log_census(monkeypatch)
+    upper, _ = approx_bounds(target, members, 2.0)
+    values = [diamond_sdp(target, ch, 1e-7).value for ch in members]
+    assert [ref for _, ref in census] == [1]
+    assert upper == min(values)
+    for ch, value in zip(members, values):
+        assert abs(value - diamond_unitary(target.kraus[0], ch.kraus[0])) <= 1e-12
+
+
+def test_unitary_member_outside_diamond_unitarys_check_closes_in_the_pair_bracket(monkeypatch) -> None:
     # K^dag K - I = diag(1.5e-9, 0, 0, 0): within Channel's Frobenius bound
-    # of 1e-9 d, but above diamond_unitary's 1e-9 per entry. At d = 2 the
-    # closed form at I/d certifies such a member without a solve; at d = 4
-    # it leaves this one open.
+    # of 1e-9 d, but above diamond_unitary's 1e-9 per entry. At d = 4 the
+    # closed form at I/d leaves this member open, and the bracket of the
+    # single-Kraus pair, with its allowance for the Kraus operator's
+    # distance from its polar factor, certifies it without a solve.
     near = Channel((np.diag([np.sqrt(1.0 + 1.5e-9), 1.0, 1.0, 1.0]).astype(complex),))
     phase = unitary_qubit(0.0, np.pi / 6, 0.0)
     target = tensor(phase, phase)
@@ -283,21 +314,27 @@ def test_unitary_member_outside_diamond_unitarys_check_takes_its_fixed_solve(mon
         diamond_unitary(target.kraus[0], near.kraus[0])
     census = _log_census(monkeypatch)
     upper, _ = approx_bounds(target, [near], 1.0)
-    # the member's fixed solve, then the one-member Choi bound at reference dimension 1
-    assert census == [("sector-fixed", 4), ("sector-fixed", 1)]
+    # no member solve: only the one-member Choi bound at reference dimension 1
+    assert census == [("sector-fixed", 1)]
+    res = diamond_sdp(target, near, 1e-7)
+    assert upper == res.value and 0.0 < res.gap <= 1e-9
     assert abs(upper - diamond_unitary(target.kraus[0], np.eye(4))) <= 1e-7
 
 
 def test_member_with_zero_kraus_operators_takes_the_closed_form(monkeypatch) -> None:
     # damping(1, 0) is the identity channel with one Kraus operator, so its
-    # distance is diamond_unitary's and only the Choi bound reaches the engine
-    # (with a Pauli Z member instead of the phase gate, the Choi bound
-    # would take the Pauli-set route and no solve at all)
+    # distance closes in the bracket at I/d and only the Choi bound reaches
+    # the engine (with a Pauli Z member instead of the phase gate, the Choi
+    # bound would take the Pauli-set route and no solve at all)
     target = unitary_qubit(0.0, 0.5, 0.0)
     census = _log_census(monkeypatch)
-    upper, _ = approx_bounds(target, [damping(1.0, 0.0), unitary_qubit(0.0, 1.5, 0.0)], 1.0)
+    members = [damping(1.0, 0.0), unitary_qubit(0.0, 1.5, 0.0)]
+    upper, _ = approx_bounds(target, members, 1.0)
     assert census == [("sector-minimax", 1)]
-    assert upper == diamond_unitary(target.kraus[0], np.eye(2)) == 0.9588510772084059
+    res = diamond_sdp(target, members[0], 1e-7)
+    assert upper == res.value and res.gap <= 1e-12
+    assert abs(upper - diamond_unitary(target.kraus[0], np.eye(2))) <= res.gap
+    assert diamond_unitary(target.kraus[0], np.eye(2)) == 0.9588510772084059
 
 
 def _widen_joint(monkeypatch, **bounds) -> list:

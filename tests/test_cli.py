@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chanapprox import cli, damping_bounds
+from chanapprox import cli, damping_bounds, diamond_sdp, identity, unitary_qubit
 from chanapprox import sdp
 from chanapprox.errors import NoConvergenceError
 
@@ -110,18 +110,36 @@ def test_approx_phase_unitary_over_identity_and_z(capsys) -> None:
     assert doc["distance"] <= doc["bounds"]["upper_bound_single"] + 1e-6
 
 
-def test_approx_vertex_pauli_members_take_the_unitary_closed_form(capsys) -> None:
+def test_approx_vertex_pauli_members_take_the_unitary_closed_form(capsys, monkeypatch) -> None:
     # Pauli specs at a vertex are the unitary channels of I and Z, so their
-    # single-member bound is diamond_unitary's closed form, 2 sin(1/2)
+    # single-member bound is diamond_sdp's, which closes in the closed-form
+    # bracket at the maximally mixed input (as every qubit unitary pair
+    # does) without a solve, within its gap of diamond_unitary's 2 sin(1/2)
     target = '{"kind": "unitary", "alpha": 0, "beta": 0.5, "delta": 0}'
     vertices = ['{"kind": "pauli", "p": [1, 0, 0, 0]}', '{"kind": "pauli", "p": [0, 0, 0, 1]}']
     z_unitary = '{"kind": "unitary", "alpha": 0, "beta": 1.5707963267948966, "delta": 0}'
     unitaries = [IDENTITY, z_unitary]
-    bounds = []
+    solve = sdp._solve_ipm
+    census = []
+
+    def counting(prog, *args, **kwargs):
+        census.append((prog.k, prog.ref))
+        return solve(prog, *args, **kwargs)
+
+    monkeypatch.setattr(sdp, "_solve_ipm", counting)
+    bounds, censuses = [], []
     for members in (vertices, unitaries):
+        census.clear()
         assert cli.main(["approx", target, *members, "--format", "json"]) == cli.EXIT_OK
         bounds.append(json.loads(capsys.readouterr().out)["bounds"]["upper_bound_single"])
-    assert bounds[0] == bounds[1] == 0.9588510772084059
+        censuses.append(list(census))
+    # the vertices take the Pauli-set route and no solve; the unitary specs
+    # take the joint solve and the Choi bound's; neither takes a member solve
+    assert censuses == [[], [(2, 2), (2, 1)]]
+    assert bounds[0] == bounds[1]
+    identity_member = diamond_sdp(unitary_qubit(0.0, 0.5, 0.0), identity(2), 1e-7)
+    assert bounds[0] == identity_member.value
+    assert abs(bounds[0] - 0.9588510772084059) <= identity_member.gap <= 1e-12
 
 
 def test_approx_text_output_lists_every_field(capsys) -> None:

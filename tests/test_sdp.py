@@ -415,19 +415,26 @@ def test_concurrent_solves_match_serial_bits() -> None:
 # --- batches -------------------------------------------------------------------
 
 
+def _logged(steps, log: list):
+    """``steps``, appending each engine request it yields to ``log``."""
+    sol = None
+    while True:
+        try:
+            request = steps.send(sol)
+        except StopIteration as finished:
+            return finished.value
+        if not isinstance(request[0], sdp._Bracket):
+            log.append(request)
+        sol = yield request
+
+
 def _row_requests(steps) -> list:
     """The (program, gap_tol) of every solve a sweep row's step generator
-    needs, each answered by a solve of its own; its bracket requests are
-    answered alone and left out."""
+    needs, each answered by a solve of its own (``_run``); its bracket
+    requests are answered alone and left out."""
     requests = []
-    try:
-        request = next(steps)
-        while True:
-            if not isinstance(request[0], sdp._Bracket):
-                requests.append(request)
-            request = steps.send(sdp._answer(*request))
-    except StopIteration:
-        return requests
+    sdp._run(_logged(steps, requests))
+    return requests
 
 
 def _solution_bits(sol: sdp.SdpSolution) -> tuple:
@@ -507,6 +514,88 @@ def _result_bits(res) -> tuple:
         None if weights is None else weights.tobytes(),
         getattr(res, "iterations", 0),
     )
+
+
+def _route_pairs() -> dict:
+    """A channel pair and tol for each route of one ``diamond_sdp`` distance."""
+    skew = pauli_channel(_SKEW_PAULI)
+    u1, u2 = (unitary_qubit(*angles) for angles in ((0.3, 0.5, 0.1), (0.9, 1.2, 0.4)))
+    v1, v2 = (unitary_qubit(*angles) for angles in ((0.6, 0.5, 0.1), (0.9, 1.7, 0.4)))
+    gen = helpers.rng(1001)  # the second pair of this draw falls back at 1e-9
+    drawn = [helpers.random_channel(2, k, gen) for _ in range(2) for k in (2, 3)]
+    return {
+        "zero": (identity(2), identity(2), 1e-7),
+        "bracket": (unitary_qubit(0.0, np.pi / 6, 0.0), identity(2), 1e-7),
+        "pair": (tensor(u1, u2), tensor(v1, v2), 1e-7),
+        "iteration": (damping(1.0, 0.5), skew, 1e-7),
+        "engine": (damping(1.0, 0.9), skew, 1e-7),
+        "dual": (drawn[2], drawn[3], 1e-9),
+    }
+
+
+def test_run_and_a_run_all_window_give_the_same_bits_on_every_route(monkeypatch) -> None:
+    """Each route of one distance, answered request by request (``_run``) and
+    in one window with the others (``_run_all``), in both orders, gives the
+    same bits; the census shows which route each pair takes."""
+    pairs = _route_pairs()
+    trail = []
+    brackets, pair_bracket, iteration, solve = (
+        sdp._brackets, sdp._unitary_pair_solution, sdp._reference_iteration, sdp._solve_batch
+    )
+
+    def bracketed(requests):
+        trail.append("I/d")
+        return brackets(requests)
+
+    def paired(*args):
+        trail.append("pair")
+        return pair_bracket(*args)
+
+    def iterated(*args):
+        sol = iteration(*args)
+        trail.append("iteration" if sol is not None else "iteration gives up")
+        return sol
+
+    def solved(progs, tols):
+        trail.extend(type(prog).__name__ for prog in progs)
+        return solve(progs, tols)
+
+    monkeypatch.setattr(sdp, "_brackets", bracketed)
+    monkeypatch.setattr(sdp, "_unitary_pair_solution", paired)
+    monkeypatch.setattr(sdp, "_reference_iteration", iterated)
+    monkeypatch.setattr(sdp, "_solve_batch", solved)
+    alone, trails = [], {}
+    for name, (a, b, tol) in pairs.items():
+        trail.clear()
+        alone.append(_result_bits(sdp._run(diamond._diamond_sdp_steps(a, b, tol))))
+        trails[name] = list(trail)
+    assert trails == {
+        "zero": [],
+        "bracket": ["I/d"],
+        "pair": ["I/d", "pair"],
+        "iteration": ["I/d", "iteration"],
+        "engine": ["I/d", "iteration gives up", "_Program"],
+        "dual": ["I/d", "iteration gives up", "_Program", "_DualProgram"],
+    }
+
+    def window():
+        return [diamond._diamond_sdp_steps(*pair) for pair in pairs.values()]
+
+    assert [_result_bits(res) for res in sdp._run_all(window())] == alone
+    assert [_result_bits(res) for res in sdp._run_all(window()[::-1])] == alone[::-1]
+
+
+def test_witness_states_of_the_closed_routes_are_exactly_hermitian() -> None:
+    """The reference state that ``_best_at_state`` hands back is symmetrized,
+    as the engine's is: a reference-iteration result, a unitary-pair result
+    and the certificate of a dual-program solve have rho == rho^H exactly."""
+    pairs = _route_pairs()
+    states = [diamond_sdp(*pairs[name]).witness_state for name in ("iteration", "pair")]
+    a, b, tol = pairs["dual"]
+    states.append(sdp._solve_ipm(sdp._DualProgram(choi(a) - choi(b), 2), tol).witness_rho)
+    for rho in states:
+        assert rho.dtype == np.complex128
+        assert np.array_equal(rho, rho.conj().T)
 
 
 def test_stacked_brackets_match_solo_brackets_bit_for_bit(monkeypatch) -> None:
