@@ -41,9 +41,12 @@ unitary ones included, else at most a single-member solve), and the Choi
 trace bound, which is the same minimax program at reference dimension 1
 (there -I <= W <= I, and the optimum is min_p ||sum_i p_i Delta_i||_1).  At
 rho = I/d, d W is feasible there with value d t, so a closed Pauli-set
-problem reads t as its Choi bound and takes no solve.  Every routine here
-that needs a solve is a step generator that ``sdp._run`` or
-``sdp._run_all`` drives.
+problem reads t as its Choi bound and takes no solve.  Every simplex
+problem here is a step generator that ``sdp._run`` or ``sdp._run_all``
+drives.  ``approx_bounds`` and ``multi_copy_approx`` are not: they put
+several results together, each driven by its own ``sdp._run``
+(``diamond.diamond_sdp``, ``optimal_convex_approx``, ``_diamond_of_delta``
+or the Choi bound's steps).
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import sdp
+from . import diamond, sdp
 from .channels import (
     PAULI,
     Channel,
@@ -66,19 +69,13 @@ from .channels import (
     prob_vector,
     tensor,
 )
-from .diamond import (
-    _ZERO_TRACE_NORM,
-    DiamondResult,
-    _diamond_of_delta,
-    _maybe_zero,
-    _zero_result,
-    d_i_unitary,
-    diamond_sdp,
-)
+from .diamond import DiamondResult, _diamond_of_delta, d_i_unitary
 from .errors import DimMismatchError, NoConvergenceError, RangeError
 from .linalg import trace_norm
 
 _MAX_SET = 8
+#: The trace norm within which a member's Choi difference is an exact member.
+_ZERO_TRACE_NORM = 1e-12
 
 
 @dataclass(frozen=True)
@@ -147,14 +144,20 @@ def _convex_approx_steps(target: Channel, set, tol: float):
     delta_stack = _simplex_deltas(target, members)
     d = target.dim
 
-    # Exact membership: all weight on the matching member, distance zero.
+    # Exact membership: all weight on the matching member, distance exactly
+    # zero, with the exact witness W = 0 at rho = I/d (the diamond norm is at
+    # most the Choi trace norm). ||.||_F <= ||.||_1, so only a Frobenius norm
+    # within twice the floor (the factor absorbs roundoff), NaN or inf needs
+    # trace_norm's eigensolve. A single distance has no such floor.
     frobenius = np.linalg.norm(delta_stack, axis=(-2, -1))
     for i, delta in enumerate(delta_stack):
-        if _maybe_zero(frobenius[i]) and trace_norm(delta) <= _ZERO_TRACE_NORM:
+        small = not 2 * _ZERO_TRACE_NORM < frobenius[i] < np.inf
+        if small and trace_norm(delta) <= _ZERO_TRACE_NORM:
+            rho = np.eye(d, dtype=complex) / d
             return ApproxResult(
                 weights=prob_vector(np.eye(len(delta_stack))[i]),
                 distance=0.0,
-                witness=_zero_result(delta, d),
+                witness=DiamondResult(0.0, rho, np.zeros_like(delta), 0.0, 0.0),
                 iterations=0,
             )
 
@@ -208,13 +211,15 @@ def approx_bounds(target: Channel, set, distance: float) -> tuple[float, float]:
     at reference dimension 1, on the invariant sectors for a
     diagonal-unitary-covariant family, and none when the Pauli-set closed
     form closes (module docstring). A NaN, infinite or negative
-    ``distance`` raises ``RangeError`` before any solve.
+    ``distance`` raises ``RangeError`` before any solve. ``diamond_sdp`` is
+    looked up in ``diamond`` at each call, so a substitute bound there
+    serves the members too.
     """
     if not 0.0 <= distance < np.inf:
         raise RangeError(f"distance {distance!r} must be finite and nonnegative")
     members = list(set)
     delta_stack = _simplex_deltas(target, members)
-    upper = min(diamond_sdp(target, ch, _INNER_TOL).value for ch in members)
+    upper = min(diamond.diamond_sdp(target, ch, _INNER_TOL).value for ch in members)
     lower = sdp._run(_choi_bound_steps(target, members, delta_stack))
     return upper, min(max(0.0, lower), distance)
 

@@ -23,9 +23,6 @@ from .errors import (
 )
 from .linalg import _nearest_hull_point, dagger, trace_norm
 
-#: Shared with approx's exact-member test, so a member's distance is its witness's.
-_ZERO_TRACE_NORM = 1e-12
-
 
 @dataclass(frozen=True)
 class DiamondResult:
@@ -150,62 +147,13 @@ def fixed_input_bound(a: Channel, b: Channel, state: np.ndarray) -> float:
     return trace_norm(apply_channel(a, state) - apply_channel(b, state))
 
 
-def _zero_result(delta: np.ndarray, ref_dim: int) -> DiamondResult:
-    """The result for a delta of trace norm at most _ZERO_TRACE_NORM.
-
-    The diamond norm is bounded by the Choi trace norm, so it is exactly
-    zero to working precision; W = 0 with the maximally mixed reference
-    state is an exact witness pair.
-    """
-    n = delta.shape[0]
-    return DiamondResult(
-        value=0.0,
-        witness_state=np.eye(ref_dim, dtype=complex) / ref_dim,
-        witness_operator=np.zeros((n, n), dtype=complex),
-        primal=0.0,
-        dual=0.0,
-    )
-
-
-def _maybe_zero(frobenius) -> bool:
-    """False when a Frobenius norm proves a trace norm above
-    _ZERO_TRACE_NORM, without an eigensolve: ||.||_F <= ||.||_1, and the
-    factor 2 absorbs roundoff. NaN and inf answer True, so that they reach
-    ``trace_norm``'s guard."""
-    return not (2 * _ZERO_TRACE_NORM < frobenius < np.inf)
-
-
 def _diamond_of_delta(delta: np.ndarray, ref_dim: int, tol: float) -> DiamondResult:
     """Certified diamond norm of the Hermitian map with Choi matrix delta:
-    zero below the trace-norm floor, otherwise the route of
-    ``sdp.solve_fixed``. A bare Choi matrix carries no Kraus operators, so
-    the unitary-pair bracket is not tried; the distance between two
-    channels goes through ``diamond_sdp``, which tries it."""
-    return sdp._run(_delta_steps(delta, ref_dim, tol))
-
-
-def _delta_steps(delta: np.ndarray, ref_dim: int, tol: float, kraus=None):
-    """``_diamond_of_delta`` as steps (see ``sdp._run_all``): zero below
-    the trace-norm floor, otherwise the steps of ``sdp._fixed_steps``, with
-    ``kraus`` as there."""
-    if _maybe_zero(np.linalg.norm(delta)) and trace_norm(delta) <= _ZERO_TRACE_NORM:
-        return _zero_result(delta, ref_dim)
-    return DiamondResult._of_solution((yield from sdp._fixed_steps(delta, ref_dim, tol, kraus)))
-
-
-def _single_kraus(a: Channel, b: Channel):
-    """(K, L) when each channel has exactly one Kraus operator, else None."""
-    return (a.kraus[0], b.kraus[0]) if len(a.kraus) == len(b.kraus) == 1 else None
-
-
-def _checked_delta(a: Channel, b: Channel, tol: float) -> np.ndarray:
-    """choi(a) - choi(b), once ``diamond_sdp`` accepts its arguments."""
-    if a.dim != b.dim:
-        raise DimMismatchError(f"channel dims differ: {a.dim} vs {b.dim}")
-    _check_dim(a.dim)
-    if not 1e-9 <= tol < np.inf:
-        raise RangeError(f"tolerance {tol:g} must be finite and at least 1e-9")
-    return choi(a) - choi(b)
+    ``sdp.solve_fixed``, which checks delta, ref_dim and tol. A bare Choi
+    matrix carries no Kraus operators, so the unitary-pair bracket is not
+    tried; the distance between two channels goes through ``diamond_sdp``,
+    which tries it."""
+    return DiamondResult._of_solution(sdp.solve_fixed(delta, ref_dim, tol))
 
 
 def diamond_sdp(a: Channel, b: Channel, tol: float = 1e-7) -> DiamondResult:
@@ -228,17 +176,27 @@ def diamond_sdp(a: Channel, b: Channel, tol: float = 1e-7) -> DiamondResult:
     closes (most damping-vs-Pauli pairs and about half the d = 4 noisy
     product pairs). The interior-point engine runs only on the pairs all
     of these leave open, such as those whose optimal input state is rank
-    deficient. The result is ``sdp._run`` of ``_diamond_sdp_steps``, so it
-    has the same bits as in any window of a sweep. ``approx_bounds`` takes
-    each member's distance from here.
+    deficient. There is no zero shortcut: identical channels close at the
+    maximally mixed input with value 0 and gap 0, and a pair within
+    roundoff of each other gets its true bracket there. A tol that is NaN,
+    infinite or below 1e-9 raises RangeError before any bracket. The
+    result is ``sdp._run`` of ``_diamond_sdp_steps``, so it has the same
+    bits as in any window of a sweep. ``approx_bounds`` takes each
+    member's distance from here.
     """
     return sdp._run(_diamond_sdp_steps(a, b, tol))
 
 
 def _diamond_sdp_steps(a: Channel, b: Channel, tol: float):
-    """``diamond_sdp`` as steps (see ``sdp._run_all``); the arguments are
-    checked when it is called."""
-    return _delta_steps(_checked_delta(a, b, tol), a.dim, tol, _single_kraus(a, b))
+    """``diamond_sdp`` as steps (see ``sdp._run_all``): the channels' dims
+    are checked here, and the Choi difference, reference dimension and tol
+    by ``sdp._fixed_steps``, before its first request."""
+    if a.dim != b.dim:
+        raise DimMismatchError(f"channel dims differ: {a.dim} vs {b.dim}")
+    _check_dim(a.dim)
+    kraus = (a.kraus[0], b.kraus[0]) if len(a.kraus) == len(b.kraus) == 1 else None
+    sol = yield from sdp._fixed_steps(choi(a) - choi(b), a.dim, tol, kraus)
+    return DiamondResult._of_solution(sol)
 
 
 def discrimination_probability(diamond_value: float) -> float:

@@ -220,9 +220,12 @@ the engine. Each of its steps is a stacked call and each family keeps its
 own kernel threshold, so a bracket too has the bits it has alone.
 ``_run`` drives one generator, answering each request as it comes: a
 bracket as a stack of one, a program by ``_solve_ipm``, the stack of one.
-Every routine of ``diamond`` and ``approx`` that needs a solve is such a
-generator, so neither answers a request itself, and one result has the
-same bits from ``_run`` as from any window of ``_run_all``.
+Every single distance and every simplex problem of ``diamond`` and
+``approx`` is such a generator, so neither module answers a request itself,
+and one result has the same bits from ``_run`` as from any window of
+``_run_all``. ``approx.approx_bounds`` and ``approx.multi_copy_approx``
+are not generators: they put several results together, each driven by its
+own ``_run``.
 """
 
 from __future__ import annotations
@@ -235,8 +238,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NoConvergenceError
-from .linalg import _nearest_hull_point
+from .errors import DimMismatchError, NoConvergenceError, RangeError
+from .linalg import _nearest_hull_point, _require_square
 
 _SQRT2 = np.sqrt(2.0)
 _MAX_ITER = 100
@@ -598,8 +601,6 @@ class _Program(_BlockProgram):
     def __init__(self, deltas, ref_dim: int):
         self._set_members(deltas, ref_dim)
         self.n = n = self.deltas.shape[-1]
-        if n % ref_dim:
-            raise ValueError("matrix dim not divisible by reference dim")
         self.out = n // ref_dim
         self.real = not self.deltas.imag.any()
         # the real coordinates lead in both bases
@@ -826,8 +827,6 @@ class _DualProgram(_BlockProgram):
         self.delta = np.asarray(delta, dtype=complex)
         self.n = n = self.delta.shape[-1]
         self.ref = ref_dim
-        if n % ref_dim:
-            raise ValueError("matrix dim not divisible by reference dim")
         self.out = n // ref_dim
         self.nh = nw = n * n
         self.m = nw + 1
@@ -1300,7 +1299,9 @@ def solve_fixed(delta: np.ndarray, ref_dim: int, tol: float) -> SdpSolution:
 
     Returns a bracket with gap <= tol, falling back to the dual program when
     the first solve stops short; raises NoConvergenceError if the combined
-    bracket is still wider than tol. ``iterations`` counts interior-point
+    bracket is still wider than tol. A malformed delta, ref_dim or tol
+    raises a ValueError before any bracket (see ``_fixed_steps``, which
+    also serves ``diamond_sdp``). ``iterations`` counts interior-point
     iterations, so it is 0 for a delta answered without a solve (see the
     module docstring): one whose closed-form bracket at the maximally mixed
     reference closes within tol, or, unless delta is
@@ -1384,8 +1385,21 @@ def _fixed_steps(delta, ref_dim, tol, kraus=None):
     the single Kraus operators (K, L) of two channels with
     delta = choi(K) - choi(L), lets the bracket of
     ``_unitary_pair_solution`` try before the iteration. An exactly real
-    delta goes on to the iteration and the engine as a real array."""
-    delta = np.asarray(delta)
+    delta goes on to the iteration and the engine as a real array.
+
+    Every single distance takes this route, so its inputs are checked here
+    and nowhere else, before the first request: a non-square delta raises
+    NonSquareError, a NaN or infinite entry RangeError, a reference
+    dimension that is not a positive divisor of n DimMismatchError, and a
+    tol that is NaN, infinite or below 1e-9 RangeError. No delta is zero
+    by a shortcut: the bracket at I/d gives an exactly zero delta the value
+    0 with gap 0, and a roundoff-size one its true bounds."""
+    delta = _require_square(delta)
+    n = delta.shape[0]
+    if not (ref_dim >= 1 and n % ref_dim == 0):
+        raise DimMismatchError(f"matrix dim {n} not divisible by reference dim {ref_dim}")
+    if not 1e-9 <= tol < np.inf:
+        raise RangeError(f"tolerance {tol:g} must be finite and at least 1e-9")
     closed = yield _Bracket(delta[None], np.ones(1), ref_dim), None
     if closed.gap <= tol:
         return closed

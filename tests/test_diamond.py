@@ -284,15 +284,23 @@ def test_diamond_sdp_identical_channels() -> None:
     assert res.gap <= 1e-7
 
 
+def test_a_near_identical_pair_gets_its_true_bracket() -> None:
+    """A pair 2e-13 apart lies within approx's exact-member floor, but a
+    single distance has no zero shortcut: the bracket at I/d holds it."""
+    res = diamond_sdp(unitary_qubit(1e-13, 0.0, 0.0), identity(2))
+    assert 0.0 < res.primal <= 2e-13 <= res.dual <= res.primal + 1e-7
+    assert res.primal <= res.value <= res.dual
+
+
 def test_zero_test_prefilter_keeps_the_trace_norm_floor(monkeypatch) -> None:
-    """The zero and exact-member tests skip ``trace_norm`` only where the
-    Frobenius norm proves the trace norm above the floor (||.||_F <=
-    ||.||_1). A Delta whose Frobenius norm is below the floor and whose
-    trace norm is above it is not zero, alone or as the one member of an
-    approximating set; an exact member still gives the zero result, and NaN
-    or inf still reaches the finite-input guard."""
+    """The exact-member test skips ``trace_norm`` only where the Frobenius
+    norm proves the trace norm above approx's floor (||.||_F <= ||.||_1). A
+    Delta whose Frobenius norm is below the floor and whose trace norm is
+    above it is not zero, alone (a single distance has no floor) or as the
+    one member of an approximating set; an exact member still gives the
+    zero result, and NaN or inf still reaches the finite-input guard."""
     delta = np.diag([0.6e-12, 0.6e-12, 0.0, 0.0]).astype(complex)
-    assert np.linalg.norm(delta) < diamond._ZERO_TRACE_NORM < trace_norm(delta)
+    assert np.linalg.norm(delta) < approx._ZERO_TRACE_NORM < trace_norm(delta)
     res = diamond._diamond_of_delta(delta, 2, 1e-7)
     assert res.primal >= 0.5e-12 and res.value > 0.0
     for bad in (np.nan, np.inf):

@@ -33,7 +33,12 @@ from chanapprox import (
 from chanapprox.approx import two_copy_problem
 from chanapprox.channels import PAULI
 from chanapprox import approx, cli, diamond, sdp
-from chanapprox.errors import NoConvergenceError
+from chanapprox.errors import (
+    DimMismatchError,
+    NoConvergenceError,
+    NonSquareError,
+    RangeError,
+)
 
 import helpers
 import properties
@@ -570,7 +575,7 @@ def test_run_and_a_run_all_window_give_the_same_bits_on_every_route(monkeypatch)
         alone.append(_result_bits(sdp._run(diamond._diamond_sdp_steps(a, b, tol))))
         trails[name] = list(trail)
     assert trails == {
-        "zero": [],
+        "zero": ["I/d"],
         "bracket": ["I/d"],
         "pair": ["I/d", "pair"],
         "iteration": ["I/d", "iteration"],
@@ -603,8 +608,9 @@ def test_stacked_brackets_match_solo_brackets_bit_for_bit(monkeypatch) -> None:
     form at the maximally mixed reference. Each gives the same bits alone
     (``_run``), in its window (``_run_all``) and in the reversed window; a
     window evaluates the brackets of each shape once, and the engine never
-    runs. x = 0 and alpha = beta = 0 are exact members; x = 2 is the fig1
-    row at distance 2 from the identity."""
+    runs. alpha = beta = 0 is an exact member; x = 0 is an exactly zero
+    Delta, which its window's bracket closes with value 0 and gap 0; x = 2
+    is the fig1 row at distance 2 from the identity."""
     xs = np.linspace(0.0, 2.0, 9)
     fig2 = [(a, b, np.pi / 8) for a in (0.0, 0.7, np.pi / 2) for b in (0.0, 1.1)]
 
@@ -632,10 +638,10 @@ def test_stacked_brackets_match_solo_brackets_bit_for_bit(monkeypatch) -> None:
     monkeypatch.setattr(sdp, "_mixed_reference_solution", logged)
     solves = _count_solves(monkeypatch)
     assert [_result_bits(res) for res in sdp._run_all(rows())] == alone
-    # the exact members ask for no bracket: 8 fig1 rows and 5 fig2 rows
-    assert stacks == [8, 5] and solves == []
+    # the exact member asks for no bracket: 9 fig1 rows and 5 fig2 rows
+    assert stacks == [9, 5] and solves == []
     assert [_result_bits(res) for res in sdp._run_all(rows()[::-1])] == alone[::-1]
-    assert stacks == [8, 5, 5, 8]
+    assert stacks == [9, 5, 5, 9]
     assert all(bits[-1] == 0 for bits in alone)
     for bits in (alone[0], alone[len(xs)]):
         assert bits[0] == struct.pack("<4d", 0.0, 0.0, 0.0, 0.0)
@@ -780,11 +786,45 @@ def test_dual_program_without_a_projection_certifies_no_lower_side(monkeypatch) 
 
 
 def test_programs_reject_malformed_shapes() -> None:
+    """The divisibility check sits in ``_fixed_steps``, which every single
+    distance passes, and not in the program constructors, which a closed
+    form never reaches: without it this delta came back as primal 1.333 >
+    dual 1.0."""
     delta = np.eye(4, dtype=complex)
     with pytest.raises(ValueError, match="not divisible"):
-        sdp._Program([delta], 3)
+        sdp.solve_fixed(delta, 3, TOL)
     with pytest.raises(ValueError, match="not divisible"):
-        sdp._DualProgram(delta, 3)
+        diamond._diamond_of_delta(delta, 3, TOL)
+
+
+def test_a_single_distance_checks_its_input_before_any_bracket(monkeypatch) -> None:
+    """``_fixed_steps`` rejects a non-square or non-finite delta, a reference
+    dimension that does not divide n and a tol outside [1e-9, inf), each with
+    a ValueError subclass, before it requests the bracket at I/d."""
+    calls = []
+    brackets = sdp._brackets
+
+    def counted(requests):
+        calls.append(len(requests))
+        return brackets(requests)
+
+    monkeypatch.setattr(sdp, "_brackets", counted)
+    eye = np.eye(4, dtype=complex)
+    cases = [
+        (eye, 3, TOL, DimMismatchError),
+        (eye, 0, TOL, DimMismatchError),
+        (eye[:3], 1, TOL, NonSquareError),
+        (np.full((4, 4), np.nan, dtype=complex), 2, TOL, RangeError),
+        (np.full((4, 4), np.inf, dtype=complex), 2, TOL, RangeError),
+    ] + [(eye, 2, tol, RangeError) for tol in (np.nan, 0.0, -1.0, 1e-10)]
+    for delta, ref_dim, tol, error in cases:
+        with pytest.raises(error):
+            sdp.solve_fixed(delta, ref_dim, tol)
+        with pytest.raises(error):
+            sdp._run_all([sdp._fixed_steps(delta, ref_dim, tol)])
+    assert calls == []
+    assert sdp.solve_fixed(eye, 2, 1e-9).gap <= 1e-9
+    assert calls == [1]
 
 
 # --- step length and forced exits -------------------------------------------
