@@ -51,17 +51,21 @@ or the Choi bound's steps).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import diamond, sdp
-from .channels import (
+# damping is not called here; the name stays because perfbench/tracing.py
+# wraps approx.damping
+from .channels import (  # noqa: F401
     PAULI,
     Channel,
     _check_dim,
     _check_range,
+    _ChoiDifferences,
     choi,
     damping,
     mix,
@@ -132,7 +136,10 @@ def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
     stalls, the dual program of the mixture at the weights closes the
     bracket (``sdp._closing_steps``), which must end within tol of primal.
     A qubit unitary target against Pauli unitaries takes no solve when the
-    closed form of the module docstring closes.
+    closed form of the module docstring closes. A target whose Choi matrix
+    is within trace norm 1e-12 of a member's gets all weight on that member
+    at distance 0, certified by [0, dual] with W = 0: dual 0 for an exact
+    member, else the upper side of that member's bracket at rho = I/d.
     """
     return sdp._run(_convex_approx_steps(target, set, tol))
 
@@ -142,28 +149,41 @@ def _convex_approx_steps(target: Channel, set, tol: float):
     _check_tol(tol)
     members = list(set)
     delta_stack = _simplex_deltas(target, members)
-    d = target.dim
+    pauli = _pauli_mixture(target, members, delta_stack)
+    return (yield from _simplex_steps(delta_stack, tol, pauli))
 
-    # Exact membership: all weight on the matching member, distance exactly
-    # zero, with the exact witness W = 0 at rho = I/d (the diamond norm is at
-    # most the Choi trace norm). ||.||_F <= ||.||_1, so only a Frobenius norm
-    # within twice the floor (the factor absorbs roundoff), NaN or inf needs
-    # trace_norm's eigensolve. A single distance has no such floor.
+
+def _simplex_steps(delta_stack, tol: float, pauli: sdp._Bracket | None):
+    """The steps of ``optimal_convex_approx`` on the checked Choi differences
+    ``delta_stack`` of a target and its set, ``pauli`` the request of the
+    Pauli-set closed form or None."""
+    d = math.isqrt(delta_stack.shape[-1])
+
+    # Exact membership: all weight on the matching member, at distance 0,
+    # with the exact lower bound 0 at W = 0 and rho = I/d (the diamond norm
+    # is at most the Choi trace norm). An exactly zero Delta is its own
+    # certificate, with gap 0; any other Delta within the floor takes as its
+    # dual the upper side of its own bracket at rho = I/d, a true bound on
+    # its roundoff-size distance. ||.||_F <= ||.||_1, so only a Frobenius
+    # norm within twice the floor (the factor absorbs roundoff), NaN or inf
+    # needs trace_norm's eigensolve. A single distance has no such floor.
     frobenius = np.linalg.norm(delta_stack, axis=(-2, -1))
     for i, delta in enumerate(delta_stack):
         small = not 2 * _ZERO_TRACE_NORM < frobenius[i] < np.inf
         if small and trace_norm(delta) <= _ZERO_TRACE_NORM:
+            dual = 0.0
+            if delta.any():
+                dual = (yield sdp._Bracket(delta[None], np.ones(1), d), None).dual
             rho = np.eye(d, dtype=complex) / d
             return ApproxResult(
                 weights=prob_vector(np.eye(len(delta_stack))[i]),
                 distance=0.0,
-                witness=DiamondResult(0.0, rho, np.zeros_like(delta), 0.0, 0.0),
+                witness=DiamondResult(0.0, rho, np.zeros_like(delta), 0.0, dual),
                 iterations=0,
             )
 
-    request = _pauli_mixture(target, members, delta_stack)
-    if request is not None:
-        closed = yield request, None
+    if pauli is not None:
+        closed = yield pauli, None
         if closed.gap <= _INNER_TOL:
             witness = DiamondResult._of_solution(closed)
             return ApproxResult(
@@ -243,9 +263,8 @@ _BELL = np.stack([s.reshape(-1) for s in PAULI]) / np.sqrt(2.0)
 
 def _pauli_mixture(target: Channel, members, delta_stack) -> sdp._Bracket | None:
     """The request for the closed-form bracket at rho = I/2 of a qubit
-    unitary target against distinct Pauli unitaries, at the water-filling
-    weights (module docstring), or None for any other problem. The bracket
-    is the certificate when it is within 1e-7.
+    unitary target against distinct Pauli unitaries (``_pauli_bracket``),
+    or None for any other problem.
 
     A member is a Pauli unitary when its Choi matrix is exactly that of one.
     """
@@ -256,8 +275,28 @@ def _pauli_mixture(target: Channel, members, delta_stack) -> sdp._Bracket | None
     directions = found.argmax(axis=1)
     if not found.any(axis=1).all() or len(set(directions)) != len(members):
         return None
-    q = np.abs(_BELL.conj() @ target.kraus[0].reshape(-1)) ** 2 / 2.0
+    return _pauli_bracket(target.kraus[0], directions, delta_stack)
+
+
+def _pauli_bracket(kraus: np.ndarray, directions, delta_stack) -> sdp._Bracket:
+    """The request for the closed-form bracket at rho = I/2 of the qubit
+    unitary with Kraus operator ``kraus`` against the Pauli unitaries of
+    indices ``directions``, at the water-filling weights (module
+    docstring). The bracket is the certificate when it is within 1e-7."""
+    q = np.abs(_BELL.conj() @ kraus.reshape(-1)) ** 2 / 2.0
     return sdp._Bracket(delta_stack, _water_fill(q, directions), 2)
+
+
+def _pauli_set_steps(angles, tol: float):
+    """``optimal_convex_approx(unitary_qubit(*angles), pauli_unitaries(),
+    tol)`` as steps (see ``sdp._run_all``), as a fig2 row needs it. The
+    target's Choi differences from the four Pauli unitaries are a request
+    (``channels._ChoiDifferences``) that a sweep window answers for all its
+    rows in one stacked build, which checks the angles; no ``Channel`` is
+    made per row, and the members are the Pauli unitaries by construction."""
+    deltas, kraus = yield _ChoiDifferences(("unitary", angles), pauli_unitaries()), None
+    _check_tol(tol)
+    return (yield from _simplex_steps(deltas, tol, _pauli_bracket(kraus[0], np.arange(4), deltas)))
 
 
 @lru_cache(maxsize=None)
@@ -445,8 +484,16 @@ def _damping_endpoints() -> tuple[Channel, Channel]:
 
 
 def _damping_steps(q: float, gamma: float, tol: float):
-    """``pauli_distance_damping`` as steps (see ``sdp._run_all``)."""
-    res = yield from _convex_approx_steps(damping(q, gamma), _damping_endpoints(), tol)
+    """``pauli_distance_damping`` as steps (see ``sdp._run_all``). The
+    damping channel's Choi differences from the two endpoints are a request
+    (``channels._ChoiDifferences``) that a sweep window answers for all its
+    rows in one stacked build, which checks q and gamma; no ``Channel`` is
+    made per row. The endpoints are not Pauli unitaries, so the Pauli-set
+    closed form never applies."""
+    request = _ChoiDifferences(("damping", (q, gamma)), _damping_endpoints())
+    deltas, _ = yield request, None
+    _check_tol(tol)
+    res = yield from _simplex_steps(deltas, tol, None)
     w0, w1 = res.weights
     return replace(res, weights=prob_vector([w0, 0.5 * w1, 0.5 * w1, 0.0]))
 

@@ -95,6 +95,47 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> float:
     return min(max(value, lo), hi)
 
 
+def _check_ranges(name: str, values, lo: float, hi: float) -> np.ndarray:
+    """``_check_range`` on an array of values: the first one outside
+    [lo, hi] (NaN included) raises its RangeError; returns them clamped."""
+    values = np.asarray(values, dtype=float)
+    bad = ~((lo - _RANGE_SLOP <= values) & (values <= hi + _RANGE_SLOP))
+    if bad.any():
+        _check_range(name, values[bad][0], lo, hi)
+    return np.minimum(np.maximum(values, lo), hi)
+
+
+def _check_kraus(kraus: np.ndarray) -> None:
+    """Raise KrausError unless the Kraus stacks ``kraus`` (..., K, d, d) are
+    finite and trace preserving, each sum_k K^dag K within 1e-9 max(1, d)
+    of I in Frobenius norm."""
+    if not np.isfinite(kraus).all():
+        raise KrausError("Kraus operator has NaN or infinite entries")
+    d = kraus.shape[-1]
+    flat = kraus.reshape(kraus.shape[:-3] + (-1, d))  # each stack's operators as rows
+    defect = (flat.conj().swapaxes(-1, -2) @ flat - np.eye(d)).reshape(-1, d * d)
+    bound = (_COMPLETENESS_TOL * max(1.0, float(d))) ** 2
+    # the squared defect summed over the stacks bounds each stack's own, so
+    # only a sum above the bound needs each stack's
+    if np.vdot(defect, defect).real > bound and ((defect.conj() * defect).real.sum(-1) > bound).any():
+        raise KrausError("Kraus operators are not trace preserving (sum K^dag K != I)")
+
+
+def _choi_stack(kraus: np.ndarray) -> np.ndarray:
+    """The Choi operators (..., d^2, d^2) of the Kraus stacks ``kraus``
+    (..., K, d, d): sum_k vec(K_k) vec(K_k)^H, vec the row-major flatten,
+    so that vec(K) = (K (x) I)|eta>. The sum runs over k in order from
+    +0.0, so every entry has the bits of adding the operators' outer
+    products one by one to a zero matrix; an operator that is exactly zero
+    leaves every bit unchanged."""
+    v = kraus.reshape(kraus.shape[:-2] + (-1,))
+    outer = v[..., :, None] * v[..., None, :].conj()
+    r = outer[..., 0, :, :] + 0.0
+    for k in range(1, outer.shape[-3]):
+        r += outer[..., k, :, :]
+    return r
+
+
 @dataclass(frozen=True, eq=False)
 class Channel:
     """Completely positive trace-preserving map held as a Kraus list."""
@@ -104,25 +145,17 @@ class Channel:
     def __post_init__(self):
         if len(self.kraus) == 0:
             raise KrausError("empty Kraus list")
-        mats = []
-        d = None
-        for k in self.kraus:
-            k = np.asarray(k, dtype=complex)
+        mats = [np.asarray(k, dtype=complex) for k in self.kraus]
+        for k in mats:
             if k.ndim != 2 or not 0 < k.shape[0] == k.shape[1]:
                 raise KrausError(f"Kraus operator has shape {k.shape}, expected nonempty square")
-            if not np.all(np.isfinite(k)):
-                raise KrausError("Kraus operator has NaN or infinite entries")
-            if d is None:
-                d = k.shape[0]
-            elif k.shape[0] != d:
+            if k.shape != mats[0].shape:
                 raise KrausError("Kraus operators have mixed dimensions")
-            k = k.copy()
-            k.setflags(write=False)
-            mats.append(k)
-        total = sum(dagger(k) @ k for k in mats)
-        if not np.linalg.norm(total - np.eye(d)) <= _COMPLETENESS_TOL * max(1.0, float(d)):
-            raise KrausError("Kraus operators are not trace preserving (sum K^dag K != I)")
-        object.__setattr__(self, "kraus", tuple(mats))
+        stack = np.array(mats)
+        _check_kraus(stack)
+        stack.setflags(write=False)
+        object.__setattr__(self, "kraus", tuple(stack))
+        object.__setattr__(self, "_stack", stack)
 
     @property
     def dim(self) -> int:
@@ -131,11 +164,7 @@ class Channel:
     @cached_property
     def choi(self) -> np.ndarray:
         """Choi operator on (output (x) reference), Tr = dim."""
-        d = self.dim
-        r = np.zeros((d * d, d * d), dtype=complex)
-        for k in self.kraus:
-            v = np.asarray(k).reshape(-1)  # row-major flatten of K = (K (x) I)|eta>
-            r += np.outer(v, v.conj())
+        r = _choi_stack(self._stack)
         r.setflags(write=False)
         return r
 
@@ -163,12 +192,18 @@ def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weighted(pairs) -> Channel:
-    """The channel with Kraus operators sqrt(w) K over the pairs (w, K),
-    leaving out every operator that is exactly zero: a zero weight, or
-    damping's C at gamma = 0. A vertex Pauli channel, damping(1, 0) or
-    covariant(0) thus has one operator, as a unitary channel does."""
-    return Channel(tuple(m for m in (np.sqrt(w) * k for w, k in pairs) if m.any()))
+def _weighted(weights, kraus: np.ndarray) -> np.ndarray:
+    """The operators sqrt(w) K of the Kraus stacks ``kraus`` (..., K, d, d)
+    at the weights (..., K)."""
+    return np.sqrt(weights)[..., None, None] * kraus
+
+
+def _channel(kraus: np.ndarray) -> Channel:
+    """The channel of one Kraus stack (K, d, d), leaving out every operator
+    that is exactly zero: a zero weight, or damping's C at gamma = 0. A
+    vertex Pauli channel, damping(1, 0) or covariant(0) thus has one
+    operator, as a unitary channel does."""
+    return Channel(tuple(kraus[kraus.any(axis=(-2, -1))]))
 
 
 def identity(d: int = 2) -> Channel:
@@ -188,41 +223,66 @@ def unitary_channel(u: np.ndarray) -> Channel:
     return Channel((u,))
 
 
+# ---------------------------------------------------------------------------
+# Channel families. Each family's Kraus operators come from one stacked
+# builder over arrays of its checked parameters: (..., K, d, d) for
+# parameters of shape (...), every operator kept, zero ones included. A
+# scalar constructor is the stack of one, and a sweep window builds all its
+# rows' operators in one call (``_ChoiDifferences``).
+
+
+def _unitary_qubit_kraus(alpha, beta, delta) -> np.ndarray:
+    """``qubit_unitary_matrix`` over angle arrays of at most one axis, as
+    (..., 1, 2, 2)."""
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    entries = [
+        ca * np.exp(1j * beta),
+        sa * np.exp(1j * delta),
+        -sa * np.exp(-1j * delta),
+        ca * np.exp(-1j * beta),
+    ]
+    return np.array(entries).T.reshape(np.shape(alpha) + (1, 2, 2))
+
+
 def qubit_unitary_matrix(alpha: float, beta: float, delta: float) -> np.ndarray:
     """General SU(2) matrix with angles alpha in [0,pi/2], beta,delta in [0,2pi].
 
     U = [[cos(a) e^{i b},   sin(a) e^{i dl}],
          [-sin(a) e^{-i dl}, cos(a) e^{-i b}]]
     """
-    alpha = _check_range("alpha", alpha, 0.0, np.pi / 2)
-    beta = _check_range("beta", beta, 0.0, 2 * np.pi)
-    delta = _check_range("delta", delta, 0.0, 2 * np.pi)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    return np.array(
-        [
-            [ca * np.exp(1j * beta), sa * np.exp(1j * delta)],
-            [-sa * np.exp(-1j * delta), ca * np.exp(-1j * beta)],
-        ]
-    )
+    return _unitary_qubit_kraus(*_checked("unitary", (alpha, beta, delta)))[0]
 
 
 def unitary_qubit(alpha: float, beta: float, delta: float) -> Channel:
     """Qubit unitary channel from the three-angle parametrization."""
-    return Channel((qubit_unitary_matrix(alpha, beta, delta),))
+    return Channel(tuple(_unitary_qubit_kraus(*_checked("unitary", (alpha, beta, delta)))))
 
 
-def _weyl_basis(d: int) -> list[np.ndarray]:
-    """Orthogonal unitary basis X^a Z^b, the (a,b) != (0,0) part, d^2 - 1 terms."""
-    omega = np.exp(2j * np.pi / d)
-    shift = np.eye(d, dtype=complex)[:, list(range(1, d)) + [0]].T  # X|j> = |j+1>
-    clock = np.diag(omega ** np.arange(d))
-    out = []
-    for a in range(d):
-        for b in range(d):
-            if a == 0 and b == 0:
-                continue
-            out.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b))
-    return out
+@lru_cache(maxsize=None)
+def _covariant_basis(d: int) -> np.ndarray:
+    """I, then an orthogonal traceless unitary basis, as (d^2, d, d),
+    read-only: the Pauli matrices for d = 2, else X^a Z^b over
+    (a, b) != (0, 0)."""
+    if d == 2:
+        basis = np.stack(PAULI)
+    else:
+        omega = np.exp(2j * np.pi / d)
+        shift = np.eye(d, dtype=complex)[:, list(range(1, d)) + [0]].T  # X|j> = |j+1>
+        clock = np.diag(omega ** np.arange(d))
+        power = np.linalg.matrix_power
+        basis = np.stack(
+            [np.eye(d, dtype=complex)]
+            + [power(shift, a) @ power(clock, b) for a in range(d) for b in range(d) if a or b]
+        )
+    basis.setflags(write=False)
+    return basis
+
+
+def _covariant_kraus(p, d: int = 2) -> np.ndarray:
+    """``covariant`` over an array of p, as (..., d^2, d, d)."""
+    p = np.asarray(p)
+    weights = np.stack([1.0 - p] + [p / (d * d - 1)] * (d * d - 1), axis=-1)
+    return _weighted(weights, _covariant_basis(d))
 
 
 def covariant(p: float, d: int = 2) -> Channel:
@@ -231,16 +291,12 @@ def covariant(p: float, d: int = 2) -> Channel:
     Kraus form: sqrt(1-p) I together with sqrt(p/(d^2-1)) V_i over a
     traceless orthogonal unitary basis (the Pauli basis for d=2).
     """
-    p = _check_range("p", p, 0.0, 1.0)
+    (p,) = _checked("covariant", (p,))
     if not _is_integer(d):
         raise RangeError(f"dimension d={d!r} must be an integer")
     if d < 2:
         raise RangeError(f"dimension d={d} must be >= 2")
-    if d == 2:
-        basis = list(PAULI[1:])
-    else:
-        basis = _weyl_basis(d)
-    return _weighted([(1.0 - p, np.eye(d, dtype=complex))] + [(p / (d * d - 1), v) for v in basis])
+    return _channel(_covariant_kraus(p, int(d)))
 
 
 def pauli_channel(p) -> Channel:
@@ -248,7 +304,7 @@ def pauli_channel(p) -> Channel:
     p = prob_vector(p)
     if p.size != 4:
         raise SimplexError(f"Pauli channel needs 4 weights, got {p.size}")
-    return _weighted(zip(p, PAULI))
+    return _channel(_weighted(p, _covariant_basis(2)))
 
 
 @lru_cache(maxsize=None)
@@ -258,18 +314,55 @@ def pauli_unitaries() -> tuple[Channel, ...]:
     return tuple(unitary_channel(s) for s in PAULI)
 
 
+def _damping_kraus(q, gamma) -> np.ndarray:
+    """``damping`` over arrays of q and gamma, as (..., 4, 2, 2)."""
+    q = np.asarray(q)
+    root, c = np.sqrt(1.0 - gamma), np.sqrt(gamma)
+    ops = np.zeros(q.shape + (4, 2, 2), dtype=complex)
+    ops[..., 0, 0, 0] = ops[..., 2, 1, 1] = 1.0  # A = diag(1, root), B = diag(root, 1)
+    ops[..., 0, 1, 1] = ops[..., 2, 0, 0] = root
+    ops[..., 1, 0, 1] = ops[..., 3, 1, 0] = c  # C and C^dag
+    return _weighted(np.stack([q, q, 1.0 - q, 1.0 - q], axis=-1), ops)
+
+
 def damping(q: float, gamma: float) -> Channel:
     """Generalized damping channel: q-mixture of damping and amplification.
 
     Kraus set {sqrt(q) A, sqrt(q) C, sqrt(1-q) B, sqrt(1-q) C^dag} with
     A = diag(1, sqrt(1-gamma)), B = diag(sqrt(1-gamma), 1), C = sqrt(gamma)|0><1|.
     """
-    q = _check_range("q", q, 0.0, 1.0)
-    gamma = _check_range("gamma", gamma, 0.0, 1.0)
-    a = np.diag([1.0, np.sqrt(1.0 - gamma)]).astype(complex)
-    b = np.diag([np.sqrt(1.0 - gamma), 1.0]).astype(complex)
-    c = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return _weighted([(q, a), (q, c), (1.0 - q, b), (1.0 - q, dagger(c))])
+    return _channel(_damping_kraus(*_checked("damping", (q, gamma))))
+
+
+#: Per family: its stacked Kraus builder and the name and range of each of
+#: its parameters, in the builder's order.
+_FAMILIES = {
+    "unitary": (
+        _unitary_qubit_kraus,
+        (("alpha", 0.0, np.pi / 2), ("beta", 0.0, 2 * np.pi), ("delta", 0.0, 2 * np.pi)),
+    ),
+    "covariant": (_covariant_kraus, (("p", 0.0, 1.0),)),
+    "damping": (_damping_kraus, (("q", 0.0, 1.0), ("gamma", 0.0, 1.0))),
+}
+
+
+def _checked(family: str, values) -> list[float]:
+    """The scalar parameters ``values`` of ``family``, each checked and
+    clamped by ``_check_range``."""
+    ranges = _FAMILIES[family][1]
+    return [_check_range(name, v, lo, hi) for v, (name, lo, hi) in zip(values, ranges)]
+
+
+def _family_kraus(family: str, params) -> np.ndarray:
+    """The Kraus stacks of ``family`` at the rows of ``params`` (B, its
+    parameter count): each parameter column checked at once by
+    ``_check_ranges``, then the stack's finiteness and trace preservation
+    in one pass."""
+    build, ranges = _FAMILIES[family]
+    columns = np.asarray(params, dtype=float).T
+    kraus = build(*(_check_ranges(name, v, lo, hi) for v, (name, lo, hi) in zip(columns, ranges)))
+    _check_kraus(kraus)
+    return kraus
 
 
 def mix(chs, p) -> Channel:
@@ -283,7 +376,8 @@ def mix(chs, p) -> Channel:
     d = chs[0].dim
     if any(ch.dim != d for ch in chs):
         raise DimMismatchError("mixed channel dimensions")
-    return _weighted((wi, k) for wi, ch in zip(p, chs) for k in ch.kraus)
+    weights = np.repeat(p, [len(ch.kraus) for ch in chs])
+    return _channel(_weighted(weights, np.stack([k for ch in chs for k in ch.kraus])))
 
 
 def tensor(a: Channel, b: Channel) -> Channel:
@@ -315,6 +409,55 @@ def channels_close(a: Channel, b: Channel, tol: float = 1e-8) -> bool:
     if a.dim != b.dim:
         return False
     return bool(np.linalg.norm(a.choi - b.choi) <= tol)
+
+
+class _ChoiDifferences:
+    """A request for the Choi differences choi(first) - choi(m) of one
+    channel ``first`` against each of ``members``; each is a fixed
+    ``Channel`` or a (family, params) pair of a family in ``_FAMILIES``.
+
+    A step generator yields it as (request, None), as it yields a bracket
+    or a program, and receives (deltas, kraus): the differences as
+    (members, n, n) and, when ``first`` and every member have exactly one
+    Kraus operator that is not zero, those operators in the same order, else
+    None (the ``kraus`` of ``sdp._fixed_steps``). ``sdp._run_all`` answers
+    the pending requests of one ``shape_key`` (the same families and fixed
+    members at each place) with one call of ``answer``; ``sdp._run`` answers
+    one as a stack of one. Every difference has the bits of choi(a) - choi(b)
+    for the channels that the scalar constructors build."""
+
+    def __init__(self, first, members):
+        self.channels = (first, *members)
+
+    def shape_key(self):
+        return (type(self),) + tuple(
+            spec if isinstance(spec, Channel) else spec[0] for spec in self.channels
+        )
+
+    @staticmethod
+    def answer(requests, tols=None) -> list:
+        """The answers of same-shape requests in one stacked evaluation: one
+        ``_family_kraus`` per family place, which raises the scalar
+        constructor's RangeError for the first bad parameter, and one
+        ``_choi_stack`` of its operators."""
+        count = len(requests)
+        chois, singles, single = [], [], np.ones(count, dtype=bool)
+        for j, spec in enumerate(requests[0].channels):
+            if isinstance(spec, Channel):
+                kraus, choi = spec._stack[None], spec.choi[None]
+            else:
+                kraus = _family_kraus(spec[0], [r.channels[j][1] for r in requests])
+                choi = _choi_stack(kraus)
+            nonzero = kraus.any(axis=(-2, -1))
+            single &= nonzero.sum(axis=-1) == 1
+            first_nonzero = kraus[np.arange(len(kraus)), nonzero.argmax(axis=-1)]
+            singles.append(np.broadcast_to(first_nonzero, (count,) + first_nonzero.shape[1:]))
+            chois.append(np.broadcast_to(choi, (count,) + choi.shape[1:]))
+        deltas = chois[0][:, None] - np.stack(chois[1:], axis=1)
+        return [
+            (deltas[i], tuple(ops[i] for ops in singles) if single[i] else None)
+            for i in range(count)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ import numpy as np
 from . import sdp
 from .approx import (
     _APPROX_TOL_FLOOR,
-    _convex_approx_steps,
+    _pauli_set_steps,
     approx_bounds,
     covariance_distance_x,
     damping_bounds,
@@ -50,13 +50,16 @@ from .approx import (
 )
 from .approx import _damping_steps as pauli_distance_damping  # steps (see _fig3_row)
 from .channels import (
+    _ChoiDifferences,
     identity,
     parse_channel_spec,
     pauli_unitaries,
     unitary_qubit,
 )
-from .channels import covariant as covariant_channel
-from .diamond import _diamond_sdp_steps, diamond_sdp, discrimination_probability
+# covariant_channel is not called here; the name stays because
+# perfbench/tracing.py wraps cli.covariant_channel
+from .channels import covariant as covariant_channel  # noqa: F401
+from .diamond import DiamondResult, diamond_sdp, discrimination_probability
 from .errors import NoConvergenceError, SpecParseError
 
 EXIT_OK = 0
@@ -116,8 +119,10 @@ def _json_text(payload) -> str:
 def _map_rows(worker, items, workers: int) -> list:
     """The rows of the step generators ``worker(item)``, in order.
 
-    The rows are solved together (``sdp._run_all``): every solve they need
-    joins a stacked solve of its program's shape. With ``workers > 1`` a
+    The rows are solved together (``sdp._run_all``), in windows: a window
+    builds the Choi differences its rows ask for in one stacked evaluation
+    per channel family, and every solve they need joins a stacked solve of
+    its program's shape. With ``workers > 1`` a
     process pool of at most one worker per row takes the items in
     contiguous chunks, one chunk per worker. A row's bits do not depend on
     the rows it is solved with, so parallel and serial runs emit
@@ -166,28 +171,35 @@ def _load_channel_spec(text: str):
 
 
 # A row worker is a step generator (see ``sdp._run_all``): it yields the
-# programs its row needs, receives their solutions and returns the row.
+# requests its row needs, receives their answers and returns the row. Its
+# first request is its channels' Choi differences, from their family
+# parameters (``channels._ChoiDifferences``): no row builds a ``Channel``.
 
 
 def _fig1_row(item):
     """(x, analytic D, optimal p, certified SDP D, gap) for one shift x: the
     closed-form covariant approximation of the unitary at x, and the
-    certified SDP distance at its optimal mixing weight."""
+    certified SDP distance at its optimal mixing weight. The row asks for
+    the Choi difference of the two channels, which its window builds for
+    all its rows in one stacked evaluation (``channels._ChoiDifferences``),
+    and then takes the route of ``diamond_sdp``."""
     x, sdp_tol = item
     value, p_opt = covariance_distance_x(x)
     alpha = float(np.arcsin(np.clip(x / 2.0, -1.0, 1.0)))
-    res = yield from _diamond_sdp_steps(
-        unitary_qubit(alpha, 0.0, 0.0), covariant_channel(p_opt), sdp_tol
-    )
+    request = _ChoiDifferences(("unitary", (alpha, 0.0, 0.0)), [("covariant", (p_opt,))])
+    deltas, kraus = yield request, None
+    sol = yield from sdp._fixed_steps(deltas[0], 2, sdp_tol, kraus)
+    res = DiamondResult._of_solution(sol)
     return (x, value, p_opt, res.value, res.gap)
 
 
 def _fig2_row(item):
-    """(alpha, beta, Pauli-mixture distance, gap) for one unitary."""
+    """(alpha, beta, Pauli-mixture distance, gap) for one unitary: its
+    distance to the closest mixture of the Pauli unitaries, whose Choi
+    differences its window builds for all its rows in one stacked
+    evaluation (``approx._pauli_set_steps``)."""
     alpha, beta, delta, tol = item
-    res = yield from _convex_approx_steps(
-        unitary_qubit(alpha, beta, delta), pauli_unitaries(), tol
-    )
+    res = yield from _pauli_set_steps((alpha, beta, delta), tol)
     return (alpha, beta, res.distance, res.witness.gap)
 
 

@@ -210,16 +210,23 @@ each slice the bits of the same call on that slice alone (einsum over a
 stack does not, so traces and mixtures are matmul products). A problem
 therefore gets the same bits alone, in any batch and at any place in it.
 ``_run_all`` drives step generators, each of which yields the requests its
-answer needs and receives their solutions: engine programs, and closed-form
-brackets at rho = I/d (``_Bracket``). In windows of ``_MAX_BATCH``
-generators it answers the requests pending in a round grouped by shape,
-each kind in its own way: the programs of one shape as one stack of
-``_solve_batch``, the brackets of one member count, n and reference
-dimension as one call of ``_mixed_reference_solution``, which never enters
-the engine. Each of its steps is a stacked call and each family keeps its
-own kernel threshold, so a bracket too has the bits it has alone.
-``_run`` drives one generator, answering each request as it comes: a
-bracket as a stack of one, a program by ``_solve_ipm``, the stack of one.
+answer needs and receives their answers: engine programs, closed-form
+brackets at rho = I/d (``_Bracket``), and the Choi differences of a sweep
+row's channels (``channels._ChoiDifferences``). In windows of
+``_MAX_BATCH`` generators it answers the requests pending in a round
+grouped by ``shape_key``, each group by one call of its class's
+``answer``: the programs of one shape as one stack of ``_solve_batch``,
+the brackets of one member count, n and reference dimension as one call of
+``_mixed_reference_solution``, which never enters the engine, and the Choi
+requests of one family pair as one stacked build of the rows' Kraus
+operators and Choi matrices, which checks their parameters once. Each of
+these steps is a stacked call, each bracket family keeps its own kernel
+threshold, and the Choi build sums each row's operators in order, so every
+request has the bits it has alone. A group whose answer raises (a row's
+parameter out of range) is answered request by request, and only the
+requests whose answers raise fail, each in its own generator. ``_run``
+drives one generator, answering each request as it comes: a program by
+``_solve_ipm``, the stack of one, any other request as a stack of one.
 Every single distance and every simplex problem of ``diamond`` and
 ``approx`` is such a generator, so neither module answers a request itself,
 and one result has the same bits from ``_run`` as from any window of
@@ -235,6 +242,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -413,6 +421,11 @@ class _BlockProgram:
 
     _members: tuple[str, ...] = ()
     real = False
+
+    @staticmethod
+    def answer(progs, tols) -> list:
+        """The answers of same-shape program requests: one ``_solve_batch``."""
+        return _solve_batch(progs, tols)
 
     def _set_data(self, pair, others, rows):
         pair_c, signs, pair_off, pair_gens = pair
@@ -719,44 +732,24 @@ class _SectorProgram(_Program):
     """Program 1 of a DUC family, on its invariant sectors (program 3 of the
     module docstring). ``n`` is the sector size d, and the reference
     dimension is d or 1; ``witness`` and ``project_dual`` answer for the full
-    d^2-dimensional program."""
+    d^2-dimensional program. Everything but the members, b and the members'
+    rows of G depends on the shape alone (d, reference dimension, member
+    count and kept pairs) and is built once per shape (``_sector_shape``)."""
 
     def __init__(self, deltas, ref_dim: int):
         self._set_members(deltas, ref_dim)
-        self.n = d = math.isqrt(self.deltas.shape[-1])
-        self.nh = nw = d * d
-        out_idx, in_idx = np.divmod(np.arange(nw), d)
-        self.sector = np.flatnonzero(out_idx == in_idx)  # |aa>, a = 0..d-1
-        off = np.flatnonzero(out_idx != in_idx)
-        # |ab>, a != b, where some member has a nonzero diagonal entry
-        self.pairs = pairs = off[np.any(self.deltas[:, off, off] != 0, axis=0)]
-        ref_of = np.arange(nw) % ref_dim  # the reference index of each entry
-        self.pair_ref = ref_of[pairs]
-        npair = len(pairs)
-        # (vector @ per_ref)[b] = its sum over the entries of reference b
-        self.sector_ref = (ref_of[self.sector][:, None] == np.arange(ref_dim)).astype(float)
-        self.per_ref = (self.pair_ref[:, None] == np.arange(ref_dim)).astype(float)
-        self.m = nw + npair + ref_dim
+        d = math.isqrt(self.deltas.shape[-1])
+        off = np.flatnonzero(~np.eye(d, dtype=bool))  # |ab>, a != b
+        # the |ab> where some member has a nonzero diagonal entry
+        pairs = off[np.any(self.deltas[:, off, off] != 0, axis=0)]
+        shape = _sector_shape(d, ref_dim, self.k, tuple(pairs.tolist()))
+        vars(self).update(shape)
+        self.c, self.spans = list(self.c), list(self.spans)
         sec = self.sector
         sector_coef = extract_coords(self.deltas[:, sec[:, None], sec])
         coef = np.concatenate([sector_coef, self.deltas[:, pairs, pairs].real], axis=1)
-        # (ref_dim - 1, ref_dim)
-        f = _traceless_stack(ref_dim)[: ref_dim - 1].diagonal(axis1=1, axis2=2).real
-        # scalar rows after the members': p_b - w_ab and p_b + w_ab per pair, then p_b
-        ref_of_rows = np.concatenate([self.pair_ref, self.pair_ref, np.arange(ref_dim)])
-        bounds = np.zeros((len(ref_of_rows), self.m))
-        j = np.arange(npair)
-        bounds[j, nw + j] = 1.0
-        bounds[npair + j, nw + j] = -1.0
-        bounds[:, nw + npair : -1] = -f[:, ref_of_rows].T
-        sector_gens = -f[:, ref_of[sec], None] * np.eye(d, dtype=complex)
-        eye = np.eye(d, dtype=complex)
-        h = np.concatenate([np.zeros(self.k), np.full(len(bounds), 1.0 / ref_dim)])
-        self._set_data(
-            (np.stack([eye, eye]) / ref_dim, (1.0, -1.0), nw + npair, sector_gens),
-            [],
-            (h, np.concatenate([self._objective(coef), bounds])),
-        )
+        self.g_rows = np.concatenate([self._objective(coef), shape["g_rows"]])
+        self._buffers = {}
 
     def shape_key(self):
         return super().shape_key() + (tuple(self.pairs),)
@@ -793,6 +786,47 @@ class _SectorProgram(_Program):
         sector = pair.sum(axis=-3).diagonal(axis1=-2, axis2=-1).real
         lifted = sector[..., None, :] @ self.sector_ref + s[..., None, :] @ self.per_ref
         return np.max(lifted[..., 0, :], axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _sector_shape(d: int, ref_dim: int, k: int, pairs: tuple) -> MappingProxyType:
+    """The attributes of every ``_SectorProgram`` of one shape: its sizes,
+    index maps, the pair's C and generators, h and the scalar rows of G
+    after the members' (``g_rows`` here), built once per shape and
+    read-only. A program adds its members, b and the members' rows of G."""
+    shape = _BlockProgram()
+    shape.n, shape.nh = d, d * d
+    shape.sector = sec = np.arange(d) * (d + 1)  # |aa>, a = 0..d-1
+    shape.pairs = pairs = np.array(pairs, dtype=int)
+    ref_of = np.arange(d * d) % ref_dim  # the reference index of each entry
+    shape.pair_ref = ref_of[pairs]
+    npair = len(pairs)
+    # (vector @ per_ref)[b] = its sum over the entries of reference b
+    shape.sector_ref = (ref_of[sec][:, None] == np.arange(ref_dim)).astype(float)
+    shape.per_ref = (shape.pair_ref[:, None] == np.arange(ref_dim)).astype(float)
+    shape.m = m = d * d + npair + ref_dim
+    # (ref_dim - 1, ref_dim)
+    f = _traceless_stack(ref_dim)[: ref_dim - 1].diagonal(axis1=1, axis2=2).real
+    # scalar rows after the members': p_b - w_ab and p_b + w_ab per pair, then p_b
+    ref_of_rows = np.concatenate([shape.pair_ref, shape.pair_ref, np.arange(ref_dim)])
+    bounds = np.zeros((len(ref_of_rows), m))
+    j = np.arange(npair)
+    bounds[j, d * d + j] = 1.0
+    bounds[npair + j, d * d + j] = -1.0
+    bounds[:, d * d + npair : -1] = -f[:, ref_of_rows].T
+    sector_gens = -f[:, ref_of[sec], None] * np.eye(d, dtype=complex)
+    eye = np.eye(d, dtype=complex)
+    h = np.concatenate([np.zeros(k), np.full(len(bounds), 1.0 / ref_dim)])
+    shape._set_data(
+        (np.stack([eye, eye]) / ref_dim, (1.0, -1.0), d * d + npair, sector_gens), [], (h, bounds)
+    )
+    arrays = [value for value in vars(shape).values() if isinstance(value, np.ndarray)]
+    arrays += shape.c + [arr for _, gens, rows in shape.spans for arr in (gens, rows)]
+    for arr in arrays:
+        arr.setflags(write=False)
+    attrs = vars(shape)
+    del attrs["_buffers"]
+    return MappingProxyType(attrs)
 
 
 def _program(deltas, ref_dim: int) -> _Program:
@@ -1224,22 +1258,47 @@ def _solve_ipm(prog, gap_tol: float) -> SdpSolution:
 
 # ---------------------------------------------------------------------------
 # Step generators. A routine that needs solves is written once as a
-# generator that yields a request for each and receives its SdpSolution: an
+# generator that yields a request for each and receives its answer: an
 # engine program with its gap target, (program, gap_tol), or a closed-form
-# bracket, (_Bracket, None). ``_run`` answers one generator request by
-# request, ``_run_all`` answers many together in stacks.
+# bracket, (_Bracket, None), answered by an SdpSolution; or a sweep row's
+# channels, (channels._ChoiDifferences, None), answered by their Choi
+# differences. Each request class answers a list of same-shape requests in
+# its static ``answer``. ``_run`` answers one generator request by request,
+# ``_run_all`` answers many together in stacks.
 
 
 def _run(steps):
     """The result of one step generator, each request it yields answered
-    alone: a bracket as a stack of one, a program by ``_solve_ipm``."""
+    alone: a program by ``_solve_ipm``, any other request as a stack of
+    one (``_answers``)."""
     try:
         item, tol = next(steps)
         while True:
-            sol = _brackets([item])[0] if isinstance(item, _Bracket) else _solve_ipm(item, tol)
-            item, tol = steps.send(sol)
+            if isinstance(item, _BlockProgram):
+                answer = _solve_ipm(item, tol)
+            else:
+                (answer,) = _answers([item], [tol])
+            item, tol = _resume(steps, answer)
     except StopIteration as finished:
         return finished.value
+
+
+def _answers(items, tols) -> list:
+    """The answers of the same-shape requests ``items``: one call of their
+    class's ``answer``. If it raises, each request is answered alone, and
+    the answer of one that raises is its exception."""
+    try:
+        return type(items[0]).answer(items, tols)
+    except Exception as exc:
+        if len(items) == 1:
+            return [exc]
+        return [_answers([item], [tol])[0] for item, tol in zip(items, tols)]
+
+
+def _resume(steps, answer):
+    """The next request of the generator ``steps`` after ``answer``: sent,
+    or thrown into it where the answer is an exception."""
+    return steps.throw(answer) if isinstance(answer, Exception) else steps.send(answer)
 
 
 def _run_all(steps) -> list:
@@ -1248,10 +1307,13 @@ def _run_all(steps) -> list:
     The generators run in windows of ``_MAX_BATCH``, which bounds both the
     stacks and the pending state. In a window, each round advances every
     generator to its next request, then answers the pending requests of
-    each ``shape_key`` together: bracket requests by one evaluation of
-    ``_mixed_reference_solution`` (``_brackets``), programs as one stack of
-    ``_solve_batch``. A generator that raises stops alone; after its window,
-    the first exception in generator order is raised.
+    each ``shape_key`` together, by one call of their class's ``answer``
+    (``_answers``): programs as one stack of ``_solve_batch``, brackets by
+    one evaluation of ``_mixed_reference_solution`` (``_brackets``), and
+    Choi-difference requests (``channels._ChoiDifferences``) by one stacked
+    build of the rows' channels. A generator that raises, or whose request
+    has an answer that raises, stops alone; after its window, the first
+    exception in generator order is raised.
     """
     results = []
     for lo in range(0, len(steps), _MAX_BATCH):
@@ -1260,9 +1322,9 @@ def _run_all(steps) -> list:
         failures = [None] * len(window)
         pending = {}
 
-        def advance(i, sol):
+        def advance(i, answer):
             try:
-                pending[i] = window[i].send(sol)
+                pending[i] = _resume(window[i], answer)
             except StopIteration as finished:
                 done[i] = finished.value
             except Exception as exc:
@@ -1277,12 +1339,8 @@ def _run_all(steps) -> list:
                 groups.setdefault(item.shape_key(), []).append(i)
             for ids in groups.values():
                 items, tols = zip(*(requests[i] for i in ids))
-                if isinstance(items[0], _Bracket):
-                    sols = _brackets(items)
-                else:
-                    sols = _solve_batch(items, tols)
-                for i, sol in zip(ids, sols):
-                    advance(i, sol)
+                for i, answer in zip(ids, _answers(items, tols)):
+                    advance(i, answer)
         for exc in failures:
             if exc is not None:
                 raise exc
@@ -1370,6 +1428,10 @@ class _Bracket:
 
     def shape_key(self):
         return (type(self), *self.deltas.shape[:2], self.ref)
+
+    @staticmethod
+    def answer(requests, tols=None) -> list[SdpSolution]:
+        return _brackets(requests)
 
 
 def _brackets(requests) -> list[SdpSolution]:

@@ -52,6 +52,26 @@ def test_member_target_gets_weight_one() -> None:
     npt.assert_allclose(res.weights, [1.0, 0.0], atol=1e-9)
 
 
+def test_a_member_within_the_floor_gets_a_true_dual() -> None:
+    """A target whose Choi difference from a member is not zero but within
+    the exact-member floor gets all weight on that member, distance 0 and
+    the lower bound 0 at W = 0, and as its dual the upper side of that
+    member's bracket at I/d: a true bound, at least the certified lower side
+    of the member's own distance. An exactly zero difference keeps value 0
+    and gap 0."""
+    target = unitary_qubit(1e-13, 0.0, 0.0)
+    res = optimal_convex_approx(target, [identity(2), unitary_qubit(0.5, 0.0, 0.0)], 1e-6)
+    assert res.weights.tolist() == [1.0, 0.0] and res.iterations == 0
+    assert res.distance == res.witness.value == res.witness.primal == 0.0
+    assert not res.witness.witness_operator.any()
+    assert res.witness.dual >= diamond_sdp(target, identity(2)).primal > 0.0
+    near = pauli_distance_damping(0.5, 0.0)
+    assert near.distance == 0.0 and near.witness.dual > 0.0
+    assert near.witness.dual >= diamond_sdp(damping(0.5, 0.0), identity(2)).primal
+    exact = optimal_convex_approx(identity(2), [unitary_channel(PAULI[1]), identity(2)], 1e-6)
+    assert (exact.distance, exact.witness.primal, exact.witness.dual) == (0.0, 0.0, 0.0)
+
+
 def test_near_member_distance_is_its_witness_value() -> None:
     # Choi trace norm 1.2e-12: above the 1e-12 exact-zero threshold but below
     # 1e-12 * d, so a d-scaled member test would report 0 against a 2e-8 witness
@@ -432,7 +452,7 @@ _STALLED_FIG2_ROWS = (
 
 def _without_pauli_route(monkeypatch) -> None:
     """Send Pauli-set problems to the joint minimax solve, as any other set."""
-    monkeypatch.setattr(approx, "_pauli_mixture", lambda *args: None)
+    monkeypatch.setattr(approx, "_pauli_bracket", lambda *args: None)
 
 
 def test_stalled_rows_close_with_one_dual_solve(monkeypatch) -> None:

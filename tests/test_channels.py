@@ -118,6 +118,118 @@ def test_choi_is_cached_and_readonly() -> None:
         ch.choi[0, 0] = 5.0
 
 
+# --- stacked families and Choi-difference requests ----------------------
+
+
+def _difference_cases():
+    """(request, first channel, member channels) for the default fig1-fig4
+    grids and the vertex cases: gamma = 0, q in {0, 1}, p in {0, 1} and a
+    vertex Pauli member, whose zero operators the constructors drop."""
+    from chanapprox import approx
+
+    endpoints = approx._damping_endpoints()
+    paulis = pauli_unitaries()
+    cases = []
+    for x in np.linspace(0.0, 2.0, 201).tolist():
+        p = approx.covariance_distance_x(x)[1]
+        alpha = float(np.arcsin(np.clip(x / 2.0, -1.0, 1.0)))
+        request = channels._ChoiDifferences(("unitary", (alpha, 0.0, 0.0)), [("covariant", (p,))])
+        cases.append((request, unitary_qubit(alpha, 0.0, 0.0), [covariant(p)]))
+    grid = np.linspace(0.0, np.pi / 2.0, 41).tolist()
+    for alpha in grid:
+        for beta in grid:
+            angles = (alpha, beta, np.pi / 8.0)
+            request = channels._ChoiDifferences(("unitary", angles), paulis)
+            cases.append((request, unitary_qubit(*angles), list(paulis)))
+    square = np.linspace(0.0, 1.0, 33).tolist()
+    pairs = [(q, g) for q in square for g in square]
+    pairs += [(0.7, g) for g in np.linspace(0.0, 1.0, 101).tolist()]
+    for q, gamma in pairs:
+        request = channels._ChoiDifferences(("damping", (q, gamma)), endpoints)
+        cases.append((request, damping(q, gamma), list(endpoints)))
+    vertex = pauli_channel([0.0, 0.0, 1.0, 0.0])
+    for q, gamma, p in ((0.0, 0.0, 0.0), (1.0, 0.0, 1.0), (1.0, 0.5, 0.0), (0.0, 1.0, 1.0)):
+        request = channels._ChoiDifferences(("damping", (q, gamma)), [("covariant", (p,)), vertex])
+        cases.append((request, damping(q, gamma), [covariant(p), vertex]))
+    return cases
+
+
+def _choi_by_operator(ch: Channel) -> np.ndarray:
+    """The Choi matrix as a loop over the Kraus operators, each outer
+    product added to a zero matrix: the reference of the stacked build."""
+    d = ch.dim
+    r = np.zeros((d * d, d * d), dtype=complex)
+    for k in ch.kraus:
+        v = k.reshape(-1)
+        r += np.outer(v, v.conj())
+    return r
+
+
+def test_stacked_choi_differences_match_the_scalar_constructors_bit_for_bit() -> None:
+    """A window's stacked build gives every Choi difference the bits of
+    choi(a) - choi(b) of the channels that the scalar constructors build,
+    whose Choi matrices have the bits of the loop over their operators, and
+    hands back their single Kraus operators exactly when each channel has
+    one."""
+    cases = _difference_cases()
+    for _, first, members in cases:
+        for ch in (first, *members):
+            assert choi(ch).tobytes() == _choi_by_operator(ch).tobytes()
+    groups = {}
+    for case in cases:
+        groups.setdefault(case[0].shape_key(), []).append(case)
+    assert sorted(len(group) for group in groups.values()) == [4, 201, 1089 + 101, 1681]
+    for group in groups.values():
+        answers = channels._ChoiDifferences.answer([request for request, _, _ in group])
+        for (_, first, members), (deltas, kraus) in zip(group, answers):
+            expected = np.stack([choi(first) - choi(ch) for ch in members])
+            assert np.array_equal(deltas, expected)
+            assert deltas.tobytes() == expected.tobytes()
+            chans = [first, *members]
+            if all(len(ch.kraus) == 1 for ch in chans):
+                assert [k.tobytes() for k in kraus] == [ch.kraus[0].tobytes() for ch in chans]
+            else:
+                assert kraus is None
+    # a request answered alone has the bits it has in its window
+    request, first, members = cases[-1]
+    ((deltas, _),) = channels._ChoiDifferences.answer([request])
+    assert deltas.tobytes() == np.stack([choi(first) - choi(ch) for ch in members]).tobytes()
+
+
+def test_stacked_builders_check_their_parameters_with_the_scalar_messages() -> None:
+    """A NaN, infinite or out-of-range parameter in a stacked build raises
+    the RangeError that its scalar constructor raises, for the first bad
+    parameter of the stack; values within the 1e-12 slop are clamped."""
+    nan, inf = float("nan"), float("inf")
+    cases = [
+        ("damping", (0.5, nan), lambda: damping(0.5, nan)),
+        ("damping", (1.5, 0.2), lambda: damping(1.5, 0.2)),
+        ("damping", (-inf, 0.2), lambda: damping(-inf, 0.2)),
+        ("covariant", (-0.1,), lambda: covariant(-0.1)),
+        ("covariant", (nan,), lambda: covariant(nan)),
+        ("unitary", (0.3, 7.0, 0.0), lambda: unitary_qubit(0.3, 7.0, 0.0)),
+        ("unitary", (2.0, 0.0, 0.0), lambda: unitary_qubit(2.0, 0.0, 0.0)),
+        ("unitary", (0.3, 0.0, inf), lambda: unitary_qubit(0.3, 0.0, inf)),
+    ]
+    goods = {"damping": (0.5, 0.5), "covariant": (0.3,), "unitary": (0.3, 0.2, 0.1)}
+    for family, bad, scalar in cases:
+        with pytest.raises(RangeError) as expected:
+            scalar()
+        good = goods[family]
+        with pytest.raises(RangeError) as stacked:
+            channels._family_kraus(family, [good, bad, good])
+        assert str(stacked.value) == str(expected.value)
+        request = channels._ChoiDifferences((family, bad), [identity(2)])
+        with pytest.raises(RangeError) as alone:
+            channels._ChoiDifferences.answer([request])
+        assert str(alone.value) == str(expected.value)
+    # the first bad parameter of the stack is named
+    with pytest.raises(RangeError, match=r"q=1\.5 outside"):
+        channels._family_kraus("damping", [(0.5, 0.5), (1.5, 2.0), (0.5, nan)])
+    clamped = channels._family_kraus("damping", [(1.0 + 5e-13, -5e-13)])
+    assert clamped.tobytes() == channels._family_kraus("damping", [(1.0, 0.0)]).tobytes()
+
+
 # --- covariant channel ------------------------------------------------
 
 

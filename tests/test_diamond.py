@@ -390,7 +390,10 @@ def test_closed_form_census_of_solves(monkeypatch, capsys) -> None:
     assert cli.main(["fig1"]) == cli.EXIT_OK
     assert len(brackets) == math.ceil(201 / sdp._MAX_BATCH) == 4
     assert cli.main(["fig2", "--grid", "5x5"]) == cli.EXIT_OK
-    assert len(brackets) == 5
+    # the fig2 rows' Pauli-set brackets, and the bracket of the near member
+    # at alpha = 0, beta = pi/2 (Z up to a roundoff phase), whose upper side
+    # is its dual
+    assert len(brackets) == 6
     target = unitary_qubit(0.43, 0.91, 0.27)
     res = optimal_convex_approx(target, pauli_unitaries(), 1e-6)
     approx_bounds(target, pauli_unitaries(), res.distance)

@@ -32,7 +32,7 @@ from chanapprox import (
 )
 from chanapprox.approx import two_copy_problem
 from chanapprox.channels import PAULI
-from chanapprox import approx, cli, diamond, sdp
+from chanapprox import approx, channels, cli, diamond, sdp
 from chanapprox.errors import (
     DimMismatchError,
     NoConvergenceError,
@@ -428,15 +428,15 @@ def _logged(steps, log: list):
             request = steps.send(sol)
         except StopIteration as finished:
             return finished.value
-        if not isinstance(request[0], sdp._Bracket):
+        if isinstance(request[0], sdp._BlockProgram):
             log.append(request)
         sol = yield request
 
 
 def _row_requests(steps) -> list:
     """The (program, gap_tol) of every solve a sweep row's step generator
-    needs, each answered by a solve of its own (``_run``); its bracket
-    requests are answered alone and left out."""
+    needs, each answered by a solve of its own (``_run``); its other
+    requests (brackets, Choi differences) are answered alone and left out."""
     requests = []
     sdp._run(_logged(steps, requests))
     return requests
@@ -467,7 +467,7 @@ def test_batched_solves_match_solo_solves_bit_for_bit(monkeypatch) -> None:
     # (alpha, beta, delta) rows stall above 1e-7 and close their joint
     # brackets with the dual program at their weights: every follow-up
     # solve of a row.
-    monkeypatch.setattr(approx, "_pauli_mixture", lambda *args: None)
+    monkeypatch.setattr(approx, "_pauli_bracket", lambda *args: None)
     # The reference iteration closes the four distances; with it off, they
     # take their one-member solves.
     monkeypatch.setattr(sdp, "_reference_iteration", lambda *args: None)
@@ -538,15 +538,42 @@ def _route_pairs() -> dict:
     }
 
 
+def _requested_distance(first, member, tol: float):
+    """The steps of one distance whose Choi difference is a request
+    (``channels._ChoiDifferences``), as a fig1 row asks for it."""
+    deltas, kraus = yield channels._ChoiDifferences(first, [member]), None
+    sol = yield from sdp._fixed_steps(deltas[0], 2, tol, kraus)
+    return diamond.DiamondResult._of_solution(sol)
+
+
+def _route_steps() -> dict:
+    """A step generator maker for each route of one distance: the channel
+    pairs of ``_route_pairs`` through ``diamond_sdp``'s steps, and two
+    distances whose Choi differences are requests."""
+    makers = {
+        name: (lambda pair=pair: diamond._diamond_sdp_steps(*pair))
+        for name, pair in _route_pairs().items()
+    }
+    skew = pauli_channel(_SKEW_PAULI)
+    makers["request"] = lambda: _requested_distance(
+        ("unitary", (0.4, 0.3, 0.2)), ("covariant", (0.3,)), 1e-7
+    )
+    makers["request, iteration"] = lambda: _requested_distance(("damping", (1.0, 0.5)), skew, 1e-7)
+    return makers
+
+
 def test_run_and_a_run_all_window_give_the_same_bits_on_every_route(monkeypatch) -> None:
     """Each route of one distance, answered request by request (``_run``) and
     in one window with the others (``_run_all``), in both orders, gives the
-    same bits; the census shows which route each pair takes."""
-    pairs = _route_pairs()
+    same bits; the census shows which route each pair takes. A distance
+    whose Choi difference is a request has the bits of the same pair's
+    channels."""
+    makers = _route_steps()
     trail = []
     brackets, pair_bracket, iteration, solve = (
         sdp._brackets, sdp._unitary_pair_solution, sdp._reference_iteration, sdp._solve_batch
     )
+    differences = channels._ChoiDifferences.answer
 
     def bracketed(requests):
         trail.append("I/d")
@@ -565,14 +592,19 @@ def test_run_and_a_run_all_window_give_the_same_bits_on_every_route(monkeypatch)
         trail.extend(type(prog).__name__ for prog in progs)
         return solve(progs, tols)
 
+    def requested(requests, tols=None):
+        trail.append("Choi")
+        return differences(requests, tols)
+
     monkeypatch.setattr(sdp, "_brackets", bracketed)
     monkeypatch.setattr(sdp, "_unitary_pair_solution", paired)
     monkeypatch.setattr(sdp, "_reference_iteration", iterated)
     monkeypatch.setattr(sdp, "_solve_batch", solved)
-    alone, trails = [], {}
-    for name, (a, b, tol) in pairs.items():
+    monkeypatch.setattr(channels._ChoiDifferences, "answer", staticmethod(requested))
+    alone, trails = {}, {}
+    for name, make in makers.items():
         trail.clear()
-        alone.append(_result_bits(sdp._run(diamond._diamond_sdp_steps(a, b, tol))))
+        alone[name] = _result_bits(sdp._run(make()))
         trails[name] = list(trail)
     assert trails == {
         "zero": ["I/d"],
@@ -581,13 +613,68 @@ def test_run_and_a_run_all_window_give_the_same_bits_on_every_route(monkeypatch)
         "iteration": ["I/d", "iteration"],
         "engine": ["I/d", "iteration gives up", "_Program"],
         "dual": ["I/d", "iteration gives up", "_Program", "_DualProgram"],
+        "request": ["Choi", "I/d"],
+        "request, iteration": ["Choi", "I/d", "iteration"],
     }
+    assert alone["request, iteration"] == alone["iteration"]
+    covariant_pair = (unitary_qubit(0.4, 0.3, 0.2), covariant(0.3), 1e-7)
+    assert alone["request"] == _result_bits(sdp._run(diamond._diamond_sdp_steps(*covariant_pair)))
 
-    def window():
-        return [diamond._diamond_sdp_steps(*pair) for pair in pairs.values()]
+    expected = list(alone.values())
+    window = sdp._run_all([make() for make in makers.values()])
+    assert [_result_bits(res) for res in window] == expected
+    reverse = sdp._run_all([make() for make in list(makers.values())[::-1]])
+    assert [_result_bits(res) for res in reverse] == expected[::-1]
 
-    assert [_result_bits(res) for res in sdp._run_all(window())] == alone
-    assert [_result_bits(res) for res in sdp._run_all(window()[::-1])] == alone[::-1]
+
+def test_a_window_answers_its_choi_requests_in_one_build_per_family(monkeypatch, capsys) -> None:
+    """Default fig1 runs its 201 rows in windows of 64, 64, 64 and 9; each
+    window builds its unitaries and its covariant channels in one stacked
+    call each, and evaluates their brackets once. A fig3 window builds its
+    damping channels once, and the fixed endpoints take no build."""
+    builds, brackets = [], []
+    family_kraus, bracket = channels._family_kraus, sdp._mixed_reference_solution
+
+    def built(family, params):
+        builds.append((family, len(params)))
+        return family_kraus(family, params)
+
+    def bracketed(deltas, weights, ref_dim):
+        brackets.append(len(deltas))
+        return bracket(deltas, weights, ref_dim)
+
+    monkeypatch.setattr(channels, "_family_kraus", built)
+    monkeypatch.setattr(sdp, "_mixed_reference_solution", bracketed)
+    assert cli.main(["fig1"]) == cli.EXIT_OK
+    windows = [64, 64, 64, 9]
+    assert builds == [(family, size) for size in windows for family in ("unitary", "covariant")]
+    assert brackets == windows
+    builds.clear()
+    assert cli.main(["fig3", "--grid", "3x3"]) == cli.EXIT_OK
+    assert builds == [("damping", 9)]
+    capsys.readouterr()
+
+
+def test_a_row_with_a_bad_parameter_stops_alone_with_the_scalar_message() -> None:
+    """A window whose stacked build raises answers each request alone: the
+    row with the bad parameter raises its scalar constructor's RangeError
+    after the window, and every other row finishes with its solo bits."""
+    items = [(0.3, 0.5, 1e-6), (0.7, float("nan"), 1e-6), (0.5, 0.9, 1e-6)]
+    finished = {}
+
+    def recorded(i, steps):
+        finished[i] = np.array((yield from steps)).tobytes()
+
+    with pytest.raises(RangeError) as expected:
+        damping(0.7, float("nan"))
+    with pytest.raises(RangeError) as alone:
+        sdp._run(cli._fig3_row(items[1]))
+    assert str(alone.value) == str(expected.value)
+    solo = {i: np.array(sdp._run(cli._fig3_row(items[i]))).tobytes() for i in (0, 2)}
+    with pytest.raises(RangeError) as windowed:
+        sdp._run_all([recorded(i, cli._fig3_row(item)) for i, item in enumerate(items)])
+    assert str(windowed.value) == str(expected.value)
+    assert finished == solo
 
 
 def test_witness_states_of_the_closed_routes_are_exactly_hermitian() -> None:
@@ -715,7 +802,7 @@ def test_a_failed_centre_ends_the_solve_with_its_bracket(monkeypatch) -> None:
 
 
 def _raising_after_first_solve(steps):
-    """The step generator ``steps`` up to its first solve, then a failure."""
+    """The step generator ``steps`` up to its first request, then a failure."""
     yield next(steps)
     raise NoConvergenceError("forced after the first solve")
 
@@ -1330,6 +1417,27 @@ def test_sector_program_keeps_only_pairs_with_data() -> None:
     # at reference dimension 1 the program has no p coordinates
     choi_bound = sdp._SectorProgram(_two_copy_deltas(), 1)
     assert (choi_bound.n, choi_bound.ref, choi_bound.m) == (4, 1, 17)
+
+
+def test_sector_programs_of_one_shape_share_read_only_shape_data() -> None:
+    """A sector program's shape data (index maps, the pair's C and
+    generators, h and the scalar rows of G after the members') is built once
+    per (d, reference dimension, member count, kept pairs) and read-only;
+    its members, b and the members' rows of G are its own."""
+    a, b = (sdp._SectorProgram(_damping_deltas(*row), 2) for row in ((0.7, 0.5), (0.3, 0.9)))
+    assert a.shape_key() == b.shape_key()
+    for name in ("sector", "pairs", "pair_ref", "sector_ref", "per_ref", "h", "signs"):
+        assert getattr(a, name) is getattr(b, name)
+        assert not getattr(a, name).flags.writeable
+    for (_, gens_a, rows_a), (_, gens_b, rows_b) in zip(a.spans, b.spans):
+        assert gens_a is gens_b and rows_a is rows_b and not gens_a.flags.writeable
+    assert all(ca is cb and not ca.flags.writeable for ca, cb in zip(a.c, b.c))
+    assert np.array_equal(a.g_rows[a.k :], b.g_rows[b.k :])
+    assert not np.array_equal(a.g_rows[: a.k], b.g_rows[: b.k])
+    assert a.g_rows.flags.writeable and a.deltas is not b.deltas
+    # another member count is another shape
+    c = sdp._SectorProgram(_damping_deltas(0.7, 0.5)[:1], 2)
+    assert c.h is not a.h and len(c.h) == len(a.h) - 1
 
 
 def _recheck_on_full_space(sol: sdp.SdpSolution, deltas, ref_dim: int) -> None:
