@@ -61,10 +61,12 @@ from . import diamond, sdp
 # damping is not called here; the name stays because perfbench/tracing.py
 # wraps approx.damping
 from .channels import (  # noqa: F401
+    _FAMILIES,
     PAULI,
     Channel,
     _check_dim,
     _check_range,
+    _checked,
     _ChoiDifferences,
     choi,
     damping,
@@ -102,14 +104,9 @@ class ApproxResult:
     iterations: int
 
 
-_APPROX_TOL_FLOOR = 1e-6  # smallest accepted mixture tol; the CLI clamps up to it
+#: The smallest accepted mixture tol (``sdp._check_tol``); the CLI clamps up to it.
+_APPROX_TOL_FLOOR = 1e-6
 _INNER_TOL = 1e-7  # every certified solve behind a mixture, whatever the accepted tol
-
-
-def _check_tol(tol: float) -> None:
-    """Reject a mixture-optimization tolerance below the floor, NaN or inf."""
-    if not _APPROX_TOL_FLOOR <= tol < np.inf:
-        raise RangeError(f"tolerance {tol:g} must be finite and at least 1e-6")
 
 
 def _simplex_deltas(target: Channel, set) -> np.ndarray:
@@ -146,7 +143,7 @@ def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
 
 def _convex_approx_steps(target: Channel, set, tol: float):
     """``optimal_convex_approx`` as steps (see ``sdp._run_all``)."""
-    _check_tol(tol)
+    sdp._check_tol(tol, _APPROX_TOL_FLOOR)
     members = list(set)
     delta_stack = _simplex_deltas(target, members)
     pauli = _pauli_mixture(target, members, delta_stack)
@@ -295,7 +292,7 @@ def _pauli_set_steps(angles, tol: float):
     rows in one stacked build, which checks the angles; no ``Channel`` is
     made per row, and the members are the Pauli unitaries by construction."""
     deltas, kraus = yield _ChoiDifferences(("unitary", angles), pauli_unitaries()), None
-    _check_tol(tol)
+    sdp._check_tol(tol, _APPROX_TOL_FLOOR)
     return (yield from _simplex_steps(deltas, tol, _pauli_bracket(kraus[0], np.arange(4), deltas)))
 
 
@@ -351,7 +348,7 @@ def covariant_objective(x: float, p: float) -> float:
     is (2/3) p + sqrt((16/9) p^2 + (1 - (4/3) p) x^2).
     """
     x = _check_range("x", x, 0.0, 2.0)
-    p = _check_range("p", p, 0.0, 1.0)
+    (p,) = _checked("covariant", (p,))
     radicand = (16.0 / 9.0) * p * p + (1.0 - (4.0 / 3.0) * p) * x * x
     return (2.0 / 3.0) * p + float(np.sqrt(max(0.0, radicand)))
 
@@ -385,6 +382,12 @@ def covariance_distance(alpha: float, beta: float) -> tuple[float, float]:
 # Closed forms for Pauli-set approximation of one-parameter unitary families.
 
 
+#: Per ``pauli_distance_special`` kind: the index of its swept angle among the
+#: unitary family's parameters, then the Pauli slots of its cos^2 and sin^2
+#: weights.
+_SPECIAL_KINDS = {"beta-delta-zero": (0, 0, 2), "alpha-zero": (1, 0, 3), "alpha-half-pi": (2, 2, 1)}
+
+
 def pauli_distance_special(kind: str, angle: float) -> tuple[float, np.ndarray]:
     """Pauli distance of single-angle qubit unitary families, in closed form.
 
@@ -395,25 +398,18 @@ def pauli_distance_special(kind: str, angle: float) -> tuple[float, np.ndarray]:
     and ``alpha-half-pi`` sweeps delta in [0, 2 pi] (an off-diagonal
     rotation mixing Y and X).  The distance is |sin 2*angle| in each
     case, achieved by the squared-cosine/sine mixture of the two Pauli
-    conjugations the family interpolates between.
+    conjugations the family interpolates between.  The angle's range is
+    its parameter's in ``channels._FAMILIES["unitary"]``.
     """
-    if kind == "beta-delta-zero":
-        angle = _check_range("alpha", angle, 0.0, np.pi / 2)
-        c2 = float(np.cos(angle)) ** 2
-        weights = np.array([c2, 0.0, 1.0 - c2, 0.0])
-    elif kind == "alpha-zero":
-        angle = _check_range("beta", angle, 0.0, 2.0 * np.pi)
-        c2 = float(np.cos(angle)) ** 2
-        weights = np.array([c2, 0.0, 0.0, 1.0 - c2])
-    elif kind == "alpha-half-pi":
-        angle = _check_range("delta", angle, 0.0, 2.0 * np.pi)
-        c2 = float(np.cos(angle)) ** 2
-        weights = np.array([0.0, 1.0 - c2, c2, 0.0])
-    else:
-        raise RangeError(
-            "kind must be one of 'beta-delta-zero', 'alpha-zero', "
-            f"'alpha-half-pi'; got {kind!r}"
-        )
+    if not isinstance(kind, str) or kind not in _SPECIAL_KINDS:
+        kinds = ", ".join(map(repr, _SPECIAL_KINDS))
+        raise RangeError(f"kind must be one of {kinds}; got {kind!r}")
+    index, cos_slot, sin_slot = _SPECIAL_KINDS[kind]
+    name, lo, hi = _FAMILIES["unitary"][1][index]
+    angle = _check_range(name, angle, lo, hi)
+    c2 = float(np.cos(angle)) ** 2
+    weights = np.zeros(4)
+    weights[cos_slot], weights[sin_slot] = c2, 1.0 - c2
     value = abs(float(np.sin(2.0 * angle)))
     return value, prob_vector(weights)
 
@@ -441,8 +437,7 @@ def damping_bounds(q: float, gamma: float) -> tuple[float, float]:
     upper = (lower + f(q, gamma)) / 2, the exact distance to the Pauli
     channel with weights (1 - gamma/2, gamma/4, gamma/4, 0).
     """
-    q = _check_range("q", q, 0.0, 1.0)
-    gamma = _check_range("gamma", gamma, 0.0, 1.0)
+    q, gamma = _checked("damping", (q, gamma))
     lower = gamma * abs(1.0 - 2.0 * q)
     f = float(np.sqrt(max(0.0, _damping_radicand(q, gamma))))
     return lower, 0.5 * (lower + f)
@@ -492,7 +487,7 @@ def _damping_steps(q: float, gamma: float, tol: float):
     closed form never applies."""
     request = _ChoiDifferences(("damping", (q, gamma)), _damping_endpoints())
     deltas, _ = yield request, None
-    _check_tol(tol)
+    sdp._check_tol(tol, _APPROX_TOL_FLOOR)
     res = yield from _simplex_steps(deltas, tol, None)
     w0, w1 = res.weights
     return replace(res, weights=prob_vector([w0, 0.5 * w1, 0.5 * w1, 0.0]))
@@ -586,7 +581,7 @@ def multi_copy_approx(target: Channel, single_set, copies: int, tol: float) -> M
     """
     if copies != 2:
         raise RangeError(f"copies={copies} unsupported; only copies=2 is implemented")
-    _check_tol(tol)
+    sdp._check_tol(tol, _APPROX_TOL_FLOOR)
     members = list(single_set)
     if not 1 <= len(members) <= 2:
         raise RangeError(f"two-copy set must have 1..2 members, got {len(members)}")

@@ -212,15 +212,16 @@ def identity(d: int = 2) -> Channel:
 
 
 def unitary_channel(u: np.ndarray) -> Channel:
-    """Conjugation by a unitary matrix: rho -> U rho U^dag."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise NotUnitaryError(f"expected a square matrix, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise NotUnitaryError("matrix has NaN or infinite entries")
-    if np.linalg.norm(dagger(u) @ u - np.eye(u.shape[0])) > 1e-9 * max(1.0, u.shape[0]):
-        raise NotUnitaryError("matrix is not unitary within 1e-9")
-    return Channel((u,))
+    """Conjugation by a unitary matrix: rho -> U rho U^dag.
+
+    ``Channel`` decides unitarity, as trace preservation of the one Kraus
+    operator U: a U that is not square and nonempty, has a NaN or infinite
+    entry, or has U^dag U more than 1e-9 max(1, d) from I in Frobenius norm
+    raises NotUnitaryError with ``Channel``'s message."""
+    try:
+        return Channel((u,))
+    except KrausError as exc:
+        raise NotUnitaryError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +349,7 @@ _FAMILIES = {
 
 def _checked(family: str, values) -> list[float]:
     """The scalar parameters ``values`` of ``family``, each checked and
-    clamped by ``_check_range``."""
+    clamped by ``_check_range``; ``values`` may be the leading ones only."""
     ranges = _FAMILIES[family][1]
     return [_check_range(name, v, lo, hi) for v, (name, lo, hi) in zip(values, ranges)]
 
@@ -543,6 +544,6 @@ def parse_channel_spec(spec) -> Channel:
         raise
     except (KeyError, TypeError) as exc:
         raise SpecParseError(f"malformed '{kind}' spec: {exc}") from exc
-    except (RangeError, SimplexError, KrausError, DimMismatchError, NotUnitaryError) as exc:
+    except ValueError as exc:  # every library input error, and NumPy's conversion errors
         raise SpecParseError(f"invalid '{kind}' spec: {exc}") from exc
     raise SpecParseError(f"unknown channel kind {kind!r}")

@@ -30,6 +30,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -66,6 +67,9 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NOCONVERGENCE = 3
 EXIT_INVARIANT = 4
+
+#: The most rows a sweep's --grid may have.
+_MAX_ROWS = 1_000_000
 
 _CONVENTION = (
     "Choi matrix R = (map (x) id)(|eta><eta|) with unnormalized "
@@ -352,7 +356,7 @@ _SWEEPS = {
         clamp=False,
         # Solve tighter than the row threshold so endpoint rows are exact to
         # well below the sweep tolerance.
-        item=lambda args, point, tol: (*point, max(1e-9, 0.01 * tol)),
+        item=lambda args, point, tol: (*point, max(sdp._TOL_FLOOR, 0.01 * tol)),
         check=_fig1_check,
     ),
     "fig2": dict(
@@ -392,15 +396,16 @@ def _run_sweep(args) -> int:
     """Compute the rows of the sweep ``args.command`` over the ``--grid``,
     check them, then emit.
 
-    Each axis needs at least 2 points.  The row worker ``_figN_row`` is
+    Each axis needs at least 2 points, and the grid at most ``_MAX_ROWS``
+    rows, checked before any row is made.  The row worker ``_figN_row`` is
     looked up in this module when the sweep runs, so a substitute bound to
     that name (the benchmark tracer's, a test's) computes the rows; it is a
     step generator whose rows start with the grid point and end with the
     certificate gap, and ``_map_rows`` solves the rows in batches.  The
-    tolerance must be finite and ``>= 1e-9`` (the certification floor of
-    the fixed-pair solver).  A gap not at most the tolerance (NaN
-    included), or a violation named by the sweep's check, aborts the sweep
-    before anything is written.
+    tolerance, after any clamp, must pass ``sdp._check_tol`` at the
+    certification floor ``sdp._TOL_FLOOR`` (1e-9).  A gap not at most the
+    tolerance (NaN included), or a violation named by the sweep's check,
+    aborts the sweep before anything is written.
     """
     sweep = _SWEEPS[args.command]
     axes, header, check = sweep["axes"], sweep["header"], sweep["check"]
@@ -408,10 +413,11 @@ def _run_sweep(args) -> int:
     for (name, *_), count in zip(axes, counts):
         if count < 2:
             raise SpecParseError(f"axis {name}: count must be at least 2, got {count}")
+    if math.prod(counts) > _MAX_ROWS:
+        raise SpecParseError(f"--grid {args.grid!r} has more than {_MAX_ROWS} rows")
     workers = _worker_count(args.parallel)
     tol = max(args.tol, _APPROX_TOL_FLOOR) if sweep["clamp"] else args.tol
-    if not 1e-9 <= tol < np.inf:
-        raise SpecParseError(f"tolerance must be finite and at least 1e-9, got {tol}")
+    sdp._check_tol(tol)
     grids = [np.linspace(lo, hi, n).tolist() for (_, lo, hi), n in zip(axes, counts)]
     items = [sweep["item"](args, point, tol) for point in itertools.product(*grids)]
     rows = _map_rows(globals()[f"_{args.command}_row"], items, workers)
@@ -447,17 +453,20 @@ def _parse_grid(value: str, dims: int):
 
 
 def _worker_count(parallel) -> int:
+    """The pool size of ``--parallel``: 1 without it, and one worker per CPU
+    for a bare ``--parallel``, which also caps a given count."""
     if parallel is None:
         return 1
+    cpus = os.cpu_count() or 1
     if parallel == "auto":
-        return os.cpu_count() or 1
+        return cpus
     try:
         n = int(parallel)
     except ValueError as exc:
         raise SpecParseError(f"--parallel: expected an integer, got {parallel!r}") from exc
     if n < 1:
         raise SpecParseError(f"--parallel: worker count must be positive, got {n}")
-    return n
+    return min(n, cpus)
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
             nargs="?",
             const="auto",
             default=None,
-            help="compute rows in a process pool (optionally give a worker "
-            "count, capped at the number of rows; output is byte-identical to "
-            "a serial run)",
+            help="compute rows in a process pool, one worker per CPU (optionally "
+            "give a worker count, capped at the number of CPUs and at the number "
+            "of rows; output is byte-identical to a serial run)",
         )
         p.set_defaults(func=_run_sweep)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .channels import Channel, _check_dim, _check_range, apply_channel, choi
+from .channels import Channel, _check_dim, _checked, _is_integer, apply_channel, choi
 from .errors import (
     DimMismatchError,
     InvalidStateError,
@@ -114,28 +114,32 @@ def diamond_unitary(v: np.ndarray, z: np.ndarray) -> float:
 def d_i_unitary(alpha: float, beta: float) -> float:
     """Diamond distance of the qubit unitary U(alpha, beta, delta) from the
     identity: 2*sqrt(1 - cos^2(alpha) cos^2(beta)), independent of delta."""
-    alpha = _check_range("alpha", alpha, 0.0, np.pi / 2)
-    beta = _check_range("beta", beta, 0.0, 2 * np.pi)
+    alpha, beta = _checked("unitary", (alpha, beta))
     c = np.cos(alpha) * np.cos(beta)
     return 2.0 * float(np.sqrt(max(0.0, 1.0 - c * c)))
+
+
+def _pair_dim(a: Channel, b: Channel) -> int:
+    """The dimension of the channels a and b; DimMismatchError if they differ."""
+    if a.dim != b.dim:
+        raise DimMismatchError(f"channel dims differ: {a.dim} vs {b.dim}")
+    return a.dim
 
 
 def choi_trace_distance(a: Channel, b: Channel) -> float:
     """Normalized trace distance of Choi operators: a lower bound on the
     diamond distance."""
-    if a.dim != b.dim:
-        raise DimMismatchError(f"channel dims differ: {a.dim} vs {b.dim}")
-    return trace_norm(choi(a) - choi(b)) / a.dim
+    d = _pair_dim(a, b)
+    return trace_norm(choi(a) - choi(b)) / d
 
 
 def fixed_input_bound(a: Channel, b: Channel, state: np.ndarray) -> float:
     """Trace norm of the output difference on one input state: a lower bound
     on the diamond distance (no reference system)."""
-    if a.dim != b.dim:
-        raise DimMismatchError(f"channel dims differ: {a.dim} vs {b.dim}")
+    d = _pair_dim(a, b)
     state = np.asarray(state, dtype=complex)
-    if state.shape != (a.dim, a.dim):
-        raise InvalidStateError(f"state shape {state.shape} does not match dim {a.dim}")
+    if state.shape != (d, d):
+        raise InvalidStateError(f"state shape {state.shape} does not match dim {d}")
     if not np.all(np.isfinite(state)):
         raise InvalidStateError("state has NaN or infinite entries")
     if np.abs(state - dagger(state)).max() > 1e-8:
@@ -191,11 +195,10 @@ def _diamond_sdp_steps(a: Channel, b: Channel, tol: float):
     """``diamond_sdp`` as steps (see ``sdp._run_all``): the channels' dims
     are checked here, and the Choi difference, reference dimension and tol
     by ``sdp._fixed_steps``, before its first request."""
-    if a.dim != b.dim:
-        raise DimMismatchError(f"channel dims differ: {a.dim} vs {b.dim}")
-    _check_dim(a.dim)
+    d = _pair_dim(a, b)
+    _check_dim(d)
     kraus = (a.kraus[0], b.kraus[0]) if len(a.kraus) == len(b.kraus) == 1 else None
-    sol = yield from sdp._fixed_steps(choi(a) - choi(b), a.dim, tol, kraus)
+    sol = yield from sdp._fixed_steps(choi(a) - choi(b), d, tol, kraus)
     return DiamondResult._of_solution(sol)
 
 
@@ -221,16 +224,19 @@ def alternating_lower_bound(
     measurement (top eigenvector of the induced quadratic form). Every
     iterate is primal-feasible, so the best value found is a true lower
     bound on the diamond distance. Verification helper, not the production
-    path.
+    path. ``restarts`` and ``sweeps`` must be integers >= 1 and ``seed`` an
+    integer >= 0 (NumPy's generator takes no negative seed), else
+    RangeError.
     """
-    if a.dim != b.dim:
-        raise DimMismatchError(f"channel dims differ: {a.dim} vs {b.dim}")
-    d = a.dim
+    d = _pair_dim(a, b)
+    for name, value, lo in (("restarts", restarts, 1), ("sweeps", sweeps, 1), ("seed", seed, 0)):
+        if not (_is_integer(value) and value >= lo):
+            raise RangeError(f"{name}={value!r} must be an integer >= {lo}")
     delta = choi(a) - choi(b)
     dr = delta.reshape(d, d, d, d)
     rng = np.random.default_rng(seed)
     best = 0.0
-    for trial in range(max(1, restarts)):
+    for trial in range(restarts):
         if trial == 0:
             xi = np.eye(d, dtype=complex) / np.sqrt(d)
         else:

@@ -254,6 +254,17 @@ _MAX_ITER = 100
 _TRI_INV_BASE = 64
 _MAX_BATCH = 64
 _REFERENCE_CAP = 100
+#: The smallest tol of a certified distance: the certification floor.
+_TOL_FLOOR = 1e-9
+
+
+def _check_tol(tol: float, floor: float = _TOL_FLOOR) -> None:
+    """Raise RangeError unless tol is finite and at least ``floor``: this
+    module's certification floor ``_TOL_FLOOR`` or approx's mixture floor
+    ``_APPROX_TOL_FLOOR``. Every certificate and mixture tolerance is
+    checked here: single distances, every approx entry and the CLI sweeps."""
+    if not floor <= tol < np.inf:
+        raise RangeError(f"tolerance {tol:g} must be finite and at least {floor:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -1453,15 +1464,15 @@ def _fixed_steps(delta, ref_dim, tol, kraus=None):
     and nowhere else, before the first request: a non-square delta raises
     NonSquareError, a NaN or infinite entry RangeError, a reference
     dimension that is not a positive divisor of n DimMismatchError, and a
-    tol that is NaN, infinite or below 1e-9 RangeError. No delta is zero
-    by a shortcut: the bracket at I/d gives an exactly zero delta the value
-    0 with gap 0, and a roundoff-size one its true bounds."""
+    tol that is NaN, infinite or below ``_TOL_FLOOR`` (1e-9) RangeError,
+    from ``sdp._check_tol``. No delta is zero by a shortcut: the bracket at
+    I/d gives an exactly zero delta the value 0 with gap 0, and a
+    roundoff-size one its true bounds."""
     delta = _require_square(delta)
     n = delta.shape[0]
     if not (ref_dim >= 1 and n % ref_dim == 0):
         raise DimMismatchError(f"matrix dim {n} not divisible by reference dim {ref_dim}")
-    if not 1e-9 <= tol < np.inf:
-        raise RangeError(f"tolerance {tol:g} must be finite and at least 1e-9")
+    _check_tol(tol)
     closed = yield _Bracket(delta[None], np.ones(1), ref_dim), None
     if closed.gap <= tol:
         return closed

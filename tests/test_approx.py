@@ -15,7 +15,9 @@ from chanapprox import (
     compose,
     covariance_distance,
     covariance_distance_x,
+    covariant,
     covariant_objective,
+    d_i_unitary,
     damping,
     damping_bounds,
     diamond_sdp,
@@ -669,8 +671,6 @@ def test_covariance_distance_x_grid_oracle() -> None:
 
 
 def test_covariance_distance_uses_unitary_distance() -> None:
-    from chanapprox import d_i_unitary
-
     alpha, beta = 0.7, 0.4
     npt.assert_allclose(
         covariance_distance(alpha, beta),
@@ -705,6 +705,29 @@ def test_pauli_distance_special_matches_optimizer() -> None:
         res = optimal_convex_approx(make(angle), members, tol=1e-6)
         npt.assert_allclose(res.distance, value, atol=1e-5)
         npt.assert_allclose(res.weights, weights, atol=1e-3)
+
+
+def test_closed_forms_reject_a_parameter_with_its_family_constructors_message() -> None:
+    """Each closed form checks a family parameter by that family's own
+    range (``channels._FAMILIES``), so it raises the constructor's
+    RangeError message for the same bad value."""
+    cases = [
+        (lambda v: d_i_unitary(v, 0.0), lambda v: unitary_qubit(v, 0.0, 0.0)),
+        (lambda v: d_i_unitary(0.0, v), lambda v: unitary_qubit(0.0, v, 0.0)),
+        (lambda v: damping_bounds(v, 0.5), lambda v: damping(v, 0.5)),
+        (lambda v: damping_bounds(0.5, v), lambda v: damping(0.5, v)),
+        (lambda v: covariant_objective(1.0, v), covariant),
+        (lambda v: pauli_distance_special("beta-delta-zero", v), lambda v: unitary_qubit(v, 0, 0)),
+        (lambda v: pauli_distance_special("alpha-zero", v), lambda v: unitary_qubit(0, v, 0)),
+        (lambda v: pauli_distance_special("alpha-half-pi", v), lambda v: unitary_qubit(0, 0, v)),
+    ]
+    for closed, family in cases:
+        for bad in (-0.5, 7.0, float("nan"), float("inf")):
+            with pytest.raises(RangeError) as expected:
+                family(bad)
+            with pytest.raises(RangeError) as raised:
+                closed(bad)
+            assert str(raised.value) == str(expected.value)
 
 
 def test_pauli_distance_special_range_checks() -> None:

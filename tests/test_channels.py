@@ -428,12 +428,22 @@ def test_qubit_unitary_matrix_range_checks() -> None:
 
 
 def test_unitary_channel_rejects_non_unitary() -> None:
-    with pytest.raises(NotUnitaryError):
-        unitary_channel(np.array([[1.0, 0.0], [0.0, 0.5]]))
-    with pytest.raises(NotUnitaryError):
-        unitary_channel(np.full((2, 2), np.nan))
-    with pytest.raises(NotUnitaryError):
-        unitary_channel(np.eye(2, 3))
+    """unitary_channel accepts exactly the U that Channel((U,)) accepts, by
+    Channel's rule ||U^dag U - I||_F <= 1e-9 max(1, d), and where Channel
+    raises KrausError it raises NotUnitaryError with the same message."""
+    rejected = [np.eye(2, 3), np.zeros((0, 0)), np.full((2, 2), np.nan), np.diag([1.0, 0.5])]
+    for d in (1, 2, 4):
+        # U = sqrt(1 + s) I has ||U^dag U - I||_F = s sqrt(d)
+        bound = 1e-9 * max(1, d) / np.sqrt(d)
+        inside, outside = (np.sqrt(1.0 + f * bound) * np.eye(d) for f in (0.9, 1.1))
+        assert np.array_equal(unitary_channel(inside).choi, Channel((inside,)).choi)
+        rejected.append(outside)
+    for u in rejected:
+        with pytest.raises(KrausError) as kraus_error:
+            Channel((u,))
+        with pytest.raises(NotUnitaryError) as unitary_error:
+            unitary_channel(u)
+        assert str(unitary_error.value) == str(kraus_error.value)
 
 
 def test_unitary_qubit_matches_matrix() -> None:
@@ -652,3 +662,15 @@ def test_parse_rejects_malformed_specs(monkeypatch) -> None:
         with pytest.raises(SpecParseError, match="'factors'"):
             parse_channel_spec({"kind": "tensor", "factors": factors})
     assert built == [(2, 2)] * 3
+    # NumPy's conversion errors (a string where a number goes, a ragged
+    # matrix) are spec errors that name the spec's kind
+    pauli = {"kind": "pauli", "p": [1, 0, 0, 0]}
+    for spec in (
+        {"kind": "unitary", "alpha": "x", "beta": 0, "delta": 0},
+        {"kind": "kraus", "dim": 2, "matrices": [[[[1, 0], [0, 0]], [[0, 0], ["x", 0]]]]},
+        {"kind": "pauli", "p": "abc"},
+        {"kind": "mix", "weights": "abc", "channels": [pauli]},
+        {"kind": "kraus", "dim": 2, "matrices": [[[[1, 0], [0, 0]], [[0, 0]]]]},
+    ):
+        with pytest.raises(SpecParseError, match=f"^invalid '{spec['kind']}' spec: "):
+            parse_channel_spec(spec)

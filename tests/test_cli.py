@@ -376,6 +376,9 @@ def test_parallel_output_is_byte_identical(tmp_path, argv) -> None:
 
 
 def test_parallel_pool_has_at_most_one_worker_per_row(tmp_path, monkeypatch) -> None:
+    """A pool has at most one worker per row and, for a given count or a
+    bare --parallel, at most one per CPU. No real pool starts: the pool
+    records its size and maps in-process, and the CPU count is pinned."""
     sizes = []
 
     class RecordingPool:
@@ -394,14 +397,28 @@ def test_parallel_pool_has_at_most_one_worker_per_row(tmp_path, monkeypatch) -> 
             return map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     out = tmp_path / "fig4.csv"
-    for parallel, pools in (("5000", [3]), ("2", [3, 2])):
-        argv = ["fig4", "--grid", "3", "--parallel", parallel, "--out", str(out)]
+    cases = (("3", "5000", 3), ("3", "2", 2), ("9", "5000", 4), ("9", "auto", 4), ("9", "3", 3))
+    for grid, parallel, size in cases:
+        argv = ["fig4", "--grid", grid, "--parallel", parallel, "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_OK
-        assert sizes == pools
+        assert sizes.pop() == size and sizes == []
     # a single row never starts a pool
     assert cli._map_rows(_without_solves(abs), [-1.0], 5000) == [1.0]
-    assert sizes == [3, 2]
+    assert sizes == []
+
+
+@pytest.mark.parametrize("grid", ["100000000000", "1000001", "1001x1000"])
+def test_a_grid_above_a_million_rows_exits_2_before_any_row(grid, monkeypatch, capsys) -> None:
+    """The row count is checked before the grid's axes are made: a NumPy
+    array of 1e11 points would need 745 GiB."""
+    made = []
+    monkeypatch.setattr(cli.np, "linspace", lambda *args: made.append(args))
+    command = "fig1" if "x" not in grid else "fig3"
+    assert cli.main([command, "--grid", grid]) == cli.EXIT_PARSE
+    assert "more than 1000000 rows" in capsys.readouterr().err
+    assert made == []
 
 
 def test_fig2_center_value_and_symmetry(tmp_path) -> None:

@@ -624,6 +624,17 @@ def test_alternating_lower_bound_stays_below_primal() -> None:
         assert lb >= choi_trace_distance(a, b) - 1e-6
     with pytest.raises(DimMismatchError):
         alternating_lower_bound(identity(2), identity(3))
+    # restarts and sweeps are integers >= 1 and seed an integer >= 0: a NaN,
+    # a float, a bool or a count below 1 raises RangeError instead of
+    # running once or failing inside NumPy
+    nan = float("nan")
+    bad = {"restarts": (nan, -5, 0, 2.0), "sweeps": (nan, 0, True), "seed": (nan, -1, 1.5)}
+    for name, values in bad.items():
+        for value in values:
+            with pytest.raises(RangeError, match=f"^{name}="):
+                alternating_lower_bound(a, b, **{name: value})
+    lb = alternating_lower_bound(a, b, restarts=np.int64(2), sweeps=1, seed=3)
+    assert 0.0 <= lb <= res.primal + 1e-7
 
 
 # --- discrimination_probability -----------------------------------------

@@ -306,6 +306,17 @@ def _brute_schur(prog, x_mats, z_mats, xz_scal) -> np.ndarray:
     return 0.5 * (brute + brute.T)
 
 
+def test_a_program_is_minimax_exactly_when_its_family_has_more_than_one_member() -> None:
+    """``_Program.minimax``, which tags a solve's program kind, is true for
+    the minimax and trace families and false for a single distance, sector
+    programs included; the dual program has no family."""
+    for name, prog in _program_shapes().items():
+        if name.startswith("dual"):
+            assert not hasattr(prog, "minimax"), name
+        else:
+            assert prog.minimax == ("minimax" in name) == (prog.k > 1), name
+
+
 def test_program_operators_are_consistent_for_every_shape() -> None:
     """slack = C - A^T(y), <A^T(y), X> = y . A(X), and schur matches brute
     force; a real program's iterates are real symmetric, as in the engine."""
