@@ -19,19 +19,23 @@ Diagonal-unitary-covariant problems (every damping row and the phase-gate
 two-copy study) are solved on their invariant sectors, with the same
 certificate on the full space.
 
-A qubit unitary target against distinct Pauli unitaries (any subset of the
-four; every fig2 row and the README quick start) is first tried in closed
-form.  The Pauli Choi vectors are the Bell basis |beta_i>, so with
+A qubit target with one Kraus operator against members of distinct Pauli
+directions is first tried in closed form.  A member's direction is the
+Bell vector of its largest Bell-diagonal Choi entry, so any subset of the
+four Pauli unitaries qualifies however they are written (every fig2 row,
+the README quick start, vertex Pauli specs, unitary specs of iX, iY and
+iZ).  The Pauli Choi vectors are the Bell basis |beta_i>, so with
 u = vec(U)/sqrt2 and q_i = |<beta_i|u>|^2, Delta(p)/2 = |u><u| -
 sum_i p_i |beta_i><beta_i| has one positive eigenvalue mu, the largest root
 of sum_i q_i/(mu + p_i) = 1, and the distance at p is 2 mu.  Its minimum
 over the simplex is a water-filling (``_water_fill``), and
 ``sdp._mixed_reference_solution`` certifies those weights at rho = I/2, as
 a bracket request that a sweep window answers for all its rows in one
-stacked evaluation.  A bracket within 1e-7 is the answer, with 0
-iterations; any other input takes the joint solve.  Every row of the
-default fig2 grid closes, at delta = pi/8, 0, 1 and pi/4, with gaps of at
-most 2.9e-13 against about 1e-8 from the solve, and distances within
+stacked evaluation.  The bracket certifies the distance at its weights
+whatever the members are, so it alone decides: within 1e-7 it is the
+answer, with 0 iterations, and otherwise the joint solve runs.  Every row
+of the default fig2 grid closes, at delta = pi/8, 0, 1 and pi/4, with gaps
+of at most 2.9e-13 against about 1e-8 from the solve, and distances within
 5.3e-9 of the solve's; the default sweep runs 4.7x faster in-process on 2
 cores than through the solve, 3.9x with --parallel 2.
 
@@ -132,11 +136,13 @@ def optimal_convex_approx(target: Channel, set, tol: float) -> ApproxResult:
     optimum, so the weights are within the gap (<= 1e-7) of optimal.  If it
     stalls, the dual program of the mixture at the weights closes the
     bracket (``sdp._closing_steps``), which must end within tol of primal.
-    A qubit unitary target against Pauli unitaries takes no solve when the
-    closed form of the module docstring closes. A target whose Choi matrix
-    is within trace norm 1e-12 of a member's gets all weight on that member
-    at distance 0, certified by [0, dual] with W = 0: dual 0 for an exact
-    member, else the upper side of that member's bracket at rho = I/d.
+    A qubit target with one Kraus operator against members of distinct
+    Pauli directions (the Pauli unitaries, however written) takes no solve
+    when the closed form of the module docstring closes. A target whose
+    Choi matrix is within trace norm 1e-12 of a member's gets all weight on
+    that member at distance 0, certified by [0, dual] with W = 0: dual 0
+    for an exact member, else the upper side of that member's bracket at
+    rho = I/d.
     """
     return sdp._run(_convex_approx_steps(target, set, tol))
 
@@ -260,25 +266,26 @@ _BELL = np.stack([s.reshape(-1) for s in PAULI]) / np.sqrt(2.0)
 
 def _pauli_mixture(target: Channel, members, delta_stack) -> sdp._Bracket | None:
     """The request for the closed-form bracket at rho = I/2 of a qubit
-    unitary target against distinct Pauli unitaries (``_pauli_bracket``),
-    or None for any other problem.
+    target with one Kraus operator against members of distinct Pauli
+    directions (``_pauli_bracket``), or None for any other problem.
 
-    A member is a Pauli unitary when its Choi matrix is exactly that of one.
-    """
+    A member's direction is the Bell vector of its largest Bell-diagonal
+    Choi entry, so a Pauli unitary has its own however it is written. The
+    bracket certifies the distance at its weights whatever the members are:
+    it is the answer only when it closes."""
     if target.dim != 2 or len(target.kraus) != 1:
         return None
-    # (member, Pauli) pairs of equal Choi matrices
-    found = (np.stack([ch.choi for ch in members])[:, None] == _pauli_chois()).all(axis=(-2, -1))
-    directions = found.argmax(axis=1)
-    if not found.any(axis=1).all() or len(set(directions)) != len(members):
+    chois = np.stack([ch.choi for ch in members])
+    directions = ((_BELL.conj() @ chois) * _BELL).sum(axis=-1).real.argmax(axis=1)
+    if len(set(directions)) != len(members):
         return None
     return _pauli_bracket(target.kraus[0], directions, delta_stack)
 
 
 def _pauli_bracket(kraus: np.ndarray, directions, delta_stack) -> sdp._Bracket:
     """The request for the closed-form bracket at rho = I/2 of the qubit
-    unitary with Kraus operator ``kraus`` against the Pauli unitaries of
-    indices ``directions``, at the water-filling weights (module
+    target with Kraus operator ``kraus`` against members of the Pauli
+    directions ``directions``, at the water-filling weights (module
     docstring). The bracket is the certificate when it is within 1e-7."""
     q = np.abs(_BELL.conj() @ kraus.reshape(-1)) ** 2 / 2.0
     return sdp._Bracket(delta_stack, _water_fill(q, directions), 2)
@@ -294,15 +301,6 @@ def _pauli_set_steps(angles, tol: float):
     deltas, kraus = yield _ChoiDifferences(("unitary", angles), pauli_unitaries()), None
     sdp._check_tol(tol, _APPROX_TOL_FLOOR)
     return (yield from _simplex_steps(deltas, tol, _pauli_bracket(kraus[0], np.arange(4), deltas)))
-
-
-@lru_cache(maxsize=None)
-def _pauli_chois() -> np.ndarray:
-    """The Choi matrices of the four Pauli unitaries, (4, 4, 4), built once
-    and read-only."""
-    chois = np.stack([ch.choi for ch in pauli_unitaries()])
-    chois.setflags(write=False)
-    return chois
 
 
 def _water_fill(q: np.ndarray, directions) -> np.ndarray:

@@ -138,7 +138,15 @@ def _choi_stack(kraus: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """Completely positive trace-preserving map held as a Kraus list."""
+    """Completely positive trace-preserving map held as a Kraus list.
+
+    An operator that is exactly zero (a zero weight, damping's C at
+    gamma = 0) is not part of the map and is dropped, so ``len(kraus) ==
+    1``, the rule of every closed form for one Kraus operator, does not
+    depend on how the list is written: a vertex Pauli channel, damping(1, 0)
+    and covariant(0) have one operator, as a unitary channel does. The Choi
+    matrix keeps the bits of the full list (``_choi_stack``). A list with no
+    nonzero operator raises KrausError."""
 
     kraus: tuple[np.ndarray, ...]
 
@@ -152,6 +160,7 @@ class Channel:
             if k.shape != mats[0].shape:
                 raise KrausError("Kraus operators have mixed dimensions")
         stack = np.array(mats)
+        stack = stack[stack.any(axis=(1, 2))]
         _check_kraus(stack)
         stack.setflags(write=False)
         object.__setattr__(self, "kraus", tuple(stack))
@@ -196,14 +205,6 @@ def _weighted(weights, kraus: np.ndarray) -> np.ndarray:
     """The operators sqrt(w) K of the Kraus stacks ``kraus`` (..., K, d, d)
     at the weights (..., K)."""
     return np.sqrt(weights)[..., None, None] * kraus
-
-
-def _channel(kraus: np.ndarray) -> Channel:
-    """The channel of one Kraus stack (K, d, d), leaving out every operator
-    that is exactly zero: a zero weight, or damping's C at gamma = 0. A
-    vertex Pauli channel, damping(1, 0) or covariant(0) thus has one
-    operator, as a unitary channel does."""
-    return Channel(tuple(kraus[kraus.any(axis=(-2, -1))]))
 
 
 def identity(d: int = 2) -> Channel:
@@ -297,7 +298,7 @@ def covariant(p: float, d: int = 2) -> Channel:
         raise RangeError(f"dimension d={d!r} must be an integer")
     if d < 2:
         raise RangeError(f"dimension d={d} must be >= 2")
-    return _channel(_covariant_kraus(p, int(d)))
+    return Channel(tuple(_covariant_kraus(p, int(d))))
 
 
 def pauli_channel(p) -> Channel:
@@ -305,7 +306,7 @@ def pauli_channel(p) -> Channel:
     p = prob_vector(p)
     if p.size != 4:
         raise SimplexError(f"Pauli channel needs 4 weights, got {p.size}")
-    return _channel(_weighted(p, _covariant_basis(2)))
+    return Channel(tuple(_weighted(p, _covariant_basis(2))))
 
 
 @lru_cache(maxsize=None)
@@ -332,7 +333,7 @@ def damping(q: float, gamma: float) -> Channel:
     Kraus set {sqrt(q) A, sqrt(q) C, sqrt(1-q) B, sqrt(1-q) C^dag} with
     A = diag(1, sqrt(1-gamma)), B = diag(sqrt(1-gamma), 1), C = sqrt(gamma)|0><1|.
     """
-    return _channel(_damping_kraus(*_checked("damping", (q, gamma))))
+    return Channel(tuple(_damping_kraus(*_checked("damping", (q, gamma)))))
 
 
 #: Per family: its stacked Kraus builder and the name and range of each of
@@ -378,7 +379,7 @@ def mix(chs, p) -> Channel:
     if any(ch.dim != d for ch in chs):
         raise DimMismatchError("mixed channel dimensions")
     weights = np.repeat(p, [len(ch.kraus) for ch in chs])
-    return _channel(_weighted(weights, np.stack([k for ch in chs for k in ch.kraus])))
+    return Channel(tuple(_weighted(weights, np.stack([k for ch in chs for k in ch.kraus]))))
 
 
 def tensor(a: Channel, b: Channel) -> Channel:
@@ -419,13 +420,13 @@ class _ChoiDifferences:
 
     A step generator yields it as (request, None), as it yields a bracket
     or a program, and receives (deltas, kraus): the differences as
-    (members, n, n) and, when ``first`` and every member have exactly one
-    Kraus operator that is not zero, those operators in the same order, else
-    None (the ``kraus`` of ``sdp._fixed_steps``). ``sdp._run_all`` answers
-    the pending requests of one ``shape_key`` (the same families and fixed
-    members at each place) with one call of ``answer``; ``sdp._run`` answers
-    one as a stack of one. Every difference has the bits of choi(a) - choi(b)
-    for the channels that the scalar constructors build."""
+    (members, n, n) and the Kraus operators of ``first`` as (K, d, d), a
+    family's zero ones included (fig2 reads the unitary's one operator).
+    ``sdp._run_all`` answers the pending requests of one ``shape_key`` (the
+    same families and fixed members at each place) with one call of
+    ``answer``; ``sdp._run`` answers one as a stack of one. Every
+    difference has the bits of choi(a) - choi(b) for the channels that the
+    scalar constructors build."""
 
     def __init__(self, first, members):
         self.channels = (first, *members)
@@ -442,23 +443,18 @@ class _ChoiDifferences:
         constructor's RangeError for the first bad parameter, and one
         ``_choi_stack`` of its operators."""
         count = len(requests)
-        chois, singles, single = [], [], np.ones(count, dtype=bool)
+        chois = []
         for j, spec in enumerate(requests[0].channels):
             if isinstance(spec, Channel):
                 kraus, choi = spec._stack[None], spec.choi[None]
             else:
                 kraus = _family_kraus(spec[0], [r.channels[j][1] for r in requests])
                 choi = _choi_stack(kraus)
-            nonzero = kraus.any(axis=(-2, -1))
-            single &= nonzero.sum(axis=-1) == 1
-            first_nonzero = kraus[np.arange(len(kraus)), nonzero.argmax(axis=-1)]
-            singles.append(np.broadcast_to(first_nonzero, (count,) + first_nonzero.shape[1:]))
+            if j == 0:
+                first = np.broadcast_to(kraus, (count,) + kraus.shape[1:])
             chois.append(np.broadcast_to(choi, (count,) + choi.shape[1:]))
         deltas = chois[0][:, None] - np.stack(chois[1:], axis=1)
-        return [
-            (deltas[i], tuple(ops[i] for ops in singles) if single[i] else None)
-            for i in range(count)
-        ]
+        return [(deltas[i], first[i]) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -186,13 +186,15 @@ def _fig1_row(item):
     certified SDP distance at its optimal mixing weight. The row asks for
     the Choi difference of the two channels, which its window builds for
     all its rows in one stacked evaluation (``channels._ChoiDifferences``),
-    and then takes the route of ``diamond_sdp``."""
+    and then takes the route of ``diamond_sdp`` without the unitary-pair
+    bracket: a qubit unitary pair closes at I/d, and a covariant channel
+    with p > 0 has four Kraus operators."""
     x, sdp_tol = item
     value, p_opt = covariance_distance_x(x)
     alpha = float(np.arcsin(np.clip(x / 2.0, -1.0, 1.0)))
     request = _ChoiDifferences(("unitary", (alpha, 0.0, 0.0)), [("covariant", (p_opt,))])
-    deltas, kraus = yield request, None
-    sol = yield from sdp._fixed_steps(deltas[0], 2, sdp_tol, kraus)
+    deltas, _ = yield request, None
+    sol = yield from sdp._fixed_steps(deltas[0], 2, sdp_tol)
     res = DiamondResult._of_solution(sol)
     return (x, value, p_opt, res.value, res.gap)
 

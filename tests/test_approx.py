@@ -224,16 +224,41 @@ def _log_kinds(monkeypatch) -> list:
 
 
 def _non_pauli_set() -> list:
-    """Three Pauli unitaries and a phase gate: no Pauli-set route, so a
-    unitary target's mixture takes the joint minimax solve."""
+    """Three Pauli unitaries and a phase gate, whose Pauli direction is Z:
+    the Pauli-set bracket is tried and stays open, so a unitary target's
+    mixture takes the joint minimax solve."""
     return [*pauli_unitaries()[:3], unitary_qubit(0.0, 1.3, 0.0)]
+
+
+def _log_bracket_gaps(monkeypatch) -> list:
+    """Log the gap of every bracket that ``sdp._brackets`` answers."""
+    brackets = sdp._brackets
+    gaps = []
+
+    def logged(requests):
+        sols = brackets(requests)
+        gaps.extend(sol.gap for sol in sols)
+        return sols
+
+    monkeypatch.setattr(sdp, "_brackets", logged)
+    return gaps
 
 
 def test_non_member_target_costs_one_minimax_solve(monkeypatch) -> None:
     kinds = _log_kinds(monkeypatch)
-    res = optimal_convex_approx(unitary_qubit(0.43, 0.91, 0.27), _non_pauli_set(), tol=1e-6)
+    gaps = _log_bracket_gaps(monkeypatch)
+    target, members = unitary_qubit(0.43, 0.91, 0.27), _non_pauli_set()
+    res = optimal_convex_approx(target, members, tol=1e-6)
+    # the Pauli-set bracket at the water-filling weights is open
+    assert len(gaps) == 1 and 0.1 < gaps[0]
     assert res.iterations > 0
     assert kinds == ["minimax"]
+    # so the Choi bound runs the program at reference dimension 1
+    census = _log_census(monkeypatch)
+    gaps.clear()
+    upper, lower = approx_bounds(target, members, res.distance)
+    assert census == [("minimax", 1)] and gaps[-1] > 0.1
+    assert 0.0 < lower <= res.distance <= upper
     kinds.clear()
     pauli_distance_damping(0.7, 0.5)
     assert kinds == ["sector-minimax"]
@@ -532,27 +557,59 @@ def test_pauli_route_closes_inside_the_engine_bracket_on_every_subset(monkeypatc
             assert res.witness.dual <= engine.dual + 1e-12, subset
 
 
+def _written_paulis() -> list:
+    """I, iX, iY and iZ as unitary specs: the Pauli unitaries up to phases,
+    whose Choi matrices differ from theirs in the last bits."""
+    half = np.pi / 2
+    angles = ((0, 0, 0), (half, 0, half), (half, 0, 0), (0, half, 0))
+    return [unitary_qubit(*a) for a in angles]
+
+
 def test_pauli_route_needs_a_unitary_target_and_distinct_pauli_members() -> None:
     paulis = pauli_unitaries()
     target = unitary_qubit(0.43, 0.91, 0.27)
     deltas = approx._simplex_deltas(target, paulis)
-    assert approx._pauli_mixture(target, paulis, deltas) is not None
-    # a vertex Pauli spec is the Pauli unitary, bit for bit
-    vertices = [pauli_channel(np.eye(4)[i]) for i in range(4)]
-    assert approx._pauli_mixture(target, vertices, deltas) is not None
+    request = approx._pauli_mixture(target, paulis, deltas)
+    # a member's direction is its largest Bell-diagonal Choi entry, so the
+    # Pauli unitaries written as vertex Pauli specs, as unitary specs or
+    # with a zero Kraus operator ask for the same weights
+    zero = np.zeros((2, 2))
+    written = [
+        [pauli_channel(np.eye(4)[i]) for i in range(4)],
+        _written_paulis(),
+        [Channel((zero, s)) for s in PAULI],
+    ]
+    assert not all(np.array_equal(a.choi, b.choi) for a, b in zip(written[1], paulis))
+    for members in written:
+        other = approx._pauli_mixture(target, members, approx._simplex_deltas(target, members))
+        assert other.weights.tobytes() == request.weights.tobytes()
+    # a set of distinct directions is asked for whatever its members; the
+    # bracket decides (test_non_member_target_costs_one_minimax_solve)
+    assert approx._pauli_mixture(target, _non_pauli_set(), deltas) is not None
     for other_target, members in (
-        (damping(0.7, 0.5), paulis),  # not unitary
+        (damping(0.7, 0.5), paulis),  # more than one Kraus operator
         (tensor(target, target), [tensor(p, p) for p in paulis]),  # not a qubit
         (target, [paulis[0], paulis[0]]),  # a repeated member
-        (target, _non_pauli_set()),
+        (target, [paulis[0], covariant(0.3)]),  # two members of direction I
     ):
         deltas = approx._simplex_deltas(other_target, members)
         assert approx._pauli_mixture(other_target, members, deltas) is None
-    # the Pauli Choi matrices the members are matched against: built once,
-    # read-only
-    chois = approx._pauli_chois()
-    assert chois is approx._pauli_chois() and not chois.flags.writeable
-    npt.assert_array_equal(chois, np.stack([ch.choi for ch in paulis]))
+
+
+def test_pauli_route_does_not_depend_on_how_the_members_are_written(monkeypatch) -> None:
+    # the README quick start over the Pauli unitaries, however written:
+    # each closes in the Pauli-set bracket with no solve, at distance 1.5
+    angle = np.pi / 4
+    target = unitary_qubit(angle, angle, angle)
+    kinds = _log_kinds(monkeypatch)
+    base = optimal_convex_approx(target, pauli_unitaries(), 1e-6)
+    for members in ([pauli_channel(row) for row in np.eye(4)], _written_paulis()):
+        res = optimal_convex_approx(target, members, 1e-6)
+        assert res.iterations == 0 and res.witness.gap <= 1e-12
+        assert abs(res.distance - base.distance) <= 1e-12
+        npt.assert_allclose(res.weights, base.weights, atol=1e-12)
+    assert kinds == []
+    assert abs(base.distance - 1.5) <= 1e-12
 
 
 def test_pauli_set_bounds_take_no_solve(monkeypatch) -> None:

@@ -169,8 +169,8 @@ def test_stacked_choi_differences_match_the_scalar_constructors_bit_for_bit() ->
     """A window's stacked build gives every Choi difference the bits of
     choi(a) - choi(b) of the channels that the scalar constructors build,
     whose Choi matrices have the bits of the loop over their operators, and
-    hands back their single Kraus operators exactly when each channel has
-    one."""
+    hands back the first channel's Kraus operators: its family's stack,
+    whose nonzero operators are the scalar constructor's."""
     cases = _difference_cases()
     for _, first, members in cases:
         for ch in (first, *members):
@@ -185,11 +185,7 @@ def test_stacked_choi_differences_match_the_scalar_constructors_bit_for_bit() ->
             expected = np.stack([choi(first) - choi(ch) for ch in members])
             assert np.array_equal(deltas, expected)
             assert deltas.tobytes() == expected.tobytes()
-            chans = [first, *members]
-            if all(len(ch.kraus) == 1 for ch in chans):
-                assert [k.tobytes() for k in kraus] == [ch.kraus[0].tobytes() for ch in chans]
-            else:
-                assert kraus is None
+            assert [k.tobytes() for k in kraus if k.any()] == [k.tobytes() for k in first.kraus]
     # a request answered alone has the bits it has in its window
     request, first, members = cases[-1]
     ((deltas, _),) = channels._ChoiDifferences.answer([request])
@@ -285,12 +281,14 @@ def test_pauli_channel_weights_on_bell_diagonal() -> None:
 
 
 def test_vertex_pauli_channel_is_its_unitary_channel() -> None:
-    # a zero weight adds no Kraus operator, and the Choi matrix keeps its bits
+    # a zero weight adds no Kraus operator, built by pauli_channel or
+    # directly, and the Choi matrix keeps its bits
     ch = pauli_channel([0.0, 0.0, 0.0, 1.0])
-    assert len(ch.kraus) == 1
     four = Channel(tuple(np.sqrt(w) * s for w, s in zip([0.0, 0.0, 0.0, 1.0], PAULI)))
-    assert len(four.kraus) == 4
-    assert choi(ch).tobytes() == choi(four).tobytes()
+    for built in (ch, four):
+        assert len(built.kraus) == 1
+        assert built.kraus[0].tobytes() == PAULI[3].tobytes()
+        assert choi(built).tobytes() == choi(unitary_channel(PAULI[3])).tobytes()
 
 
 def test_pauli_channel_rejects_bad_weights() -> None:
@@ -344,12 +342,19 @@ def test_built_channels_carry_no_zero_kraus_operator() -> None:
     ):
         assert len(ch.kraus) == count
         assert all(k.any() for k in ch.kraus)
-    # (A = B = I and C = 0 at gamma = 0)
+    # a Channel built directly drops its zero operators too (A = B = I and
+    # C = 0 at gamma = 0), wherever they stand
     a, c = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
     full = Channel((np.sqrt(0.3) * a, np.sqrt(0.3) * c, np.sqrt(0.7) * a, np.sqrt(0.7) * c))
+    assert [k.tobytes() for k in full.kraus] == [k.tobytes() for k in damping(0.3, 0.0).kraus]
     assert choi(damping(0.3, 0.0)).tobytes() == choi(full).tobytes()
-    # a user's own Kraus list is kept as given
-    assert len(full.kraus) == 4
+    leading = Channel((c, a))
+    assert len(leading.kraus) == 1 and choi(leading).tobytes() == choi(identity(2)).tobytes()
+    # a list with no nonzero operator is no channel
+    with pytest.raises(KrausError):
+        Channel((c, c))
+    with pytest.raises(NotUnitaryError):
+        unitary_channel(c)
 
 
 def test_damping_q_one_is_amplitude_damping() -> None:

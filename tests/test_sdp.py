@@ -551,9 +551,10 @@ def _route_pairs() -> dict:
 
 def _requested_distance(first, member, tol: float):
     """The steps of one distance whose Choi difference is a request
-    (``channels._ChoiDifferences``), as a fig1 row asks for it."""
-    deltas, kraus = yield channels._ChoiDifferences(first, [member]), None
-    sol = yield from sdp._fixed_steps(deltas[0], 2, tol, kraus)
+    (``channels._ChoiDifferences``), as a fig1 row asks for it: with no
+    Kraus operators for the unitary-pair bracket."""
+    deltas, _ = yield channels._ChoiDifferences(first, [member]), None
+    sol = yield from sdp._fixed_steps(deltas[0], 2, tol)
     return diamond.DiamondResult._of_solution(sol)
 
 
@@ -573,13 +574,10 @@ def _route_steps() -> dict:
     return makers
 
 
-def test_run_and_a_run_all_window_give_the_same_bits_on_every_route(monkeypatch) -> None:
-    """Each route of one distance, answered request by request (``_run``) and
-    in one window with the others (``_run_all``), in both orders, gives the
-    same bits; the census shows which route each pair takes. A distance
-    whose Choi difference is a request has the bits of the same pair's
-    channels."""
-    makers = _route_steps()
+def _log_route(monkeypatch) -> list:
+    """Log each step of a distance's route: the bracket at I/d, the
+    unitary-pair bracket, the reference iteration, each engine program and
+    each stacked Choi build."""
     trail = []
     brackets, pair_bracket, iteration, solve = (
         sdp._brackets, sdp._unitary_pair_solution, sdp._reference_iteration, sdp._solve_batch
@@ -612,6 +610,17 @@ def test_run_and_a_run_all_window_give_the_same_bits_on_every_route(monkeypatch)
     monkeypatch.setattr(sdp, "_reference_iteration", iterated)
     monkeypatch.setattr(sdp, "_solve_batch", solved)
     monkeypatch.setattr(channels._ChoiDifferences, "answer", staticmethod(requested))
+    return trail
+
+
+def test_run_and_a_run_all_window_give_the_same_bits_on_every_route(monkeypatch) -> None:
+    """Each route of one distance, answered request by request (``_run``) and
+    in one window with the others (``_run_all``), in both orders, gives the
+    same bits; the census shows which route each pair takes. A distance
+    whose Choi difference is a request has the bits of the same pair's
+    channels."""
+    makers = _route_steps()
+    trail = _log_route(monkeypatch)
     alone, trails = {}, {}
     for name, make in makers.items():
         trail.clear()
@@ -636,6 +645,39 @@ def test_run_and_a_run_all_window_give_the_same_bits_on_every_route(monkeypatch)
     assert [_result_bits(res) for res in window] == expected
     reverse = sdp._run_all([make() for make in list(makers.values())[::-1]])
     assert [_result_bits(res) for res in reverse] == expected[::-1]
+
+
+def test_a_zero_kraus_operator_changes_neither_route_nor_bits(monkeypatch) -> None:
+    """The unitary-pair bracket is chosen from the channel: the product pair
+    with an exactly zero Kraus operator, before or after its own, closes in
+    the pair bracket with the bits it has without one."""
+    a, b, tol = _route_pairs()["pair"]
+    zero = np.zeros((4, 4))
+    trail = _log_route(monkeypatch)
+    bits = []
+    for first in (a, channels.Channel((*a.kraus, zero)), channels.Channel((zero, *a.kraus))):
+        trail.clear()
+        bits.append(_result_bits(diamond_sdp(first, b, tol)))
+        assert trail == ["I/d", "pair"]
+    assert bits[1] == bits[0] and bits[2] == bits[0]
+
+
+def test_an_open_unitary_pair_bracket_goes_on_to_the_iteration(monkeypatch) -> None:
+    """The product pair with its Kraus operators scaled by 1 + 9.9e-10 and
+    1 - 9.9e-10, within Channel's completeness check: the pair bracket's
+    allowance for the scaling leaves it open at tol 1e-9, and the reference
+    iteration closes it."""
+    a, b, _ = _route_pairs()["pair"]
+    near = (
+        channels.Channel(((1.0 + 9.9e-10) * a.kraus[0],)),
+        channels.Channel(((1.0 - 9.9e-10) * b.kraus[0],)),
+    )
+    paired = sdp._unitary_pair_solution(choi(near[0]) - choi(near[1]), [ch.kraus[0] for ch in near])
+    assert 1e-9 < paired.gap <= 4e-9
+    trail = _log_route(monkeypatch)
+    res = diamond_sdp(*near, 1e-9)
+    assert trail == ["I/d", "pair", "iteration"]
+    assert res.gap <= 1e-9
 
 
 def test_a_window_answers_its_choi_requests_in_one_build_per_family(monkeypatch, capsys) -> None:
